@@ -105,6 +105,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     shape = _parse_shape(args.shape)
+    if args.samples < 1:
+        raise _UsageError(f"samples must be >= 1, got {args.samples}")
     worst: dict[str, float] = {}
     for k in range(args.samples):
         rank = k % shape.dim + 1

@@ -11,10 +11,9 @@ VALIDATION_TOL = 1e-10
 # Eigenvalues in [-CLAMP_TOL, 0) are clamped to 0 before fractional powers.
 CLAMP_TOL = 1e-10
 
-# Jacobi eigensolver: stop once the off-diagonal Frobenius norm drops below
-# EIG_OFFDIAG_FACTOR * ||input||_F, give up after EIG_SWEEP_CAP sweeps.
-EIG_OFFDIAG_FACTOR = 1e-14
-EIG_SWEEP_CAP = 100
+# Slack on the X-state parameter checks: unit diagonal sum and the
+# positivity conditions d2*d3 >= |c23|^2, d1*d4 >= |c14|^2.
+XSTATE_PARAM_TOL = 1e-12
 
 # Slack when judging an inequality report "satisfied".
 REPORT_TOL = 1e-9

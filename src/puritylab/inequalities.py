@@ -200,7 +200,10 @@ def find_delta_roots(f, lo: float, hi: float, grid: int = ROOT_GRID,
     Grid points where |f| <= tol are reported once; each sign change between
     adjacent grid points is refined by bisection until the bracket is
     narrower than tol.  Multiple roots inside one grid cell are not
-    separated.
+    separated, and a zero of even order (where f touches zero without
+    changing sign) is reported only if |f| <= tol at some grid point:
+    for Gisin with |a| = |b|, delta = (3x-1)^2/2 touches zero at x = 1/3,
+    yet the search on [0.001, 0.999] returns [].
     """
     if not lo < hi:
         raise BadInterval(f"need lo < hi, got [{lo}, {hi}]")

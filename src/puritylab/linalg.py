@@ -1,23 +1,21 @@
 """Dense complex Hermitian eigendecomposition and spectral matrix functions.
 
-Matrices here are tiny (dimension 8 at most in practice), so a cyclic Jacobi
-iteration with complex plane rotations is accurate, deterministic and free of
-solver dependencies.  numpy supplies only array storage and arithmetic.
+Every eigensolve in the package goes through ``hermitian_eig``, which checks
+Hermiticity and hands the Hermitian part to LAPACK via ``numpy.linalg.eigh``.
+Spectral powers of positive-semidefinite matrices are built on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import CLAMP_TOL, EIG_OFFDIAG_FACTOR, EIG_SWEEP_CAP, VALIDATION_TOL
+from .defaults import CLAMP_TOL, VALIDATION_TOL
 from .errors import (
     DimMismatch,
     DomainError,
     NegativeSpectrum,
-    NoConvergence,
     NotHermitian,
     ZeroToNegativePower,
 )
@@ -41,90 +39,25 @@ def hermiticity_defect(mat: np.ndarray) -> float:
 @dataclass(frozen=True)
 class HermitianEigen:
     """Eigenvalues ascending; eigenvector columns orthonormal, V diag(w) V^dagger
-    reconstructs the input.  Ties keep the order produced by the rotation
-    history, which is a pure function of the input bytes."""
+    reconstructs the input.  Ties keep the order LAPACK returns, which is a
+    pure function of the input bytes on one numpy/BLAS build."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
 def hermitian_eig(mat, tol: float = VALIDATION_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-    The input must be Hermitian within ``tol`` (largest entry of m - m^dagger).
-    Sweeps stop when the off-diagonal Frobenius norm falls below
-    EIG_OFFDIAG_FACTOR times the Frobenius norm of the input; more than
-    EIG_SWEEP_CAP sweeps raises NoConvergence.
+    The input must be Hermitian within ``tol`` (largest entry of m - m^dagger);
+    its Hermitian part (m + m^dagger)/2 is decomposed.
     """
     arr = as_square_matrix(mat)
     defect = hermiticity_defect(arr)
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-
-    a = 0.5 * (arr + arr.conj().T)
-    dim = a.shape[0]
-    v = np.eye(dim, dtype=np.complex128)
-    target = EIG_OFFDIAG_FACTOR * float(np.linalg.norm(arr))
-
-    # Elements already below skip_below cannot lift the off-diagonal norm back
-    # above target, so rotating them only risks degenerate divisions.
-    skip_below = target / (2.0 * dim)
-    sweeps = 0
-    while _offdiag_norm(a) > target:
-        if sweeps >= EIG_SWEEP_CAP:
-            raise NoConvergence(
-                f"off-diagonal norm {_offdiag_norm(a):.3e} above target "
-                f"{target:.3e} after {EIG_SWEEP_CAP} sweeps"
-            )
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                _rotate(a, v, p, q, skip_below)
-        sweeps += 1
-
-    values = a.diagonal().real.copy()
-    order = np.argsort(values, kind="stable")
-    return HermitianEigen(values=values[order], vectors=v[:, order])
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    # Summed directly (not total minus diagonal) to avoid cancellation noise.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip_below: float) -> None:
-    """One complex Jacobi rotation annihilating a[p, q] in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    if r <= skip_below:
-        return
-    phase = apq / r
-    tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
-    sign = 1.0 if tau >= 0.0 else -1.0
-    t = sign / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    # a <- J^dagger a J with the (p,q)-plane rotation
-    # J[p,p]=c, J[p,q]=-s*phase, J[q,p]=s*conj(phase), J[q,q]=c.
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * np.conj(phase) * col_q
-    a[:, q] = -s * phase * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s * phase * row_q
-    a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p + s * np.conj(phase) * vcol_q
-    v[:, q] = -s * phase * vcol_p + c * vcol_q
+    values, vectors = np.linalg.eigh(0.5 * (arr + arr.conj().T))
+    return HermitianEigen(values=values, vectors=vectors)
 
 
 def hermitian_eigenvalues(mat, tol: float = VALIDATION_TOL) -> np.ndarray:

@@ -31,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import ENTANGLE_TOL, GISIN_NORM_SLACK, REPORT_TOL, VALIDATION_TOL
+from .defaults import (
+    ENTANGLE_TOL,
+    GISIN_NORM_SLACK,
+    REPORT_TOL,
+    VALIDATION_TOL,
+    XSTATE_PARAM_TOL,
+)
 from .density import (
     BlockShape,
     DensityMatrix,
@@ -63,13 +69,13 @@ class XStateParams:
         if min(diag) < 0.0:
             raise NotPositive(f"diagonal entries must be nonnegative, got {diag}")
         total = sum(diag)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > XSTATE_PARAM_TOL:
             raise TraceNotOne(f"diagonal sums to {total!r}, off by {abs(total-1.0):.3e}")
-        if self.d2 * self.d3 < abs(self.c23) ** 2 - 1e-12:
+        if self.d2 * self.d3 < abs(self.c23) ** 2 - XSTATE_PARAM_TOL:
             raise NotPositive(
                 f"d2*d3 = {self.d2 * self.d3:.6e} < |c23|^2 = {abs(self.c23)**2:.6e}"
             )
-        if self.d1 * self.d4 < abs(self.c14) ** 2 - 1e-12:
+        if self.d1 * self.d4 < abs(self.c14) ** 2 - XSTATE_PARAM_TOL:
             raise NotPositive(
                 f"d1*d4 = {self.d1 * self.d4:.6e} < |c14|^2 = {abs(self.c14)**2:.6e}"
             )

@@ -1,7 +1,8 @@
 from hypothesis import HealthCheck, settings
 
-# The pure-python eigensolver makes per-example timing noisy; property tests
-# are bounded by max_examples instead of wall-clock deadlines.
+# Property tests sample their inputs in Python loops (the SplitMix64 stream),
+# and on a shared host per-example timing is noisy; they are bounded by
+# max_examples instead of wall-clock deadlines.
 settings.register_profile(
     "puritylab",
     deadline=None,

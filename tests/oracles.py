@@ -1,9 +1,12 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the package's own reduction maps and
-eigensolver: partial traces are written as explicit index sums and spectral
-references come from numpy.linalg, so agreement is a genuine cross-check
-rather than the same code tested against itself.
+eigensolver: partial traces are written as explicit index sums and the
+eigenvalue reference is a cyclic Jacobi iteration written out below, so
+agreement with the package's LAPACK back end is a genuine cross-check rather
+than the same code tested against itself.  ``numpy_sqrt_psd`` uses
+numpy.linalg.eigh; it checks the package's block reductions and trace
+bookkeeping, not its eigensolver.
 """
 
 from __future__ import annotations
@@ -41,8 +44,52 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def numpy_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(mat)
+def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix by cyclic complex Jacobi.
+
+    Each rotation in the (p, q) plane annihilates a[p, q]; sweeps over all
+    pairs repeat until the off-diagonal Frobenius norm is below 1e-14 times
+    the Frobenius norm of the input; a matrix still above that after
+    ``sweep_cap`` sweeps fails the calling test.
+    """
+    sweep_cap = 100
+    a = np.asarray(mat, dtype=np.complex128)
+    a = 0.5 * (a + a.conj().T)
+    dim = a.shape[0]
+    target = 1e-14 * float(np.linalg.norm(a))
+    # Entries below skip_below cannot lift the off-diagonal norm back above
+    # target, so rotating them only risks degenerate divisions.
+    skip_below = target / (2.0 * dim)
+
+    def offdiag_norm() -> float:
+        off = a.copy()
+        np.fill_diagonal(off, 0.0)
+        return float(np.linalg.norm(off))
+
+    for _ in range(sweep_cap):
+        if offdiag_norm() <= target:
+            return np.sort(a.diagonal().real)
+        for p in range(dim - 1):
+            for q in range(p + 1, dim):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= skip_below:
+                    continue
+                phase = apq / r
+                tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
+                t = np.copysign(1.0, tau) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                # a <- J^dagger a J with J[p,p] = J[q,q] = c,
+                # J[p,q] = -s*phase, J[q,p] = s*conj(phase).
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p + s * np.conj(phase) * col_q
+                a[:, q] = -s * phase * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p + s * phase * row_q
+                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+    raise AssertionError(f"Jacobi oracle did not converge in {sweep_cap} sweeps")
 
 
 def numpy_sqrt_psd(mat: np.ndarray) -> np.ndarray:

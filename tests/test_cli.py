@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from oracles import werner_matrix
 from puritylab.cli import cli_main
 from puritylab.density import BlockShape, make_density
@@ -77,6 +79,13 @@ class TestAuditCommand:
         code, _, err = run_cli(["audit", "--shape", "two-by-two"], capsys)
         assert code == 1
         assert "shape" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_usage_error(self, samples, capsys):
+        code, out, err = run_cli(["audit", "--samples", samples], capsys)
+        assert code == 1
+        assert f"samples must be >= 1, got {samples}" in err
+        assert out == ""
 
     def test_unsatisfied_audit_exits_two(self, capsys):
         # a negative tolerance demands strictly positive margins >= 1,
