@@ -16,6 +16,7 @@ from .density import (
     purity_set,
     random_density,
     random_separable,
+    sample_states,
 )
 from .inequalities import (
     InequalityReport,

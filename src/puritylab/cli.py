@@ -14,10 +14,11 @@ audited inequality unsatisfied, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .defaults import REPORT_TOL, SWEEP_POINTS
-from .density import BlockShape, purity_set, random_density
+from .density import BlockShape, purity_set, sample_states
 from .errors import IoError, PurityLabError
 from .fileio import (
     csv_lines,
@@ -49,6 +50,11 @@ def _parse_shape(text: str) -> BlockShape:
         return BlockShape(int(parts[0]), int(parts[1]))
     except (ValueError, PurityLabError) as err:
         raise _UsageError(f"bad shape {text!r}: {err}") from err
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise _UsageError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def build_parser() -> _Parser:
@@ -107,10 +113,11 @@ def _cmd_audit(args) -> int:
     shape = _parse_shape(args.shape)
     if args.samples < 1:
         raise _UsageError(f"samples must be >= 1, got {args.samples}")
+    _check_tol(args.tol)
     worst: dict[str, float] = {}
-    for k in range(args.samples):
-        rank = k % shape.dim + 1
-        rho = random_density(shape.n, shape.m, rank, child_seed(args.seed, k))
+    recipes = (("ginibre", k % shape.dim + 1, child_seed(args.seed, k))
+               for k in range(args.samples))
+    for rho in sample_states(shape, recipes):
         for report in audit_reports(rho, tol=args.tol):
             if report.name not in worst or report.margin < worst[report.name]:
                 worst[report.name] = report.margin
@@ -127,6 +134,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_scan(args) -> int:
     shape = _parse_shape(args.shape)
+    _check_tol(args.tol)
     report = scan_conjecture(shape, args.samples, args.seed, tol=args.tol)
     if args.out is None:
         sys.stdout.write(scan_report_json(report))
@@ -139,6 +147,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _check_tol(args.tol)
     rho = read_matrix_file(args.path)
     ps = purity_set(rho)
     print(f"shape: {rho.shape.n}x{rho.shape.m}")

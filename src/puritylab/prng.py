@@ -19,11 +19,24 @@ implementation can reproduce the streams bit for bit:
 * complex standard normal:    re then im, each a standard normal draw.
 * child stream for index k:   seeded with the k-th output (0-based) of the
                               parent stream, i.e. mix(seed + (k+1)*GAMMA).
+
+The stream is counter-based: output j (0-based) of the stream seeded with s is
+mix(s + (j+1)*GAMMA), with no sequential state.  ``stream_uniforms`` uses this
+to draw the uniforms of many streams in one uint64 array pass, and
+``complex_normals`` turns them into complex normals pair by pair; both give
+the same bits as the ``SplitMix64`` methods.  A fresh stream spends exactly
+one uniform pair per complex normal, so a sampled state's draw count follows
+from its recipe alone: 2*N*rank uniforms for a Ginibre state of dimension N,
+terms + 2*terms*(n+m) for a separable n x m mixture of ``terms`` product
+states.  ``density.sample_states`` draws a whole block of recipes this way; a
+state sampled inside a job has the same bytes as its one-recipe replay.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -76,3 +89,40 @@ def child_seed(seed: int, index: int) -> int:
     if index < 0:
         raise ValueError(f"child index must be >= 0, got {index}")
     return _mix((seed + (index + 1) * _GAMMA) & _MASK64)
+
+
+def stream_uniforms(seeds, counts) -> np.ndarray:
+    """The first ``counts[i]`` uniforms of each stream ``seeds[i]``, concatenated.
+
+    Bit-identical to ``SplitMix64(seeds[i]).uniform()`` repeated; seeds are
+    masked to 64 bits first, as the constructor does.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+    offsets = np.cumsum(counts) - counts
+    steps = (np.arange(1, int(counts.sum()) + 1)
+             - np.repeat(offsets, counts)).astype(np.uint64)
+    z = np.repeat(starts, counts) + steps * np.uint64(_GAMMA)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
+
+
+def complex_normals(uniforms: np.ndarray) -> np.ndarray:
+    """Box-Muller on consecutive uniform pairs (u1, u2) along the last axis:
+    one complex normal r cos(2 pi u2) + i r sin(2 pi u2), r = sqrt(-2 ln u1),
+    per pair, as ``SplitMix64.complex_normal`` draws it from a fresh stream.
+    """
+    u1 = uniforms[..., 0::2]
+    angle = _TWO_PI * uniforms[..., 1::2]
+    # math.log, not np.log: numpy's vector log differs in the last bit on
+    # some draws; the square root, cosine and sine agree.
+    logs = np.array(list(map(math.log, u1.ravel().tolist()))).reshape(u1.shape)
+    r = np.sqrt(-2.0 * logs)
+    out = np.empty(u1.shape, dtype=np.complex128)
+    out.real = r * np.cos(angle)
+    out.imag = r * np.sin(angle)
+    return out

@@ -261,6 +261,16 @@ def xstate_entangled(params: XStateParams, tol: float = ENTANGLE_TOL) -> bool:
 _PPT_CONCLUSIVE = {(2, 2), (2, 3), (3, 2)}
 
 
+def _require_ppt_shape(shape: BlockShape) -> None:
+    """Raise ShapeUnsupported unless the PPT verdict is conclusive at ``shape``."""
+    pair = (shape.n, shape.m)
+    if pair not in _PPT_CONCLUSIVE:
+        raise ShapeUnsupported(
+            f"PPT verdict is conclusive only for {sorted(_PPT_CONCLUSIVE)}, "
+            f"got {pair}"
+        )
+
+
 def ppt_entangled(rho: DensityMatrix, tol: float = ENTANGLE_TOL) -> bool:
     """Peres-Horodecki test: negative partial transpose means entangled.
 
@@ -268,12 +278,7 @@ def ppt_entangled(rho: DensityMatrix, tol: float = ENTANGLE_TOL) -> bool:
     other block shape raises ShapeUnsupported since a PSD partial transpose
     would prove nothing there.
     """
-    shape = (rho.shape.n, rho.shape.m)
-    if shape not in _PPT_CONCLUSIVE:
-        raise ShapeUnsupported(
-            f"PPT verdict is conclusive only for {sorted(_PPT_CONCLUSIVE)}, "
-            f"got {shape}"
-        )
+    _require_ppt_shape(rho.shape)
     transposed = partial_transpose_inner(rho.mat, rho.shape)
     smallest = float(hermitian_eig(transposed, tol=rho.tol).values[0])
     return smallest < -tol

@@ -18,19 +18,14 @@ import math
 from dataclasses import dataclass
 
 from .defaults import ENTANGLE_TOL, GISIN_NORM_SLACK, REPORT_TOL, SWEEP_POINTS
-from .density import (
-    BlockShape,
-    DensityMatrix,
-    purity_set,
-    random_density,
-    random_separable,
-)
+from .density import BlockShape, DensityMatrix, purity_set, sample_block, sample_states
 from .errors import DomainError, NotPositive, SpecError, TraceNotOne
 from .inequalities import delta as delta_of
 from .prng import child_seed
 from .states import (
     GisinParams,
     _gisin_closed,
+    _require_ppt_shape,
     beta_params,
     gisin_state,
     gisin_x_max,
@@ -188,12 +183,9 @@ class ScanReport:
 
 
 def scan_state(shape: BlockShape, kind: str, size: int, seed: int) -> DensityMatrix:
-    """Rebuild a scanned state from its record, for independent re-derivation."""
-    if kind == "ginibre":
-        return random_density(shape.n, shape.m, size, seed)
-    if kind == "separable":
-        return random_separable(shape.n, shape.m, size, seed)
-    raise SpecError(f"unknown sample kind {kind!r}")
+    """Rebuild a scanned state from its record, for independent re-derivation;
+    the bytes equal those of the same sample drawn inside its scan."""
+    return sample_block(shape, [(kind, size, seed)])[0]
 
 
 def _sample_recipe(shape: BlockShape, index: int, seed: int) -> tuple[str, int, int]:
@@ -228,16 +220,17 @@ def scan_conjecture(shape: BlockShape, samples: int, seed: int,
 
     if samples < 1:
         raise SpecError(f"samples must be >= 1, got {samples}")
+    _require_ppt_shape(shape)
     counterexamples: list[ScanSample] = []
     entangled_deltas: list[float] = []
     separable_deltas: list[float] = []
-    for index in range(samples):
-        kind, size, sample_seed = _sample_recipe(shape, index, seed)
-        rho = scan_state(shape, kind, size, sample_seed)
+    recipes = (_sample_recipe(shape, index, seed) for index in range(samples))
+    for index, rho in enumerate(sample_states(shape, recipes)):
         d = delta_of(rho)
         entangled = ppt_entangled(rho)
         (entangled_deltas if entangled else separable_deltas).append(d)
         if entangled and d <= tol:
+            kind, size, sample_seed = _sample_recipe(shape, index, seed)
             counterexamples.append(ScanSample(
                 index=index, seed=sample_seed, kind=kind, size=size,
                 delta=d, entangled=True,

@@ -1,8 +1,9 @@
 from hypothesis import HealthCheck, settings
 
-# Property tests sample their inputs in Python loops (the SplitMix64 stream),
-# and on a shared host per-example timing is noisy; they are bounded by
-# max_examples instead of wall-clock deadlines.
+# Per-example time on a shared host is noisy (each example validates its
+# states with LAPACK eigensolves, and some draw from the scalar SplitMix64
+# methods), so property tests are bounded by max_examples instead of
+# wall-clock deadlines.
 settings.register_profile(
     "puritylab",
     deadline=None,

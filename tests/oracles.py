@@ -6,7 +6,9 @@ eigenvalue reference is a cyclic Jacobi iteration written out below, so
 agreement with the package's LAPACK back end is a genuine cross-check rather
 than the same code tested against itself.  ``numpy_sqrt_psd`` uses
 numpy.linalg.eigh; it checks the package's block reductions and trace
-bookkeeping, not its eigensolver.
+bookkeeping, not its eigensolver.  The scalar samplers draw one value at a
+time from ``SplitMix64`` and build each state term by term, the reference for
+the package's block sampler.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from puritylab.density import BlockShape, DensityMatrix, make_density
+from puritylab.errors import BadRank
 from puritylab.prng import SplitMix64
 
 
@@ -42,6 +46,45 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
         [[gen.complex_normal() for _ in range(dim)] for _ in range(dim)]
     )
     return 0.5 * (g + g.conj().T)
+
+
+def ginibre(rows: int, cols: int, gen: SplitMix64) -> np.ndarray:
+    """Matrix of independent standard complex normals, drawn row-major."""
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for i in range(rows):
+        for j in range(cols):
+            out[i, j] = gen.complex_normal()
+    return out
+
+
+def scalar_random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityMatrix:
+    """Ginibre state G G^dagger / Tr(G G^dagger), one draw at a time."""
+    shape = BlockShape(dim_n, dim_m)
+    if not 1 <= rank <= shape.dim:
+        raise BadRank(f"rank must lie in [1, {shape.dim}], got {rank}")
+    gen = SplitMix64(seed)
+    g = ginibre(shape.dim, rank, gen)
+    raw = g @ g.conj().T
+    return make_density(raw / raw.trace().real, shape)
+
+
+def scalar_random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> DensityMatrix:
+    """Mixture of pure product states, built term by term: exponential
+    weights first, then u (length n) and v (length m) per term."""
+    if terms < 1:
+        raise BadRank(f"terms must be >= 1, got {terms}")
+    shape = BlockShape(dim_n, dim_m)
+    gen = SplitMix64(seed)
+    weights = np.array([-np.log(gen.uniform()) for _ in range(terms)])
+    weights /= weights.sum()
+    acc = np.zeros((shape.dim, shape.dim), dtype=np.complex128)
+    for w in weights:
+        u = np.array([gen.complex_normal() for _ in range(dim_n)])
+        u /= np.linalg.norm(u)
+        v = np.array([gen.complex_normal() for _ in range(dim_m)])
+        v /= np.linalg.norm(v)
+        acc += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
+    return make_density(acc, shape)
 
 
 def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:

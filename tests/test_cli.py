@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from oracles import werner_matrix
+from puritylab import cli, sweep
 from puritylab.cli import cli_main
 from puritylab.density import BlockShape, make_density
 from puritylab.fileio import write_matrix_file
@@ -14,6 +16,17 @@ def run_cli(args, capsys):
     code = cli_main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fail_every_report(monkeypatch):
+    """Make every audited inequality come out unsatisfied (margin -1)."""
+    real = cli.audit_reports
+
+    def failing(rho, tol):
+        return [dataclasses.replace(rep, margin=-1.0, satisfied=False)
+                for rep in real(rho, tol=tol)]
+
+    monkeypatch.setattr(cli, "audit_reports", failing)
 
 
 class TestSweepCommand:
@@ -87,11 +100,11 @@ class TestAuditCommand:
         assert f"samples must be >= 1, got {samples}" in err
         assert out == ""
 
-    def test_unsatisfied_audit_exits_two(self, capsys):
-        # a negative tolerance demands strictly positive margins >= 1,
-        # which no state delivers, forcing the failure exit path
-        code, out, _ = run_cli(["audit", "--samples", "5", "--seed", "1",
-                                "--tol", "-1"], capsys)
+    def test_unsatisfied_audit_exits_two(self, monkeypatch, capsys):
+        # the inequalities hold on every valid state and --tol must be >= 0,
+        # so the failure exit path is reached through failing reports
+        fail_every_report(monkeypatch)
+        code, out, _ = run_cli(["audit", "--samples", "5", "--seed", "1"], capsys)
         assert code == 2
         assert "VIOLATED" in out
 
@@ -108,6 +121,39 @@ class TestScanCommand:
         code, out, _ = run_cli(["scan", "--samples", "10", "--seed", "3"], capsys)
         assert code == 0
         assert '"counterexamples"' in out
+
+    @pytest.mark.parametrize("shape", ["3x3", "1x4"])
+    def test_unsupported_shape_refused_before_sampling(self, shape, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("scan sampled states for a shape it refuses")
+
+        monkeypatch.setattr(sweep, "sample_states", no_sampling)
+        code, out, err = run_cli(["scan", "--shape", shape, "--samples", "10"], capsys)
+        assert code == 1
+        assert "PPT verdict is conclusive only for" in err
+        assert out == ""
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("command", ["scan", "audit", "check"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_degenerate_tol_usage_error(self, command, tol, tmp_path, capsys):
+        if command == "check":
+            path = tmp_path / "state.txt"
+            write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(2, 2)))
+            args = ["check", str(path)]
+        else:
+            args = [command, "--samples", "20", "--seed", "1"]
+        code, out, err = run_cli(args + ["--tol", tol], capsys)
+        assert code == 1
+        assert f"tol must be a finite number >= 0, got {float(tol)}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    def test_zero_tol_accepted(self, command, capsys):
+        code, _, _ = run_cli([command, "--samples", "20", "--seed", "1", "--tol", "0"],
+                             capsys)
+        assert code == 0
 
 
 class TestCheckCommand:
@@ -131,10 +177,11 @@ class TestCheckCommand:
         assert code == 1
         assert "trace" in err
 
-    def test_unsatisfied_check_exits_two(self, tmp_path, capsys):
+    def test_unsatisfied_check_exits_two(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "state.txt"
         write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(2, 2)))
-        code, out, _ = run_cli(["check", str(path), "--tol", "-1"], capsys)
+        fail_every_report(monkeypatch)
+        code, out, _ = run_cli(["check", str(path)], capsys)
         assert code == 2
         assert "satisfied=false" in out
 

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import numpy_sqrt_psd, werner_matrix
+from oracles import ginibre, numpy_sqrt_psd, werner_matrix
 from puritylab.density import (
     BlockShape,
     block_sum_map,
     block_trace_map,
-    ginibre,
     make_density,
     purity,
     purity_set,
