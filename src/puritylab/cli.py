@@ -18,7 +18,7 @@ import math
 import sys
 
 from .defaults import REPORT_TOL, SWEEP_POINTS
-from .density import BlockShape, purity_set, sample_states
+from .density import BlockShape, purity_set, sample_blocks
 from .errors import IoError, PurityLabError
 from .fileio import (
     csv_lines,
@@ -28,7 +28,7 @@ from .fileio import (
     scan_report_json,
     write_scan_report,
 )
-from .inequalities import audit_reports
+from .inequalities import audit_block, audit_reports
 from .prng import child_seed
 from .sweep import FAMILIES, SweepSpec, run_sweep, scan_conjecture
 
@@ -117,10 +117,11 @@ def _cmd_audit(args) -> int:
     worst: dict[str, float] = {}
     recipes = (("ginibre", k % shape.dim + 1, child_seed(args.seed, k))
                for k in range(args.samples))
-    for rho in sample_states(shape, recipes):
-        for report in audit_reports(rho, tol=args.tol):
-            if report.name not in worst or report.margin < worst[report.name]:
-                worst[report.name] = report.margin
+    for block in sample_blocks(shape, recipes):
+        for name, lhs, rhs in audit_block(block):
+            margin = float((rhs - lhs).min())
+            if name not in worst or margin < worst[name]:
+                worst[name] = margin
     print(f"audited {args.samples} states of shape {shape.n}x{shape.m} "
           f"(seed {args.seed}, tol {format_value(args.tol)})")
     all_ok = True

@@ -21,6 +21,8 @@ import numpy as np
 from .defaults import VALIDATION_TOL
 from .errors import (
     BadRank,
+    DimMismatch,
+    DomainError,
     NotHermitian,
     NotPositive,
     ShapeMismatch,
@@ -28,6 +30,7 @@ from .errors import (
     TraceNotOne,
 )
 from .linalg import (
+    _square,
     as_square_matrix,
     hermitian_eig,
     hermiticity_defect,
@@ -75,50 +78,116 @@ class PuritySet:
     delta: float
 
 
+@dataclass(frozen=True)
+class DensityBlock:
+    """Validated states of one block shape, stacked as a read-only
+    (B, N, N) array; the unit the sampled jobs are evaluated in."""
+
+    mats: np.ndarray
+    shape: BlockShape
+    tol: float
+
+    @classmethod
+    def of(cls, rho: DensityMatrix) -> DensityBlock:
+        """One-state block sharing the state's memory."""
+        return cls(mats=rho.mat[None], shape=rho.shape, tol=rho.tol)
+
+    @classmethod
+    def stack(cls, states: list[DensityMatrix]) -> DensityBlock:
+        """Block of validated states that share one block shape and tol."""
+        shape, tol = states[0].shape, states[0].tol
+        if any(rho.shape != shape or rho.tol != tol for rho in states):
+            raise ShapeMismatch("a block holds states of one block shape and tol")
+        mats = np.stack([rho.mat for rho in states])
+        mats.flags.writeable = False
+        return cls(mats=mats, shape=shape, tol=tol)
+
+    def __len__(self) -> int:
+        return len(self.mats)
+
+    def state(self, index: int) -> DensityMatrix:
+        return DensityMatrix(mat=self.mats[index], shape=self.shape, tol=self.tol)
+
+    def states(self) -> list[DensityMatrix]:
+        return [self.state(i) for i in range(len(self.mats))]
+
+
+def validate_block(mats, shape: BlockShape, tol: float = VALIDATION_TOL) -> DensityBlock:
+    """Validate a (B, N, N) stack of matrices as density matrices.
+
+    The finiteness, Hermiticity and trace checks run once on the whole stack;
+    positivity takes one ``hermitian_eig`` per state.  A stack with a bad
+    state raises the error :func:`make_density` raises for the first one.
+    The stack is copied and stored read-only; nothing is repaired.
+    """
+    arr = np.array(mats, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or min(arr.shape) < 1:
+        raise DimMismatch(
+            f"expected a non-empty stack of square matrices, got shape {arr.shape}")
+    with np.errstate(invalid="ignore"):  # NaN or Inf entries are reported below
+        defect = hermiticity_defect(arr)
+        trace_dev = np.abs(arr.trace(axis1=1, axis2=2) - 1.0)
+    passing = np.maximum(defect, trace_dev) <= tol  # NaN propagates, compares False
+    first_bad = int(passing.argmin())
+    if arr.shape[1] != shape.dim:
+        first_bad = 0
+    elif passing[first_bad]:
+        first_bad = len(arr)
+    for mat in arr[:first_bad]:
+        smallest = float(hermitian_eig(mat, tol=tol).values[0])
+        if smallest < -tol:
+            raise NotPositive(f"smallest eigenvalue {smallest:.3e} below -{tol:.3e}")
+    if first_bad < len(arr):
+        _raise_invalid(defect[first_bad], trace_dev[first_bad], arr.shape[1], shape, tol)
+    arr.flags.writeable = False
+    return DensityBlock(mats=arr, shape=shape, tol=tol)
+
+
+def _raise_invalid(defect: float, trace_dev: float, dim: int, shape: BlockShape,
+                   tol: float) -> None:
+    """Raise the first validation error of one state that failed a stacked check."""
+    if not np.isfinite(defect):
+        raise DomainError("matrix contains NaN or Inf entries")
+    if dim != shape.dim:
+        raise ShapeMismatch(
+            f"matrix dimension {dim} does not match block shape "
+            f"({shape.n}, {shape.m}) with n*m = {shape.dim}"
+        )
+    if defect > tol:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
+    raise TraceNotOne(f"trace deviates from 1 by {trace_dev:.3e} (tol {tol:.3e})")
+
+
 def make_density(mat, shape: BlockShape, tol: float = VALIDATION_TOL) -> DensityMatrix:
-    """Validate and wrap a matrix as a density matrix.
+    """Validate and wrap a matrix as a density matrix: a one-state
+    :func:`validate_block`.
 
     The input is stored as given; nothing is renormalized or repaired.  Use
     :func:`normalize` explicitly when a sweep needs trace repair.
     """
-    arr = as_square_matrix(mat).copy()
-    if arr.shape[0] != shape.dim:
-        raise ShapeMismatch(
-            f"matrix dimension {arr.shape[0]} does not match block shape "
-            f"({shape.n}, {shape.m}) with n*m = {shape.dim}"
-        )
-    defect = hermiticity_defect(arr)
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    trace_dev = abs(complex(arr.trace()) - 1.0)
-    if trace_dev > tol:
-        raise TraceNotOne(f"trace deviates from 1 by {trace_dev:.3e} (tol {tol:.3e})")
-    smallest = float(hermitian_eig(arr, tol=tol).values[0])
-    if smallest < -tol:
-        raise NotPositive(
-            f"smallest eigenvalue {smallest:.3e} below -{tol:.3e}"
-        )
-    arr.flags.writeable = False
-    return DensityMatrix(mat=arr, shape=shape, tol=tol)
+    return validate_block(_square(mat)[None], shape, tol).state(0)
 
 
 def _blocks(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
-    return mat.reshape(shape.n, shape.m, shape.n, shape.m)
+    return mat.reshape(mat.shape[:-2] + (shape.n, shape.m, shape.n, shape.m))
 
 
 def block_trace_map(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
-    """n x n matrix of block traces (trace over the inner index)."""
-    return np.einsum("ikjk->ij", _blocks(mat, shape))
+    """n x n matrix of block traces (trace over the inner index), per matrix
+    of a stack."""
+    return np.einsum("...ikjk->...ij", _blocks(mat, shape))
 
 
 def block_sum_map(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
-    """m x m sum of the diagonal blocks (trace over the outer index)."""
-    return np.einsum("kakb->ab", _blocks(mat, shape))
+    """m x m sum of the diagonal blocks (trace over the outer index), per
+    matrix of a stack."""
+    return np.einsum("...kakb->...ab", _blocks(mat, shape))
 
 
 def partial_transpose_inner(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
-    """Transpose within each block (partial transpose over the inner index)."""
-    return _blocks(mat, shape).transpose(0, 3, 2, 1).reshape(shape.dim, shape.dim)
+    """Transpose within each block (partial transpose over the inner index),
+    per matrix of a stack."""
+    return _blocks(mat, shape).swapaxes(-3, -1).reshape(mat.shape)
 
 
 def partial_trace_over_2(rho: DensityMatrix) -> DensityMatrix:
@@ -134,20 +203,31 @@ def partial_trace_over_1(rho: DensityMatrix) -> DensityMatrix:
     return make_density(reduced, BlockShape(rho.shape.m, 1), tol=rho.tol)
 
 
+def reduced_blocks(block: DensityBlock) -> tuple[DensityBlock, DensityBlock]:
+    """Both validated reduced states of every state of a block: the n x n
+    (:func:`partial_trace_over_2`) and the m x m (:func:`partial_trace_over_1`)."""
+    shape = block.shape
+    return (validate_block(block_trace_map(block.mats, shape), BlockShape(shape.n, 1),
+                           block.tol),
+            validate_block(block_sum_map(block.mats, shape), BlockShape(shape.m, 1),
+                           block.tol))
+
+
+def purities(mats: np.ndarray) -> np.ndarray:
+    """Tr rho^2 of every matrix of a stack."""
+    return np.einsum("...ij,...ji->...", mats, mats).real
+
+
 def purity(rho: DensityMatrix) -> float:
     """Tr rho^2, in [1/N, 1]."""
-    return float(np.einsum("ij,ji->", rho.mat, rho.mat).real)
+    return float(purities(rho.mat))
 
 
 def purity_set(rho: DensityMatrix) -> PuritySet:
     """All four purity scalars of one state, plus delta = mu_tilde - mu12."""
-    from .inequalities import mu_tilde as _mu_tilde
+    from .inequalities import purity_sets
 
-    mu12 = purity(rho)
-    mu1 = purity(partial_trace_over_2(rho))
-    mu2 = purity(partial_trace_over_1(rho))
-    mt = _mu_tilde(rho)
-    return PuritySet(mu12=mu12, mu1=mu1, mu2=mu2, mu_tilde=mt, delta=mt - mu12)
+    return purity_sets(DensityBlock.of(rho))[0]
 
 
 def normalize(mat) -> np.ndarray:
@@ -178,14 +258,14 @@ def _draw_count(shape: BlockShape, kind: str, size: int) -> int:
     raise SpecError(f"unknown sample kind {kind!r}")
 
 
-def _ginibre_mats(shape: BlockShape, rank: int, uniforms: np.ndarray) -> list:
+def _ginibre_mats(shape: BlockShape, rank: int, uniforms: np.ndarray) -> np.ndarray:
     """G G^dagger / Tr(G G^dagger) per row of uniforms; G is N x rank, row-major."""
     g = complex_normals(uniforms).reshape(len(uniforms), shape.dim, rank)
     raw = g @ g.conj().transpose(0, 2, 1)
-    return [mat / mat.trace().real for mat in raw]
+    return raw / raw.trace(axis1=1, axis2=2).real[:, None, None]
 
 
-def _separable_mats(shape: BlockShape, terms: int, uniforms: np.ndarray) -> list:
+def _separable_mats(shape: BlockShape, terms: int, uniforms: np.ndarray) -> np.ndarray:
     """Weighted sums of kron(u u^dagger, v v^dagger) per row of uniforms.
 
     Each vector is divided by its own ``np.linalg.norm`` and the terms are
@@ -206,50 +286,57 @@ def _separable_mats(shape: BlockShape, terms: int, uniforms: np.ndarray) -> list
     acc = np.zeros((len(uniforms), shape.dim, shape.dim), dtype=np.complex128)
     for t in range(terms):
         acc += weights[:, t, None, None] * prods[:, t]
-    return list(acc)
+    return acc
 
 
-def sample_block(shape: BlockShape, recipes: list) -> list[DensityMatrix]:
-    """Validated states of a list of ``(kind, size, seed)`` recipes, in order.
+def sample_block(shape: BlockShape, recipes: list) -> DensityBlock:
+    """Validated block of the states of a list of ``(kind, size, seed)``
+    recipes, in order.
 
     Recipes with the same kind and size share one uniform draw and one array
-    build; every state is then validated on its own by :func:`make_density`.
+    build; the block is then validated by :func:`validate_block`.
     """
     groups: dict[tuple[str, int], list[int]] = {}
     for i, (kind, size, _) in enumerate(recipes):
         groups.setdefault((kind, size), []).append(i)
     counts = {key: _draw_count(shape, *key) for key in groups}
-    mats = [None] * len(recipes)
+    mats = np.empty((len(recipes), shape.dim, shape.dim), dtype=np.complex128)
     for (kind, size), members in groups.items():
         count = counts[kind, size]
         uniforms = stream_uniforms([recipes[i][2] for i in members],
                                    [count] * len(members))
         build = _ginibre_mats if kind == "ginibre" else _separable_mats
-        for i, mat in zip(members, build(shape, size, uniforms.reshape(len(members), count))):
-            mats[i] = mat
-    return [make_density(mat, shape) for mat in mats]
+        mats[members] = build(shape, size, uniforms.reshape(len(members), count))
+    return validate_block(mats, shape)
 
 
-def sample_states(shape: BlockShape, recipes) -> Iterator[DensityMatrix]:
-    """Yield the state of each ``(kind, size, seed)`` recipe, in order.
+def sample_blocks(shape: BlockShape, recipes) -> Iterator[DensityBlock]:
+    """Yield the states of ``(kind, size, seed)`` recipes in order, as blocks
+    of :data:`SAMPLE_BLOCK` states (the last one may be shorter).
 
     ``kind`` is "ginibre" (``size`` = rank, the Hilbert-Schmidt measure at
     full rank) or "separable" (``size`` = number of pure product terms).
-    Recipes are read lazily and drawn :data:`SAMPLE_BLOCK` at a time; a
-    state's bytes depend on its recipe alone, not on its block.
+    Recipes are read lazily, one block at a time; a state's bytes depend on
+    its recipe alone, not on its block.
     """
     pending = iter(recipes)
-    while block := list(islice(pending, SAMPLE_BLOCK)):
-        yield from sample_block(shape, block)
+    while recipe_block := list(islice(pending, SAMPLE_BLOCK)):
+        yield sample_block(shape, recipe_block)
+
+
+def sample_states(shape: BlockShape, recipes) -> Iterator[DensityMatrix]:
+    """Yield the state of each recipe of :func:`sample_blocks`, one by one."""
+    for block in sample_blocks(shape, recipes):
+        yield from block.states()
 
 
 def random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityMatrix:
     """Ginibre-induced random state rho = G G^dagger / Tr(G G^dagger).
 
     At full rank this samples the Hilbert-Schmidt measure.  Identical seeds
-    produce bit-identical matrices, also inside a :func:`sample_states` job.
+    produce bit-identical matrices, also inside a :func:`sample_blocks` job.
     """
-    return sample_block(BlockShape(dim_n, dim_m), [("ginibre", rank, seed)])[0]
+    return sample_block(BlockShape(dim_n, dim_m), [("ginibre", rank, seed)]).state(0)
 
 
 def random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> DensityMatrix:
@@ -259,4 +346,4 @@ def random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> DensityMa
     is kron(u u^dagger, v v^dagger) with u, v normalized complex-normal
     vectors of length n and m, matching the block layout of the package.
     """
-    return sample_block(BlockShape(dim_n, dim_m), [("separable", terms, seed)])[0]
+    return sample_block(BlockShape(dim_n, dim_m), [("separable", terms, seed)]).state(0)

@@ -9,8 +9,10 @@ with block structure,
     eq9 :  mu1 + mu2      <=  (rhs of eq8)^2 + (rhs of eq6)^2
     eq10:  mu1 + mu2 - 1  <=  mu_tilde
 
-with mu_tilde = (rhs of eq8)^2 + (rhs of eq6)^2 - 1.  The inner objects are
-matrix square roots computed spectrally, never element-wise.
+with mu_tilde = (rhs of eq8)^2 + (rhs of eq6)^2 - 1.  The traces of the
+matrix square roots are sums of square roots of eigenvalues, never of
+entries.  The ``*_block`` functions evaluate a whole block of states; the
+one-state functions are one-state blocks of them.
 
 The general check evaluates
 
@@ -31,15 +33,19 @@ import numpy as np
 
 from .defaults import REPORT_TOL, ROOT_GRID, ROOT_TOL
 from .density import (
+    DensityBlock,
     DensityMatrix,
+    PuritySet,
     block_sum_map,
     block_trace_map,
     partial_trace_over_1,
     partial_trace_over_2,
+    purities,
     purity,
+    reduced_blocks,
 )
 from .errors import BadInterval, DomainError
-from .linalg import psd_matrix_power
+from .linalg import psd_eig, psd_matrix_power
 
 LEQ_EXPECTED = "<="
 GEQ_EXPECTED = ">="
@@ -93,8 +99,18 @@ def _report(name: str, lhs: float, rhs: float, direction: str, tol: float,
 
 
 def _sqrt_trace(mat: np.ndarray) -> float:
-    """Trace of the spectral square root of a PSD Hermitian matrix."""
-    return float(psd_matrix_power(mat, 0.5).trace().real)
+    """Trace of the spectral square root of a PSD Hermitian matrix: the sum
+    of the square roots of its clamped eigenvalues (see ``psd_eig``)."""
+    return float(np.sqrt(psd_eig(mat).values).sum())
+
+
+def _sqrt_traces(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Tr[(block_trace(rho^2))^(1/2)] and Tr[(block_sum(rho^2))^(1/2)] of
+    every state of a block (the rhs of eq6 and of eq8)."""
+    squared = block.mats @ block.mats
+    s6 = [_sqrt_trace(a) for a in block_trace_map(squared, block.shape)]
+    s8 = [_sqrt_trace(a) for a in block_sum_map(squared, block.shape)]
+    return np.array(s6), np.array(s8)
 
 
 def eq6_rhs(rho: DensityMatrix) -> float:
@@ -109,17 +125,56 @@ def eq8_rhs(rho: DensityMatrix) -> float:
     return _sqrt_trace(block_sum_map(squared, rho.shape))
 
 
-def mu_tilde(rho: DensityMatrix) -> float:
-    squared = rho.mat @ rho.mat
-    s6 = _sqrt_trace(block_trace_map(squared, rho.shape))
-    s8 = _sqrt_trace(block_sum_map(squared, rho.shape))
+def mu_tilde_block(block: DensityBlock) -> np.ndarray:
+    """mu_tilde of every state of a block."""
+    s6, s8 = _sqrt_traces(block)
     return s8 * s8 + s6 * s6 - 1.0
+
+
+def delta_block(block: DensityBlock) -> np.ndarray:
+    """delta = mu_tilde - mu12 of every state of a block."""
+    return mu_tilde_block(block) - purities(block.mats)
+
+
+def mu_tilde(rho: DensityMatrix) -> float:
+    return float(mu_tilde_block(DensityBlock.of(rho))[0])
 
 
 def delta(rho: DensityMatrix) -> float:
     """mu_tilde - mu12; positivity of this difference is what the
     entanglement conjecture asserts on entangled states."""
-    return mu_tilde(rho) - purity(rho)
+    return float(delta_block(DensityBlock.of(rho))[0])
+
+
+def _audit_terms(block: DensityBlock) -> tuple[np.ndarray, ...]:
+    """mu12, mu1, mu2 (from the validated reduced states), s6 and s8 of
+    every state of a block."""
+    reduced_n, reduced_m = reduced_blocks(block)
+    s6, s8 = _sqrt_traces(block)
+    return purities(block.mats), purities(reduced_n.mats), purities(reduced_m.mats), s6, s8
+
+
+def purity_sets(block: DensityBlock) -> list[PuritySet]:
+    """The purity set of every state of a block."""
+    mu12, mu1, mu2, s6, s8 = _audit_terms(block)
+    mt = s8 * s8 + s6 * s6 - 1.0
+    return [PuritySet(mu12=a, mu1=b, mu2=c, mu_tilde=d, delta=e) for a, b, c, d, e in
+            zip(mu12.tolist(), mu1.tolist(), mu2.tolist(), mt.tolist(), (mt - mu12).tolist())]
+
+
+def audit_block(block: DensityBlock) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """``(name, lhs, rhs)`` of eq5, eq6, eq8, eq9 and eq10 with one entry per
+    state of a block.  Every one expects lhs <= rhs, so its margin is
+    rhs - lhs."""
+    mu12, mu1, mu2, s6, s8 = _audit_terms(block)
+    squares = s8 * s8 + s6 * s6
+    return [
+        ("eq5", mu1 + mu2 - 1.0, mu12),
+        ("eq6", np.sqrt(mu2), s6),
+        ("eq8", np.sqrt(mu1), s8),
+        ("eq9", mu1 + mu2, squares),
+        ("eq10", mu1 + mu2 - 1.0, squares - 1.0),
+    ]
 
 
 def check_eq5(rho: DensityMatrix, tol: float = REPORT_TOL) -> InequalityReport:
@@ -153,25 +208,14 @@ def check_eq10(rho: DensityMatrix, tol: float = REPORT_TOL) -> InequalityReport:
 
 
 def audit_reports(rho: DensityMatrix, tol: float = REPORT_TOL) -> list[InequalityReport]:
-    """All five checks with the spectral work shared across them.
+    """All five checks with the spectral work shared across them: the
+    one-state :func:`audit_block`.
 
     Returns the same reports as the individual check_* functions, in the
     order eq5, eq6, eq8, eq9, eq10.
     """
-    mu12 = purity(rho)
-    mu1 = purity(partial_trace_over_2(rho))
-    mu2 = purity(partial_trace_over_1(rho))
-    squared = rho.mat @ rho.mat
-    s6 = _sqrt_trace(block_trace_map(squared, rho.shape))
-    s8 = _sqrt_trace(block_sum_map(squared, rho.shape))
-    mt = s8 * s8 + s6 * s6 - 1.0
-    return [
-        _report("eq5", mu1 + mu2 - 1.0, mu12, LEQ_EXPECTED, tol),
-        _report("eq6", float(np.sqrt(mu2)), s6, LEQ_EXPECTED, tol),
-        _report("eq8", float(np.sqrt(mu1)), s8, LEQ_EXPECTED, tol),
-        _report("eq9", mu1 + mu2, s8 * s8 + s6 * s6, LEQ_EXPECTED, tol),
-        _report("eq10", mu1 + mu2 - 1.0, mt, LEQ_EXPECTED, tol),
-    ]
+    return [_report(name, float(lhs[0]), float(rhs[0]), LEQ_EXPECTED, tol)
+            for name, lhs, rhs in audit_block(DensityBlock.of(rho))]
 
 
 def minkowski_check(rho: DensityMatrix, params: MinkowskiParams,

@@ -2,11 +2,13 @@
 
 Every eigensolve in the package goes through ``hermitian_eig``, which checks
 Hermiticity and hands the Hermitian part to LAPACK via ``numpy.linalg.eigh``.
-Spectral powers of positive-semidefinite matrices are built on it.
+The clamped spectra and spectral powers of positive-semidefinite matrices
+are built on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +23,29 @@ from .errors import (
 )
 
 
-def as_square_matrix(mat) -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
+def _square(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimMismatch(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def as_square_matrix(mat) -> np.ndarray:
+    """Coerce to a square complex128 array, rejecting non-finite entries."""
+    arr = _square(mat)
     if not np.isfinite(arr).all():
         raise DomainError("matrix contains NaN or Inf entries")
     return arr
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest absolute entry of mat - mat^dagger."""
-    return float(np.abs(mat - mat.conj().T).max())
+def hermiticity_defect(mat: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of mat - mat^dagger, one per matrix of a stack.
+
+    Any NaN or Inf entry makes the defect non-finite: subtracting a finite
+    number keeps it infinite or NaN, and subtracting an infinite one (its own
+    conjugate on the diagonal, a symmetric partner) gives NaN or Inf.
+    """
+    return np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -50,13 +62,19 @@ def hermitian_eig(mat, tol: float = VALIDATION_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
     The input must be Hermitian within ``tol`` (largest entry of m - m^dagger);
-    its Hermitian part (m + m^dagger)/2 is decomposed.
+    its Hermitian part (m + m^dagger)/2 is decomposed.  Errors come in the
+    order DimMismatch (not square), DomainError (a NaN or Inf entry, read
+    from the defect; numpy may warn about the invalid subtraction first),
+    NotHermitian.
     """
-    arr = as_square_matrix(mat)
-    defect = hermiticity_defect(arr)
+    arr = _square(mat)
+    adjoint = arr.conj().T
+    defect = float(np.abs(arr - adjoint).max())
+    if not math.isfinite(defect):
+        raise DomainError("matrix contains NaN or Inf entries")
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    values, vectors = np.linalg.eigh(0.5 * (arr + arr.conj().T))
+    values, vectors = np.linalg.eigh(0.5 * (arr + adjoint))
     return HermitianEigen(values=values, vectors=vectors)
 
 
@@ -64,24 +82,31 @@ def hermitian_eigenvalues(mat, tol: float = VALIDATION_TOL) -> np.ndarray:
     return hermitian_eig(mat, tol).values
 
 
-def psd_matrix_power(mat, exponent: float, tol: float = CLAMP_TOL) -> np.ndarray:
-    """Spectral power of a positive-semidefinite Hermitian matrix.
+def psd_eig(mat, tol: float = CLAMP_TOL) -> HermitianEigen:
+    """Eigendecomposition of a positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to 0 before powering, so numerically
-    rounded PSD inputs never produce complex powers.  Eigenvalues below -tol
-    raise NegativeSpectrum; a clamped zero eigenvalue combined with a negative
-    exponent raises ZeroToNegativePower.
+    Eigenvalues in [-tol, 0) are clamped to 0, so numerically rounded PSD
+    inputs never produce complex powers; eigenvalues below -tol raise
+    NegativeSpectrum.
     """
     eigen = hermitian_eig(mat, tol=tol)
     smallest = float(eigen.values[0])
     if smallest < -tol:
         raise NegativeSpectrum(f"smallest eigenvalue {smallest:.3e} below -{tol:.3e}")
-    clamped = np.clip(eigen.values, 0.0, None)
-    if exponent < 0.0 and (clamped == 0.0).any():
+    return HermitianEigen(values=np.maximum(eigen.values, 0.0), vectors=eigen.vectors)
+
+
+def psd_matrix_power(mat, exponent: float, tol: float = CLAMP_TOL) -> np.ndarray:
+    """Spectral power of a positive-semidefinite Hermitian matrix, clamped as
+    in :func:`psd_eig`; a clamped zero eigenvalue combined with a negative
+    exponent raises ZeroToNegativePower.
+    """
+    eigen = psd_eig(mat, tol=tol)
+    if exponent < 0.0 and (eigen.values == 0.0).any():
         raise ZeroToNegativePower(
             f"exponent {exponent} applied to a zero (clamped) eigenvalue"
         )
-    powered = clamped ** exponent
+    powered = eigen.values ** exponent
     out = (eigen.vectors * powered) @ eigen.vectors.conj().T
     return 0.5 * (out + out.conj().T)
 

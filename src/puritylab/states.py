@@ -40,6 +40,7 @@ from .defaults import (
 )
 from .density import (
     BlockShape,
+    DensityBlock,
     DensityMatrix,
     PuritySet,
     make_density,
@@ -271,17 +272,25 @@ def _require_ppt_shape(shape: BlockShape) -> None:
         )
 
 
-def ppt_entangled(rho: DensityMatrix, tol: float = ENTANGLE_TOL) -> bool:
-    """Peres-Horodecki test: negative partial transpose means entangled.
+def ppt_entangled_block(block: DensityBlock, tol: float = ENTANGLE_TOL) -> np.ndarray:
+    """Peres-Horodecki test on every state of a block: a partial transpose
+    with an eigenvalue below -tol means entangled.
 
-    Conclusive (necessary and sufficient) only for 2x2 and 2x3 systems; any
-    other block shape raises ShapeUnsupported since a PSD partial transpose
-    would prove nothing there.
+    The partial transposes are taken on the whole stack and each one gets its
+    own ``hermitian_eig``.  Conclusive (necessary and sufficient) only for
+    2x2 and 2x3 systems; any other block shape raises ShapeUnsupported since
+    a PSD partial transpose would prove nothing there.
     """
-    _require_ppt_shape(rho.shape)
-    transposed = partial_transpose_inner(rho.mat, rho.shape)
-    smallest = float(hermitian_eig(transposed, tol=rho.tol).values[0])
-    return smallest < -tol
+    _require_ppt_shape(block.shape)
+    transposed = partial_transpose_inner(block.mats, block.shape)
+    smallest = [hermitian_eig(mat, tol=block.tol).values[0] for mat in transposed]
+    return np.array(smallest) < -tol
+
+
+def ppt_entangled(rho: DensityMatrix, tol: float = ENTANGLE_TOL) -> bool:
+    """Peres-Horodecki verdict of one state: the one-state
+    :func:`ppt_entangled_block`."""
+    return bool(ppt_entangled_block(DensityBlock.of(rho), tol)[0])
 
 
 def random_x_params(seed: int) -> XStateParams:

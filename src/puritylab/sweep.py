@@ -1,6 +1,8 @@
 """Parameter sweeps over the state families and the conjecture scan.
 
-Sweeps evaluate one row per grid point.  Rows whose state constructor fails
+Sweeps build one state per grid point and evaluate the built states a
+block at a time, with the same functions as one-state evaluation, so each
+row equals ``purity_set`` of its state.  Rows whose state constructor fails
 (Gisin beyond x_max, out-of-domain parameters, non-normalized amplitudes)
 are kept with ``valid=False`` and the closed-form columns still filled,
 since the closed forms are defined over the full parameter range; the
@@ -18,9 +20,16 @@ import math
 from dataclasses import dataclass
 
 from .defaults import ENTANGLE_TOL, GISIN_NORM_SLACK, REPORT_TOL, SWEEP_POINTS
-from .density import BlockShape, DensityMatrix, purity_set, sample_block, sample_states
+from .density import (
+    SAMPLE_BLOCK,
+    BlockShape,
+    DensityBlock,
+    DensityMatrix,
+    sample_block,
+    sample_blocks,
+)
 from .errors import DomainError, NotPositive, SpecError, TraceNotOne
-from .inequalities import delta as delta_of
+from .inequalities import delta_block, purity_sets
 from .prng import child_seed
 from .states import (
     GisinParams,
@@ -29,6 +38,7 @@ from .states import (
     beta_params,
     gisin_state,
     gisin_x_max,
+    ppt_entangled_block,
     random_x_params,
     werner_params,
     x_state,
@@ -87,18 +97,34 @@ class SweepRow:
     entangled: bool
 
 
-def _row_from_state(param: float, rho: DensityMatrix, entangled: bool) -> SweepRow:
-    ps = purity_set(rho)
-    return SweepRow(
-        param=param, valid=True,
-        mu12=ps.mu12, mu1=ps.mu1, mu2=ps.mu2,
-        mu_tilde=ps.mu_tilde, delta=ps.delta,
-        lhs5=ps.mu1 + ps.mu2 - 1.0,
-        entangled=entangled,
-    )
+@dataclass(frozen=True)
+class _BuiltRow:
+    """A grid point whose state was built; :func:`run_sweep` evaluates it."""
+
+    param: float
+    rho: DensityMatrix
+    entangled: bool
 
 
-def _werner_row(p: float) -> SweepRow:
+def _evaluate(rows: list[SweepRow | _BuiltRow]) -> list[SweepRow]:
+    """Replace each built row by its valid SweepRow, evaluating the built
+    states :data:`SAMPLE_BLOCK` at a time."""
+    built = [i for i, row in enumerate(rows) if isinstance(row, _BuiltRow)]
+    for start in range(0, len(built), SAMPLE_BLOCK):
+        chunk = built[start:start + SAMPLE_BLOCK]
+        block = DensityBlock.stack([rows[i].rho for i in chunk])
+        for i, ps in zip(chunk, purity_sets(block)):
+            rows[i] = SweepRow(
+                param=rows[i].param, valid=True,
+                mu12=ps.mu12, mu1=ps.mu1, mu2=ps.mu2,
+                mu_tilde=ps.mu_tilde, delta=ps.delta,
+                lhs5=ps.mu1 + ps.mu2 - 1.0,
+                entangled=rows[i].entangled,
+            )
+    return rows
+
+
+def _werner_row(p: float) -> SweepRow | _BuiltRow:
     try:
         params = werner_params(p)
     except (DomainError, NotPositive):
@@ -107,10 +133,10 @@ def _werner_row(p: float) -> SweepRow:
         return SweepRow(param=p, valid=False, mu12=mu12, mu1=0.5, mu2=0.5,
                         mu_tilde=mt, delta=mt - mu12, lhs5=0.0,
                         entangled=p > 1.0 / 3.0)
-    return _row_from_state(p, x_state(params), xstate_entangled(params))
+    return _BuiltRow(p, x_state(params), xstate_entangled(params))
 
 
-def _beta_row(beta: float) -> SweepRow:
+def _beta_row(beta: float) -> SweepRow | _BuiltRow:
     try:
         params = beta_params(beta)
     except (DomainError, NotPositive):
@@ -119,10 +145,10 @@ def _beta_row(beta: float) -> SweepRow:
         return SweepRow(param=beta, valid=False, mu12=mu12, mu1=0.5, mu2=0.5,
                         mu_tilde=mt, delta=mt - mu12, lhs5=0.0,
                         entangled=abs(beta - 0.5) > ENTANGLE_TOL)
-    return _row_from_state(beta, x_state(params), xstate_entangled(params))
+    return _BuiltRow(beta, x_state(params), xstate_entangled(params))
 
 
-def _gisin_row(x: float, a: complex, b: complex) -> SweepRow:
+def _gisin_row(x: float, a: complex, b: complex) -> SweepRow | _BuiltRow:
     x_max = gisin_x_max(a, b)
     entangled = x > x_max + ENTANGLE_TOL
     try:
@@ -132,23 +158,25 @@ def _gisin_row(x: float, a: complex, b: complex) -> SweepRow:
         return SweepRow(param=x, valid=False, mu12=mu12, mu1=None, mu2=None,
                         mu_tilde=mt, delta=mt - mu12, lhs5=lhs5,
                         entangled=entangled)
-    return _row_from_state(x, rho, entangled)
+    return _BuiltRow(x, rho, entangled)
 
 
-def _xrandom_row(value: float) -> SweepRow:
+def _xrandom_row(value: float) -> _BuiltRow:
     seed = int(round(value))
     params = random_x_params(seed)
-    return _row_from_state(float(seed), x_state(params), xstate_entangled(params))
+    return _BuiltRow(float(seed), x_state(params), xstate_entangled(params))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     if spec.family == "werner":
-        return [_werner_row(p) for p in spec.grid()]
-    if spec.family == "beta":
-        return [_beta_row(b) for b in spec.grid()]
-    if spec.family == "gisin":
-        return [_gisin_row(x, spec.a, spec.b) for x in spec.grid()]
-    return [_xrandom_row(v) for v in spec.grid()]
+        rows = [_werner_row(p) for p in spec.grid()]
+    elif spec.family == "beta":
+        rows = [_beta_row(b) for b in spec.grid()]
+    elif spec.family == "gisin":
+        rows = [_gisin_row(x, spec.a, spec.b) for x in spec.grid()]
+    else:
+        rows = [_xrandom_row(v) for v in spec.grid()]
+    return _evaluate(rows)
 
 
 @dataclass(frozen=True)
@@ -185,7 +213,7 @@ class ScanReport:
 def scan_state(shape: BlockShape, kind: str, size: int, seed: int) -> DensityMatrix:
     """Rebuild a scanned state from its record, for independent re-derivation;
     the bytes equal those of the same sample drawn inside its scan."""
-    return sample_block(shape, [(kind, size, seed)])[0]
+    return sample_block(shape, [(kind, size, seed)]).state(0)
 
 
 def _sample_recipe(shape: BlockShape, index: int, seed: int) -> tuple[str, int, int]:
@@ -214,27 +242,31 @@ def scan_conjecture(shape: BlockShape, samples: int, seed: int,
     A counterexample is a sample with entangled=True and delta <= tol;
     separable samples can never be counterexamples by definition (delta < 0
     on separable states is allowed and expected).  The report is a pure
-    function of (shape, samples, seed, tol).
+    function of (shape, samples, seed, tol).  ``tol`` must be a finite
+    number >= 0 and the shape one with a conclusive PPT verdict; both are
+    checked before any draw.
     """
-    from .states import ppt_entangled
-
     if samples < 1:
         raise SpecError(f"samples must be >= 1, got {samples}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise SpecError(f"tol must be a finite number >= 0, got {tol}")
     _require_ppt_shape(shape)
     counterexamples: list[ScanSample] = []
     entangled_deltas: list[float] = []
     separable_deltas: list[float] = []
     recipes = (_sample_recipe(shape, index, seed) for index in range(samples))
-    for index, rho in enumerate(sample_states(shape, recipes)):
-        d = delta_of(rho)
-        entangled = ppt_entangled(rho)
-        (entangled_deltas if entangled else separable_deltas).append(d)
-        if entangled and d <= tol:
-            kind, size, sample_seed = _sample_recipe(shape, index, seed)
-            counterexamples.append(ScanSample(
-                index=index, seed=sample_seed, kind=kind, size=size,
-                delta=d, entangled=True,
-            ))
+    index = 0
+    for block in sample_blocks(shape, recipes):
+        verdicts = ppt_entangled_block(block).tolist()
+        for d, entangled in zip(delta_block(block).tolist(), verdicts):
+            (entangled_deltas if entangled else separable_deltas).append(d)
+            if entangled and d <= tol:
+                kind, size, sample_seed = _sample_recipe(shape, index, seed)
+                counterexamples.append(ScanSample(
+                    index=index, seed=sample_seed, kind=kind, size=size,
+                    delta=d, entangled=True,
+                ))
+            index += 1
     return ScanReport(
         shape=(shape.n, shape.m), samples=samples, seed=seed, tol=tol,
         counterexamples=tuple(counterexamples),

@@ -141,6 +141,24 @@ def numpy_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def delta_and_min_pt(mat: np.ndarray, n: int, m: int) -> tuple[float, float]:
+    """delta = mu_tilde - mu12 and the smallest partial-transpose eigenvalue of
+    an (n*m) x (n*m) state, from index contractions written out here and
+    numpy.linalg.eigvalsh: Tr A^2 as sum |a_ij|^2 and Tr A^(1/2) as the sum
+    of the square roots of the clipped eigenvalues."""
+    blocks = mat.reshape(n, m, n, m)
+    squared = np.einsum("ikjl,jlpq->ikpq", blocks, blocks)
+
+    def sqrt_trace(a):
+        return float(np.sqrt(np.clip(np.linalg.eigvalsh(a), 0.0, None)).sum())
+
+    s6 = sqrt_trace(np.einsum("ikjk->ij", squared))
+    s8 = sqrt_trace(np.einsum("kakb->ab", squared))
+    mu12 = float(np.sum(np.abs(mat) ** 2))
+    transposed = np.einsum("ikjl->iljk", blocks).reshape(n * m, n * m)
+    return s8 * s8 + s6 * s6 - 1.0 - mu12, float(np.linalg.eigvalsh(transposed)[0])
+
+
 def werner_matrix(p: float) -> np.ndarray:
     """The Werner matrix written out entry by entry (no package code)."""
     mat = np.zeros((4, 4), dtype=np.complex128)

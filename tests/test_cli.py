@@ -19,14 +19,19 @@ def run_cli(args, capsys):
 
 
 def fail_every_report(monkeypatch):
-    """Make every audited inequality come out unsatisfied (margin -1)."""
-    real = cli.audit_reports
+    """Make every audited inequality come out unsatisfied (margin -1), for
+    one state (check) and for whole blocks (audit)."""
+    real_reports, real_block = cli.audit_reports, cli.audit_block
 
     def failing(rho, tol):
         return [dataclasses.replace(rep, margin=-1.0, satisfied=False)
-                for rep in real(rho, tol=tol)]
+                for rep in real_reports(rho, tol=tol)]
+
+    def failing_block(block):
+        return [(name, lhs, lhs - 1.0) for name, lhs, _ in real_block(block)]
 
     monkeypatch.setattr(cli, "audit_reports", failing)
+    monkeypatch.setattr(cli, "audit_block", failing_block)
 
 
 class TestSweepCommand:
@@ -127,7 +132,7 @@ class TestScanCommand:
         def no_sampling(*args, **kwargs):
             raise AssertionError("scan sampled states for a shape it refuses")
 
-        monkeypatch.setattr(sweep, "sample_states", no_sampling)
+        monkeypatch.setattr(sweep, "sample_blocks", no_sampling)
         code, out, err = run_cli(["scan", "--shape", shape, "--samples", "10"], capsys)
         assert code == 1
         assert "PPT verdict is conclusive only for" in err

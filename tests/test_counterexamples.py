@@ -1,0 +1,45 @@
+"""Pinned counterexamples to "entangled implies delta > 0".
+
+Each state is rebuilt from its recipe alone and its delta and partial-
+transpose spectrum are recomputed by the independent oracle, so a pin does
+not rest on the package's own pipeline.
+"""
+
+import pytest
+
+from oracles import delta_and_min_pt
+from puritylab.defaults import ENTANGLE_TOL, REPORT_TOL
+from puritylab.density import BlockShape
+from puritylab.inequalities import delta
+from puritylab.prng import child_seed
+from puritylab.states import ppt_entangled
+from puritylab.sweep import scan_conjecture, scan_state
+
+SHAPE22 = BlockShape(2, 2)
+
+
+class TestGinibreCounterexample:
+    """Sample 916 of the 2x2 scan at seed 7: a rank-3 Ginibre state that
+    is entangled (NPT) with delta < 0."""
+
+    RECIPE = ("ginibre", 3, 2126741664953796415)
+
+    def test_recipe_is_scan_sample_916(self):
+        assert child_seed(7, 916) == self.RECIPE[2]
+
+    def test_delta_negative_and_npt_by_oracle(self):
+        rho = scan_state(SHAPE22, *self.RECIPE)
+        ref_delta, ref_min_pt = delta_and_min_pt(rho.mat, 2, 2)
+        assert ref_delta == pytest.approx(-0.017036, abs=5e-7)
+        assert ref_min_pt == pytest.approx(-4.31e-3, abs=5e-6)
+        assert abs(delta(rho) - ref_delta) <= 1e-12
+        assert ppt_entangled(rho)
+        assert ref_min_pt < -ENTANGLE_TOL
+
+    def test_scan_reports_it(self):
+        report = scan_conjecture(SHAPE22, samples=1000, seed=7)
+        found = {s.index: s for s in report.counterexamples}
+        assert sorted(found) == [900, 916]
+        sample = found[916]
+        assert (sample.kind, sample.size, sample.seed) == self.RECIPE
+        assert sample.delta <= REPORT_TOL

@@ -14,9 +14,12 @@ from puritylab.density import (
     purity_set,
     random_density,
     random_separable,
+    validate_block,
 )
 from puritylab.errors import (
     BadRank,
+    DimMismatch,
+    DomainError,
     NotHermitian,
     NotPositive,
     ShapeMismatch,
@@ -79,6 +82,36 @@ class TestMakeDensity:
             make_density(np.eye(4), SHAPE22)
         repaired = normalize(np.eye(4))
         assert make_density(repaired, SHAPE22) is not None
+
+
+class TestValidateBlock:
+    def test_states_equal_one_state_validation(self):
+        mats = np.stack([werner_matrix(p) for p in (-0.2, 0.3, 1.0)])
+        block = validate_block(mats, SHAPE22)
+        assert len(block) == 3 and not block.mats.flags.writeable
+        for mat, rho in zip(mats, block.states()):
+            assert rho.mat.tobytes() == make_density(mat, SHAPE22).mat.tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        ((werner_matrix(1.5), np.eye(4) / 2), NotPositive),
+        ((np.eye(4) / 2, werner_matrix(1.5)), TraceNotOne),
+        ((np.triu(np.ones((4, 4))) / 4, werner_matrix(1.5)), NotHermitian),
+        ((np.full((4, 4), np.nan), np.eye(4) / 2), DomainError),
+    ])
+    def test_first_bad_state_decides_the_error(self, bad, error):
+        # the error make_density raises for the first state that fails
+        mats = np.stack([werner_matrix(0.2), *bad, werner_matrix(0.4)])
+        with pytest.raises(error):
+            validate_block(mats, SHAPE22)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            validate_block(np.stack([np.eye(4) / 4] * 2), BlockShape(2, 3))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (4, 4), (2, 4, 3)])
+    def test_not_a_stack_rejected(self, shape):
+        with pytest.raises(DimMismatch):
+            validate_block(np.zeros(shape), SHAPE22)
 
 
 class TestPartialTraces:

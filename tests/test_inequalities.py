@@ -15,11 +15,13 @@ from puritylab.density import (
     purity_set,
     random_density,
 )
-from puritylab.errors import BadInterval, DomainError
+from puritylab.defaults import CLAMP_TOL
+from puritylab.errors import BadInterval, DomainError, NegativeSpectrum
 from puritylab.inequalities import (
     GEQ_EXPECTED,
     LEQ_EXPECTED,
     MinkowskiParams,
+    _sqrt_trace,
     audit_reports,
     check_eq5,
     check_eq6,
@@ -33,6 +35,7 @@ from puritylab.inequalities import (
     minkowski_check,
     mu_tilde,
 )
+from puritylab.linalg import hermitian_eig, psd_matrix_power
 from puritylab.prng import SplitMix64
 
 SHAPE22 = BlockShape(2, 2)
@@ -107,6 +110,38 @@ class TestMuTilde:
         s6 = numpy_sqrt_psd(block_trace_map(squared, rho.shape)).trace().real
         s8 = numpy_sqrt_psd(block_sum_map(squared, rho.shape)).trace().real
         assert mu_tilde(rho) == pytest.approx(s8 * s8 + s6 * s6 - 1.0, abs=1e-10)
+
+
+class TestSqrtTrace:
+    """Tr A^(1/2) read from the eigenvalues of A, against the trace of the
+    rebuilt spectral square root."""
+
+    @pytest.mark.parametrize("shape", [SHAPE22, BlockShape(2, 3), BlockShape(3, 3)], ids=str)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_rebuilt_root(self, shape, seed):
+        rho = random_state(seed, shape)
+        squared = rho.mat @ rho.mat
+        for reduced in (block_trace_map(squared, shape), block_sum_map(squared, shape)):
+            rebuilt = float(psd_matrix_power(reduced, 0.5).trace().real)
+            assert abs(_sqrt_trace(reduced) - rebuilt) <= 1e-14 * len(reduced)
+
+    def test_clamps_small_negative_eigenvalues(self):
+        # the beta state at 1/2 has the eigenvalues 0, 0, 1/2, 1/2; shifted
+        # by -1e-12 its two zeros fall inside [-CLAMP_TOL, 0)
+        from puritylab.states import beta_state
+
+        shifted = beta_state(0.5).mat - 1e-12 * np.eye(4)
+        assert hermitian_eig(shifted).values[0] < 0.0
+        expected = 2.0 * math.sqrt(0.5 - 1e-12)
+        assert _sqrt_trace(shifted) == pytest.approx(expected, abs=1e-15)
+        rebuilt = float(psd_matrix_power(shifted, 0.5).trace().real)
+        assert _sqrt_trace(shifted) == pytest.approx(rebuilt, abs=1e-14)
+
+    def test_negative_spectrum_below_clamp(self):
+        from puritylab.states import beta_state
+
+        with pytest.raises(NegativeSpectrum):
+            _sqrt_trace(beta_state(0.5).mat - 2.0 * CLAMP_TOL * np.eye(4))
 
 
 class TestEq6Eq8:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import jacobi_eigenvalues, random_hermitian
 from puritylab.errors import (
     DimMismatch,
+    DomainError,
     NegativeSpectrum,
     NotHermitian,
     ZeroToNegativePower,
@@ -50,6 +51,32 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eig([[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("entry", [
+        ((1, 1), complex(np.nan, 0.0)),
+        ((0, 2), complex(np.inf, 0.0)),
+        ((2, 0), complex(0.0, -np.inf)),
+    ], ids=["nan-diagonal", "inf-off-diagonal", "imag-inf-off-diagonal"])
+    def test_non_finite_entry_is_domain_error(self, entry):
+        mat = np.eye(3, dtype=complex) / 3
+        mat[entry[0]] = entry[1]
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            hermitian_eig(mat)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_symmetric_inf_pair_is_domain_error(self):
+        # inf - conj(inf) is nan, so the pair reads as non-finite, not as
+        # a zero Hermiticity defect
+        mat = np.eye(3, dtype=complex) / 3
+        mat[0, 1] = mat[1, 0] = complex(np.inf, 0.0)
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            hermitian_eig(mat)
+
+    def test_error_order(self):
+        with pytest.raises(DimMismatch):
+            hermitian_eig(np.full((2, 3), np.nan))
+        with pytest.raises(NotHermitian, match="hermiticity defect 1.000e-01"):
+            hermitian_eig([[0.0, 0.1], [0.0, 0.0]])
 
     def test_deterministic(self):
         h = random_hermitian(5, 123)

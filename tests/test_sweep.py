@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from puritylab import sweep
 from puritylab.density import BlockShape, purity_set
 from puritylab.errors import SpecError
 from puritylab.inequalities import audit_reports, delta, find_delta_roots
@@ -215,6 +218,16 @@ class TestScan:
     def test_rejects_zero_samples(self):
         with pytest.raises(SpecError):
             scan_conjecture(SHAPE22, samples=0, seed=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_rejects_degenerate_tol_before_sampling(self, tol, monkeypatch):
+        # tol=nan would flag nothing and tol=inf every entangled sample
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("scan sampled states for a tol it refuses")
+
+        monkeypatch.setattr(sweep, "sample_blocks", no_sampling)
+        with pytest.raises(SpecError, match="tol must be a finite number >= 0"):
+            scan_conjecture(SHAPE22, samples=40, seed=1, tol=tol)
 
     def test_scan_sample_record_roundtrip(self):
         sample = ScanSample(index=3, seed=12, kind="separable", size=2,
