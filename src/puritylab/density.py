@@ -116,9 +116,10 @@ def validate_block(mats, shape: BlockShape, tol: float = VALIDATION_TOL) -> Dens
     """Validate a (B, N, N) stack of matrices as density matrices.
 
     The finiteness, Hermiticity and trace checks run once on the whole stack;
-    positivity takes one ``hermitian_eig`` per state.  A stack with a bad
-    state raises the error :func:`make_density` raises for the first one.
-    The stack is copied and stored read-only; nothing is repaired.
+    positivity takes one eigenvalues-only ``hermitian_eig`` per state.  A
+    stack with a bad state raises the error :func:`make_density` raises for
+    the first one.  The stack is copied and stored read-only; nothing is
+    repaired.
     """
     arr = np.array(mats, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or min(arr.shape) < 1:
@@ -134,7 +135,7 @@ def validate_block(mats, shape: BlockShape, tol: float = VALIDATION_TOL) -> Dens
     elif passing[first_bad]:
         first_bad = len(arr)
     for mat in arr[:first_bad]:
-        smallest = float(hermitian_eig(mat, tol=tol).values[0])
+        smallest = float(hermitian_eig(mat, tol=tol, vectors=False).values[0])
         if smallest < -tol:
             raise NotPositive(f"smallest eigenvalue {smallest:.3e} below -{tol:.3e}")
     if first_bad < len(arr):
@@ -265,20 +266,27 @@ def _ginibre_mats(shape: BlockShape, rank: int, uniforms: np.ndarray) -> np.ndar
     return raw / raw.trace(axis1=1, axis2=2).real[:, None, None]
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each complex vector along the last axis, kept as an
+    axis of length 1: sqrt(re.re + im.im) by stacked matmul, which gives the
+    bits ``np.linalg.norm`` gives one vector (``norm(axis=-1)`` rounds
+    differently)."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+
+
 def _separable_mats(shape: BlockShape, terms: int, uniforms: np.ndarray) -> np.ndarray:
     """Weighted sums of kron(u u^dagger, v v^dagger) per row of uniforms.
 
-    Each vector is divided by its own ``np.linalg.norm`` and the terms are
+    Each vector is divided by its own norm (see ``_norms``) and the terms are
     added in order, so the bytes match a term-by-term build.
     """
     n, m = shape.n, shape.m
     weights = -np.log(uniforms[:, :terms])
     weights /= weights.sum(axis=1, keepdims=True)
     z = complex_normals(uniforms[:, terms:]).reshape(len(uniforms), terms, n + m)
-    norms = np.array([[np.linalg.norm(x[:n]), np.linalg.norm(x[n:])]
-                      for row in z for x in row]).reshape(len(uniforms), terms, 2)
-    u = z[..., :n] / norms[..., 0:1]
-    v = z[..., n:] / norms[..., 1:2]
+    u = z[..., :n] / _norms(z[..., :n])
+    v = z[..., n:] / _norms(z[..., n:])
     pu = u[..., :, None] * u.conj()[..., None, :]
     pv = v[..., :, None] * v.conj()[..., None, :]
     prods = (pu[..., :, None, :, None] * pv[..., None, :, None, :]).reshape(
@@ -293,20 +301,25 @@ def sample_block(shape: BlockShape, recipes: list) -> DensityBlock:
     """Validated block of the states of a list of ``(kind, size, seed)``
     recipes, in order.
 
-    Recipes with the same kind and size share one uniform draw and one array
-    build; the block is then validated by :func:`validate_block`.
+    The uniforms of the whole block come from one draw, ordered by recipe
+    group; recipes with the same kind and size share one array build.  The
+    block is then validated by :func:`validate_block`.
     """
     groups: dict[tuple[str, int], list[int]] = {}
     for i, (kind, size, _) in enumerate(recipes):
         groups.setdefault((kind, size), []).append(i)
     counts = {key: _draw_count(shape, *key) for key in groups}
+    uniforms = stream_uniforms(
+        [recipes[i][2] for members in groups.values() for i in members],
+        [counts[key] for key, members in groups.items() for _ in members])
     mats = np.empty((len(recipes), shape.dim, shape.dim), dtype=np.complex128)
+    start = 0
     for (kind, size), members in groups.items():
         count = counts[kind, size]
-        uniforms = stream_uniforms([recipes[i][2] for i in members],
-                                   [count] * len(members))
+        stop = start + count * len(members)
         build = _ginibre_mats if kind == "ginibre" else _separable_mats
-        mats[members] = build(shape, size, uniforms.reshape(len(members), count))
+        mats[members] = build(shape, size, uniforms[start:stop].reshape(len(members), count))
+        start = stop
     return validate_block(mats, shape)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import REPORT_TOL, ROOT_GRID, ROOT_TOL
+from .defaults import CLAMP_TOL, REPORT_TOL, ROOT_GRID, ROOT_TOL
 from .density import (
     DensityBlock,
     DensityMatrix,
@@ -45,7 +45,7 @@ from .density import (
     reduced_blocks,
 )
 from .errors import BadInterval, DomainError
-from .linalg import psd_eig, psd_matrix_power
+from .linalg import clamp_spectra, hermitian_eig, psd_matrix_power
 
 LEQ_EXPECTED = "<="
 GEQ_EXPECTED = ">="
@@ -98,19 +98,25 @@ def _report(name: str, lhs: float, rhs: float, direction: str, tol: float,
     )
 
 
+def _sqrt_trace_stack(mats: np.ndarray) -> np.ndarray:
+    """Trace of the spectral square root of every PSD Hermitian matrix of a
+    stack: the row sums of the square roots of the clamped eigenvalues (see
+    ``clamp_spectra``), with one ``hermitian_eig`` per matrix."""
+    values = np.array([hermitian_eig(a, tol=CLAMP_TOL).values for a in mats])
+    return np.sqrt(clamp_spectra(values)).sum(axis=1)
+
+
 def _sqrt_trace(mat: np.ndarray) -> float:
-    """Trace of the spectral square root of a PSD Hermitian matrix: the sum
-    of the square roots of its clamped eigenvalues (see ``psd_eig``)."""
-    return float(np.sqrt(psd_eig(mat).values).sum())
+    """Tr A^(1/2) of one PSD Hermitian matrix: a one-matrix stack."""
+    return float(_sqrt_trace_stack(mat[None])[0])
 
 
 def _sqrt_traces(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:
     """Tr[(block_trace(rho^2))^(1/2)] and Tr[(block_sum(rho^2))^(1/2)] of
     every state of a block (the rhs of eq6 and of eq8)."""
     squared = block.mats @ block.mats
-    s6 = [_sqrt_trace(a) for a in block_trace_map(squared, block.shape)]
-    s8 = [_sqrt_trace(a) for a in block_sum_map(squared, block.shape)]
-    return np.array(s6), np.array(s8)
+    return (_sqrt_trace_stack(block_trace_map(squared, block.shape)),
+            _sqrt_trace_stack(block_sum_map(squared, block.shape)))
 
 
 def eq6_rhs(rho: DensityMatrix) -> float:

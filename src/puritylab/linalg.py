@@ -1,14 +1,14 @@
 """Dense complex Hermitian eigendecomposition and spectral matrix functions.
 
 Every eigensolve in the package goes through ``hermitian_eig``, which checks
-Hermiticity and hands the Hermitian part to LAPACK via ``numpy.linalg.eigh``.
-The clamped spectra and spectral powers of positive-semidefinite matrices
-are built on it.
+Hermiticity and hands the Hermitian part to LAPACK: ``numpy.linalg.eigh``, or
+``numpy.linalg.eigvalsh`` when the caller reads the eigenvalues only.  The
+clamped spectra and spectral powers of positive-semidefinite matrices are
+built on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,49 +51,66 @@ def hermiticity_defect(mat: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class HermitianEigen:
     """Eigenvalues ascending; eigenvector columns orthonormal, V diag(w) V^dagger
-    reconstructs the input.  Ties keep the order LAPACK returns, which is a
-    pure function of the input bytes on one numpy/BLAS build."""
+    reconstructs the input (``None`` when only the eigenvalues were asked
+    for).  Ties keep the order LAPACK returns, which is a pure function of the
+    input bytes on one numpy/BLAS build."""
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
 
-def hermitian_eig(mat, tol: float = VALIDATION_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
+def hermitian_eig(mat, tol: float = VALIDATION_TOL, *, vectors: bool = True) -> HermitianEigen:
+    """Eigendecomposition of a Hermitian matrix by LAPACK.
 
     The input must be Hermitian within ``tol`` (largest entry of m - m^dagger);
-    its Hermitian part (m + m^dagger)/2 is decomposed.  Errors come in the
-    order DimMismatch (not square), DomainError (a NaN or Inf entry, read
-    from the defect; numpy may warn about the invalid subtraction first),
-    NotHermitian.
+    its Hermitian part (m + m^dagger)/2 is decomposed by ``numpy.linalg.eigh``,
+    or with ``vectors=False`` by ``numpy.linalg.eigvalsh``, which skips the
+    eigenvectors (its eigenvalues may differ from ``eigh``'s in the last
+    bits).  Errors come in the order DimMismatch (not square), DomainError (a
+    NaN or Inf entry, read from the defect; numpy may warn about the invalid
+    subtraction first), NotHermitian.
     """
     arr = _square(mat)
     adjoint = arr.conj().T
-    defect = float(np.abs(arr - adjoint).max())
-    if not math.isfinite(defect):
-        raise DomainError("matrix contains NaN or Inf entries")
-    if defect > tol:
+    defect = np.abs(arr - adjoint).max()
+    if not defect <= tol:
+        if not np.isfinite(defect):
+            raise DomainError("matrix contains NaN or Inf entries")
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    values, vectors = np.linalg.eigh(0.5 * (arr + adjoint))
-    return HermitianEigen(values=values, vectors=vectors)
+    hermitian = 0.5 * (arr + adjoint)
+    if not vectors:
+        return HermitianEigen(values=np.linalg.eigvalsh(hermitian), vectors=None)
+    values, vecs = np.linalg.eigh(hermitian)
+    return HermitianEigen(values=values, vectors=vecs)
 
 
 def hermitian_eigenvalues(mat, tol: float = VALIDATION_TOL) -> np.ndarray:
     return hermitian_eig(mat, tol).values
 
 
+def clamp_spectra(values: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
+    """Ascending spectra of positive-semidefinite matrices, one per row of
+    ``values`` (or a single one), with eigenvalues in [-tol, 0) clamped to 0.
+
+    A spectrum whose smallest eigenvalue lies below -tol raises
+    NegativeSpectrum, naming the first such eigenvalue.
+    """
+    smallest = values[..., 0].ravel()
+    below = np.flatnonzero(smallest < -tol)
+    if len(below):
+        raise NegativeSpectrum(
+            f"smallest eigenvalue {smallest[below[0]]:.3e} below -{tol:.3e}")
+    return np.maximum(values, 0.0)
+
+
 def psd_eig(mat, tol: float = CLAMP_TOL) -> HermitianEigen:
     """Eigendecomposition of a positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to 0, so numerically rounded PSD
-    inputs never produce complex powers; eigenvalues below -tol raise
-    NegativeSpectrum.
+    Eigenvalues are clamped by :func:`clamp_spectra`, so numerically rounded
+    PSD inputs never produce complex powers.
     """
     eigen = hermitian_eig(mat, tol=tol)
-    smallest = float(eigen.values[0])
-    if smallest < -tol:
-        raise NegativeSpectrum(f"smallest eigenvalue {smallest:.3e} below -{tol:.3e}")
-    return HermitianEigen(values=np.maximum(eigen.values, 0.0), vectors=eigen.vectors)
+    return HermitianEigen(values=clamp_spectra(eigen.values, tol), vectors=eigen.vectors)
 
 
 def psd_matrix_power(mat, exponent: float, tol: float = CLAMP_TOL) -> np.ndarray:

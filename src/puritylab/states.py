@@ -277,13 +277,14 @@ def ppt_entangled_block(block: DensityBlock, tol: float = ENTANGLE_TOL) -> np.nd
     with an eigenvalue below -tol means entangled.
 
     The partial transposes are taken on the whole stack and each one gets its
-    own ``hermitian_eig``.  Conclusive (necessary and sufficient) only for
-    2x2 and 2x3 systems; any other block shape raises ShapeUnsupported since
-    a PSD partial transpose would prove nothing there.
+    own eigenvalues-only ``hermitian_eig``.  Conclusive (necessary and
+    sufficient) only for 2x2 and 2x3 systems; any other block shape raises
+    ShapeUnsupported since a PSD partial transpose would prove nothing there.
     """
     _require_ppt_shape(block.shape)
     transposed = partial_transpose_inner(block.mats, block.shape)
-    smallest = [hermitian_eig(mat, tol=block.tol).values[0] for mat in transposed]
+    smallest = [hermitian_eig(mat, tol=block.tol, vectors=False).values[0]
+                for mat in transposed]
     return np.array(smallest) < -tol
 
 

@@ -12,7 +12,13 @@ from puritylab.defaults import ENTANGLE_TOL, REPORT_TOL
 from puritylab.density import BlockShape
 from puritylab.inequalities import delta
 from puritylab.prng import child_seed
-from puritylab.states import ppt_entangled
+from puritylab.states import (
+    ppt_entangled,
+    random_x_params,
+    x_state,
+    x_state_purities,
+    xstate_entangled,
+)
 from puritylab.sweep import scan_conjecture, scan_state
 
 SHAPE22 = BlockShape(2, 2)
@@ -43,3 +49,26 @@ class TestGinibreCounterexample:
         sample = found[916]
         assert (sample.kind, sample.size, sample.seed) == self.RECIPE
         assert sample.delta <= REPORT_TOL
+
+
+class TestXStateCounterexample:
+    """X-state seed 19584, the most negative delta among the entangled
+    X-states of seeds 0-19999: entangled by the exact X-state rule and by
+    the partial transpose, yet delta < 0."""
+
+    SEED = 19584
+
+    def test_closed_form_and_pipeline_agree(self):
+        params = random_x_params(self.SEED)
+        closed = x_state_purities(params).delta
+        assert closed == pytest.approx(-0.054277, abs=5e-7)
+        assert abs(delta(x_state(params)) - closed) <= 1e-12
+
+    def test_entangled_with_negative_delta_by_oracle(self):
+        params = random_x_params(self.SEED)
+        rho = x_state(params)
+        assert xstate_entangled(params)
+        assert ppt_entangled(rho)
+        ref_delta, ref_min_pt = delta_and_min_pt(rho.mat, 2, 2)
+        assert ref_delta < -REPORT_TOL
+        assert ref_min_pt < -ENTANGLE_TOL

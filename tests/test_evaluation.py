@@ -4,7 +4,8 @@ Scan and audit jobs and sweeps are evaluated one block at a time; the
 one-state entry points (delta, ppt_entangled, audit_reports, purity_set)
 are one-state blocks of the same functions.  Every comparison is exact,
 over jobs that cross the block boundary.  The counts pin how many
-Hermitian eigensolves of each dimension every command performs per state.
+Hermitian eigensolves of each dimension every command performs per state,
+and which of them compute eigenvalues only.
 """
 
 from collections import Counter
@@ -94,40 +95,59 @@ def test_block_of_mixed_shapes_refused():
 
 @pytest.fixture
 def eigh_counts(monkeypatch):
-    """Count numpy.linalg.eigh calls per matrix dimension."""
-    counts = Counter()
-    real = np.linalg.eigh
+    """Count numpy.linalg.eigh and numpy.linalg.eigvalsh calls per matrix
+    dimension, separately: ``counts["eigh"][dim]``, ``counts["eigvalsh"][dim]``."""
+    counts = {"eigh": Counter(), "eigvalsh": Counter()}
 
-    def counted(a, *args, **kwargs):
-        counts[np.shape(a)[-1]] += 1
-        return real(a, *args, **kwargs)
+    def counting(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        def counted(a, *args, **kwargs):
+            counts[name][np.shape(a)[-1]] += 1
+            return real(a, *args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     return counts
+
+
+def split(counts) -> dict[str, dict[int, int]]:
+    return {name: dict(per_dim) for name, per_dim in counts.items()}
+
+
+# Validation and the PPT test read eigenvalues only (eigvalsh); the square-
+# root traces keep eigh.  Per dimension the two add up to the counts of
+# hermitian_eig calls the traced benchmark checks.
 
 
 def test_scan_eigensolves_per_sample(eigh_counts, capsys):
     samples = SAMPLE_BLOCK + 6
     assert cli_main(["scan", "--shape", "2x2", "--samples", str(samples), "--seed", "5"]) == 0
-    assert dict(eigh_counts) == {4: 2 * samples, 2: 2 * samples}
+    assert split(eigh_counts) == {"eigvalsh": {4: 2 * samples},
+                                  "eigh": {2: 2 * samples}}
 
 
 def test_audit_eigensolves_per_state(eigh_counts, capsys):
     samples = SAMPLE_BLOCK + 6
     assert cli_main(["audit", "--shape", "3x3", "--samples", str(samples), "--seed", "5"]) == 0
-    assert dict(eigh_counts) == {9: samples, 3: 4 * samples}
+    assert split(eigh_counts) == {"eigvalsh": {9: samples, 3: 2 * samples},
+                                  "eigh": {3: 2 * samples}}
 
 
 def test_check_eigensolves_per_call(tmp_path, eigh_counts, capsys):
     path = tmp_path / "state.txt"
     write_matrix_file(str(path), random_density(2, 3, 4, 11))
-    eigh_counts.clear()
+    for per_dim in eigh_counts.values():
+        per_dim.clear()
     assert cli_main(["check", str(path)]) == 0
-    assert dict(eigh_counts) == {6: 1, 2: 4, 3: 4}
+    assert split(eigh_counts) == {"eigvalsh": {6: 1, 2: 2, 3: 2},
+                                  "eigh": {2: 2, 3: 2}}
 
 
 def test_sweep_eigensolves_per_valid_row(eigh_counts):
     rows = run_sweep(SweepSpec(family="werner", start=-0.6, stop=1.0, count=17))
     valid = sum(row.valid for row in rows)
     assert 0 < valid < len(rows)
-    assert dict(eigh_counts) == {4: valid, 2: 4 * valid}
+    assert split(eigh_counts) == {"eigvalsh": {4: valid, 2: 2 * valid},
+                                  "eigh": {2: 2 * valid}}

@@ -14,6 +14,7 @@ from puritylab.density import (
     purity,
     purity_set,
     random_density,
+    sample_blocks,
 )
 from puritylab.defaults import CLAMP_TOL
 from puritylab.errors import BadInterval, DomainError, NegativeSpectrum
@@ -22,6 +23,7 @@ from puritylab.inequalities import (
     LEQ_EXPECTED,
     MinkowskiParams,
     _sqrt_trace,
+    _sqrt_traces,
     audit_reports,
     check_eq5,
     check_eq6,
@@ -142,6 +144,17 @@ class TestSqrtTrace:
 
         with pytest.raises(NegativeSpectrum):
             _sqrt_trace(beta_state(0.5).mat - 2.0 * CLAMP_TOL * np.eye(4))
+
+    @pytest.mark.parametrize("shape", [SHAPE22, BlockShape(2, 3), BlockShape(3, 3)], ids=str)
+    def test_one_matrix_equals_block_value(self, shape):
+        recipes = [("ginibre", k % shape.dim + 1, k) for k in range(20)]
+        block = next(sample_blocks(shape, recipes))
+        s6, s8 = _sqrt_traces(block)
+        squared = block.mats @ block.mats
+        for i, rho in enumerate(block.states()):
+            assert _sqrt_trace(block_trace_map(squared[i], shape)) == s6[i]
+            assert _sqrt_trace(block_sum_map(squared[i], shape)) == s8[i]
+            assert (eq6_rhs(rho), eq8_rhs(rho)) == (s6[i], s8[i])
 
 
 class TestEq6Eq8:

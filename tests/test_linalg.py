@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import jacobi_eigenvalues, random_hermitian
+from puritylab.defaults import CLAMP_TOL
 from puritylab.errors import (
     DimMismatch,
     DomainError,
@@ -12,6 +13,7 @@ from puritylab.errors import (
     ZeroToNegativePower,
 )
 from puritylab.linalg import (
+    clamp_spectra,
     frobenius_distance,
     hermitian_eig,
     hermitian_eigenvalues,
@@ -78,6 +80,18 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian, match="hermiticity defect 1.000e-01"):
             hermitian_eig([[0.0, 0.1], [0.0, 0.0]])
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_values_only_error_order(self):
+        with pytest.raises(DimMismatch):
+            hermitian_eig(np.full((2, 3), np.nan), vectors=False)
+        # a NaN entry outranks the asymmetry beside it
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            hermitian_eig([[np.nan, 5.0], [0.0, 0.0]], vectors=False)
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            hermitian_eig([[0.0, np.inf], [np.inf, 0.0]], vectors=False)
+        with pytest.raises(NotHermitian, match="hermiticity defect 1.000e-01 exceeds tol"):
+            hermitian_eig([[0.0, 0.1], [0.0, 0.0]], vectors=False)
+
     def test_deterministic(self):
         h = random_hermitian(5, 123)
         a = hermitian_eig(h)
@@ -103,6 +117,33 @@ class TestHermitianEig:
         ours = hermitian_eigenvalues(h)
         ref = jacobi_eigenvalues(h)
         assert np.abs(ours - ref).max() <= 1e-10 * max(np.linalg.norm(h), 1.0)
+
+    @given(st.integers(2, 8), st.integers(0, 10**6))
+    @settings(max_examples=80)
+    def test_values_only_agree_with_jacobi_oracle(self, dim, seed):
+        h = random_hermitian(dim, seed)
+        eig = hermitian_eig(h, vectors=False)
+        assert eig.vectors is None
+        ref = jacobi_eigenvalues(h)
+        assert np.abs(eig.values - ref).max() <= 1e-10 * max(np.linalg.norm(h), 1.0)
+
+
+class TestClampSpectra:
+    def test_zeroes_the_clamp_band_only(self):
+        values = np.array([[-CLAMP_TOL, -0.5 * CLAMP_TOL, 0.0, 0.25],
+                           [-1e-300, 1e-300, 0.5, 0.5]])
+        expected = np.array([[0.0, 0.0, 0.0, 0.25], [0.0, 1e-300, 0.5, 0.5]])
+        assert np.array_equal(clamp_spectra(values), expected)
+
+    def test_one_spectrum(self):
+        assert np.array_equal(clamp_spectra(np.array([-1e-12, 1.0])), [0.0, 1.0])
+
+    def test_names_first_row_below_tol(self):
+        values = np.array([[-0.5 * CLAMP_TOL, 1.0],
+                           [-3e-9, 1.0],
+                           [-7e-9, 1.0]])
+        with pytest.raises(NegativeSpectrum, match="smallest eigenvalue -3.000e-09 below"):
+            clamp_spectra(values)
 
 
 class TestPsdMatrixPower:

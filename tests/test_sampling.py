@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from oracles import scalar_random_density, scalar_random_separable
+from puritylab import density
 from puritylab.density import (
     SAMPLE_BLOCK,
     BlockShape,
@@ -111,6 +112,18 @@ class TestJobSampler:
         states = sample_states(shape, recipes())
         next(states)
         assert len(taken) == SAMPLE_BLOCK
+
+    def test_one_draw_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(seeds, counts):
+            calls.append(len(seeds))
+            return stream_uniforms(seeds, counts)
+
+        monkeypatch.setattr(density, "stream_uniforms", counted)
+        shape = BlockShape(2, 3)
+        assert len(list(sample_states(shape, scan_recipes(shape, 9)))) == JOB
+        assert calls == [SAMPLE_BLOCK, SAMPLE_BLOCK, JOB - 2 * SAMPLE_BLOCK]
 
     def test_empty_job(self):
         assert list(sample_states(BlockShape(2, 2), [])) == []
