@@ -34,11 +34,8 @@ from .inequalities import (
 )
 from .linalg import (
     HermitianEigen,
-    frobenius_distance,
     hermitian_eig,
-    hermitian_eigenvalues,
     psd_matrix_power,
-    trace,
 )
 from .prng import SplitMix64, child_seed
 from .states import (

@@ -1,17 +1,21 @@
 """Dense complex Hermitian eigendecomposition and spectral matrix functions.
 
 Every eigensolve in the package goes through ``hermitian_eig``, which checks
-Hermiticity and hands the Hermitian part to LAPACK: ``numpy.linalg.eigh``, or
-``numpy.linalg.eigvalsh`` when the caller reads the eigenvalues only.  The
-clamped spectra and spectral powers of positive-semidefinite matrices are
-built on it.
+Hermiticity and hands the Hermitian part to LAPACK through the gufuncs behind
+``numpy.linalg.eigh`` and ``numpy.linalg.eigvalsh`` (``eigh_lo`` and
+``eigvalsh_lo`` of numpy's private ``_umath_linalg``), without numpy's
+per-call shape, dtype and error-state wrapper: ``hermitian_eig`` has already
+made the matrix square, finite and complex128.  The clamped spectra and
+spectral powers of positive-semidefinite matrices are built on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
 
 from .defaults import CLAMP_TOL, VALIDATION_TOL
 from .errors import (
@@ -48,8 +52,7 @@ def hermiticity_defect(mat: np.ndarray) -> np.ndarray:
     return np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
+class HermitianEigen(NamedTuple):
     """Eigenvalues ascending; eigenvector columns orthonormal, V diag(w) V^dagger
     reconstructs the input (``None`` when only the eigenvalues were asked
     for).  Ties keep the order LAPACK returns, which is a pure function of the
@@ -63,12 +66,14 @@ def hermitian_eig(mat, tol: float = VALIDATION_TOL, *, vectors: bool = True) -> 
     """Eigendecomposition of a Hermitian matrix by LAPACK.
 
     The input must be Hermitian within ``tol`` (largest entry of m - m^dagger);
-    its Hermitian part (m + m^dagger)/2 is decomposed by ``numpy.linalg.eigh``,
-    or with ``vectors=False`` by ``numpy.linalg.eigvalsh``, which skips the
-    eigenvectors (its eigenvalues may differ from ``eigh``'s in the last
-    bits).  Errors come in the order DimMismatch (not square), DomainError (a
-    NaN or Inf entry, read from the defect; numpy may warn about the invalid
-    subtraction first), NotHermitian.
+    its Hermitian part (m + m^dagger)/2 is decomposed by the LAPACK gufunc of
+    ``numpy.linalg.eigh``, or with ``vectors=False`` by that of
+    ``numpy.linalg.eigvalsh``, which skips the eigenvectors (its eigenvalues
+    may differ from ``eigh``'s in the last bits); either gives the bits of the
+    numpy function.  Errors come in the order DimMismatch (not square),
+    DomainError (a NaN or Inf entry, read from the defect; numpy may warn
+    about the invalid subtraction first), NotHermitian, and
+    ``numpy.linalg.LinAlgError`` if LAPACK does not converge.
     """
     arr = _square(mat)
     adjoint = arr.conj().T
@@ -77,15 +82,17 @@ def hermitian_eig(mat, tol: float = VALIDATION_TOL, *, vectors: bool = True) -> 
         if not np.isfinite(defect):
             raise DomainError("matrix contains NaN or Inf entries")
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    hermitian = 0.5 * (arr + adjoint)
-    if not vectors:
-        return HermitianEigen(values=np.linalg.eigvalsh(hermitian), vectors=None)
-    values, vecs = np.linalg.eigh(hermitian)
-    return HermitianEigen(values=values, vectors=vecs)
-
-
-def hermitian_eigenvalues(mat, tol: float = VALIDATION_TOL) -> np.ndarray:
-    return hermitian_eig(mat, tol).values
+    hermitian = arr + adjoint
+    hermitian *= 0.5
+    if vectors:
+        values, vecs = eigh_lo(hermitian, signature="D->dD")
+    else:
+        values, vecs = eigvalsh_lo(hermitian, signature="D->d"), None
+    # On a LAPACK failure the gufunc fills every output with NaN (and warns
+    # where numpy.linalg would raise); the input is finite, so a NaN marks one.
+    if math.isnan(values[0]):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return HermitianEigen(values, vecs)
 
 
 def clamp_spectra(values: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
@@ -126,18 +133,3 @@ def psd_matrix_power(mat, exponent: float, tol: float = CLAMP_TOL) -> np.ndarray
     powered = eigen.values ** exponent
     out = (eigen.vectors * powered) @ eigen.vectors.conj().T
     return 0.5 * (out + out.conj().T)
-
-
-def trace(mat) -> complex:
-    """Sum of diagonal entries."""
-    arr = as_square_matrix(mat)
-    return complex(arr.trace())
-
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of a - b; zero iff the matrices are equal."""
-    left = as_square_matrix(a)
-    right = as_square_matrix(b)
-    if left.shape != right.shape:
-        raise DimMismatch(f"dimension mismatch: {left.shape} vs {right.shape}")
-    return float(np.linalg.norm(left - right))

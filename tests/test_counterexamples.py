@@ -9,7 +9,7 @@ import pytest
 
 from oracles import delta_and_min_pt
 from puritylab.defaults import ENTANGLE_TOL, REPORT_TOL
-from puritylab.density import BlockShape
+from puritylab.density import BlockShape, make_density
 from puritylab.inequalities import delta
 from puritylab.prng import child_seed
 from puritylab.states import (
@@ -72,3 +72,35 @@ class TestXStateCounterexample:
         ref_delta, ref_min_pt = delta_and_min_pt(rho.mat, 2, 2)
         assert ref_delta < -REPORT_TOL
         assert ref_min_pt < -ENTANGLE_TOL
+
+
+class TestBoundaryMixtureCounterexample:
+    """(1-t)·sep + t·ent between scan samples 63 (separable) and 50
+    (Ginibre) of the 2x2 scan at seed 99: just past the PPT boundary the
+    mixture is entangled (NPT) with delta < 0."""
+
+    SEPARABLE = ("separable", 4, 15854214293728144697)
+    ENTANGLED = ("ginibre", 2, 3274822575570110850)
+
+    def mixture(self, t):
+        sep = scan_state(SHAPE22, *self.SEPARABLE).mat
+        ent = scan_state(SHAPE22, *self.ENTANGLED).mat
+        return make_density((1.0 - t) * sep + t * ent, SHAPE22)
+
+    def test_recipes_are_scan_samples_63_and_50(self):
+        assert child_seed(99, 63) == self.SEPARABLE[2]
+        assert child_seed(99, 50) == self.ENTANGLED[2]
+
+    def test_delta_negative_and_npt_by_oracle(self):
+        rho = self.mixture(0.389)
+        ref_delta, ref_min_pt = delta_and_min_pt(rho.mat, 2, 2)
+        assert ref_delta == pytest.approx(-0.027229, abs=5e-7)
+        assert ref_min_pt == pytest.approx(-1.340e-4, abs=5e-8)
+        assert abs(delta(rho) - ref_delta) <= 1e-12
+        assert ppt_entangled(rho)
+        assert ref_min_pt < -ENTANGLE_TOL
+
+    def test_boundary_lies_between(self):
+        rho = self.mixture(0.3874)
+        assert not ppt_entangled(rho)
+        assert delta_and_min_pt(rho.mat, 2, 2)[1] > ENTANGLE_TOL

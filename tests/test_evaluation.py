@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from puritylab import linalg
 from puritylab.cli import cli_main
 from puritylab.density import (
     SAMPLE_BLOCK,
@@ -95,12 +96,13 @@ def test_block_of_mixed_shapes_refused():
 
 @pytest.fixture
 def eigh_counts(monkeypatch):
-    """Count numpy.linalg.eigh and numpy.linalg.eigvalsh calls per matrix
-    dimension, separately: ``counts["eigh"][dim]``, ``counts["eigvalsh"][dim]``."""
+    """Count LAPACK eigensolves per matrix dimension, with eigenvectors
+    (``eigh_lo``, the gufunc of numpy.linalg.eigh) and without (``eigvalsh_lo``)
+    separately: ``counts["eigh"][dim]``, ``counts["eigvalsh"][dim]``."""
     counts = {"eigh": Counter(), "eigvalsh": Counter()}
 
     def counting(name):
-        real = getattr(np.linalg, name)
+        real = getattr(linalg, f"{name}_lo")
 
         def counted(a, *args, **kwargs):
             counts[name][np.shape(a)[-1]] += 1
@@ -108,7 +110,7 @@ def eigh_counts(monkeypatch):
         return counted
 
     for name in counts:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(linalg, f"{name}_lo", counting(name))
     return counts
 
 

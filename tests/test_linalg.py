@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import jacobi_eigenvalues, random_hermitian
-from puritylab.defaults import CLAMP_TOL
+from puritylab import linalg
+from puritylab.defaults import CLAMP_TOL, VALIDATION_TOL
 from puritylab.errors import (
     DimMismatch,
     DomainError,
@@ -12,14 +13,7 @@ from puritylab.errors import (
     NotHermitian,
     ZeroToNegativePower,
 )
-from puritylab.linalg import (
-    clamp_spectra,
-    frobenius_distance,
-    hermitian_eig,
-    hermitian_eigenvalues,
-    psd_matrix_power,
-    trace,
-)
+from puritylab.linalg import clamp_spectra, hermitian_eig, psd_matrix_power
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[3, 3] = BELL[0, 3] = BELL[3, 0] = 0.5
@@ -114,7 +108,7 @@ class TestHermitianEig:
     @settings(max_examples=80)
     def test_agrees_with_jacobi_oracle(self, dim, seed):
         h = random_hermitian(dim, seed)
-        ours = hermitian_eigenvalues(h)
+        ours = hermitian_eig(h).values
         ref = jacobi_eigenvalues(h)
         assert np.abs(ours - ref).max() <= 1e-10 * max(np.linalg.norm(h), 1.0)
 
@@ -126,6 +120,52 @@ class TestHermitianEig:
         assert eig.vectors is None
         ref = jacobi_eigenvalues(h)
         assert np.abs(eig.values - ref).max() <= 1e-10 * max(np.linalg.norm(h), 1.0)
+
+
+def nearly_hermitian(dim: int, rank: int, seed: int) -> np.ndarray:
+    """G G^dagger of the given rank, plus a lower-triangle skew of ~1e-12:
+    Hermitian within VALIDATION_TOL, but not exactly, so the symmetrisation
+    moves the bits LAPACK reads."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return g @ g.conj().T + 1e-12 * np.tril(skew, -1)
+
+
+DIMS_AND_RANKS = [(dim, rank) for dim in range(1, 10) for rank in sorted({1, (dim + 1) // 2, dim})]
+
+
+class TestDirectLapack:
+    """hermitian_eig calls numpy's LAPACK gufuncs without numpy.linalg's
+    wrapper; its outputs are the bits numpy.linalg gives for the Hermitian
+    part."""
+
+    @pytest.mark.parametrize("dim,rank", DIMS_AND_RANKS)
+    def test_bits_equal_numpy_on_hermitian_part(self, dim, rank):
+        for seed in range(3):
+            m = nearly_hermitian(dim, rank, 1000 * dim + 10 * rank + seed)
+            assert np.abs(m - m.conj().T).max() <= VALIDATION_TOL
+            h = 0.5 * (m + m.conj().T)
+            ref_values, ref_vectors = np.linalg.eigh(h)
+            eig = hermitian_eig(m)
+            assert eig.values.tobytes() == ref_values.tobytes()
+            assert eig.vectors.tobytes() == ref_vectors.tobytes()
+            only = hermitian_eig(m, vectors=False)
+            assert only.vectors is None
+            assert only.values.tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+    @pytest.mark.parametrize("entry,vectors", [("eigh_lo", True), ("eigvalsh_lo", False)])
+    def test_nan_from_lapack_is_linalg_error(self, monkeypatch, entry, vectors):
+        real = getattr(linalg, entry)
+
+        def failing(a, **kwargs):
+            out = real(a, **kwargs)
+            for part in out if isinstance(out, tuple) else (out,):
+                part[...] = np.nan
+            return out
+        monkeypatch.setattr(linalg, entry, failing)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            hermitian_eig(random_hermitian(3, 5), vectors=vectors)
 
 
 class TestClampSpectra:
@@ -156,11 +196,11 @@ class TestPsdMatrixPower:
         assert np.abs(out - np.eye(2) / np.sqrt(2)).max() <= 1e-15
 
     def test_projector_sqrt_of_square(self):
-        assert frobenius_distance(psd_matrix_power(BELL @ BELL, 0.5), BELL) <= 1e-12
+        assert np.linalg.norm(psd_matrix_power(BELL @ BELL, 0.5) - BELL) <= 1e-12
 
     def test_exponent_one_is_identity_map(self):
         m = random_psd(5, 3)
-        assert frobenius_distance(psd_matrix_power(m, 1.0), m) <= 1e-12 * np.linalg.norm(m)
+        assert np.linalg.norm(psd_matrix_power(m, 1.0) - m) <= 1e-12 * np.linalg.norm(m)
 
     def test_output_hermitian(self):
         out = psd_matrix_power(random_psd(4, 9), 0.5)
@@ -186,7 +226,7 @@ class TestPsdMatrixPower:
         m /= m.trace().real  # unit scale
         once = psd_matrix_power(psd_matrix_power(m, expo_a), expo_b)
         direct = psd_matrix_power(m, expo_a * expo_b)
-        assert frobenius_distance(once, direct) <= 1e-9
+        assert np.linalg.norm(once - direct) <= 1e-9
 
     @given(st.integers(2, 6), st.integers(0, 10**6))
     @settings(max_examples=60)
@@ -194,39 +234,14 @@ class TestPsdMatrixPower:
         m = random_psd(dim, seed)
         m /= m.trace().real
         root = psd_matrix_power(m, 0.5)
-        assert frobenius_distance(root @ root, m) <= 1e-9
+        assert np.linalg.norm(root @ root - m) <= 1e-9
 
     @given(st.integers(2, 6), st.integers(0, 10**6))
     @settings(max_examples=60)
     def test_trace_of_square_is_eigenvalue_sum(self, dim, seed):
         m = random_psd(dim, seed)
         m /= m.trace().real
-        lhs = trace(psd_matrix_power(m, 2.0)).real
-        rhs = float((hermitian_eigenvalues(m) ** 2).sum())
+        lhs = np.trace(psd_matrix_power(m, 2.0)).real
+        rhs = float((hermitian_eig(m).values ** 2).sum())
         assert abs(lhs - rhs) <= 1e-10
 
-
-class TestTraceAndDistance:
-    def test_trace_identity(self):
-        assert trace(np.eye(4)) == 4.0
-
-    def test_trace_werner_is_one(self):
-        from oracles import werner_matrix
-
-        assert abs(trace(werner_matrix(0.7)) - 1.0) <= 1e-15
-
-    def test_distance_zero_iff_equal(self):
-        assert frobenius_distance(np.eye(3), np.eye(3)) == 0.0
-
-    def test_distance_identity_to_zero(self):
-        assert abs(frobenius_distance(np.eye(2), np.zeros((2, 2))) - np.sqrt(2)) <= 1e-15
-
-    def test_distance_rank_one_perturbation(self):
-        rho = np.eye(4) / 4
-        bumped = rho.copy()
-        bumped[0, 0] += 1e-3
-        assert abs(frobenius_distance(rho, bumped) - 1e-3) <= 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            frobenius_distance(np.eye(2), np.eye(3))

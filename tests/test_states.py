@@ -14,7 +14,7 @@ from puritylab.errors import (
     TraceNotOne,
 )
 from puritylab.inequalities import check_eq5, check_eq10
-from puritylab.linalg import hermitian_eigenvalues
+from puritylab.linalg import hermitian_eig
 from puritylab.states import (
     BetaParam,
     GisinParams,
@@ -75,7 +75,7 @@ class TestXState:
     def test_bell_projector_is_pure(self):
         rho = x_state(BELL_PARAMS)
         assert purity(rho) == pytest.approx(1.0, abs=1e-14)
-        vals = hermitian_eigenvalues(rho.mat)
+        vals = hermitian_eig(rho.mat).values
         assert np.allclose(vals, [0, 0, 0, 1], atol=1e-14)
 
     def test_conjugate_structure(self):
@@ -167,7 +167,7 @@ class TestWerner:
         assert purity(rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_boundary_has_zero_eigenvalue(self):
-        vals = hermitian_eigenvalues(werner_state(-1 / 3).mat)
+        vals = hermitian_eig(werner_state(-1 / 3).mat).values
         assert abs(float(vals[0])) <= 1e-12
 
     def test_domain_enforced(self):
@@ -198,7 +198,7 @@ class TestGisin:
     def test_diagonal_family_valid_everywhere(self):
         for x in np.linspace(0.05, 0.95, 10):
             rho = gisin_state(GisinParams(x=float(x), a=1.0, b=0.0))
-            assert float(hermitian_eigenvalues(rho.mat)[0]) >= -1e-12
+            assert float(hermitian_eig(rho.mat).values[0]) >= -1e-12
 
     def test_normalization_slack(self):
         with pytest.raises(DomainError):
@@ -269,7 +269,7 @@ class TestBeta:
 
     def test_half_is_rank_deficient_but_evaluates(self):
         rho = beta_state(0.5)
-        vals = hermitian_eigenvalues(rho.mat)
+        vals = hermitian_eig(rho.mat).values
         assert np.allclose(vals, [0, 0, 0.5, 0.5], atol=1e-14)
         ps = purity_set(rho)  # clamping must keep mu_tilde finite here
         assert math.isfinite(ps.mu_tilde)
