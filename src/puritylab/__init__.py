@@ -9,8 +9,6 @@ from .density import (
     block_trace_map,
     make_density,
     normalize,
-    partial_trace_over_1,
-    partial_trace_over_2,
     partial_transpose_inner,
     purity,
     purity_set,
@@ -22,11 +20,6 @@ from .inequalities import (
     InequalityReport,
     MinkowskiParams,
     audit_reports,
-    check_eq5,
-    check_eq6,
-    check_eq8,
-    check_eq9,
-    check_eq10,
     delta,
     find_delta_roots,
     minkowski_check,

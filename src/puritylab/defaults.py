@@ -1,7 +1,9 @@
-"""Default numerical tolerances, kept in one table.
+"""Numerical tolerances, kept in one table.
 
-Every tolerance used anywhere in the package is a parameter with its default
-defined here; tests import these names instead of repeating literals.
+Every tolerance used anywhere in the package is defined here.  The report
+tolerance and the root-finding grid and tolerance are the defaults of
+parameters; the others are constants.  Tests import these names instead of
+repeating literals.
 """
 
 # Construction-time validation of density matrices: Hermiticity defect,

@@ -56,11 +56,11 @@ class BlockShape:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated state: Hermitian, unit trace and PSD within ``tol``."""
+    """Validated state: Hermitian, unit trace and PSD within
+    ``VALIDATION_TOL``."""
 
     mat: np.ndarray
     shape: BlockShape
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -85,35 +85,35 @@ class DensityBlock:
 
     mats: np.ndarray
     shape: BlockShape
-    tol: float
 
     @classmethod
     def of(cls, rho: DensityMatrix) -> DensityBlock:
         """One-state block sharing the state's memory."""
-        return cls(mats=rho.mat[None], shape=rho.shape, tol=rho.tol)
+        return cls(mats=rho.mat[None], shape=rho.shape)
 
     @classmethod
     def stack(cls, states: list[DensityMatrix]) -> DensityBlock:
-        """Block of validated states that share one block shape and tol."""
-        shape, tol = states[0].shape, states[0].tol
-        if any(rho.shape != shape or rho.tol != tol for rho in states):
-            raise ShapeMismatch("a block holds states of one block shape and tol")
+        """Block of validated states that share one block shape."""
+        shape = states[0].shape
+        if any(rho.shape != shape for rho in states):
+            raise ShapeMismatch("a block holds states of one block shape")
         mats = np.stack([rho.mat for rho in states])
         mats.flags.writeable = False
-        return cls(mats=mats, shape=shape, tol=tol)
+        return cls(mats=mats, shape=shape)
 
     def __len__(self) -> int:
         return len(self.mats)
 
     def state(self, index: int) -> DensityMatrix:
-        return DensityMatrix(mat=self.mats[index], shape=self.shape, tol=self.tol)
+        return DensityMatrix(mat=self.mats[index], shape=self.shape)
 
     def states(self) -> list[DensityMatrix]:
         return [self.state(i) for i in range(len(self.mats))]
 
 
-def validate_block(mats, shape: BlockShape, tol: float = VALIDATION_TOL) -> DensityBlock:
-    """Validate a (B, N, N) stack of matrices as density matrices.
+def validate_block(mats, shape: BlockShape) -> DensityBlock:
+    """Validate a (B, N, N) stack of matrices as density matrices: Hermitian,
+    unit trace and no eigenvalue below zero, each within ``VALIDATION_TOL``.
 
     The finiteness, Hermiticity and trace checks run once on the whole stack;
     positivity takes one eigenvalues-only ``hermitian_eig`` per state.  A
@@ -125,27 +125,29 @@ def validate_block(mats, shape: BlockShape, tol: float = VALIDATION_TOL) -> Dens
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or min(arr.shape) < 1:
         raise DimMismatch(
             f"expected a non-empty stack of square matrices, got shape {arr.shape}")
-    with np.errstate(invalid="ignore"):  # NaN or Inf entries are reported below
+    # NaN or Inf entries, and finite ones whose Hermitian part overflows, are
+    # raised as errors below, without numpy's floating-point warnings.
+    with np.errstate(all="ignore"):
         defect = hermiticity_defect(arr)
         trace_dev = np.abs(arr.trace(axis1=1, axis2=2) - 1.0)
-    passing = np.maximum(defect, trace_dev) <= tol  # NaN propagates, compares False
-    first_bad = int(passing.argmin())
-    if arr.shape[1] != shape.dim:
-        first_bad = 0
-    elif passing[first_bad]:
-        first_bad = len(arr)
-    for mat in arr[:first_bad]:
-        smallest = float(hermitian_eig(mat, tol=tol, vectors=False).values[0])
-        if smallest < -tol:
-            raise NotPositive(f"smallest eigenvalue {smallest:.3e} below -{tol:.3e}")
+        passing = np.maximum(defect, trace_dev) <= VALIDATION_TOL  # NaN compares False
+        first_bad = int(passing.argmin())
+        if arr.shape[1] != shape.dim:
+            first_bad = 0
+        elif passing[first_bad]:
+            first_bad = len(arr)
+        for mat in arr[:first_bad]:
+            smallest = float(hermitian_eig(mat, vectors=False).values[0])
+            if smallest < -VALIDATION_TOL:
+                raise NotPositive(
+                    f"smallest eigenvalue {smallest:.3e} below -{VALIDATION_TOL:.3e}")
     if first_bad < len(arr):
-        _raise_invalid(defect[first_bad], trace_dev[first_bad], arr.shape[1], shape, tol)
+        _raise_invalid(defect[first_bad], trace_dev[first_bad], arr.shape[1], shape)
     arr.flags.writeable = False
-    return DensityBlock(mats=arr, shape=shape, tol=tol)
+    return DensityBlock(mats=arr, shape=shape)
 
 
-def _raise_invalid(defect: float, trace_dev: float, dim: int, shape: BlockShape,
-                   tol: float) -> None:
+def _raise_invalid(defect: float, trace_dev: float, dim: int, shape: BlockShape) -> None:
     """Raise the first validation error of one state that failed a stacked check."""
     if not np.isfinite(defect):
         raise DomainError("matrix contains NaN or Inf entries")
@@ -154,19 +156,21 @@ def _raise_invalid(defect: float, trace_dev: float, dim: int, shape: BlockShape,
             f"matrix dimension {dim} does not match block shape "
             f"({shape.n}, {shape.m}) with n*m = {shape.dim}"
         )
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    raise TraceNotOne(f"trace deviates from 1 by {trace_dev:.3e} (tol {tol:.3e})")
+    if defect > VALIDATION_TOL:
+        raise NotHermitian(
+            f"hermiticity defect {defect:.3e} exceeds tol {VALIDATION_TOL:.3e}")
+    raise TraceNotOne(
+        f"trace deviates from 1 by {trace_dev:.3e} (tol {VALIDATION_TOL:.3e})")
 
 
-def make_density(mat, shape: BlockShape, tol: float = VALIDATION_TOL) -> DensityMatrix:
+def make_density(mat, shape: BlockShape) -> DensityMatrix:
     """Validate and wrap a matrix as a density matrix: a one-state
     :func:`validate_block`.
 
     The input is stored as given; nothing is renormalized or repaired.  Use
     :func:`normalize` explicitly when a sweep needs trace repair.
     """
-    return validate_block(_square(mat)[None], shape, tol).state(0)
+    return validate_block(_square(mat)[None], shape).state(0)
 
 
 def _blocks(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
@@ -191,27 +195,14 @@ def partial_transpose_inner(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
     return _blocks(mat, shape).swapaxes(-3, -1).reshape(mat.shape)
 
 
-def partial_trace_over_2(rho: DensityMatrix) -> DensityMatrix:
-    """Reduced n x n state: entries Tr a_ij.  Trace 1 is preserved exactly
-    up to arithmetic rounding."""
-    reduced = block_trace_map(rho.mat, rho.shape)
-    return make_density(reduced, BlockShape(rho.shape.n, 1), tol=rho.tol)
-
-
-def partial_trace_over_1(rho: DensityMatrix) -> DensityMatrix:
-    """Reduced m x m state: the sum of the diagonal blocks."""
-    reduced = block_sum_map(rho.mat, rho.shape)
-    return make_density(reduced, BlockShape(rho.shape.m, 1), tol=rho.tol)
-
-
 def reduced_blocks(block: DensityBlock) -> tuple[DensityBlock, DensityBlock]:
     """Both validated reduced states of every state of a block: the n x n
-    (:func:`partial_trace_over_2`) and the m x m (:func:`partial_trace_over_1`)."""
+    one with entries Tr a_ij (the partial trace over the inner index) and
+    the m x m sum of the diagonal blocks (over the outer index).  Trace 1 is
+    preserved exactly up to arithmetic rounding."""
     shape = block.shape
-    return (validate_block(block_trace_map(block.mats, shape), BlockShape(shape.n, 1),
-                           block.tol),
-            validate_block(block_sum_map(block.mats, shape), BlockShape(shape.m, 1),
-                           block.tol))
+    return (validate_block(block_trace_map(block.mats, shape), BlockShape(shape.n, 1)),
+            validate_block(block_sum_map(block.mats, shape), BlockShape(shape.m, 1)))
 
 
 def purities(mats: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .defaults import VALIDATION_TOL
 from .density import BlockShape, DensityMatrix, make_density
 from .errors import IoError, SpecError
 from .sweep import ScanReport, SweepRow
@@ -74,7 +73,7 @@ def write_matrix_file(path: str, rho: DensityMatrix) -> None:
         raise IoError(f"cannot write {path}: {err}") from err
 
 
-def read_matrix_file(path: str, tol: float = VALIDATION_TOL) -> DensityMatrix:
+def read_matrix_file(path: str) -> DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = [line.strip() for line in handle if line.strip()]
@@ -113,7 +112,7 @@ def read_matrix_file(path: str, tol: float = VALIDATION_TOL) -> DensityMatrix:
         mat[i, j] = complex(re, im)
     if not seen.all():
         raise SpecError(f"{path}: missing entries")
-    return make_density(mat, shape, tol=tol)
+    return make_density(mat, shape)
 
 
 def scan_report_json(report: ScanReport) -> str:

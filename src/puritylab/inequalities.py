@@ -1,7 +1,6 @@
 """Purity inequalities and the two-parameter Minkowski-type trace inequality.
 
-The five named checks (eq5, eq6, eq8, eq9, eq10) evaluate, for a state rho
-with block structure,
+The purity inequality family, for a state rho with block structure, is
 
     eq5 :  mu1 + mu2 - 1  <=  mu12
     eq6 :  sqrt(mu2)      <=  Tr[(block_trace(rho^2))^(1/2)]
@@ -11,7 +10,10 @@ with block structure,
 
 with mu_tilde = (rhs of eq8)^2 + (rhs of eq6)^2 - 1.  The traces of the
 matrix square roots are sums of square roots of eigenvalues, never of
-entries.  The ``*_block`` functions evaluate a whole block of states; the
+entries.  ``audit_block`` gives both sides of all five for a whole block of
+states, from one set of purities and square-root traces per state;
+``audit_reports`` turns its one-state block into reports.  The other
+``*_block`` functions likewise evaluate a whole block of states, and the
 one-state functions are one-state blocks of them.
 
 The general check evaluates
@@ -31,17 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import CLAMP_TOL, REPORT_TOL, ROOT_GRID, ROOT_TOL
+from .defaults import REPORT_TOL, ROOT_GRID, ROOT_TOL
 from .density import (
     DensityBlock,
     DensityMatrix,
     PuritySet,
     block_sum_map,
     block_trace_map,
-    partial_trace_over_1,
-    partial_trace_over_2,
     purities,
-    purity,
     reduced_blocks,
 )
 from .errors import BadInterval, DomainError
@@ -102,13 +101,8 @@ def _sqrt_trace_stack(mats: np.ndarray) -> np.ndarray:
     """Trace of the spectral square root of every PSD Hermitian matrix of a
     stack: the row sums of the square roots of the clamped eigenvalues (see
     ``clamp_spectra``), with one ``hermitian_eig`` per matrix."""
-    values = np.array([hermitian_eig(a, tol=CLAMP_TOL).values for a in mats])
+    values = np.array([hermitian_eig(a).values for a in mats])
     return np.sqrt(clamp_spectra(values)).sum(axis=1)
-
-
-def _sqrt_trace(mat: np.ndarray) -> float:
-    """Tr A^(1/2) of one PSD Hermitian matrix: a one-matrix stack."""
-    return float(_sqrt_trace_stack(mat[None])[0])
 
 
 def _sqrt_traces(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -117,18 +111,6 @@ def _sqrt_traces(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:
     squared = block.mats @ block.mats
     return (_sqrt_trace_stack(block_trace_map(squared, block.shape)),
             _sqrt_trace_stack(block_sum_map(squared, block.shape)))
-
-
-def eq6_rhs(rho: DensityMatrix) -> float:
-    """Scalar trace of (block_trace(rho^2))^(1/2)."""
-    squared = rho.mat @ rho.mat
-    return _sqrt_trace(block_trace_map(squared, rho.shape))
-
-
-def eq8_rhs(rho: DensityMatrix) -> float:
-    """Scalar trace of (block_sum(rho^2))^(1/2)."""
-    squared = rho.mat @ rho.mat
-    return _sqrt_trace(block_sum_map(squared, rho.shape))
 
 
 def mu_tilde_block(block: DensityBlock) -> np.ndarray:
@@ -183,49 +165,14 @@ def audit_block(block: DensityBlock) -> list[tuple[str, np.ndarray, np.ndarray]]
     ]
 
 
-def check_eq5(rho: DensityMatrix, tol: float = REPORT_TOL) -> InequalityReport:
-    mu1 = purity(partial_trace_over_2(rho))
-    mu2 = purity(partial_trace_over_1(rho))
-    return _report("eq5", mu1 + mu2 - 1.0, purity(rho), LEQ_EXPECTED, tol)
-
-
-def check_eq6(rho: DensityMatrix, tol: float = REPORT_TOL) -> InequalityReport:
-    mu2 = purity(partial_trace_over_1(rho))
-    return _report("eq6", float(np.sqrt(mu2)), eq6_rhs(rho), LEQ_EXPECTED, tol)
-
-
-def check_eq8(rho: DensityMatrix, tol: float = REPORT_TOL) -> InequalityReport:
-    mu1 = purity(partial_trace_over_2(rho))
-    return _report("eq8", float(np.sqrt(mu1)), eq8_rhs(rho), LEQ_EXPECTED, tol)
-
-
-def check_eq9(rho: DensityMatrix, tol: float = REPORT_TOL) -> InequalityReport:
-    mu1 = purity(partial_trace_over_2(rho))
-    mu2 = purity(partial_trace_over_1(rho))
-    s6 = eq6_rhs(rho)
-    s8 = eq8_rhs(rho)
-    return _report("eq9", mu1 + mu2, s8 * s8 + s6 * s6, LEQ_EXPECTED, tol)
-
-
-def check_eq10(rho: DensityMatrix, tol: float = REPORT_TOL) -> InequalityReport:
-    mu1 = purity(partial_trace_over_2(rho))
-    mu2 = purity(partial_trace_over_1(rho))
-    return _report("eq10", mu1 + mu2 - 1.0, mu_tilde(rho), LEQ_EXPECTED, tol)
-
-
 def audit_reports(rho: DensityMatrix, tol: float = REPORT_TOL) -> list[InequalityReport]:
-    """All five checks with the spectral work shared across them: the
-    one-state :func:`audit_block`.
-
-    Returns the same reports as the individual check_* functions, in the
-    order eq5, eq6, eq8, eq9, eq10.
-    """
+    """Reports of eq5, eq6, eq8, eq9 and eq10, in that order: the one-state
+    :func:`audit_block`, each judged satisfied when its margin is >= -tol."""
     return [_report(name, float(lhs[0]), float(rhs[0]), LEQ_EXPECTED, tol)
             for name, lhs, rhs in audit_block(DensityBlock.of(rho))]
 
 
-def minkowski_check(rho: DensityMatrix, params: MinkowskiParams,
-                    tol: float = REPORT_TOL) -> InequalityReport:
+def minkowski_check(rho: DensityMatrix, params: MinkowskiParams) -> InequalityReport:
     """Measure both sides of the two-parameter trace inequality.
 
     This is a measurement tool, not an assertion: the report is returned
@@ -240,7 +187,7 @@ def minkowski_check(rho: DensityMatrix, params: MinkowskiParams,
     lhs = float(inner_lhs.trace().real) ** (1.0 / p)
     rhs = float(inner_rhs.trace().real) ** (1.0 / q)
     direction = LEQ_EXPECTED if params.expects_leq else GEQ_EXPECTED
-    return _report("minkowski", lhs, rhs, direction, tol, untested=params.untested)
+    return _report("minkowski", lhs, rhs, direction, REPORT_TOL, untested=params.untested)
 
 
 def find_delta_roots(f, lo: float, hi: float, grid: int = ROOT_GRID,

@@ -62,26 +62,28 @@ class HermitianEigen(NamedTuple):
     vectors: np.ndarray | None
 
 
-def hermitian_eig(mat, tol: float = VALIDATION_TOL, *, vectors: bool = True) -> HermitianEigen:
+def hermitian_eig(mat, *, vectors: bool = True) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK.
 
-    The input must be Hermitian within ``tol`` (largest entry of m - m^dagger);
-    its Hermitian part (m + m^dagger)/2 is decomposed by the LAPACK gufunc of
-    ``numpy.linalg.eigh``, or with ``vectors=False`` by that of
-    ``numpy.linalg.eigvalsh``, which skips the eigenvectors (its eigenvalues
-    may differ from ``eigh``'s in the last bits); either gives the bits of the
-    numpy function.  Errors come in the order DimMismatch (not square),
-    DomainError (a NaN or Inf entry, read from the defect; numpy may warn
-    about the invalid subtraction first), NotHermitian, and
+    The input must be Hermitian within ``VALIDATION_TOL`` (largest entry of
+    m - m^dagger); its Hermitian part (m + m^dagger)/2 is decomposed by the
+    LAPACK gufunc of ``numpy.linalg.eigh``, or with ``vectors=False`` by that
+    of ``numpy.linalg.eigvalsh``, which skips the eigenvectors (its
+    eigenvalues may differ from ``eigh``'s in the last bits); either gives the
+    bits of the numpy function.  Errors come in the order DimMismatch (not
+    square), DomainError (a NaN or Inf entry, read from the defect; numpy may
+    warn about the invalid subtraction first), NotHermitian, DomainError (a
+    Hermitian part that overflows to Inf, read after the solve), and
     ``numpy.linalg.LinAlgError`` if LAPACK does not converge.
     """
     arr = _square(mat)
     adjoint = arr.conj().T
     defect = np.abs(arr - adjoint).max()
-    if not defect <= tol:
+    if not defect <= VALIDATION_TOL:
         if not np.isfinite(defect):
             raise DomainError("matrix contains NaN or Inf entries")
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
+        raise NotHermitian(
+            f"hermiticity defect {defect:.3e} exceeds tol {VALIDATION_TOL:.3e}")
     hermitian = arr + adjoint
     hermitian *= 0.5
     if vectors:
@@ -89,47 +91,44 @@ def hermitian_eig(mat, tol: float = VALIDATION_TOL, *, vectors: bool = True) -> 
     else:
         values, vecs = eigvalsh_lo(hermitian, signature="D->d"), None
     # On a LAPACK failure the gufunc fills every output with NaN (and warns
-    # where numpy.linalg would raise); the input is finite, so a NaN marks one.
-    if math.isnan(values[0]):
+    # where numpy.linalg would raise); an Inf in the Hermitian part (finite
+    # entries whose sum overflows) also leaves a NaN or Inf at an end of the
+    # ascending spectrum.
+    if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+        if not np.isfinite(hermitian).all():
+            raise DomainError("Hermitian part (m + m^dagger)/2 overflows to Inf")
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return HermitianEigen(values, vecs)
 
 
-def clamp_spectra(values: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
+def clamp_spectra(values: np.ndarray) -> np.ndarray:
     """Ascending spectra of positive-semidefinite matrices, one per row of
-    ``values`` (or a single one), with eigenvalues in [-tol, 0) clamped to 0.
+    ``values`` (or a single one), with eigenvalues in [-CLAMP_TOL, 0) clamped
+    to 0.
 
-    A spectrum whose smallest eigenvalue lies below -tol raises
+    A spectrum whose smallest eigenvalue lies below -CLAMP_TOL raises
     NegativeSpectrum, naming the first such eigenvalue.
     """
     smallest = values[..., 0].ravel()
-    below = np.flatnonzero(smallest < -tol)
+    below = np.flatnonzero(smallest < -CLAMP_TOL)
     if len(below):
         raise NegativeSpectrum(
-            f"smallest eigenvalue {smallest[below[0]]:.3e} below -{tol:.3e}")
+            f"smallest eigenvalue {smallest[below[0]]:.3e} below -{CLAMP_TOL:.3e}")
     return np.maximum(values, 0.0)
 
 
-def psd_eig(mat, tol: float = CLAMP_TOL) -> HermitianEigen:
-    """Eigendecomposition of a positive-semidefinite Hermitian matrix.
+def psd_matrix_power(mat, exponent: float) -> np.ndarray:
+    """Spectral power of a positive-semidefinite Hermitian matrix.
 
     Eigenvalues are clamped by :func:`clamp_spectra`, so numerically rounded
-    PSD inputs never produce complex powers.
+    PSD inputs never produce complex powers; a clamped zero eigenvalue
+    combined with a negative exponent raises ZeroToNegativePower.
     """
-    eigen = hermitian_eig(mat, tol=tol)
-    return HermitianEigen(values=clamp_spectra(eigen.values, tol), vectors=eigen.vectors)
-
-
-def psd_matrix_power(mat, exponent: float, tol: float = CLAMP_TOL) -> np.ndarray:
-    """Spectral power of a positive-semidefinite Hermitian matrix, clamped as
-    in :func:`psd_eig`; a clamped zero eigenvalue combined with a negative
-    exponent raises ZeroToNegativePower.
-    """
-    eigen = psd_eig(mat, tol=tol)
-    if exponent < 0.0 and (eigen.values == 0.0).any():
+    eigen = hermitian_eig(mat)
+    values = clamp_spectra(eigen.values)
+    if exponent < 0.0 and (values == 0.0).any():
         raise ZeroToNegativePower(
             f"exponent {exponent} applied to a zero (clamped) eigenvalue"
         )
-    powered = eigen.values ** exponent
-    out = (eigen.vectors * powered) @ eigen.vectors.conj().T
+    out = (eigen.vectors * values ** exponent) @ eigen.vectors.conj().T
     return 0.5 * (out + out.conj().T)

@@ -28,8 +28,9 @@ the same bits as the ``SplitMix64`` methods.  A fresh stream spends exactly
 one uniform pair per complex normal, so a sampled state's draw count follows
 from its recipe alone: 2*N*rank uniforms for a Ginibre state of dimension N,
 terms + 2*terms*(n+m) for a separable n x m mixture of ``terms`` product
-states.  ``density.sample_states`` draws a whole block of recipes this way; a
-state sampled inside a job has the same bytes as its one-recipe replay.
+states.  ``density.sample_block`` draws a whole block of recipes this way
+(``density.sample_blocks`` feeds it a job one block at a time); a state
+sampled inside a job has the same bytes as its one-recipe replay.
 """
 
 from __future__ import annotations

@@ -99,25 +99,24 @@ class WernerParam:
 class GisinParams:
     """Mixing weight x in (0, 1) and amplitudes a, b with |a|^2+|b|^2 = 1.
 
-    ``slack`` bounds the allowed normalization defect; the published
-    {0.07, 0.99} parameter set misses normalization by 1.5% and is accepted
-    as-is (raw values are kept, nothing is renormalized) so that x_max comes
-    out of the raw product |a b|.
+    ``GISIN_NORM_SLACK`` bounds the allowed normalization defect; the
+    published {0.07, 0.99} parameter set misses normalization by 1.5% and is
+    accepted as-is (raw values are kept, nothing is renormalized) so that
+    x_max comes out of the raw product |a b|.
     """
 
     x: float
     a: complex
     b: complex
-    slack: float = GISIN_NORM_SLACK
 
     def __post_init__(self):
         if not 0.0 < self.x < 1.0:
             raise DomainError(f"Gisin x must lie in (0, 1), got {self.x}")
         defect = abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
-        if defect > self.slack:
+        if defect > GISIN_NORM_SLACK:
             raise DomainError(
                 f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, "
-                f"beyond slack {self.slack}"
+                f"beyond slack {GISIN_NORM_SLACK}"
             )
 
 
@@ -140,8 +139,8 @@ def x_state_matrix(params: XStateParams) -> np.ndarray:
     return mat
 
 
-def x_state(params: XStateParams, tol: float = VALIDATION_TOL) -> DensityMatrix:
-    return make_density(x_state_matrix(params), TWO_QUBIT_SHAPE, tol=tol)
+def x_state(params: XStateParams) -> DensityMatrix:
+    return make_density(x_state_matrix(params), TWO_QUBIT_SHAPE)
 
 
 def x_state_purities(params: XStateParams) -> PuritySet:
@@ -160,22 +159,23 @@ def x_state_purities(params: XStateParams) -> PuritySet:
     return PuritySet(mu12=mu12, mu1=mu1, mu2=mu2, mu_tilde=mt, delta=mt - mu12)
 
 
-def check_eq11(params: XStateParams, tol: float = REPORT_TOL) -> InequalityReport:
+def check_eq11(params: XStateParams) -> InequalityReport:
     """X-state specialization of the purity inequality (lhs as displayed:
     2 sum d_i^2 + 2(d1+d4)(d2+d3) - 1, rhs = mu12)."""
     d1, d2, d3, d4 = params.diag
     sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
     lhs = 2.0 * sq + 2.0 * (d1 + d4) * (d2 + d3) - 1.0
     rhs = sq + 2.0 * (abs(params.c14) ** 2 + abs(params.c23) ** 2)
-    return _report("eq11", lhs, rhs, LEQ_EXPECTED, tol)
+    return _report("eq11", lhs, rhs, LEQ_EXPECTED, REPORT_TOL)
 
 
-def check_eq12(params: XStateParams, tol: float = REPORT_TOL) -> InequalityReport:
+def check_eq12(params: XStateParams) -> InequalityReport:
     """Same lhs as check_eq11 against the closed-form mu_tilde."""
     d1, d2, d3, d4 = params.diag
     sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
     lhs = 2.0 * sq + 2.0 * (d1 + d4) * (d2 + d3) - 1.0
-    return _report("eq12", lhs, x_state_purities(params).mu_tilde, LEQ_EXPECTED, tol)
+    return _report("eq12", lhs, x_state_purities(params).mu_tilde, LEQ_EXPECTED,
+                   REPORT_TOL)
 
 
 def werner_params(p: float | WernerParam) -> XStateParams:
@@ -185,16 +185,12 @@ def werner_params(p: float | WernerParam) -> XStateParams:
     return XStateParams(d1=outer, d2=inner, d3=inner, d4=outer, c14=wp.p / 2.0)
 
 
-def werner_state(p: float | WernerParam, tol: float = VALIDATION_TOL) -> DensityMatrix:
-    return x_state(werner_params(p), tol=tol)
+def werner_state(p: float | WernerParam) -> DensityMatrix:
+    return x_state(werner_params(p))
 
 
-def gisin_x_max(g_or_a: GisinParams | complex, b: complex | None = None) -> float:
+def gisin_x_max(a: complex, b: complex) -> float:
     """Separability threshold 1/(1 + 2|ab|), from the raw amplitudes."""
-    if isinstance(g_or_a, GisinParams):
-        a, b = g_or_a.a, g_or_a.b
-    else:
-        a = g_or_a
     return 1.0 / (1.0 + 2.0 * abs(a * b))
 
 
@@ -208,8 +204,9 @@ def gisin_matrix(g: GisinParams) -> np.ndarray:
     return mat
 
 
-def gisin_state(g: GisinParams, tol: float = VALIDATION_TOL) -> DensityMatrix:
-    """Construct the Gisin state for x <= x_max; raises NotPositive above it.
+def gisin_state(g: GisinParams) -> DensityMatrix:
+    """Construct the Gisin state for x <= x_max + VALIDATION_TOL; raises
+    NotPositive above it.
 
     x_max = 1/(1+2|ab|) is the family's separability (Peres-Horodecki)
     threshold, not a validity threshold: the state is entangled for
@@ -219,10 +216,10 @@ def gisin_state(g: GisinParams, tol: float = VALIDATION_TOL) -> DensityMatrix:
     them like any other matrix.  Raw non-normalized amplitudes surface as
     TraceNotOne.
     """
-    x_max = gisin_x_max(g)
-    if g.x > x_max + tol:
+    x_max = gisin_x_max(g.a, g.b)
+    if g.x > x_max + VALIDATION_TOL:
         raise NotPositive(f"x = {g.x} exceeds x_max = {x_max:.6f}")
-    return make_density(gisin_matrix(g), TWO_QUBIT_SHAPE, tol=tol)
+    return make_density(gisin_matrix(g), TWO_QUBIT_SHAPE)
 
 
 def gisin_closed_forms(g: GisinParams) -> tuple[float, float, float]:
@@ -246,16 +243,16 @@ def beta_params(beta: float | BetaParam) -> XStateParams:
                         c14=outer, c23=inner)
 
 
-def beta_state(beta: float | BetaParam, tol: float = VALIDATION_TOL) -> DensityMatrix:
-    return x_state(beta_params(beta), tol=tol)
+def beta_state(beta: float | BetaParam) -> DensityMatrix:
+    return x_state(beta_params(beta))
 
 
-def xstate_entangled(params: XStateParams, tol: float = ENTANGLE_TOL) -> bool:
-    """Exact entanglement verdict for X-states; boundary cases count as
-    separable."""
+def xstate_entangled(params: XStateParams) -> bool:
+    """Exact entanglement verdict for X-states; boundary cases (within
+    ``ENTANGLE_TOL``) count as separable."""
     return (
-        abs(params.c14) ** 2 > params.d2 * params.d3 + tol
-        or abs(params.c23) ** 2 > params.d1 * params.d4 + tol
+        abs(params.c14) ** 2 > params.d2 * params.d3 + ENTANGLE_TOL
+        or abs(params.c23) ** 2 > params.d1 * params.d4 + ENTANGLE_TOL
     )
 
 
@@ -272,9 +269,9 @@ def _require_ppt_shape(shape: BlockShape) -> None:
         )
 
 
-def ppt_entangled_block(block: DensityBlock, tol: float = ENTANGLE_TOL) -> np.ndarray:
+def ppt_entangled_block(block: DensityBlock) -> np.ndarray:
     """Peres-Horodecki test on every state of a block: a partial transpose
-    with an eigenvalue below -tol means entangled.
+    with an eigenvalue below -ENTANGLE_TOL means entangled.
 
     The partial transposes are taken on the whole stack and each one gets its
     own eigenvalues-only ``hermitian_eig``.  Conclusive (necessary and
@@ -283,15 +280,14 @@ def ppt_entangled_block(block: DensityBlock, tol: float = ENTANGLE_TOL) -> np.nd
     """
     _require_ppt_shape(block.shape)
     transposed = partial_transpose_inner(block.mats, block.shape)
-    smallest = [hermitian_eig(mat, tol=block.tol, vectors=False).values[0]
-                for mat in transposed]
-    return np.array(smallest) < -tol
+    smallest = [hermitian_eig(mat, vectors=False).values[0] for mat in transposed]
+    return np.array(smallest) < -ENTANGLE_TOL
 
 
-def ppt_entangled(rho: DensityMatrix, tol: float = ENTANGLE_TOL) -> bool:
+def ppt_entangled(rho: DensityMatrix) -> bool:
     """Peres-Horodecki verdict of one state: the one-state
     :func:`ppt_entangled_block`."""
-    return bool(ppt_entangled_block(DensityBlock.of(rho), tol)[0])
+    return bool(ppt_entangled_block(DensityBlock.of(rho))[0])
 
 
 def random_x_params(seed: int) -> XStateParams:

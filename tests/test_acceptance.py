@@ -23,11 +23,11 @@ from oracles import (
 )
 from puritylab.density import (
     BlockShape,
+    DensityBlock,
     make_density,
-    partial_trace_over_1,
-    partial_trace_over_2,
     purity_set,
     random_density,
+    reduced_blocks,
 )
 from puritylab.inequalities import audit_reports, delta, find_delta_roots
 from puritylab.linalg import hermitian_eig
@@ -252,10 +252,11 @@ def test_criterion_7_oracle_equivalence():
                                  child_seed(70 + shape.n * 10 + shape.m, k))
             bt = index_block_trace(rho.mat, shape.n, shape.m)
             bs = index_block_sum(rho.mat, shape.n, shape.m)
+            reduced_n, reduced_m = reduced_blocks(DensityBlock.of(rho))
             worst_traces = max(
                 worst_traces,
-                float(np.abs(partial_trace_over_2(rho).mat - bt).max()),
-                float(np.abs(partial_trace_over_1(rho).mat - bs).max()),
+                float(np.abs(reduced_n.mats[0] - bt).max()),
+                float(np.abs(reduced_m.mats[0] - bs).max()),
             )
     ok = worst_closed <= 1e-12 and worst_traces <= 1e-14
     report(

@@ -182,6 +182,24 @@ class TestCheckCommand:
         assert code == 1
         assert "trace" in err
 
+    def test_overflowing_entries_input_error(self, tmp_path):
+        # finite entries whose Hermitian part overflows: an error line on
+        # stderr, no traceback and no floating-point warnings
+        path = tmp_path / "overflow.txt"
+        entries = {(i, j): 0.25 if i == j else 0.0 for i in range(4) for j in range(4)}
+        entries[0, 3] = entries[3, 0] = 1.7e308
+        path.write_text("2 2\n" + "".join(
+            f"{i} {j} {value!r} 0\n" for (i, j), value in entries.items()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "puritylab", "check", str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH="src"),
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "overflows" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unsatisfied_check_exits_two(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "state.txt"
         write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(2, 2)))

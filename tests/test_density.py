@@ -4,16 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import index_block_sum, index_block_trace, werner_matrix
+from puritylab.defaults import VALIDATION_TOL
 from puritylab.density import (
     BlockShape,
+    DensityBlock,
     make_density,
     normalize,
-    partial_trace_over_1,
-    partial_trace_over_2,
     purity,
     purity_set,
     random_density,
     random_separable,
+    reduced_blocks,
     validate_block,
 )
 from puritylab.errors import (
@@ -26,6 +27,7 @@ from puritylab.errors import (
     TraceNotOne,
 )
 from puritylab.linalg import hermitian_eig
+from puritylab.states import GisinParams, gisin_state, gisin_x_max
 
 SHAPE22 = BlockShape(2, 2)
 SHAPES = [BlockShape(2, 2), BlockShape(2, 3), BlockShape(3, 2), BlockShape(4, 2)]
@@ -35,6 +37,12 @@ seeds = st.integers(0, 10**6)
 
 def mixed_state():
     return make_density(np.eye(4) / 4, SHAPE22)
+
+
+def reduced_states(rho):
+    """The validated n x n (over the inner index) and m x m (over the outer
+    index) reduced states of rho."""
+    return [block.state(0) for block in reduced_blocks(DensityBlock.of(rho))]
 
 
 def random_state(shape: BlockShape, seed: int, rank: int | None = None):
@@ -114,17 +122,56 @@ class TestValidateBlock:
             validate_block(np.zeros(shape), SHAPE22)
 
 
+def smallest_eigenvalue_off(dev):
+    """Unit trace, Hermitian, smallest eigenvalue -dev."""
+    return np.diag([0.5 + dev, 0.5, 0.0, -dev]).astype(complex)
+
+
+def hermiticity_off(dev):
+    """Unit trace, PSD Hermitian part, largest entry of m - m^dagger dev."""
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 1] = dev
+    return mat
+
+
+def trace_off(dev):
+    """Hermitian, PSD, trace 1 + dev."""
+    return np.diag([0.25 + dev, 0.25, 0.25, 0.25]).astype(complex)
+
+
+class TestValidationEdges:
+    """Each validation check accepts a defect of half VALIDATION_TOL and
+    rejects one of twice VALIDATION_TOL."""
+
+    @pytest.mark.parametrize("build, error", [
+        (smallest_eigenvalue_off, NotPositive),
+        (hermiticity_off, NotHermitian),
+        (trace_off, TraceNotOne),
+    ], ids=["smallest-eigenvalue", "hermiticity", "trace"])
+    def test_tolerance_edge(self, build, error):
+        assert make_density(build(0.5 * VALIDATION_TOL), SHAPE22) is not None
+        with pytest.raises(error):
+            make_density(build(2.0 * VALIDATION_TOL), SHAPE22)
+
+    def test_gisin_x_max_edge(self):
+        a, b = 0.6, 0.8
+        x_max = gisin_x_max(a, b)
+        gisin_state(GisinParams(x=x_max + 0.5 * VALIDATION_TOL, a=a, b=b))
+        with pytest.raises(NotPositive, match="exceeds x_max"):
+            gisin_state(GisinParams(x=x_max + 2.0 * VALIDATION_TOL, a=a, b=b))
+
+
 class TestPartialTraces:
     def test_mixed_reduces_to_mixed(self):
-        rho = mixed_state()
-        assert np.allclose(partial_trace_over_2(rho).mat, np.eye(2) / 2, atol=1e-15)
-        assert np.allclose(partial_trace_over_1(rho).mat, np.eye(2) / 2, atol=1e-15)
+        over_2, over_1 = reduced_states(mixed_state())
+        assert np.allclose(over_2.mat, np.eye(2) / 2, atol=1e-15)
+        assert np.allclose(over_1.mat, np.eye(2) / 2, atol=1e-15)
 
     @pytest.mark.parametrize("p", [-1 / 3, -0.1, 0.0, 0.25, 1 / 3, 0.9, 1.0])
     def test_werner_reduces_to_mixed(self, p):
-        rho = make_density(werner_matrix(p), SHAPE22)
-        assert np.abs(partial_trace_over_2(rho).mat - np.eye(2) / 2).max() <= 1e-15
-        assert np.abs(partial_trace_over_1(rho).mat - np.eye(2) / 2).max() <= 1e-15
+        over_2, over_1 = reduced_states(make_density(werner_matrix(p), SHAPE22))
+        assert np.abs(over_2.mat - np.eye(2) / 2).max() <= 1e-15
+        assert np.abs(over_1.mat - np.eye(2) / 2).max() <= 1e-15
 
     def test_xstate_block_formulas(self):
         d = np.array([0.35, 0.25, 0.15, 0.25])
@@ -133,11 +180,9 @@ class TestPartialTraces:
         mat[3, 0] = np.conj(mat[0, 3])
         mat[1, 2] = 0.05 - 0.1j
         mat[2, 1] = np.conj(mat[1, 2])
-        rho = make_density(mat, SHAPE22)
-        assert np.allclose(partial_trace_over_2(rho).mat,
-                           np.diag([d[0] + d[1], d[2] + d[3]]), atol=1e-15)
-        assert np.allclose(partial_trace_over_1(rho).mat,
-                           np.diag([d[0] + d[2], d[1] + d[3]]), atol=1e-15)
+        over_2, over_1 = reduced_states(make_density(mat, SHAPE22))
+        assert np.allclose(over_2.mat, np.diag([d[0] + d[1], d[2] + d[3]]), atol=1e-15)
+        assert np.allclose(over_1.mat, np.diag([d[0] + d[2], d[1] + d[3]]), atol=1e-15)
 
     def test_gisin_block_sum(self):
         x, a, b = 0.4, 0.6, 0.8
@@ -145,9 +190,9 @@ class TestPartialTraces:
         mat[0, 0] = mat[3, 3] = (1 - x) / 2
         mat[1, 1], mat[2, 2] = x * a * a, x * b * b
         mat[1, 2] = mat[2, 1] = x * a * b
-        rho = make_density(mat, SHAPE22)
+        _, over_1 = reduced_states(make_density(mat, SHAPE22))
         expected = np.diag([(1 - x) / 2 + x * b * b, x * a * a + (1 - x) / 2])
-        assert np.allclose(partial_trace_over_1(rho).mat, expected, atol=1e-15)
+        assert np.allclose(over_1.mat, expected, atol=1e-15)
 
     @given(seeds, st.sampled_from(SHAPES))
     @settings(max_examples=100)
@@ -155,16 +200,16 @@ class TestPartialTraces:
         rho = random_state(shape, seed)
         bt = index_block_trace(rho.mat, shape.n, shape.m)
         bs = index_block_sum(rho.mat, shape.n, shape.m)
-        assert np.abs(partial_trace_over_2(rho).mat - bt).max() <= 1e-14
-        assert np.abs(partial_trace_over_1(rho).mat - bs).max() <= 1e-14
+        over_2, over_1 = reduced_states(rho)
+        assert np.abs(over_2.mat - bt).max() <= 1e-14
+        assert np.abs(over_1.mat - bs).max() <= 1e-14
 
     @given(seeds, st.sampled_from(SHAPES))
     @settings(max_examples=50)
     def test_reduced_states_are_valid(self, seed, shape):
         rho = random_state(shape, seed)
         # construction re-validates; reaching here without raising is the test
-        partial_trace_over_2(rho)
-        partial_trace_over_1(rho)
+        reduced_states(rho)
 
 
 class TestPurity:
@@ -251,8 +296,9 @@ class TestRandomStates:
 
     def test_separable_single_term_is_product(self):
         rho = random_separable(2, 2, terms=1, seed=4)
-        assert purity(partial_trace_over_2(rho)) == pytest.approx(1.0, abs=1e-10)
-        assert purity(partial_trace_over_1(rho)) == pytest.approx(1.0, abs=1e-10)
+        over_2, over_1 = reduced_states(rho)
+        assert purity(over_2) == pytest.approx(1.0, abs=1e-10)
+        assert purity(over_1) == pytest.approx(1.0, abs=1e-10)
 
     def test_separable_unit_trace(self):
         rho = random_separable(2, 2, terms=6, seed=11)

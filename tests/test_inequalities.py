@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import ginibre, numpy_sqrt_psd, werner_matrix
 from puritylab.density import (
     BlockShape,
+    DensityBlock,
     block_sum_map,
     block_trace_map,
     make_density,
@@ -16,23 +17,16 @@ from puritylab.density import (
     random_density,
     sample_blocks,
 )
-from puritylab.defaults import CLAMP_TOL
+from puritylab.defaults import CLAMP_TOL, REPORT_TOL
 from puritylab.errors import BadInterval, DomainError, NegativeSpectrum
 from puritylab.inequalities import (
     GEQ_EXPECTED,
     LEQ_EXPECTED,
     MinkowskiParams,
-    _sqrt_trace,
+    _sqrt_trace_stack,
     _sqrt_traces,
     audit_reports,
-    check_eq5,
-    check_eq6,
-    check_eq8,
-    check_eq9,
-    check_eq10,
     delta,
-    eq6_rhs,
-    eq8_rhs,
     find_delta_roots,
     minkowski_check,
     mu_tilde,
@@ -62,16 +56,32 @@ def random_state(seed, shape=SHAPE22):
     return random_density(shape.n, shape.m, seed % shape.dim + 1, seed)
 
 
+def check(name, rho, tol=REPORT_TOL):
+    """The report of one inequality (eq5, eq6, eq8, eq9 or eq10) on rho."""
+    return {rep.name: rep for rep in audit_reports(rho, tol)}[name]
+
+
+def sqrt_trace(mat):
+    """Tr A^(1/2) of one PSD Hermitian matrix: a one-matrix stack."""
+    return float(_sqrt_trace_stack(mat[None])[0])
+
+
+def sqrt_traces(rho):
+    """The rhs of eq6 and of eq8 of one state."""
+    s6, s8 = _sqrt_traces(DensityBlock.of(rho))
+    return float(s6[0]), float(s8[0])
+
+
 class TestEq5:
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.5, 1.0])
     def test_werner(self, p):
-        rep = check_eq5(werner(p))
+        rep = check("eq5", werner(p))
         assert rep.lhs == pytest.approx(0.0, abs=1e-14)
         assert rep.rhs == pytest.approx((3 * p * p + 1) / 4, abs=1e-14)
         assert rep.satisfied
 
     def test_pure_product_equality(self):
-        rep = check_eq5(pure_product())
+        rep = check("eq5", pure_product())
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(1.0, abs=1e-12)
         assert abs(rep.margin) <= 1e-12
@@ -80,7 +90,7 @@ class TestEq5:
         from puritylab.states import GisinParams, gisin_state
 
         x, a, b = 0.3, 0.6, 0.8
-        rep = check_eq5(gisin_state(GisinParams(x=x, a=a, b=b)))
+        rep = check("eq5", gisin_state(GisinParams(x=x, a=a, b=b)))
         expected = x * x * (2 * (a ** 4 + b ** 4) - 1)
         assert rep.lhs == pytest.approx(expected, abs=1e-12)
 
@@ -125,7 +135,7 @@ class TestSqrtTrace:
         squared = rho.mat @ rho.mat
         for reduced in (block_trace_map(squared, shape), block_sum_map(squared, shape)):
             rebuilt = float(psd_matrix_power(reduced, 0.5).trace().real)
-            assert abs(_sqrt_trace(reduced) - rebuilt) <= 1e-14 * len(reduced)
+            assert abs(sqrt_trace(reduced) - rebuilt) <= 1e-14 * len(reduced)
 
     def test_clamps_small_negative_eigenvalues(self):
         # the beta state at 1/2 has the eigenvalues 0, 0, 1/2, 1/2; shifted
@@ -135,15 +145,15 @@ class TestSqrtTrace:
         shifted = beta_state(0.5).mat - 1e-12 * np.eye(4)
         assert hermitian_eig(shifted).values[0] < 0.0
         expected = 2.0 * math.sqrt(0.5 - 1e-12)
-        assert _sqrt_trace(shifted) == pytest.approx(expected, abs=1e-15)
+        assert sqrt_trace(shifted) == pytest.approx(expected, abs=1e-15)
         rebuilt = float(psd_matrix_power(shifted, 0.5).trace().real)
-        assert _sqrt_trace(shifted) == pytest.approx(rebuilt, abs=1e-14)
+        assert sqrt_trace(shifted) == pytest.approx(rebuilt, abs=1e-14)
 
     def test_negative_spectrum_below_clamp(self):
         from puritylab.states import beta_state
 
         with pytest.raises(NegativeSpectrum):
-            _sqrt_trace(beta_state(0.5).mat - 2.0 * CLAMP_TOL * np.eye(4))
+            sqrt_trace(beta_state(0.5).mat - 2.0 * CLAMP_TOL * np.eye(4))
 
     @pytest.mark.parametrize("shape", [SHAPE22, BlockShape(2, 3), BlockShape(3, 3)], ids=str)
     def test_one_matrix_equals_block_value(self, shape):
@@ -152,16 +162,16 @@ class TestSqrtTrace:
         s6, s8 = _sqrt_traces(block)
         squared = block.mats @ block.mats
         for i, rho in enumerate(block.states()):
-            assert _sqrt_trace(block_trace_map(squared[i], shape)) == s6[i]
-            assert _sqrt_trace(block_sum_map(squared[i], shape)) == s8[i]
-            assert (eq6_rhs(rho), eq8_rhs(rho)) == (s6[i], s8[i])
+            assert sqrt_trace(block_trace_map(squared[i], shape)) == s6[i]
+            assert sqrt_trace(block_sum_map(squared[i], shape)) == s8[i]
+            assert sqrt_traces(rho) == (s6[i], s8[i])
 
 
 class TestEq6Eq8:
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
     def test_werner_sides(self, p):
-        rep6 = check_eq6(werner(p))
-        rep8 = check_eq8(werner(p))
+        rep6 = check("eq6", werner(p))
+        rep8 = check("eq8", werner(p))
         expected_rhs = math.sqrt(6 * p * p + 2) / 2
         for rep in (rep6, rep8):
             assert rep.lhs == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -169,19 +179,19 @@ class TestEq6Eq8:
             assert rep.satisfied
 
     def test_maximally_mixed_equality(self):
-        rep = check_eq6(mixed())
+        rep = check("eq6", mixed())
         assert rep.lhs == pytest.approx(1 / math.sqrt(2), abs=1e-14)
         assert abs(rep.margin) <= 1e-12
 
     def test_bell_state(self):
-        rep = check_eq6(werner(1.0))
+        rep = check("eq6", werner(1.0))
         assert rep.rhs == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 class TestEq9Eq10:
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_werner_eq10(self, p):
-        rep = check_eq10(werner(p))
+        rep = check("eq10", werner(p))
         assert rep.lhs == pytest.approx(0.0, abs=1e-14)
         assert rep.rhs == pytest.approx(3 * p * p, abs=1e-12)
 
@@ -189,35 +199,23 @@ class TestEq9Eq10:
         from puritylab.states import beta_state
 
         for beta in (0.0, 0.3, 0.5, 1.0):
-            rep = check_eq10(beta_state(beta))
+            rep = check("eq10", beta_state(beta))
             assert rep.lhs == pytest.approx(0.0, abs=1e-14)
             assert rep.rhs == pytest.approx(8 * beta * beta - 8 * beta + 3, abs=1e-12)
 
     def test_maximally_mixed_equality(self):
-        rep = check_eq10(mixed())
+        rep = check("eq10", mixed())
         assert abs(rep.lhs) <= 1e-14
         assert abs(rep.rhs) <= 1e-13
 
     @given(seeds)
     @settings(max_examples=80)
     def test_eq9_on_random_states(self, seed):
-        rep = check_eq9(random_state(seed))
+        rep = check("eq9", random_state(seed))
         assert rep.margin >= -1e-9
 
 
 class TestAuditReports:
-    @given(seeds)
-    @settings(max_examples=40)
-    def test_matches_individual_checks(self, seed):
-        rho = random_state(seed)
-        batched = {rep.name: rep for rep in audit_reports(rho)}
-        singles = [check_eq5(rho), check_eq6(rho), check_eq8(rho),
-                   check_eq9(rho), check_eq10(rho)]
-        assert set(batched) == {"eq5", "eq6", "eq8", "eq9", "eq10"}
-        for single in singles:
-            assert batched[single.name].lhs == pytest.approx(single.lhs, abs=1e-13)
-            assert batched[single.name].rhs == pytest.approx(single.rhs, abs=1e-13)
-
     @given(seeds, st.sampled_from([BlockShape(2, 2), BlockShape(2, 3)]))
     @settings(max_examples=80)
     def test_all_hold_on_random_states(self, seed, shape):
@@ -276,8 +274,10 @@ class TestSymmetries:
         before, after = purity_set(rho), purity_set(swapped)
         assert abs(after.mu1 - before.mu2) <= 1e-10
         assert abs(after.mu2 - before.mu1) <= 1e-10
-        assert abs(eq6_rhs(swapped) - eq8_rhs(rho)) <= tol
-        assert abs(eq8_rhs(swapped) - eq6_rhs(rho)) <= tol
+        s6, s8 = sqrt_traces(rho)
+        swapped6, swapped8 = sqrt_traces(swapped)
+        assert abs(swapped6 - s8) <= tol
+        assert abs(swapped8 - s6) <= tol
         assert abs(after.mu_tilde - before.mu_tilde) <= tol
 
 
@@ -298,8 +298,8 @@ class TestMinkowski:
     @settings(max_examples=40)
     def test_consistent_with_eq6_eq8(self, seed):
         rho = random_state(seed)
-        rep6 = check_eq6(rho)
-        rep8 = check_eq8(rho)
+        rep6 = check("eq6", rho)
+        rep8 = check("eq8", rho)
         mink21 = minkowski_check(rho, MinkowskiParams(p=2.0, q=1.0))
         mink12 = minkowski_check(rho, MinkowskiParams(p=1.0, q=2.0))
         # (p,q)=(2,1): lhs^2 = mu2, rhs = eq6 rhs;  (p,q)=(1,2): reversed
@@ -383,11 +383,11 @@ class TestFindDeltaRoots:
 
 class TestReportFields:
     def test_margin_sign_convention(self):
-        rep = check_eq5(werner(0.8))
+        rep = check("eq5", werner(0.8))
         assert rep.direction == LEQ_EXPECTED
         assert rep.margin == pytest.approx(rep.rhs - rep.lhs, abs=0)
         assert rep.satisfied == (rep.margin >= -rep.tol)
 
     def test_reports_record_tolerance(self):
-        rep = check_eq10(mixed(), tol=1e-6)
+        rep = check("eq10", mixed(), tol=1e-6)
         assert rep.tol == 1e-6

@@ -167,6 +167,16 @@ class TestDirectLapack:
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             hermitian_eig(random_hermitian(3, 5), vectors=vectors)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_overflowing_hermitian_part_is_domain_error(self, dim, vectors):
+        # finite and Hermitian, but m + m^dagger overflows to Inf
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[0, 0] = mat[-1, 0] = mat[0, -1] = 1.7e308
+        with pytest.raises(DomainError, match="overflows"):
+            hermitian_eig(mat, vectors=vectors)
+
 
 class TestClampSpectra:
     def test_zeroes_the_clamp_band_only(self):

@@ -13,7 +13,7 @@ from puritylab.errors import (
     ShapeUnsupported,
     TraceNotOne,
 )
-from puritylab.inequalities import check_eq5, check_eq10
+from puritylab.inequalities import audit_reports
 from puritylab.linalg import hermitian_eig
 from puritylab.states import (
     BetaParam,
@@ -143,19 +143,19 @@ class TestEq11Eq12:
     @settings(max_examples=100)
     def test_margins_match_generic_checks(self, seed):
         params = random_x_params(seed)
-        rho = x_state(params)
+        reports = {rep.name: rep for rep in audit_reports(x_state(params))}
         assert check_eq11(params).margin == pytest.approx(
-            check_eq5(rho).margin, abs=1e-12)
+            reports["eq5"].margin, abs=1e-12)
         assert check_eq12(params).margin == pytest.approx(
-            check_eq10(rho).margin, abs=1e-12)
+            reports["eq10"].margin, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.4, 0.9])
     def test_werner_margins(self, p):
-        rho = werner_state(p)
+        reports = {rep.name: rep for rep in audit_reports(werner_state(p))}
         assert check_eq11(werner_params(p)).margin == pytest.approx(
-            check_eq5(rho).margin, abs=1e-12)
+            reports["eq5"].margin, abs=1e-12)
         assert check_eq12(werner_params(p)).margin == pytest.approx(
-            check_eq10(rho).margin, abs=1e-12)
+            reports["eq10"].margin, abs=1e-12)
 
 
 class TestWerner:
@@ -205,7 +205,7 @@ class TestGisin:
             GisinParams(x=0.5, a=1.5, b=0.0)
         # the non-normalized reference pair is accepted at params level
         g = GisinParams(x=0.5, a=0.07, b=0.99)
-        assert gisin_x_max(g) == pytest.approx(0.878, abs=1e-3)
+        assert gisin_x_max(g.a, g.b) == pytest.approx(0.878, abs=1e-3)
 
     def test_raw_non_normalized_matrix_fails_trace(self):
         with pytest.raises(TraceNotOne):
