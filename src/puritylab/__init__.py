@@ -8,7 +8,6 @@ from .density import (
     block_sum_map,
     block_trace_map,
     make_density,
-    normalize,
     partial_transpose_inner,
     purity,
     purity_set,
@@ -25,11 +24,7 @@ from .inequalities import (
     minkowski_check,
     mu_tilde,
 )
-from .linalg import (
-    HermitianEigen,
-    hermitian_eig,
-    psd_matrix_power,
-)
+from .linalg import HermitianEigen, hermitian_eig
 from .prng import SplitMix64, child_seed
 from .states import (
     BetaParam,
@@ -41,6 +36,7 @@ from .states import (
     check_eq11,
     check_eq12,
     gisin_closed_forms,
+    gisin_params,
     gisin_state,
     gisin_x_max,
     ppt_entangled,

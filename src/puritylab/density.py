@@ -29,12 +29,7 @@ from .errors import (
     SpecError,
     TraceNotOne,
 )
-from .linalg import (
-    _square,
-    as_square_matrix,
-    hermitian_eig,
-    hermiticity_defect,
-)
+from .linalg import _square, hermitian_eig, hermiticity_defect
 from .prng import complex_normals, stream_uniforms
 
 
@@ -115,11 +110,13 @@ def validate_block(mats, shape: BlockShape) -> DensityBlock:
     """Validate a (B, N, N) stack of matrices as density matrices: Hermitian,
     unit trace and no eigenvalue below zero, each within ``VALIDATION_TOL``.
 
-    The finiteness, Hermiticity and trace checks run once on the whole stack;
-    positivity takes one eigenvalues-only ``hermitian_eig`` per state.  A
-    stack with a bad state raises the error :func:`make_density` raises for
-    the first one.  The stack is copied and stored read-only; nothing is
-    repaired.
+    The finiteness, Hermiticity and trace checks run once on the whole stack,
+    and so does the entry bound |rho_ij| <= 1 that every unit-trace PSD
+    matrix meets; an entry beyond it raises NotPositive without an
+    eigensolve (LAPACK need not converge on such a matrix).  Positivity then
+    takes one eigenvalues-only ``hermitian_eig`` per state.  A stack with a
+    bad state raises the error :func:`make_density` raises for the first
+    one.  The stack is copied and stored read-only; nothing is repaired.
     """
     arr = np.array(mats, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or min(arr.shape) < 1:
@@ -130,7 +127,9 @@ def validate_block(mats, shape: BlockShape) -> DensityBlock:
     with np.errstate(all="ignore"):
         defect = hermiticity_defect(arr)
         trace_dev = np.abs(arr.trace(axis1=1, axis2=2) - 1.0)
+        peak = np.abs(arr).max(axis=(1, 2))
         passing = np.maximum(defect, trace_dev) <= VALIDATION_TOL  # NaN compares False
+        passing &= peak <= 1.0 + VALIDATION_TOL
         first_bad = int(passing.argmin())
         if arr.shape[1] != shape.dim:
             first_bad = 0
@@ -141,34 +140,41 @@ def validate_block(mats, shape: BlockShape) -> DensityBlock:
             if smallest < -VALIDATION_TOL:
                 raise NotPositive(
                     f"smallest eigenvalue {smallest:.3e} below -{VALIDATION_TOL:.3e}")
-    if first_bad < len(arr):
-        _raise_invalid(defect[first_bad], trace_dev[first_bad], arr.shape[1], shape)
+        if first_bad < len(arr):
+            _raise_invalid(arr[first_bad], defect[first_bad], trace_dev[first_bad],
+                           peak[first_bad], shape)
     arr.flags.writeable = False
     return DensityBlock(mats=arr, shape=shape)
 
 
-def _raise_invalid(defect: float, trace_dev: float, dim: int, shape: BlockShape) -> None:
+def _raise_invalid(mat: np.ndarray, defect: float, trace_dev: float, peak: float,
+                   shape: BlockShape) -> None:
     """Raise the first validation error of one state that failed a stacked check."""
     if not np.isfinite(defect):
         raise DomainError("matrix contains NaN or Inf entries")
-    if dim != shape.dim:
+    if len(mat) != shape.dim:
         raise ShapeMismatch(
-            f"matrix dimension {dim} does not match block shape "
+            f"matrix dimension {len(mat)} does not match block shape "
             f"({shape.n}, {shape.m}) with n*m = {shape.dim}"
         )
     if defect > VALIDATION_TOL:
         raise NotHermitian(
             f"hermiticity defect {defect:.3e} exceeds tol {VALIDATION_TOL:.3e}")
-    raise TraceNotOne(
-        f"trace deviates from 1 by {trace_dev:.3e} (tol {VALIDATION_TOL:.3e})")
+    if trace_dev > VALIDATION_TOL:
+        raise TraceNotOne(
+            f"trace deviates from 1 by {trace_dev:.3e} (tol {VALIDATION_TOL:.3e})")
+    if not np.isfinite(mat + mat.conj().T).all():
+        raise DomainError("Hermitian part (m + m^dagger)/2 overflows to Inf")
+    raise NotPositive(
+        f"largest entry modulus {peak:.3e} exceeds 1 by {peak - 1.0:.3e} "
+        f"(tol {VALIDATION_TOL:.3e}); no entry of a unit-trace PSD matrix does")
 
 
 def make_density(mat, shape: BlockShape) -> DensityMatrix:
     """Validate and wrap a matrix as a density matrix: a one-state
     :func:`validate_block`.
 
-    The input is stored as given; nothing is renormalized or repaired.  Use
-    :func:`normalize` explicitly when a sweep needs trace repair.
+    The input is stored as given; nothing is renormalized or repaired.
     """
     return validate_block(_square(mat)[None], shape).state(0)
 
@@ -220,15 +226,6 @@ def purity_set(rho: DensityMatrix) -> PuritySet:
     from .inequalities import purity_sets
 
     return purity_sets(DensityBlock.of(rho))[0]
-
-
-def normalize(mat) -> np.ndarray:
-    """Divide by the trace; explicit repair path for sweep tooling."""
-    arr = as_square_matrix(mat)
-    tr = complex(arr.trace())
-    if abs(tr) == 0.0:
-        raise TraceNotOne("cannot normalize a traceless matrix")
-    return arr / tr
 
 
 # Recipes drawn per numpy pass.  Larger blocks raise peak memory: blocks of

@@ -18,10 +18,6 @@ class NegativeSpectrum(PurityLabError):
     pass
 
 
-class ZeroToNegativePower(PurityLabError):
-    pass
-
-
 class DimMismatch(PurityLabError):
     pass
 

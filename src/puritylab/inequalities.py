@@ -21,10 +21,14 @@ The general check evaluates
     lhs = (Tr[(block_sum(rho^q))^(p/q)])^(1/p)
     rhs = (Tr[(block_trace(rho^p))^(q/p)])^(1/q)
 
-with lhs <= rhs expected for 1 <= q <= p and the reverse otherwise; eq6 is
-the (p, q) = (2, 1) case and eq8 the (p, q) = (1, 2) case.  Parameter pairs
-with min(p, q) < 1 fall outside both regimes exercised here and are flagged
-as untested in the report; the check still measures both sides.
+with lhs <= rhs expected for q <= p and the reverse for q > p; at p = q both
+sides equal (Tr rho^p)^(1/p).  eq6 is the (p, q) = (2, 1) case and eq8 the
+(p, q) = (1, 2) case.  For min(p, q) >= 1 the direction is that of the
+Minkowski-type trace inequality (Carlen & Lieb 2008, Lett. Math. Phys.
+83:107).  For min(p, q) < 1 it is measured,
+not proved: on full-rank Ginibre states of shapes 2x2, 2x3, 3x2 and 3x3,
+lhs <= rhs held whenever q < p and lhs >= rhs whenever q > p.  Such pairs
+are flagged untested in the report.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .density import (
     reduced_blocks,
 )
 from .errors import BadInterval, DomainError
-from .linalg import clamp_spectra, hermitian_eig, psd_matrix_power
+from .linalg import clamp_spectra, hermitian_eig
 
 LEQ_EXPECTED = "<="
 GEQ_EXPECTED = ">="
@@ -80,7 +84,7 @@ class MinkowskiParams:
 
     @property
     def expects_leq(self) -> bool:
-        return 1.0 <= self.q <= self.p
+        return self.q <= self.p
 
     @property
     def untested(self) -> bool:
@@ -97,20 +101,20 @@ def _report(name: str, lhs: float, rhs: float, direction: str, tol: float,
     )
 
 
-def _sqrt_trace_stack(mats: np.ndarray) -> np.ndarray:
-    """Trace of the spectral square root of every PSD Hermitian matrix of a
-    stack: the row sums of the square roots of the clamped eigenvalues (see
-    ``clamp_spectra``), with one ``hermitian_eig`` per matrix."""
+def _power_traces(mats: np.ndarray, exponent: float) -> np.ndarray:
+    """Tr A^exponent of every PSD Hermitian matrix A of a stack, for a
+    positive exponent: the row sums of the powers of the clamped eigenvalues
+    (see ``clamp_spectra``), with one ``hermitian_eig`` per matrix."""
     values = np.array([hermitian_eig(a).values for a in mats])
-    return np.sqrt(clamp_spectra(values)).sum(axis=1)
+    return (clamp_spectra(values) ** exponent).sum(axis=1)
 
 
 def _sqrt_traces(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:
     """Tr[(block_trace(rho^2))^(1/2)] and Tr[(block_sum(rho^2))^(1/2)] of
     every state of a block (the rhs of eq6 and of eq8)."""
     squared = block.mats @ block.mats
-    return (_sqrt_trace_stack(block_trace_map(squared, block.shape)),
-            _sqrt_trace_stack(block_sum_map(squared, block.shape)))
+    return (_power_traces(block_trace_map(squared, block.shape), 0.5),
+            _power_traces(block_sum_map(squared, block.shape), 0.5))
 
 
 def mu_tilde_block(block: DensityBlock) -> np.ndarray:
@@ -177,15 +181,19 @@ def minkowski_check(rho: DensityMatrix, params: MinkowskiParams) -> InequalityRe
 
     This is a measurement tool, not an assertion: the report is returned
     regardless of satisfaction, with the expected direction taken from
-    ``params`` and pairs outside the exercised regimes flagged untested.
+    ``params`` and pairs outside the proved regime flagged untested.  rho is
+    decomposed once; rho^q and rho^p are built from its clamped spectrum, and
+    the outer traces are read from the spectra of their reductions.
     """
     p, q = params.p, params.q
-    rho_q = psd_matrix_power(rho.mat, q)
-    rho_p = psd_matrix_power(rho.mat, p)
-    inner_lhs = psd_matrix_power(block_sum_map(rho_q, rho.shape), p / q)
-    inner_rhs = psd_matrix_power(block_trace_map(rho_p, rho.shape), q / p)
-    lhs = float(inner_lhs.trace().real) ** (1.0 / p)
-    rhs = float(inner_rhs.trace().real) ** (1.0 / q)
+    eigen = hermitian_eig(rho.mat)
+    values, vecs = clamp_spectra(eigen.values), eigen.vectors
+    rho_q = (vecs * values ** q) @ vecs.conj().T
+    rho_p = (vecs * values ** p) @ vecs.conj().T
+    inner_lhs = _power_traces(block_sum_map(rho_q, rho.shape)[None], p / q)
+    inner_rhs = _power_traces(block_trace_map(rho_p, rho.shape)[None], q / p)
+    lhs = float(inner_lhs[0]) ** (1.0 / p)
+    rhs = float(inner_rhs[0]) ** (1.0 / q)
     direction = LEQ_EXPECTED if params.expects_leq else GEQ_EXPECTED
     return _report("minkowski", lhs, rhs, direction, REPORT_TOL, untested=params.untested)
 

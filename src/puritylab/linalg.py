@@ -1,12 +1,12 @@
-"""Dense complex Hermitian eigendecomposition and spectral matrix functions.
+"""Dense complex Hermitian eigendecomposition and clamped PSD spectra.
 
 Every eigensolve in the package goes through ``hermitian_eig``, which checks
 Hermiticity and hands the Hermitian part to LAPACK through the gufuncs behind
 ``numpy.linalg.eigh`` and ``numpy.linalg.eigvalsh`` (``eigh_lo`` and
 ``eigvalsh_lo`` of numpy's private ``_umath_linalg``), without numpy's
 per-call shape, dtype and error-state wrapper: ``hermitian_eig`` has already
-made the matrix square, finite and complex128.  The clamped spectra and
-spectral powers of positive-semidefinite matrices are built on it.
+made the matrix square, finite and complex128.  The clamped spectra of
+positive-semidefinite matrices are built on it.
 """
 
 from __future__ import annotations
@@ -18,27 +18,13 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
 
 from .defaults import CLAMP_TOL, VALIDATION_TOL
-from .errors import (
-    DimMismatch,
-    DomainError,
-    NegativeSpectrum,
-    NotHermitian,
-    ZeroToNegativePower,
-)
+from .errors import DimMismatch, DomainError, NegativeSpectrum, NotHermitian
 
 
 def _square(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimMismatch(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
-def as_square_matrix(mat) -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
-    arr = _square(mat)
-    if not np.isfinite(arr).all():
-        raise DomainError("matrix contains NaN or Inf entries")
     return arr
 
 
@@ -115,20 +101,3 @@ def clamp_spectra(values: np.ndarray) -> np.ndarray:
         raise NegativeSpectrum(
             f"smallest eigenvalue {smallest[below[0]]:.3e} below -{CLAMP_TOL:.3e}")
     return np.maximum(values, 0.0)
-
-
-def psd_matrix_power(mat, exponent: float) -> np.ndarray:
-    """Spectral power of a positive-semidefinite Hermitian matrix.
-
-    Eigenvalues are clamped by :func:`clamp_spectra`, so numerically rounded
-    PSD inputs never produce complex powers; a clamped zero eigenvalue
-    combined with a negative exponent raises ZeroToNegativePower.
-    """
-    eigen = hermitian_eig(mat)
-    values = clamp_spectra(eigen.values)
-    if exponent < 0.0 and (values == 0.0).any():
-        raise ZeroToNegativePower(
-            f"exponent {exponent} applied to a zero (clamped) eigenvalue"
-        )
-    out = (eigen.vectors * values ** exponent) @ eigen.vectors.conj().T
-    return 0.5 * (out + out.conj().T)

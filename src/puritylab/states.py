@@ -194,32 +194,30 @@ def gisin_x_max(a: complex, b: complex) -> float:
     return 1.0 / (1.0 + 2.0 * abs(a * b))
 
 
-def gisin_matrix(g: GisinParams) -> np.ndarray:
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    mat[0, 0] = mat[3, 3] = (1.0 - g.x) / 2.0
-    mat[1, 1] = g.x * abs(g.a) ** 2
-    mat[2, 2] = g.x * abs(g.b) ** 2
-    mat[1, 2] = g.x * g.a * np.conj(g.b)
-    mat[2, 1] = np.conj(mat[1, 2])
-    return mat
+def gisin_params(g: GisinParams) -> XStateParams:
+    """X-state parameters of the Gisin state: populations (1-x)/2, x|a|^2,
+    x|b|^2, (1-x)/2 and coherence c23 = x a b*.  Defined for every x, since
+    these matrices are PSD on both sides of x_max; raw amplitudes off
+    |a|^2 + |b|^2 = 1 raise TraceNotOne."""
+    outer = (1.0 - g.x) / 2.0
+    return XStateParams(d1=outer, d2=g.x * abs(g.a) ** 2, d3=g.x * abs(g.b) ** 2,
+                        d4=outer, c23=complex(g.x * g.a * np.conj(g.b)))
 
 
 def gisin_state(g: GisinParams) -> DensityMatrix:
-    """Construct the Gisin state for x <= x_max + VALIDATION_TOL; raises
-    NotPositive above it.
+    """The Gisin state for x <= x_max + VALIDATION_TOL.
 
     x_max = 1/(1+2|ab|) is the family's separability (Peres-Horodecki)
     threshold, not a validity threshold: the state is entangled for
-    x > x_max, and the matrices there are still PSD with unit trace.  This
-    constructor nevertheless refuses them; build them with
-    ``make_density(gisin_matrix(g), TWO_QUBIT_SHAPE)``, which validates
-    them like any other matrix.  Raw non-normalized amplitudes surface as
-    TraceNotOne.
+    x > x_max, where this constructor raises DomainError although the
+    matrices are PSD with unit trace; ``x_state(gisin_params(g))`` builds
+    them.  Raw non-normalized amplitudes surface as TraceNotOne.
     """
     x_max = gisin_x_max(g.a, g.b)
     if g.x > x_max + VALIDATION_TOL:
-        raise NotPositive(f"x = {g.x} exceeds x_max = {x_max:.6f}")
-    return make_density(gisin_matrix(g), TWO_QUBIT_SHAPE)
+        raise DomainError(
+            f"x = {g.x} exceeds the separability threshold x_max = {x_max:.6f}")
+    return x_state(gisin_params(g))
 
 
 def gisin_closed_forms(g: GisinParams) -> tuple[float, float, float]:

@@ -24,7 +24,6 @@ from oracles import (
 from puritylab.density import (
     BlockShape,
     DensityBlock,
-    make_density,
     purity_set,
     random_density,
     reduced_blocks,
@@ -35,7 +34,7 @@ from puritylab.prng import child_seed
 from puritylab.states import (
     GisinParams,
     _gisin_closed,
-    gisin_matrix,
+    gisin_params,
     gisin_state,
     gisin_x_max,
     ppt_entangled,
@@ -162,13 +161,13 @@ def test_criterion_4b_gisin_delta_root_near_x_max():
     below_ok = all(r < x_max for r in roots)
 
     # One midpoint per interval cut by the roots; the last lies above x_max,
-    # where gisin_state refuses, so the matrix goes through make_density.
+    # where gisin_state refuses, so the state is built from gisin_params.
     ends = [0.0, *roots, 1.0]
     mids = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
     signs = []
     worst = 0.0
     for x in mids:
-        rho = make_density(gisin_matrix(GisinParams(x=x, a=a, b=b)), SHAPE22)
+        rho = x_state(gisin_params(GisinParams(x=x, a=a, b=b)))
         d = purity_set(rho).delta
         signs.append(1 if d > 0 else -1)
         worst = max(worst, abs(d - closed_delta(x)))

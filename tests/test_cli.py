@@ -200,6 +200,24 @@ class TestCheckCommand:
         assert "overflows" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_overflowing_spectrum_input_error(self, tmp_path):
+        # Hermitian part finite, but LAPACK does not converge on it: the
+        # entry bound |rho_ij| <= 1 rejects the file before any eigensolve
+        path = tmp_path / "spectrum.txt"
+        entries = {(i, j): 8e307 for i in range(9) for j in range(9) if i != j}
+        entries.update({(i, i): 1.0 if i == 0 else 0.0 for i in range(9)})
+        path.write_text("3 3\n" + "".join(
+            f"{i} {j} {value!r} 0\n" for (i, j), value in sorted(entries.items())))
+        proc = subprocess.run(
+            [sys.executable, "-m", "puritylab", "check", str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH="src"),
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "largest entry modulus 8.000e+307" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unsatisfied_check_exits_two(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "state.txt"
         write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(2, 2)))

@@ -9,7 +9,6 @@ from puritylab.density import (
     BlockShape,
     DensityBlock,
     make_density,
-    normalize,
     purity,
     purity_set,
     random_density,
@@ -88,8 +87,8 @@ class TestMakeDensity:
     def test_no_silent_renormalization(self):
         with pytest.raises(TraceNotOne):
             make_density(np.eye(4), SHAPE22)
-        repaired = normalize(np.eye(4))
-        assert make_density(repaired, SHAPE22) is not None
+        mat = np.eye(4) / 4
+        assert make_density(mat, SHAPE22).mat.tobytes() == mat.astype(complex).tobytes()
 
 
 class TestValidateBlock:
@@ -157,8 +156,23 @@ class TestValidationEdges:
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
         gisin_state(GisinParams(x=x_max + 0.5 * VALIDATION_TOL, a=a, b=b))
-        with pytest.raises(NotPositive, match="exceeds x_max"):
+        with pytest.raises(DomainError, match="separability threshold x_max"):
             gisin_state(GisinParams(x=x_max + 2.0 * VALIDATION_TOL, a=a, b=b))
+
+    def test_entry_bound_edge(self, eigh_counts):
+        # a unit-trace PSD matrix has |rho_ij| <= 1: a pure state with
+        # rho_00 = 1 passes, an entry of modulus 1 + 2 tol fails before any
+        # eigensolve
+        pure = np.zeros((4, 4), dtype=complex)
+        pure[0, 0] = 1.0
+        assert make_density(pure, SHAPE22) is not None
+        for per_dim in eigh_counts.values():
+            per_dim.clear()
+        bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        bad[0, 1] = bad[1, 0] = 1.0 + 2.0 * VALIDATION_TOL
+        with pytest.raises(NotPositive, match="entry modulus .* exceeds 1 by 2.000e-10"):
+            make_density(bad, SHAPE22)
+        assert not any(eigh_counts.values())
 
 
 class TestPartialTraces:

@@ -13,7 +13,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from puritylab import linalg
 from puritylab.cli import cli_main
 from puritylab.density import (
     SAMPLE_BLOCK,
@@ -25,7 +24,14 @@ from puritylab.density import (
 )
 from puritylab.errors import ShapeMismatch
 from puritylab.fileio import write_matrix_file
-from puritylab.inequalities import audit_block, audit_reports, delta, delta_block
+from puritylab.inequalities import (
+    MinkowskiParams,
+    audit_block,
+    audit_reports,
+    delta,
+    delta_block,
+    minkowski_check,
+)
 from puritylab.prng import child_seed
 from puritylab.states import (
     ppt_entangled,
@@ -94,26 +100,6 @@ def test_block_of_mixed_shapes_refused():
         DensityBlock.stack([random_density(2, 2, 1, 1), random_density(4, 1, 1, 1)])
 
 
-@pytest.fixture
-def eigh_counts(monkeypatch):
-    """Count LAPACK eigensolves per matrix dimension, with eigenvectors
-    (``eigh_lo``, the gufunc of numpy.linalg.eigh) and without (``eigvalsh_lo``)
-    separately: ``counts["eigh"][dim]``, ``counts["eigvalsh"][dim]``."""
-    counts = {"eigh": Counter(), "eigvalsh": Counter()}
-
-    def counting(name):
-        real = getattr(linalg, f"{name}_lo")
-
-        def counted(a, *args, **kwargs):
-            counts[name][np.shape(a)[-1]] += 1
-            return real(a, *args, **kwargs)
-        return counted
-
-    for name in counts:
-        monkeypatch.setattr(linalg, f"{name}_lo", counting(name))
-    return counts
-
-
 def split(counts) -> dict[str, dict[int, int]]:
     return {name: dict(per_dim) for name, per_dim in counts.items()}
 
@@ -153,3 +139,15 @@ def test_sweep_eigensolves_per_valid_row(eigh_counts):
     assert 0 < valid < len(rows)
     assert split(eigh_counts) == {"eigvalsh": {4: valid, 2: 2 * valid},
                                   "eigh": {2: 2 * valid}}
+
+
+@pytest.mark.parametrize("shape", [BlockShape(2, 3), BlockShape(3, 3)], ids=str)
+def test_minkowski_eigensolves_per_call(shape, eigh_counts):
+    # one decomposition of rho, one of each reduction
+    rho = random_density(shape.n, shape.m, shape.dim, 3)
+    for per_dim in eigh_counts.values():
+        per_dim.clear()
+    minkowski_check(rho, MinkowskiParams(p=3.0, q=2.0))
+    expected = Counter({shape.dim: 1})
+    expected.update([shape.n, shape.m])
+    assert split(eigh_counts) == {"eigvalsh": {}, "eigh": dict(expected)}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import werner_matrix
-from puritylab.density import BlockShape, make_density, purity, purity_set
+from puritylab.density import purity, purity_set
 from puritylab.errors import (
     DomainError,
     NotPositive,
@@ -25,7 +25,7 @@ from puritylab.states import (
     check_eq11,
     check_eq12,
     gisin_closed_forms,
-    gisin_matrix,
+    gisin_params,
     gisin_state,
     gisin_x_max,
     ppt_entangled,
@@ -38,7 +38,6 @@ from puritylab.states import (
 )
 from puritylab.states import _gisin_closed
 
-SHAPE22 = BlockShape(2, 2)
 seeds = st.integers(0, 10**6)
 
 BELL_PARAMS = XStateParams(0.5, 0.0, 0.0, 0.5, c14=0.5)
@@ -192,8 +191,24 @@ class TestGisin:
         assert abs(complex(rho.mat.trace()) - 1.0) <= 1e-15
 
     def test_rejected_above_x_max(self):
-        with pytest.raises(NotPositive):
-            gisin_state(GisinParams(x=0.75, a=0.2, b=math.sqrt(1 - 0.04)))
+        # PSD with unit trace, but past the separability threshold
+        g = GisinParams(x=0.75, a=0.2, b=math.sqrt(1 - 0.04))
+        with pytest.raises(DomainError, match="separability threshold"):
+            gisin_state(g)
+        assert float(hermitian_eig(x_state(gisin_params(g)).mat).values[0]) >= -1e-15
+
+    @pytest.mark.parametrize("x, a, b", [(0.3, 0.6, 0.8), (0.9, 0.6, 0.8),
+                                         (0.5, 0.6j, 0.8), (0.7, 1.0, 0.0)])
+    def test_params_build_the_gisin_matrix(self, x, a, b):
+        # the matrix written out entry by entry, on both sides of x_max
+        expected = np.zeros((4, 4), dtype=np.complex128)
+        expected[0, 0] = expected[3, 3] = (1.0 - x) / 2.0
+        expected[1, 1] = x * abs(a) ** 2
+        expected[2, 2] = x * abs(b) ** 2
+        expected[1, 2] = x * a * np.conj(b)
+        expected[2, 1] = np.conj(expected[1, 2])
+        rho = x_state(gisin_params(GisinParams(x=x, a=a, b=b)))
+        assert rho.mat.tobytes() == expected.tobytes()
 
     def test_diagonal_family_valid_everywhere(self):
         for x in np.linspace(0.05, 0.95, 10):
@@ -305,7 +320,7 @@ class TestEntanglement:
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
         for x in (0.2, x_max - 0.01, x_max + 0.01, 0.9):
-            rho = make_density(gisin_matrix(GisinParams(x=x, a=a, b=b)), SHAPE22)
+            rho = x_state(gisin_params(GisinParams(x=x, a=a, b=b)))
             assert ppt_entangled(rho) == (x > x_max)
 
     def test_unsupported_shape(self):
