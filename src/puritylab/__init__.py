@@ -1,35 +1,29 @@
-"""Purity parameters, block partial traces and Minkowski-type trace
-inequalities for bipartite and single-qudit density matrices."""
+"""Purity parameters, block partial traces and the purity inequalities of
+bipartite and single-qudit density matrices."""
 
 from .density import (
     BlockShape,
     DensityMatrix,
-    PuritySet,
     block_sum_map,
     block_trace_map,
     make_density,
     partial_transpose_inner,
     purity,
-    purity_set,
     random_density,
     random_separable,
-    sample_states,
 )
 from .inequalities import (
     InequalityReport,
-    MinkowskiParams,
+    PuritySet,
     audit_reports,
     delta,
     find_delta_roots,
-    minkowski_check,
-    mu_tilde,
+    purity_set,
 )
 from .linalg import HermitianEigen, hermitian_eig
 from .prng import SplitMix64, child_seed
 from .states import (
-    BetaParam,
     GisinParams,
-    WernerParam,
     XStateParams,
     beta_params,
     beta_state,

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .defaults import REPORT_TOL, SWEEP_POINTS
-from .density import BlockShape, purity_set, sample_blocks
+from .density import BlockShape, sample_blocks
 from .errors import IoError, PurityLabError
 from .fileio import (
     csv_lines,
@@ -28,7 +28,7 @@ from .fileio import (
     scan_report_json,
     write_scan_report,
 )
-from .inequalities import audit_block, audit_reports
+from .inequalities import audit_block, audit_reports, purity_set
 from .prng import child_seed
 from .sweep import FAMILIES, SweepSpec, run_sweep, scan_conjecture
 
@@ -160,7 +160,7 @@ def _cmd_check(args) -> int:
     for rep in reports:
         failed |= not rep.satisfied
         print(f"{rep.name}: lhs={format_value(rep.lhs)} "
-              f"rhs={format_value(rep.rhs)} expected={rep.direction} "
+              f"rhs={format_value(rep.rhs)} expected=<= "
               f"margin={format_value(rep.margin)} "
               f"satisfied={'true' if rep.satisfied else 'false'}")
     return 2 if failed else 0

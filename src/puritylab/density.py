@@ -59,21 +59,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class PuritySet:
-    """The four purity scalars of one state and their difference.
-
-    ``delta`` is ``mu_tilde - mu12``, the quantity whose sign the
-    entanglement scans track.
-    """
-
-    mu12: float
-    mu1: float
-    mu2: float
-    mu_tilde: float
-    delta: float
-
-
-@dataclass(frozen=True)
 class DensityBlock:
     """Validated states of one block shape, stacked as a read-only
     (B, N, N) array; the unit the sampled jobs are evaluated in."""
@@ -101,9 +86,6 @@ class DensityBlock:
 
     def state(self, index: int) -> DensityMatrix:
         return DensityMatrix(mat=self.mats[index], shape=self.shape)
-
-    def states(self) -> list[DensityMatrix]:
-        return [self.state(i) for i in range(len(self.mats))]
 
 
 def validate_block(mats, shape: BlockShape) -> DensityBlock:
@@ -221,13 +203,6 @@ def purity(rho: DensityMatrix) -> float:
     return float(purities(rho.mat))
 
 
-def purity_set(rho: DensityMatrix) -> PuritySet:
-    """All four purity scalars of one state, plus delta = mu_tilde - mu12."""
-    from .inequalities import purity_sets
-
-    return purity_sets(DensityBlock.of(rho))[0]
-
-
 # Recipes drawn per numpy pass.  Larger blocks raise peak memory: blocks of
 # 1024 added 3.9 MB to the peak of a 500-state 3x3 audit, blocks of 64 about
 # 0.2-0.4 MB.
@@ -323,12 +298,6 @@ def sample_blocks(shape: BlockShape, recipes) -> Iterator[DensityBlock]:
     pending = iter(recipes)
     while recipe_block := list(islice(pending, SAMPLE_BLOCK)):
         yield sample_block(shape, recipe_block)
-
-
-def sample_states(shape: BlockShape, recipes) -> Iterator[DensityMatrix]:
-    """Yield the state of each recipe of :func:`sample_blocks`, one by one."""
-    for block in sample_blocks(shape, recipes):
-        yield from block.states()
 
 
 def random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityMatrix:

@@ -42,12 +42,11 @@ from .density import (
     BlockShape,
     DensityBlock,
     DensityMatrix,
-    PuritySet,
     make_density,
     partial_transpose_inner,
 )
 from .errors import DomainError, NotPositive, ShapeUnsupported, TraceNotOne
-from .inequalities import LEQ_EXPECTED, InequalityReport, _report
+from .inequalities import InequalityReport, PuritySet, _report
 from .linalg import hermitian_eig
 from .prng import SplitMix64
 
@@ -87,15 +86,6 @@ class XStateParams:
 
 
 @dataclass(frozen=True)
-class WernerParam:
-    p: float
-
-    def __post_init__(self):
-        if not -1.0 / 3.0 <= self.p <= 1.0:
-            raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {self.p}")
-
-
-@dataclass(frozen=True)
 class GisinParams:
     """Mixing weight x in (0, 1) and amplitudes a, b with |a|^2+|b|^2 = 1.
 
@@ -113,20 +103,11 @@ class GisinParams:
         if not 0.0 < self.x < 1.0:
             raise DomainError(f"Gisin x must lie in (0, 1), got {self.x}")
         defect = abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
-        if defect > GISIN_NORM_SLACK:
+        if not defect <= GISIN_NORM_SLACK:
             raise DomainError(
                 f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, "
                 f"beyond slack {GISIN_NORM_SLACK}"
             )
-
-
-@dataclass(frozen=True)
-class BetaParam:
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
 
 
 def x_state_matrix(params: XStateParams) -> np.ndarray:
@@ -166,7 +147,7 @@ def check_eq11(params: XStateParams) -> InequalityReport:
     sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
     lhs = 2.0 * sq + 2.0 * (d1 + d4) * (d2 + d3) - 1.0
     rhs = sq + 2.0 * (abs(params.c14) ** 2 + abs(params.c23) ** 2)
-    return _report("eq11", lhs, rhs, LEQ_EXPECTED, REPORT_TOL)
+    return _report("eq11", lhs, rhs, REPORT_TOL)
 
 
 def check_eq12(params: XStateParams) -> InequalityReport:
@@ -174,18 +155,19 @@ def check_eq12(params: XStateParams) -> InequalityReport:
     d1, d2, d3, d4 = params.diag
     sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
     lhs = 2.0 * sq + 2.0 * (d1 + d4) * (d2 + d3) - 1.0
-    return _report("eq12", lhs, x_state_purities(params).mu_tilde, LEQ_EXPECTED,
-                   REPORT_TOL)
+    return _report("eq12", lhs, x_state_purities(params).mu_tilde, REPORT_TOL)
 
 
-def werner_params(p: float | WernerParam) -> XStateParams:
-    wp = p if isinstance(p, WernerParam) else WernerParam(float(p))
-    outer = (1.0 + wp.p) / 4.0
-    inner = (1.0 - wp.p) / 4.0
-    return XStateParams(d1=outer, d2=inner, d3=inner, d4=outer, c14=wp.p / 2.0)
+def werner_params(p: float) -> XStateParams:
+    p = float(p)
+    if not -1.0 / 3.0 <= p <= 1.0:
+        raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
+    outer = (1.0 + p) / 4.0
+    inner = (1.0 - p) / 4.0
+    return XStateParams(d1=outer, d2=inner, d3=inner, d4=outer, c14=p / 2.0)
 
 
-def werner_state(p: float | WernerParam) -> DensityMatrix:
+def werner_state(p: float) -> DensityMatrix:
     return x_state(werner_params(p))
 
 
@@ -233,15 +215,17 @@ def _gisin_closed(x: float, a2: float, b2: float) -> tuple[float, float, float]:
     return lhs5, mt, mu12
 
 
-def beta_params(beta: float | BetaParam) -> XStateParams:
-    bp = beta if isinstance(beta, BetaParam) else BetaParam(float(beta))
-    outer = bp.beta / 2.0
-    inner = (1.0 - bp.beta) / 2.0
+def beta_params(beta: float) -> XStateParams:
+    beta = float(beta)
+    if not 0.0 <= beta <= 1.0:
+        raise DomainError(f"beta must lie in [0, 1], got {beta}")
+    outer = beta / 2.0
+    inner = (1.0 - beta) / 2.0
     return XStateParams(d1=outer, d2=inner, d3=inner, d4=outer,
                         c14=outer, c23=inner)
 
 
-def beta_state(beta: float | BetaParam) -> DensityMatrix:
+def beta_state(beta: float) -> DensityMatrix:
     return x_state(beta_params(beta))
 
 

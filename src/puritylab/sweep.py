@@ -16,6 +16,7 @@ uses the child seed ``child_seed(seed, k)``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -52,8 +53,10 @@ FAMILIES = ("werner", "gisin", "beta", "xrandom")
 class SweepSpec:
     """Equally spaced grid over one family parameter, endpoints included.
 
-    For the xrandom family the grid values are rounded to integers and used
-    as seeds for random X-state draws.
+    Bounds, their difference and amplitudes must be finite.  For the xrandom
+    family the grid values are rounded to integers and used as seeds for
+    random X-state draws; a grid whose rounded values repeat a seed is
+    refused.
     """
 
     family: str
@@ -68,16 +71,25 @@ class SweepSpec:
             raise SpecError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.count < 2:
             raise SpecError(f"count must be >= 2, got {self.count}")
+        bounds = {"start": self.start, "stop": self.stop, "stop - start": self.stop - self.start,
+                  "a": self.a, "b": self.b}
+        for name, value in bounds.items():
+            if value is not None and not cmath.isfinite(value):
+                raise SpecError(f"{name} must be finite, got {value}")
         if not self.start < self.stop:
             raise SpecError(f"need start < stop, got [{self.start}, {self.stop}]")
         if self.family == "gisin":
             if self.a is None or self.b is None:
                 raise SpecError("gisin sweeps need amplitudes a and b")
             defect = abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
-            if defect > GISIN_NORM_SLACK:
+            if not defect <= GISIN_NORM_SLACK:
                 raise SpecError(
                     f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, beyond slack"
                 )
+        if self.family == "xrandom" and len(set(map(_xrandom_seed, self.grid()))) < self.count:
+            raise SpecError(
+                f"xrandom grid [{self.start}, {self.stop}] with count {self.count} "
+                "rounds to repeated seeds; use integer bounds with a step of at least 1")
 
     def grid(self) -> list[float]:
         step = (self.stop - self.start) / (self.count - 1)
@@ -161,8 +173,12 @@ def _gisin_row(x: float, a: complex, b: complex) -> SweepRow | _BuiltRow:
     return _BuiltRow(x, rho, entangled)
 
 
+def _xrandom_seed(value: float) -> int:
+    return int(round(value))
+
+
 def _xrandom_row(value: float) -> _BuiltRow:
-    seed = int(round(value))
+    seed = _xrandom_seed(value)
     params = random_x_params(seed)
     return _BuiltRow(float(seed), x_state(params), xstate_entangled(params))
 

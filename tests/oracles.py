@@ -4,7 +4,7 @@ Everything here deliberately avoids the package's own reduction maps and
 eigensolver: partial traces are written as explicit index sums and the
 eigenvalue reference is a cyclic Jacobi iteration written out below, so
 agreement with the package's LAPACK back end is a genuine cross-check rather
-than the same code tested against itself.  ``numpy_psd_power`` uses
+than the same code tested against itself.  ``numpy_sqrt_psd`` uses
 numpy.linalg.eigh; it checks the package's block reductions and trace
 bookkeeping, not its eigensolver.  The scalar samplers draw one value at a
 time from ``SplitMix64`` and build each state term by term, the reference for
@@ -135,15 +135,11 @@ def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
     raise AssertionError(f"Jacobi oracle did not converge in {sweep_cap} sweeps")
 
 
-def numpy_psd_power(mat: np.ndarray, exponent: float) -> np.ndarray:
-    """V diag(w^exponent) V^dagger from numpy.linalg.eigh, eigenvalues
-    clipped at 0."""
-    vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.clip(vals, 0.0, None) ** exponent) @ vecs.conj().T
-
-
 def numpy_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    return numpy_psd_power(mat, 0.5)
+    """V diag(w^(1/2)) V^dagger from numpy.linalg.eigh, eigenvalues clipped
+    at 0."""
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * np.clip(vals, 0.0, None) ** 0.5) @ vecs.conj().T
 
 
 def delta_and_min_pt(mat: np.ndarray, n: int, m: int) -> tuple[float, float]:

@@ -24,11 +24,10 @@ from oracles import (
 from puritylab.density import (
     BlockShape,
     DensityBlock,
-    purity_set,
     random_density,
     reduced_blocks,
 )
-from puritylab.inequalities import audit_reports, delta, find_delta_roots
+from puritylab.inequalities import audit_reports, delta, find_delta_roots, purity_set
 from puritylab.linalg import hermitian_eig
 from puritylab.prng import child_seed
 from puritylab.states import (

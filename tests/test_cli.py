@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -58,6 +59,29 @@ class TestSweepCommand:
                                 "--a", "1.5", "--b", "0"], capsys)
         assert code == 1
         assert "slack" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--family", "werner", "--start", "0", "--stop", "inf"],
+        ["--family", "werner", "--start", "nan", "--stop", "1"],
+        ["--family", "werner", "--start=-inf", "--stop", "1"],
+        ["--family", "werner", "--start=-1e308", "--stop", "1e308"],
+        ["--family", "gisin", "--start", "0.1", "--stop", "0.9", "--a", "nan", "--b", "0.8"],
+        ["--family", "gisin", "--start", "0.1", "--stop", "0.9", "--a", "0.6", "--b", "inf"],
+    ], ids=["stop-inf", "start-nan", "start-minus-inf", "span-overflows", "a-nan", "b-inf"])
+    def test_nonfinite_input_error(self, args, capsys):
+        code, out, err = run_cli(["sweep", *args, "--count", "3"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "must be finite" in err
+        assert out == ""
+
+    def test_xrandom_repeated_seeds_input_error(self, capsys):
+        # a step of 1/2 rounds to the seeds 0, 0, 1, 2, 2
+        code, out, err = run_cli(["sweep", "--family", "xrandom", "--start", "0",
+                                  "--stop", "2", "--count", "5"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "repeated seeds" in err
+        assert out == ""
 
     def test_unknown_family_usage_error(self, capsys):
         code, _, err = run_cli(["sweep", "--family", "ghz", "--start", "0",
@@ -170,6 +194,22 @@ class TestCheckCommand:
         mu12_line = next(line for line in out.splitlines() if line.startswith("mu12"))
         assert abs(float(mu12_line.split("=")[1]) - 0.73) <= 1e-12
         assert out.count("satisfied=true") == 5
+
+    def test_stdout_layout(self, tmp_path, capsys):
+        # the purities, then one line per audited inequality, each expecting
+        # lhs <= rhs
+        path = tmp_path / "state.txt"
+        write_matrix_file(str(path), make_density(werner_matrix(0.8), BlockShape(2, 2)))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 11
+        assert lines[0] == "shape: 2x2"
+        for line, label in zip(lines[1:6], ["mu12", "mu1", "mu2", "mu_tilde", "delta"]):
+            assert re.fullmatch(rf"{label} = \S+", line), line
+        for line, name in zip(lines[6:], ["eq5", "eq6", "eq8", "eq9", "eq10"]):
+            assert re.fullmatch(rf"{name}: lhs=\S+ rhs=\S+ expected=<= margin=\S+ "
+                                r"satisfied=true", line), line
 
     def test_missing_file_io_error(self, capsys):
         code, _, _ = run_cli(["check", "/nonexistent/state.txt"], capsys)

@@ -10,7 +10,6 @@ from puritylab.density import (
     DensityBlock,
     make_density,
     purity,
-    purity_set,
     random_density,
     random_separable,
     reduced_blocks,
@@ -25,6 +24,7 @@ from puritylab.errors import (
     ShapeMismatch,
     TraceNotOne,
 )
+from puritylab.inequalities import purity_set
 from puritylab.linalg import hermitian_eig
 from puritylab.states import GisinParams, gisin_state, gisin_x_max
 
@@ -96,8 +96,8 @@ class TestValidateBlock:
         mats = np.stack([werner_matrix(p) for p in (-0.2, 0.3, 1.0)])
         block = validate_block(mats, SHAPE22)
         assert len(block) == 3 and not block.mats.flags.writeable
-        for mat, rho in zip(mats, block.states()):
-            assert rho.mat.tobytes() == make_density(mat, SHAPE22).mat.tobytes()
+        for i, mat in enumerate(mats):
+            assert block.state(i).mat.tobytes() == make_density(mat, SHAPE22).mat.tobytes()
 
     @pytest.mark.parametrize("bad, error", [
         ((werner_matrix(1.5), np.eye(4) / 2), NotPositive),

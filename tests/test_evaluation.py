@@ -8,8 +8,6 @@ Hermitian eigensolves of each dimension every command performs per state,
 and which of them compute eigenvalues only.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -18,19 +16,17 @@ from puritylab.density import (
     SAMPLE_BLOCK,
     BlockShape,
     DensityBlock,
-    purity_set,
     random_density,
     sample_blocks,
 )
 from puritylab.errors import ShapeMismatch
 from puritylab.fileio import write_matrix_file
 from puritylab.inequalities import (
-    MinkowskiParams,
     audit_block,
     audit_reports,
     delta,
     delta_block,
-    minkowski_check,
+    purity_set,
 )
 from puritylab.prng import child_seed
 from puritylab.states import (
@@ -139,15 +135,3 @@ def test_sweep_eigensolves_per_valid_row(eigh_counts):
     assert 0 < valid < len(rows)
     assert split(eigh_counts) == {"eigvalsh": {4: valid, 2: 2 * valid},
                                   "eigh": {2: 2 * valid}}
-
-
-@pytest.mark.parametrize("shape", [BlockShape(2, 3), BlockShape(3, 3)], ids=str)
-def test_minkowski_eigensolves_per_call(shape, eigh_counts):
-    # one decomposition of rho, one of each reduction
-    rho = random_density(shape.n, shape.m, shape.dim, 3)
-    for per_dim in eigh_counts.values():
-        per_dim.clear()
-    minkowski_check(rho, MinkowskiParams(p=3.0, q=2.0))
-    expected = Counter({shape.dim: 1})
-    expected.update([shape.n, shape.m])
-    assert split(eigh_counts) == {"eigvalsh": {}, "eigh": dict(expected)}

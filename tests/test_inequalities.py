@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ginibre, numpy_psd_power, numpy_sqrt_psd, werner_matrix
+from oracles import ginibre, numpy_sqrt_psd, werner_matrix
 from puritylab.density import (
     BlockShape,
     DensityBlock,
@@ -13,25 +13,20 @@ from puritylab.density import (
     block_trace_map,
     make_density,
     purity,
-    purity_set,
     random_density,
     sample_blocks,
 )
 from puritylab.defaults import CLAMP_TOL, REPORT_TOL
-from puritylab.errors import BadInterval, DomainError, NegativeSpectrum
+from puritylab.errors import BadInterval, NegativeSpectrum
 from puritylab.inequalities import (
-    GEQ_EXPECTED,
-    LEQ_EXPECTED,
-    MinkowskiParams,
-    _power_traces,
+    _sqrt_trace_stack,
     _sqrt_traces,
     audit_reports,
     delta,
     find_delta_roots,
-    minkowski_check,
-    mu_tilde,
+    purity_set,
 )
-from puritylab.linalg import clamp_spectra, hermitian_eig
+from puritylab.linalg import hermitian_eig
 from puritylab.prng import SplitMix64
 
 SHAPE22 = BlockShape(2, 2)
@@ -63,13 +58,17 @@ def check(name, rho, tol=REPORT_TOL):
 
 def sqrt_trace(mat):
     """Tr A^(1/2) of one PSD Hermitian matrix: a one-matrix stack."""
-    return float(_power_traces(mat[None], 0.5)[0])
+    return float(_sqrt_trace_stack(mat[None])[0])
 
 
 def sqrt_traces(rho):
     """The rhs of eq6 and of eq8 of one state."""
     s6, s8 = _sqrt_traces(DensityBlock.of(rho))
     return float(s6[0]), float(s8[0])
+
+
+def mu_tilde(rho):
+    return purity_set(rho).mu_tilde
 
 
 class TestEq5:
@@ -161,39 +160,10 @@ class TestSqrtTrace:
         block = next(sample_blocks(shape, recipes))
         s6, s8 = _sqrt_traces(block)
         squared = block.mats @ block.mats
-        for i, rho in enumerate(block.states()):
+        for i in range(len(block)):
             assert sqrt_trace(block_trace_map(squared[i], shape)) == s6[i]
             assert sqrt_trace(block_sum_map(squared[i], shape)) == s8[i]
-            assert sqrt_traces(rho) == (s6[i], s8[i])
-
-
-class TestPowerTraces:
-    """Tr A^e read from the clamped eigenvalues of A, one per matrix of a
-    stack."""
-
-    def test_exponent_one_gives_trace(self):
-        mats = np.stack([random_state(seed, BlockShape(2, 3)).mat for seed in range(5)])
-        assert np.abs(_power_traces(mats, 1.0) - 1.0).max() <= 1e-14
-
-    @given(seeds)
-    @settings(max_examples=60)
-    def test_trace_of_square_is_purity(self, seed):
-        # Tr A^2 = sum |a_ij|^2 for Hermitian A, with no eigensolve
-        mats = np.stack([random_state(seed + k, BlockShape(2, 3)).mat for k in range(3)])
-        expected = (np.abs(mats) ** 2).sum(axis=(1, 2))
-        assert np.abs(_power_traces(mats, 2.0) - expected).max() <= 1e-14
-
-    @pytest.mark.parametrize("shape", [SHAPE22, BlockShape(2, 3), BlockShape(3, 3)], ids=str)
-    def test_half_power_is_sqrt_bit_for_bit(self, shape):
-        # x ** 0.5 and np.sqrt(x) round alike, so the square-root traces
-        # behind mu_tilde keep their bits
-        recipes = [("ginibre", k % shape.dim + 1, k) for k in range(20)]
-        mats = next(sample_blocks(shape, recipes)).mats
-        squared = mats @ mats
-        for reduced in (block_trace_map(squared, shape), block_sum_map(squared, shape)):
-            values = np.array([hermitian_eig(a).values for a in reduced])
-            expected = np.sqrt(clamp_spectra(values)).sum(axis=1)
-            assert _power_traces(reduced, 0.5).tobytes() == expected.tobytes()
+            assert sqrt_traces(block.state(i)) == (s6[i], s8[i])
 
 
 class TestEq6Eq8:
@@ -310,97 +280,6 @@ class TestSymmetries:
         assert abs(after.mu_tilde - before.mu_tilde) <= tol
 
 
-class TestMinkowski:
-    def test_trivial_pair(self):
-        rep = minkowski_check(mixed(), MinkowskiParams(1.0, 1.0))
-        assert rep.lhs == pytest.approx(1.0, abs=1e-12)
-        assert rep.rhs == pytest.approx(1.0, abs=1e-12)
-        assert abs(rep.margin) <= 1e-12
-        assert rep.direction == LEQ_EXPECTED
-
-    def test_equal_parameters_on_mixed(self):
-        rep = minkowski_check(mixed(), MinkowskiParams(2.0, 2.0))
-        assert rep.lhs == pytest.approx(0.5, abs=1e-12)
-        assert rep.rhs == pytest.approx(0.5, abs=1e-12)
-
-    @given(seeds)
-    @settings(max_examples=40)
-    def test_consistent_with_eq6_eq8(self, seed):
-        rho = random_state(seed)
-        rep6 = check("eq6", rho)
-        rep8 = check("eq8", rho)
-        mink21 = minkowski_check(rho, MinkowskiParams(p=2.0, q=1.0))
-        mink12 = minkowski_check(rho, MinkowskiParams(p=1.0, q=2.0))
-        # (p,q)=(2,1): lhs^2 = mu2, rhs = eq6 rhs;  (p,q)=(1,2): reversed
-        assert mink21.direction == LEQ_EXPECTED
-        assert mink12.direction == GEQ_EXPECTED
-        assert mink21.lhs ** 2 == pytest.approx(rep6.lhs ** 2, abs=1e-10)
-        assert mink21.rhs == pytest.approx(rep6.rhs, abs=1e-10)
-        assert mink12.lhs == pytest.approx(rep8.rhs, abs=1e-10)
-        assert mink12.rhs ** 2 == pytest.approx(rep8.lhs ** 2, abs=1e-10)
-
-    def test_untested_regime_flagged(self):
-        rep = minkowski_check(mixed(), MinkowskiParams(p=0.5, q=2.0))
-        assert rep.untested_regime
-        rep = minkowski_check(mixed(), MinkowskiParams(p=3.0, q=2.0))
-        assert not rep.untested_regime
-
-    @pytest.mark.parametrize("shape", [SHAPE22, BlockShape(2, 3), BlockShape(3, 2),
-                                       BlockShape(3, 3)], ids=str)
-    @pytest.mark.parametrize("p", [0.5, 1.0, 2.5])
-    def test_equal_parameters_equal_sides(self, shape, p):
-        # at p = q both sides are (Tr rho^p)^(1/p); full rank, since at
-        # p < 1 a zero eigenvalue's rounding is magnified
-        for seed in range(5):
-            rho = random_density(shape.n, shape.m, shape.dim, seed)
-            rep = minkowski_check(rho, MinkowskiParams(p, p))
-            expected = float((np.linalg.eigvalsh(rho.mat) ** p).sum()) ** (1 / p)
-            assert rep.direction == LEQ_EXPECTED and rep.satisfied
-            assert abs(rep.lhs - rep.rhs) <= 1e-13 * rep.rhs
-            assert rep.lhs == pytest.approx(expected, rel=1e-13)
-
-    @pytest.mark.parametrize("shape", [SHAPE22, BlockShape(2, 3), BlockShape(3, 2),
-                                       BlockShape(3, 3)], ids=str)
-    def test_q_below_one_measured_leq(self, shape):
-        # Measured, not proved: with q < p the lhs stays below the rhs on
-        # full-rank Ginibre states also where min(p, q) < 1.
-        for seed in range(10):
-            rho = random_density(shape.n, shape.m, shape.dim, seed)
-            for p, q in [(1.0, 0.5), (3.0, 0.5), (0.8, 0.3), (4.0, 0.2)]:
-                rep = minkowski_check(rho, MinkowskiParams(p, q))
-                assert rep.direction == LEQ_EXPECTED and rep.untested_regime
-                assert rep.satisfied and rep.lhs < rep.rhs, (seed, p, q)
-
-    @pytest.mark.parametrize("shape", [SHAPE22, BlockShape(2, 3), BlockShape(3, 3)], ids=str)
-    def test_matches_rebuilt_powers(self, shape):
-        # Against both sides built from four numpy spectral powers: 1e-13
-        # relative at full rank, 1e-7 at lower rank with min(p/q, q/p) >= 1/2
-        # (the square root of a zero eigenvalue's rounding is about 1e-8).
-        probes = [(p, q) for p in (0.5, 1.0, 2.0, 3.0) for q in (0.5, 1.0, 2.0, 3.0)]
-        for seed in range(6):
-            rank = shape.dim if seed % 2 == 0 else seed % (shape.dim - 1) + 1
-            rho = random_density(shape.n, shape.m, rank, seed)
-            bound = 1e-13 if rank == shape.dim else 1e-7
-            for p, q in probes:
-                if rank < shape.dim and min(p / q, q / p) < 0.5:
-                    continue
-                rep = minkowski_check(rho, MinkowskiParams(p, q))
-                inner_lhs = numpy_psd_power(
-                    block_sum_map(numpy_psd_power(rho.mat, q), shape), p / q)
-                inner_rhs = numpy_psd_power(
-                    block_trace_map(numpy_psd_power(rho.mat, p), shape), q / p)
-                assert rep.lhs == pytest.approx(
-                    inner_lhs.trace().real ** (1 / p), rel=bound), (seed, p, q)
-                assert rep.rhs == pytest.approx(
-                    inner_rhs.trace().real ** (1 / q), rel=bound), (seed, p, q)
-
-    def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(DomainError):
-            MinkowskiParams(p=0.0, q=1.0)
-        with pytest.raises(DomainError):
-            MinkowskiParams(p=1.0, q=-2.0)
-
-
 class TestDelta:
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 1 / 3, 0.7, 1.0])
     def test_werner_closed_form(self, p):
@@ -462,7 +341,6 @@ class TestFindDeltaRoots:
 class TestReportFields:
     def test_margin_sign_convention(self):
         rep = check("eq5", werner(0.8))
-        assert rep.direction == LEQ_EXPECTED
         assert rep.margin == pytest.approx(rep.rhs - rep.lhs, abs=0)
         assert rep.satisfied == (rep.margin >= -rep.tol)
 

@@ -20,7 +20,7 @@ def random_psd(dim: int, seed: int) -> np.ndarray:
 
 def psd_matrix_power(mat, exponent: float) -> np.ndarray:
     """V diag(w^exponent) V^dagger from the vectors of ``hermitian_eig`` and
-    the clamped spectrum, as ``minkowski_check`` forms rho^p and rho^q."""
+    the clamped spectrum: a spectral power that exercises both together."""
     eigen = hermitian_eig(mat)
     return (eigen.vectors * clamp_spectra(eigen.values) ** exponent) @ eigen.vectors.conj().T
 

@@ -16,7 +16,7 @@ from puritylab.density import (
     _draw_count,
     random_density,
     random_separable,
-    sample_states,
+    sample_blocks,
 )
 from puritylab.errors import BadRank, SpecError
 from puritylab.prng import SplitMix64, child_seed, complex_normals, stream_uniforms
@@ -43,6 +43,11 @@ def scan_recipes(shape: BlockShape, seed: int, samples: int = JOB):
 
 def audit_recipes(shape: BlockShape, seed: int, samples: int = JOB):
     return [("ginibre", k % shape.dim + 1, child_seed(seed, k)) for k in range(samples)]
+
+
+def job_mats(shape: BlockShape, recipes) -> np.ndarray:
+    """The matrices of a sampled job's blocks, in recipe order."""
+    return np.concatenate([block.mats for block in sample_blocks(shape, recipes)])
 
 
 class TestStreamUniforms:
@@ -74,32 +79,32 @@ class TestJobSampler:
     @pytest.mark.parametrize("seed", [2024, -5])
     def test_scan_recipes_byte_identical(self, shape, seed):
         recipes = scan_recipes(shape, seed)
-        states = list(sample_states(shape, recipes))
-        assert len(states) == len(recipes)
-        for recipe, rho in zip(recipes, states):
-            assert rho.mat.tobytes() == oracle_state(shape, *recipe).mat.tobytes(), recipe
+        mats = job_mats(shape, recipes)
+        assert len(mats) == len(recipes)
+        for recipe, mat in zip(recipes, mats):
+            assert mat.tobytes() == oracle_state(shape, *recipe).mat.tobytes(), recipe
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_audit_recipes_byte_identical(self, shape):
         recipes = audit_recipes(shape, 7)
-        for recipe, rho in zip(recipes, sample_states(shape, iter(recipes))):
-            assert rho.mat.tobytes() == oracle_state(shape, *recipe).mat.tobytes(), recipe
+        for recipe, mat in zip(recipes, job_mats(shape, iter(recipes))):
+            assert mat.tobytes() == oracle_state(shape, *recipe).mat.tobytes(), recipe
 
     @pytest.mark.parametrize("terms", [5, 6, 9, 13])
     def test_many_term_mixtures_byte_identical(self, terms):
         shape = BlockShape(2, 3)
         recipes = [("separable", terms, child_seed(terms, k)) for k in range(5)]
-        for recipe, rho in zip(recipes, sample_states(shape, recipes)):
-            assert rho.mat.tobytes() == oracle_state(shape, *recipe).mat.tobytes(), recipe
+        for recipe, mat in zip(recipes, job_mats(shape, recipes)):
+            assert mat.tobytes() == oracle_state(shape, *recipe).mat.tobytes(), recipe
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_replay_matches_job(self, shape):
         recipes = scan_recipes(shape, 12345)
-        for (kind, size, seed), rho in zip(recipes, sample_states(shape, recipes)):
-            assert scan_state(shape, kind, size, seed).mat.tobytes() == rho.mat.tobytes()
+        for (kind, size, seed), mat in zip(recipes, job_mats(shape, recipes)):
+            assert scan_state(shape, kind, size, seed).mat.tobytes() == mat.tobytes()
             single = (random_density if kind == "ginibre" else random_separable)(
                 shape.n, shape.m, size, seed)
-            assert single.mat.tobytes() == rho.mat.tobytes()
+            assert single.mat.tobytes() == mat.tobytes()
 
     def test_recipes_read_lazily(self):
         shape, taken = BlockShape(2, 2), []
@@ -109,8 +114,7 @@ class TestJobSampler:
                 taken.append(k)
                 yield _sample_recipe(shape, k, 1)
 
-        states = sample_states(shape, recipes())
-        next(states)
+        next(sample_blocks(shape, recipes()))
         assert len(taken) == SAMPLE_BLOCK
 
     def test_one_draw_per_block(self, monkeypatch):
@@ -122,11 +126,11 @@ class TestJobSampler:
 
         monkeypatch.setattr(density, "stream_uniforms", counted)
         shape = BlockShape(2, 3)
-        assert len(list(sample_states(shape, scan_recipes(shape, 9)))) == JOB
+        assert len(job_mats(shape, scan_recipes(shape, 9))) == JOB
         assert calls == [SAMPLE_BLOCK, SAMPLE_BLOCK, JOB - 2 * SAMPLE_BLOCK]
 
     def test_empty_job(self):
-        assert list(sample_states(BlockShape(2, 2), [])) == []
+        assert list(sample_blocks(BlockShape(2, 2), [])) == []
 
 
 class TestRecipes:
@@ -162,4 +166,4 @@ class TestRecipes:
     ])
     def test_bad_recipe_rejected(self, recipe, error):
         with pytest.raises(error):
-            list(sample_states(BlockShape(2, 2), [("ginibre", 1, 0), recipe]))
+            list(sample_blocks(BlockShape(2, 2), [("ginibre", 1, 0), recipe]))

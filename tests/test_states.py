@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import werner_matrix
-from puritylab.density import purity, purity_set
+from puritylab.density import purity
 from puritylab.errors import (
     DomainError,
     NotPositive,
     ShapeUnsupported,
     TraceNotOne,
 )
-from puritylab.inequalities import audit_reports
+from puritylab.inequalities import audit_reports, purity_set
 from puritylab.linalg import hermitian_eig
 from puritylab.states import (
-    BetaParam,
     GisinParams,
-    WernerParam,
     XStateParams,
     beta_params,
     beta_state,
@@ -171,7 +169,7 @@ class TestWerner:
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
-            WernerParam(1.01)
+            werner_params(1.01)
         with pytest.raises(DomainError):
             werner_state(-0.34)
 
@@ -296,7 +294,7 @@ class TestBeta:
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
-            BetaParam(-0.01)
+            beta_params(-0.01)
         with pytest.raises(DomainError):
             beta_state(1.01)
 

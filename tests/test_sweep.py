@@ -3,9 +3,9 @@ import math
 import pytest
 
 from puritylab import sweep
-from puritylab.density import BlockShape, purity_set
+from puritylab.density import BlockShape
 from puritylab.errors import SpecError
-from puritylab.inequalities import audit_reports, delta, find_delta_roots
+from puritylab.inequalities import audit_reports, delta, find_delta_roots, purity_set
 from puritylab.states import _gisin_closed, gisin_x_max
 from puritylab.sweep import (
     ScanSample,
@@ -42,6 +42,11 @@ class TestSweepSpec:
     def test_gisin_slack_enforced(self):
         with pytest.raises(SpecError):
             SweepSpec(family="gisin", start=0.1, stop=0.9, count=10, a=1.5, b=0.0)
+
+    def test_xrandom_half_integer_grid_refused(self):
+        # a step of 1, but round-half-to-even maps 0.5, 1.5, 2.5 to seeds 0, 2, 2
+        with pytest.raises(SpecError, match="repeated seeds"):
+            SweepSpec(family="xrandom", start=0.5, stop=2.5, count=3)
 
     def test_grid_endpoints_inclusive(self):
         spec = SweepSpec(family="werner", start=-1 / 3, stop=1.0, count=5)
