@@ -29,7 +29,7 @@ from .errors import (
     SpecError,
     TraceNotOne,
 )
-from .linalg import _square, hermitian_eig, hermiticity_defect
+from .linalg import _square, hermiticity_defect, spectra
 from .prng import complex_normals, stream_uniforms
 
 
@@ -96,9 +96,9 @@ def validate_block(mats, shape: BlockShape) -> DensityBlock:
     and so does the entry bound |rho_ij| <= 1 that every unit-trace PSD
     matrix meets; an entry beyond it raises NotPositive without an
     eigensolve (LAPACK need not converge on such a matrix).  Positivity then
-    takes one eigenvalues-only ``hermitian_eig`` per state.  A stack with a
-    bad state raises the error :func:`make_density` raises for the first
-    one.  The stack is copied and stored read-only; nothing is repaired.
+    reads the smallest eigenvalue of each state from ``spectra``.  A stack
+    with a bad state raises the error :func:`make_density` raises for the
+    first one.  The stack is copied and stored read-only; nothing is repaired.
     """
     arr = np.array(mats, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or min(arr.shape) < 1:
@@ -117,11 +117,9 @@ def validate_block(mats, shape: BlockShape) -> DensityBlock:
             first_bad = 0
         elif passing[first_bad]:
             first_bad = len(arr)
-        for mat in arr[:first_bad]:
-            smallest = float(hermitian_eig(mat, vectors=False).values[0])
+        for smallest in spectra(arr[:first_bad])[:, 0]:
             if smallest < -VALIDATION_TOL:
-                raise NotPositive(
-                    f"smallest eigenvalue {smallest:.3e} below -{VALIDATION_TOL:.3e}")
+                raise NotPositive(f"smallest eigenvalue {smallest:.3e} below -{VALIDATION_TOL:.3e}")
         if first_bad < len(arr):
             _raise_invalid(arr[first_bad], defect[first_bad], trace_dev[first_bad],
                            peak[first_bad], shape)

@@ -36,7 +36,7 @@ from .density import (
     reduced_blocks,
 )
 from .errors import BadInterval
-from .linalg import clamp_spectra, hermitian_eig
+from .linalg import clamp_spectra, spectra
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,8 @@ def _report(name: str, lhs: float, rhs: float, tol: float) -> InequalityReport:
 
 def _sqrt_trace_stack(mats: np.ndarray) -> np.ndarray:
     """Tr A^(1/2) of every PSD Hermitian matrix A of a stack: the row sums of
-    the square roots of the clamped eigenvalues (see ``clamp_spectra``), with
-    one ``hermitian_eig`` per matrix."""
-    values = np.array([hermitian_eig(a).values for a in mats])
-    return np.sqrt(clamp_spectra(values)).sum(axis=1)
+    the square roots of its clamped eigenvalues; no matrix square root is built."""
+    return np.sqrt(clamp_spectra(spectra(mats))).sum(axis=1)
 
 
 def _sqrt_traces(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:

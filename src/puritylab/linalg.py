@@ -1,12 +1,12 @@
-"""Dense complex Hermitian eigendecomposition and clamped PSD spectra.
+"""Eigenvalues of dense complex Hermitian matrices and clamped PSD spectra.
 
-Every eigensolve in the package goes through ``hermitian_eig``, which checks
-Hermiticity and hands the Hermitian part to LAPACK through the gufuncs behind
-``numpy.linalg.eigh`` and ``numpy.linalg.eigvalsh`` (``eigh_lo`` and
-``eigvalsh_lo`` of numpy's private ``_umath_linalg``), without numpy's
-per-call shape, dtype and error-state wrapper: ``hermitian_eig`` has already
-made the matrix square, finite and complex128.  The clamped spectra of
-positive-semidefinite matrices are built on it.
+Every eigensolve in the package is an eigenvalues-only ``hermitian_eig``
+(``spectra`` runs one per matrix of a stack), which checks Hermiticity and
+hands the Hermitian part to LAPACK through the gufunc behind
+``numpy.linalg.eigvalsh`` (``eigvalsh_lo`` of numpy's private
+``_umath_linalg``), without numpy's per-call shape, dtype and error-state
+wrapper: ``hermitian_eig`` has already made the matrix square, finite and
+complex128.  No quantity the package computes needs an eigenvector.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
+from numpy.linalg._umath_linalg import eigvalsh_lo
 
 from .defaults import CLAMP_TOL, VALIDATION_TOL
 from .errors import DimMismatch, DomainError, NegativeSpectrum, NotHermitian
@@ -39,24 +39,19 @@ def hermiticity_defect(mat: np.ndarray) -> np.ndarray:
 
 
 class HermitianEigen(NamedTuple):
-    """Eigenvalues ascending; eigenvector columns orthonormal, V diag(w) V^dagger
-    reconstructs the input (``None`` when only the eigenvalues were asked
-    for).  Ties keep the order LAPACK returns, which is a pure function of the
-    input bytes on one numpy/BLAS build."""
+    """Eigenvalues ascending: a pure function of the input bytes on one
+    numpy/BLAS build."""
 
     values: np.ndarray
-    vectors: np.ndarray | None
 
 
-def hermitian_eig(mat, *, vectors: bool = True) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix by LAPACK.
+def hermitian_eig(mat) -> HermitianEigen:
+    """Eigenvalues of a Hermitian matrix by LAPACK.
 
     The input must be Hermitian within ``VALIDATION_TOL`` (largest entry of
-    m - m^dagger); its Hermitian part (m + m^dagger)/2 is decomposed by the
-    LAPACK gufunc of ``numpy.linalg.eigh``, or with ``vectors=False`` by that
-    of ``numpy.linalg.eigvalsh``, which skips the eigenvectors (its
-    eigenvalues may differ from ``eigh``'s in the last bits); either gives the
-    bits of the numpy function.  Errors come in the order DimMismatch (not
+    m - m^dagger); the eigenvalues of its Hermitian part (m + m^dagger)/2
+    come from the LAPACK gufunc of ``numpy.linalg.eigvalsh``, with the bits
+    that function gives.  Errors come in the order DimMismatch (not
     square), DomainError (a NaN or Inf entry, read from the defect; numpy may
     warn about the invalid subtraction first), NotHermitian, DomainError (a
     Hermitian part that overflows to Inf, read after the solve), and
@@ -72,11 +67,8 @@ def hermitian_eig(mat, *, vectors: bool = True) -> HermitianEigen:
             f"hermiticity defect {defect:.3e} exceeds tol {VALIDATION_TOL:.3e}")
     hermitian = arr + adjoint
     hermitian *= 0.5
-    if vectors:
-        values, vecs = eigh_lo(hermitian, signature="D->dD")
-    else:
-        values, vecs = eigvalsh_lo(hermitian, signature="D->d"), None
-    # On a LAPACK failure the gufunc fills every output with NaN (and warns
+    values = eigvalsh_lo(hermitian, signature="D->d")
+    # On a LAPACK failure the gufunc fills its output with NaN (and warns
     # where numpy.linalg would raise); an Inf in the Hermitian part (finite
     # entries whose sum overflows) also leaves a NaN or Inf at an end of the
     # ascending spectrum.
@@ -84,7 +76,15 @@ def hermitian_eig(mat, *, vectors: bool = True) -> HermitianEigen:
         if not np.isfinite(hermitian).all():
             raise DomainError("Hermitian part (m + m^dagger)/2 overflows to Inf")
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return HermitianEigen(values, vecs)
+    return HermitianEigen(values)
+
+
+def spectra(mats) -> np.ndarray:
+    """(B, N) ascending eigenvalues of a (B, N, N) Hermitian stack, one ``hermitian_eig`` each."""
+    values = np.empty(np.shape(mats)[:2])
+    for i, mat in enumerate(mats):
+        values[i] = hermitian_eig(mat).values
+    return values
 
 
 def clamp_spectra(values: np.ndarray) -> np.ndarray:

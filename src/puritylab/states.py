@@ -47,7 +47,7 @@ from .density import (
 )
 from .errors import DomainError, NotPositive, ShapeUnsupported, TraceNotOne
 from .inequalities import InequalityReport, PuritySet, _report
-from .linalg import hermitian_eig
+from .linalg import spectra
 from .prng import SplitMix64
 
 TWO_QUBIT_SHAPE = BlockShape(2, 2)
@@ -255,15 +255,14 @@ def ppt_entangled_block(block: DensityBlock) -> np.ndarray:
     """Peres-Horodecki test on every state of a block: a partial transpose
     with an eigenvalue below -ENTANGLE_TOL means entangled.
 
-    The partial transposes are taken on the whole stack and each one gets its
-    own eigenvalues-only ``hermitian_eig``.  Conclusive (necessary and
+    The partial transposes are taken on the whole stack, and their smallest
+    eigenvalues come from ``spectra``.  Conclusive (necessary and
     sufficient) only for 2x2 and 2x3 systems; any other block shape raises
     ShapeUnsupported since a PSD partial transpose would prove nothing there.
     """
     _require_ppt_shape(block.shape)
     transposed = partial_transpose_inner(block.mats, block.shape)
-    smallest = [hermitian_eig(mat, vectors=False).values[0] for mat in transposed]
-    return np.array(smallest) < -ENTANGLE_TOL
+    return spectra(transposed)[:, 0] < -ENTANGLE_TOL
 
 
 def ppt_entangled(rho: DensityMatrix) -> bool:

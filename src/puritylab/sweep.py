@@ -192,6 +192,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         rows = [_gisin_row(x, spec.a, spec.b) for x in spec.grid()]
     else:
         rows = [_xrandom_row(v) for v in spec.grid()]
+    for row in rows:
+        # delta = mu_tilde - mu12 is finite only where both are
+        if isinstance(row, SweepRow) and not all(map(math.isfinite, (row.delta, row.lhs5))):
+            raise SpecError(f"{spec.family} closed forms are not finite at param {row.param!r}")
     return _evaluate(rows)
 
 

@@ -20,19 +20,14 @@ settings.load_profile("puritylab")
 
 @pytest.fixture
 def eigh_counts(monkeypatch):
-    """Count LAPACK eigensolves per matrix dimension, with eigenvectors
-    (``eigh_lo``, the gufunc of numpy.linalg.eigh) and without (``eigvalsh_lo``)
-    separately: ``counts["eigh"][dim]``, ``counts["eigvalsh"][dim]``."""
-    counts = {"eigh": Counter(), "eigvalsh": Counter()}
+    """Count LAPACK eigensolves per matrix dimension, ``counts[dim]``: calls of
+    ``eigvalsh_lo``, the gufunc behind every ``hermitian_eig``."""
+    counts = Counter()
+    real = linalg.eigvalsh_lo
 
-    def counting(name):
-        real = getattr(linalg, f"{name}_lo")
+    def counted(a, *args, **kwargs):
+        counts[np.shape(a)[-1]] += 1
+        return real(a, *args, **kwargs)
 
-        def counted(a, *args, **kwargs):
-            counts[name][np.shape(a)[-1]] += 1
-            return real(a, *args, **kwargs)
-        return counted
-
-    for name in counts:
-        monkeypatch.setattr(linalg, f"{name}_lo", counting(name))
+    monkeypatch.setattr(linalg, "eigvalsh_lo", counted)
     return counts

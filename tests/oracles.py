@@ -4,16 +4,19 @@ Everything here deliberately avoids the package's own reduction maps and
 eigensolver: partial traces are written as explicit index sums and the
 eigenvalue reference is a cyclic Jacobi iteration written out below, so
 agreement with the package's LAPACK back end is a genuine cross-check rather
-than the same code tested against itself.  ``numpy_sqrt_psd`` uses
-numpy.linalg.eigh; it checks the package's block reductions and trace
-bookkeeping, not its eigensolver.  The scalar samplers draw one value at a
-time from ``SplitMix64`` and build each state term by term, the reference for
-the package's block sampler.
+than the same code tested against itself.  ``mpmath_sqrt_trace`` gives the
+square-root trace of a matrix to 40 significant digits, a reference for the
+package's rounding rather than a second double-precision computation.
+``numpy_sqrt_psd`` uses numpy.linalg.eigh; it checks the package's block
+reductions and trace bookkeeping, not its eigensolver.  The scalar samplers
+draw one value at a time from ``SplitMix64`` and build each state term by
+term, the reference for the package's block sampler.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from mpmath import mp
 from numpy.polynomial import Polynomial
 
 from puritylab.density import BlockShape, DensityMatrix, make_density
@@ -133,6 +136,18 @@ def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
                 a[q, :] = -s * np.conj(phase) * row_p + c * row_q
                 a[p, q] = a[q, p] = 0.0
     raise AssertionError(f"Jacobi oracle did not converge in {sweep_cap} sweeps")
+
+
+def mpmath_sqrt_trace(mat: np.ndarray) -> tuple[float, float]:
+    """Tr A^(1/2) of the Hermitian part of ``mat``, with eigenvalues below 0
+    counted as 0, and its smallest eigenvalue: both from mpmath's ``eighe``
+    at 40 significant digits on the exact float64 entries, then rounded to
+    float."""
+    with mp.workdps(40):
+        a = mp.matrix(np.asarray(mat, dtype=np.complex128).tolist())
+        values = mp.eighe((a + a.H) / 2, eigvals_only=True)
+        root_trace = mp.fsum(mp.sqrt(max(v, 0)) for v in values)
+        return float(root_trace), float(min(values))
 
 
 def numpy_sqrt_psd(mat: np.ndarray) -> np.ndarray:

@@ -75,6 +75,21 @@ class TestSweepCommand:
         assert "must be finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "werner", "--start", "0", "--stop", "1e200"],
+        ["--family", "werner", "--start=-1e160", "--stop", "0"],
+        ["--family", "beta", "--start", "0", "--stop", "1e200"],
+        ["--family", "gisin", "--start", "0.5", "--stop", "1e200", "--a", "0.6", "--b", "0.8"],
+    ], ids=["werner", "werner-negative", "beta", "gisin"])
+    def test_overflowing_closed_forms_error(self, args, capsys):
+        # the grid is finite, but the closed forms of its out-of-domain rows
+        # overflow to inf or nan
+        code, out, err = run_cli(["sweep", *args, "--count", "2"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not finite at param" in err
+        assert out == ""
+
     def test_xrandom_repeated_seeds_input_error(self, capsys):
         # a step of 1/2 rounds to the seeds 0, 0, 1, 2, 2
         code, out, err = run_cli(["sweep", "--family", "xrandom", "--start", "0",

@@ -4,8 +4,7 @@ Scan and audit jobs and sweeps are evaluated one block at a time; the
 one-state entry points (delta, ppt_entangled, audit_reports, purity_set)
 are one-state blocks of the same functions.  Every comparison is exact,
 over jobs that cross the block boundary.  The counts pin how many
-Hermitian eigensolves of each dimension every command performs per state,
-and which of them compute eigenvalues only.
+Hermitian eigensolves of each dimension every command performs per state.
 """
 
 import numpy as np
@@ -96,42 +95,33 @@ def test_block_of_mixed_shapes_refused():
         DensityBlock.stack([random_density(2, 2, 1, 1), random_density(4, 1, 1, 1)])
 
 
-def split(counts) -> dict[str, dict[int, int]]:
-    return {name: dict(per_dim) for name, per_dim in counts.items()}
-
-
-# Validation and the PPT test read eigenvalues only (eigvalsh); the square-
-# root traces keep eigh.  Per dimension the two add up to the counts of
-# hermitian_eig calls the traced benchmark checks.
+# One hermitian_eig, and so one eigenvalues-only LAPACK solve, per matrix:
+# these are the counts per dimension the traced benchmark checks
+# (perfbench/workloads.py, expected_eigs).
 
 
 def test_scan_eigensolves_per_sample(eigh_counts, capsys):
     samples = SAMPLE_BLOCK + 6
     assert cli_main(["scan", "--shape", "2x2", "--samples", str(samples), "--seed", "5"]) == 0
-    assert split(eigh_counts) == {"eigvalsh": {4: 2 * samples},
-                                  "eigh": {2: 2 * samples}}
+    assert eigh_counts == {4: 2 * samples, 2: 2 * samples}
 
 
 def test_audit_eigensolves_per_state(eigh_counts, capsys):
     samples = SAMPLE_BLOCK + 6
     assert cli_main(["audit", "--shape", "3x3", "--samples", str(samples), "--seed", "5"]) == 0
-    assert split(eigh_counts) == {"eigvalsh": {9: samples, 3: 2 * samples},
-                                  "eigh": {3: 2 * samples}}
+    assert eigh_counts == {9: samples, 3: 4 * samples}
 
 
 def test_check_eigensolves_per_call(tmp_path, eigh_counts, capsys):
     path = tmp_path / "state.txt"
     write_matrix_file(str(path), random_density(2, 3, 4, 11))
-    for per_dim in eigh_counts.values():
-        per_dim.clear()
+    eigh_counts.clear()
     assert cli_main(["check", str(path)]) == 0
-    assert split(eigh_counts) == {"eigvalsh": {6: 1, 2: 2, 3: 2},
-                                  "eigh": {2: 2, 3: 2}}
+    assert eigh_counts == {6: 1, 2: 4, 3: 4}
 
 
 def test_sweep_eigensolves_per_valid_row(eigh_counts):
     rows = run_sweep(SweepSpec(family="werner", start=-0.6, stop=1.0, count=17))
     valid = sum(row.valid for row in rows)
     assert 0 < valid < len(rows)
-    assert split(eigh_counts) == {"eigvalsh": {4: valid, 2: 2 * valid},
-                                  "eigh": {2: 2 * valid}}
+    assert eigh_counts == {4: valid, 2: 4 * valid}
