@@ -20,7 +20,6 @@ from .inequalities import (
     find_delta_roots,
     purity_set,
 )
-from .linalg import HermitianEigen, hermitian_eig
 from .prng import SplitMix64, child_seed
 from .states import (
     GisinParams,

@@ -14,7 +14,6 @@ audited inequality unsatisfied, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .defaults import REPORT_TOL, SWEEP_POINTS
@@ -28,7 +27,7 @@ from .fileio import (
     scan_report_json,
     write_scan_report,
 )
-from .inequalities import audit_block, audit_reports, purity_set
+from .inequalities import audit_block, audit_reports, purity_set, require_tol
 from .prng import child_seed
 from .sweep import FAMILIES, SweepSpec, run_sweep, scan_conjecture
 
@@ -50,11 +49,6 @@ def _parse_shape(text: str) -> BlockShape:
         return BlockShape(int(parts[0]), int(parts[1]))
     except (ValueError, PurityLabError) as err:
         raise _UsageError(f"bad shape {text!r}: {err}") from err
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise _UsageError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def build_parser() -> _Parser:
@@ -113,7 +107,7 @@ def _cmd_audit(args) -> int:
     shape = _parse_shape(args.shape)
     if args.samples < 1:
         raise _UsageError(f"samples must be >= 1, got {args.samples}")
-    _check_tol(args.tol)
+    require_tol(args.tol)
     worst: dict[str, float] = {}
     recipes = (("ginibre", k % shape.dim + 1, child_seed(args.seed, k))
                for k in range(args.samples))
@@ -135,7 +129,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_scan(args) -> int:
     shape = _parse_shape(args.shape)
-    _check_tol(args.tol)
+    require_tol(args.tol)
     report = scan_conjecture(shape, args.samples, args.seed, tol=args.tol)
     if args.out is None:
         sys.stdout.write(scan_report_json(report))
@@ -148,7 +142,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _check_tol(args.tol)
+    require_tol(args.tol)
     rho = read_matrix_file(args.path)
     ps = purity_set(rho)
     print(f"shape: {rho.shape.n}x{rho.shape.m}")

@@ -35,7 +35,7 @@ from .density import (
     purities,
     reduced_blocks,
 )
-from .errors import BadInterval
+from .errors import BadInterval, SpecError
 from .linalg import clamp_spectra, spectra
 
 
@@ -69,6 +69,12 @@ class InequalityReport:
     margin: float
     satisfied: bool
     tol: float
+
+
+def require_tol(tol: float) -> None:
+    """Refuse a report tolerance that is not a finite number >= 0 (SpecError)."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise SpecError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _report(name: str, lhs: float, rhs: float, tol: float) -> InequalityReport:
@@ -140,7 +146,9 @@ def audit_block(block: DensityBlock) -> list[tuple[str, np.ndarray, np.ndarray]]
 
 def audit_reports(rho: DensityMatrix, tol: float = REPORT_TOL) -> list[InequalityReport]:
     """Reports of eq5, eq6, eq8, eq9 and eq10, in that order: the one-state
-    :func:`audit_block`, each judged satisfied when its margin is >= -tol."""
+    :func:`audit_block`, each judged satisfied when its margin is >= -tol;
+    ``tol`` must be a finite number >= 0."""
+    require_tol(tol)
     return [_report(name, float(lhs[0]), float(rhs[0]), tol)
             for name, lhs, rhs in audit_block(DensityBlock.of(rho))]
 

@@ -48,7 +48,7 @@ from .density import (
 from .errors import DomainError, NotPositive, ShapeUnsupported, TraceNotOne
 from .inequalities import InequalityReport, PuritySet, _report
 from .linalg import spectra
-from .prng import SplitMix64
+from .prng import stream_uniforms
 
 TWO_QUBIT_SHAPE = BlockShape(2, 2)
 
@@ -274,18 +274,18 @@ def ppt_entangled(rho: DensityMatrix) -> bool:
 def random_x_params(seed: int) -> XStateParams:
     """Random valid X-state parameters from the packaged stream.
 
-    Diagonal: four exponential draws normalized to 1.  Each coherence picks
-    a magnitude uniformly inside its positivity bound and a uniform phase:
-    |c14| = u * sqrt(d1 d4) with u in (0, 1], likewise for c23.
+    The first 8 uniforms of stream ``seed`` give four exponential draws,
+    normalized to 1 as the diagonal, then |c14| = u * sqrt(d1 d4) with u in
+    (0, 1], a uniform phase of c14, and likewise |c23| and its phase.
     """
-    gen = SplitMix64(seed)
-    raw = [-math.log(gen.uniform()) for _ in range(4)]
+    uniforms = stream_uniforms([seed], [8]).tolist()
+    raw = [-math.log(u) for u in uniforms[:4]]
     total = sum(raw)
     d1, d2, d3, d4 = (r / total for r in raw)
-    mag14 = gen.uniform() * math.sqrt(d1 * d4)
-    ph14 = 2.0 * math.pi * gen.uniform()
-    mag23 = gen.uniform() * math.sqrt(d2 * d3)
-    ph23 = 2.0 * math.pi * gen.uniform()
+    mag14 = uniforms[4] * math.sqrt(d1 * d4)
+    ph14 = 2.0 * math.pi * uniforms[5]
+    mag23 = uniforms[6] * math.sqrt(d2 * d3)
+    ph23 = 2.0 * math.pi * uniforms[7]
     return XStateParams(
         d1=d1, d2=d2, d3=d3, d4=d4,
         c14=mag14 * complex(math.cos(ph14), math.sin(ph14)),

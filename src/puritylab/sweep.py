@@ -30,7 +30,7 @@ from .density import (
     sample_blocks,
 )
 from .errors import DomainError, NotPositive, SpecError, TraceNotOne
-from .inequalities import delta_block, purity_sets
+from .inequalities import delta_block, purity_sets, require_tol
 from .prng import child_seed
 from .states import (
     GisinParams,
@@ -268,8 +268,7 @@ def scan_conjecture(shape: BlockShape, samples: int, seed: int,
     """
     if samples < 1:
         raise SpecError(f"samples must be >= 1, got {samples}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise SpecError(f"tol must be a finite number >= 0, got {tol}")
+    require_tol(tol)
     _require_ppt_shape(shape)
     counterexamples: list[ScanSample] = []
     entangled_deltas: list[float] = []

@@ -10,18 +10,23 @@ package's rounding rather than a second double-precision computation.
 ``numpy_sqrt_psd`` uses numpy.linalg.eigh; it checks the package's block
 reductions and trace bookkeeping, not its eigensolver.  The scalar samplers
 draw one value at a time from ``SplitMix64`` and build each state term by
-term, the reference for the package's block sampler.
+term, the reference for the package's block sampler, and
+``scalar_random_x_params`` is the reference for the X-state draw.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from mpmath import mp
 from numpy.polynomial import Polynomial
 
+from puritylab.defaults import VALIDATION_TOL
 from puritylab.density import BlockShape, DensityMatrix, make_density
 from puritylab.errors import BadRank
 from puritylab.prng import SplitMix64
+from puritylab.states import XStateParams
 
 
 def index_block_trace(mat: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -88,6 +93,39 @@ def scalar_random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> De
         v /= np.linalg.norm(v)
         acc += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
     return make_density(acc, shape)
+
+
+def scalar_random_x_params(seed: int) -> XStateParams:
+    """X-state parameters drawn one uniform at a time from ``SplitMix64``:
+    four exponentials normalized to the diagonal, then |c14|, its phase,
+    |c23| and its phase."""
+    gen = SplitMix64(seed)
+    raw = [-math.log(gen.uniform()) for _ in range(4)]
+    total = sum(raw)
+    d1, d2, d3, d4 = (r / total for r in raw)
+    mag14 = gen.uniform() * math.sqrt(d1 * d4)
+    ph14 = 2.0 * math.pi * gen.uniform()
+    mag23 = gen.uniform() * math.sqrt(d2 * d3)
+    ph23 = 2.0 * math.pi * gen.uniform()
+    return XStateParams(
+        d1=d1, d2=d2, d3=d3, d4=d4,
+        c14=mag14 * complex(math.cos(ph14), math.sin(ph14)),
+        c23=mag23 * complex(math.cos(ph23), math.sin(ph23)),
+    )
+
+
+def skewed_pure_state(n: int, m: int, seed: int) -> np.ndarray:
+    """A random pure state of dimension n*m plus an anti-Hermitian matrix with
+    zero diagonal, scaled so that the Hermiticity defect (largest entry of
+    mat - mat^dagger) is 0.9 VALIDATION_TOL: a matrix validation accepts."""
+    rng = np.random.default_rng(seed)
+    dim = n * m
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    skew -= skew.conj().T
+    np.fill_diagonal(skew, 0.0)
+    return np.outer(psi, psi.conj()) + skew * (0.45 * VALIDATION_TOL / np.abs(skew).max())
 
 
 def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:

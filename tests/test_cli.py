@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from oracles import werner_matrix
+from oracles import skewed_pure_state, werner_matrix
 from puritylab import cli, sweep
 from puritylab.cli import cli_main
 from puritylab.density import BlockShape, make_density
@@ -225,6 +225,17 @@ class TestCheckCommand:
         for line, name in zip(lines[6:], ["eq5", "eq6", "eq8", "eq9", "eq10"]):
             assert re.fullmatch(rf"{name}: lhs=\S+ rhs=\S+ expected=<= margin=\S+ "
                                 r"satisfied=true", line), line
+
+    def test_accepted_skewed_state_is_checked(self, tmp_path, capsys):
+        # Hermiticity defect 0.9 VALIDATION_TOL: accepted when the file is
+        # read, so evaluated without a second refusal of its reductions
+        path = tmp_path / "skewed.txt"
+        for seed in range(5):
+            write_matrix_file(str(path), make_density(skewed_pure_state(2, 3, seed),
+                                                      BlockShape(2, 3)))
+            code, out, err = run_cli(["check", str(path)], capsys)
+            assert code in (0, 2) and err == "", err
+            assert len(out.splitlines()) == 11
 
     def test_missing_file_io_error(self, capsys):
         code, _, _ = run_cli(["check", "/nonexistent/state.txt"], capsys)

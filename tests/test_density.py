@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import index_block_sum, index_block_trace, werner_matrix
+from oracles import index_block_sum, index_block_trace, skewed_pure_state, werner_matrix
 from puritylab.defaults import VALIDATION_TOL
 from puritylab.density import (
     BlockShape,
     DensityBlock,
+    block_sum_map,
+    block_trace_map,
+    hermiticity_defect,
     make_density,
     purity,
     random_density,
@@ -24,9 +27,9 @@ from puritylab.errors import (
     ShapeMismatch,
     TraceNotOne,
 )
-from puritylab.inequalities import purity_set
+from puritylab.inequalities import audit_reports, delta, purity_set
 from puritylab.linalg import hermitian_eig
-from puritylab.states import GisinParams, gisin_state, gisin_x_max
+from puritylab.states import GisinParams, gisin_state, gisin_x_max, ppt_entangled
 
 SHAPE22 = BlockShape(2, 2)
 SHAPES = [BlockShape(2, 2), BlockShape(2, 3), BlockShape(3, 2), BlockShape(4, 2)]
@@ -172,6 +175,31 @@ class TestValidationEdges:
         with pytest.raises(NotPositive, match="entry modulus .* exceeds 1 by 2.000e-10"):
             make_density(bad, SHAPE22)
         assert not eigh_counts
+
+
+class TestValidatedOnce:
+    """A state is validated once, where it enters the package; evaluating an
+    accepted state never refuses it again."""
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_accepted_skewed_states_are_evaluated(self, n, m):
+        # the reductions sum n or m entries, so their Hermiticity defect can
+        # exceed VALIDATION_TOL although the state's is 0.9 VALIDATION_TOL
+        reduced_defects = []
+        for seed in range(8):
+            mat = skewed_pure_state(n, m, seed)
+            assert 0.85 * VALIDATION_TOL <= hermiticity_defect(mat) <= 0.95 * VALIDATION_TOL
+            rho = make_density(mat, BlockShape(n, m))
+            reduced_defects += [hermiticity_defect(block_trace_map(rho.mat, rho.shape)),
+                                hermiticity_defect(block_sum_map(rho.mat, rho.shape))]
+            ps = purity_set(rho)
+            assert ps.delta == delta(rho)
+            assert len(audit_reports(rho)) == 5
+            if (n, m) != (3, 3):
+                ppt_entangled(rho)
+            for block in reduced_blocks(DensityBlock.of(rho)):
+                assert not block.mats.flags.writeable
+        assert max(reduced_defects) > VALIDATION_TOL
 
 
 class TestPartialTraces:

@@ -17,7 +17,7 @@ from puritylab.density import (
     sample_blocks,
 )
 from puritylab.defaults import CLAMP_TOL, REPORT_TOL
-from puritylab.errors import BadInterval, NegativeSpectrum
+from puritylab.errors import BadInterval, NegativeSpectrum, SpecError
 from puritylab.inequalities import (
     _sqrt_trace_stack,
     _sqrt_traces,
@@ -229,6 +229,13 @@ class TestAuditReports:
     def test_all_hold_on_random_states(self, seed, shape):
         for rep in audit_reports(random_state(seed, shape)):
             assert rep.satisfied, rep
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_degenerate_tol(self, tol):
+        # tol=nan or -1 would judge every inequality unsatisfied, tol=inf
+        # every one satisfied
+        with pytest.raises(SpecError, match="tol must be a finite number >= 0"):
+            audit_reports(werner(0.5), tol=tol)
 
 
 SYMMETRY_SHAPES = [BlockShape(2, 2), BlockShape(2, 3), BlockShape(3, 2)]

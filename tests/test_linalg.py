@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import jacobi_eigenvalues, random_hermitian
 from puritylab import linalg
 from puritylab.defaults import CLAMP_TOL, VALIDATION_TOL
+from puritylab.density import BlockShape, make_density, validate_block
 from puritylab.errors import DimMismatch, DomainError, NegativeSpectrum, NotHermitian
 from puritylab.linalg import clamp_spectra, hermitian_eig, spectra
 
@@ -38,9 +39,17 @@ class TestHermitianEig:
         eig = hermitian_eig(random_hermitian(6, 7))
         assert (np.diff(eig.values) >= 0).all()
 
+    # hermitian_eig checks no tolerance: a matrix is refused where it enters
+    # the package (make_density, validate_block), before any eigensolve.  The
+    # input-check cases below hold that boundary to them.
+
     def test_rejects_non_hermitian(self):
+        mat = [[0.5, 1.0], [0.0, 0.5]]
         with pytest.raises(NotHermitian):
-            hermitian_eig([[0, 1], [0, 0]])
+            make_density(mat, BlockShape(2, 1))
+        # behind the boundary, the eigenvalues are those of the Hermitian part
+        part = np.array([[0.5, 0.5], [0.5, 0.5]])
+        assert hermitian_eig(mat).values.tobytes() == np.linalg.eigvalsh(part).tobytes()
 
     @pytest.mark.parametrize("entry", [
         ((1, 1), complex(np.nan, 0.0)),
@@ -51,28 +60,27 @@ class TestHermitianEig:
         mat = np.eye(3, dtype=complex) / 3
         mat[entry[0]] = entry[1]
         with pytest.raises(DomainError, match="NaN or Inf"):
-            hermitian_eig(mat)
+            make_density(mat, BlockShape(3, 1))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_symmetric_inf_pair_is_domain_error(self):
         # inf - conj(inf) is nan, so the pair reads as non-finite, not as
         # a zero Hermiticity defect
         mat = np.eye(3, dtype=complex) / 3
         mat[0, 1] = mat[1, 0] = complex(np.inf, 0.0)
         with pytest.raises(DomainError, match="NaN or Inf"):
-            hermitian_eig(mat)
+            make_density(mat, BlockShape(3, 1))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_error_order(self):
+        shape = BlockShape(2, 1)
         with pytest.raises(DimMismatch):
-            hermitian_eig(np.full((2, 3), np.nan))
+            make_density(np.full((2, 3), np.nan), shape)
         # a NaN entry outranks the asymmetry beside it
         with pytest.raises(DomainError, match="NaN or Inf"):
-            hermitian_eig([[np.nan, 5.0], [0.0, 0.0]])
+            make_density([[np.nan, 5.0], [0.0, 0.0]], shape)
         with pytest.raises(DomainError, match="NaN or Inf"):
-            hermitian_eig([[0.0, np.inf], [np.inf, 0.0]])
+            make_density([[0.0, np.inf], [np.inf, 0.0]], shape)
         with pytest.raises(NotHermitian, match="hermiticity defect 1.000e-01 exceeds tol"):
-            hermitian_eig([[0.0, 0.1], [0.0, 0.0]])
+            make_density([[0.0, 0.1], [0.0, 0.0]], shape)
 
     def test_deterministic(self):
         h = random_hermitian(5, 123)
@@ -99,9 +107,11 @@ class TestSpectra:
         assert spectra(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)
 
     def test_raises_for_the_first_bad_matrix(self):
-        mats = np.stack([np.eye(2), [[0.0, 0.1], [0.0, 0.0]], [[0.0, 0.2], [0.0, 0.0]]])
+        # spectra checks nothing; validating the stack names its first bad matrix
+        mats = np.stack([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]], [[0.5, 0.2], [0.0, 0.5]]])
+        assert np.isfinite(spectra(mats)).all()
         with pytest.raises(NotHermitian, match="hermiticity defect 1.000e-01"):
-            spectra(mats)
+            validate_block(mats, BlockShape(2, 1))
 
 
 def nearly_hermitian(dim: int, rank: int, seed: int) -> np.ndarray:
@@ -143,14 +153,27 @@ class TestDirectLapack:
             eigenvalues(random_hermitian(3, 5), stacked)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("stacked", [True, False])
-    @pytest.mark.parametrize("dim", range(1, 10))
-    def test_overflowing_hermitian_part_is_domain_error(self, dim, stacked):
-        # finite and Hermitian, but m + m^dagger overflows to Inf
-        mat = np.eye(dim, dtype=complex) / dim
-        mat[0, 0] = mat[-1, 0] = mat[0, -1] = 1.7e308
-        with pytest.raises(DomainError, match="overflows"):
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_overflowing_hermitian_part_is_linalg_error(self, stacked):
+        mat = np.eye(3, dtype=complex) / 3
+        mat[-1, 0] = mat[0, -1] = 1.7e308
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             eigenvalues(mat, stacked)
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_overflowing_hermitian_part_is_domain_error(self, dim, stacked, eigh_counts):
+        # finite, Hermitian and of unit trace, but m + m^dagger overflows to
+        # Inf: refused where it enters the package, and never solved (in a
+        # stack, only the valid state before it is)
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[-1, 0] = mat[0, -1] = 1.7e308
+        with pytest.raises(DomainError, match="overflows"):
+            if stacked:
+                validate_block(np.stack([np.eye(dim) / dim, mat]), BlockShape(dim, 1))
+            else:
+                make_density(mat, BlockShape(dim, 1))
+        assert dict(eigh_counts) == ({dim: 1} if stacked else {})
 
 
 class TestClampSpectra:

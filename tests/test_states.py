@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import werner_matrix
+from oracles import scalar_random_x_params, werner_matrix
 from puritylab.density import purity
 from puritylab.errors import (
     DomainError,
@@ -15,6 +15,7 @@ from puritylab.errors import (
 )
 from puritylab.inequalities import audit_reports, purity_set
 from puritylab.linalg import hermitian_eig
+from puritylab.prng import child_seed
 from puritylab.states import (
     GisinParams,
     XStateParams,
@@ -56,6 +57,13 @@ class TestXStateParams:
     def test_negative_diagonal_rejected(self):
         with pytest.raises(NotPositive):
             XStateParams(-0.1, 0.5, 0.3, 0.3)
+
+    def test_random_draw_equals_scalar_draw(self):
+        # the stream draw has the bits of one SplitMix64 uniform at a time
+        # (repr round-trips every float, so equal reprs mean equal bits)
+        seeds = [*range(5000), *(child_seed(11, k) for k in range(5000))]
+        for seed in seeds:
+            assert repr(random_x_params(seed)) == repr(scalar_random_x_params(seed)), seed
 
 
 class TestXState:
