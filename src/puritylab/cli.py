@@ -14,6 +14,7 @@ audited inequality unsatisfied, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .defaults import REPORT_TOL, SWEEP_POINTS
@@ -51,7 +52,11 @@ def _parse_shape(text: str) -> BlockShape:
         raise _UsageError(f"bad shape {text!r}: {err}") from err
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built on the first call and shared by
+    later ones: parsing never changes it, and help text is formatted (and
+    the terminal width read) when it is printed."""
     parser = _Parser(prog="puritylab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

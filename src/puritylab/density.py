@@ -71,16 +71,6 @@ class DensityBlock:
         """One-state block sharing the state's memory."""
         return cls(mats=rho.mat[None], shape=rho.shape)
 
-    @classmethod
-    def stack(cls, states: list[DensityMatrix]) -> DensityBlock:
-        """Block of validated states that share one block shape."""
-        shape = states[0].shape
-        if any(rho.shape != shape for rho in states):
-            raise ShapeMismatch("a block holds states of one block shape")
-        mats = np.stack([rho.mat for rho in states])
-        mats.flags.writeable = False
-        return cls(mats=mats, shape=shape)
-
     def __len__(self) -> int:
         return len(self.mats)
 

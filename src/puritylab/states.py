@@ -195,11 +195,16 @@ def gisin_state(g: GisinParams) -> DensityMatrix:
     matrices are PSD with unit trace; ``x_state(gisin_params(g))`` builds
     them.  Raw non-normalized amplitudes surface as TraceNotOne.
     """
+    return x_state(_separable_gisin_params(g))
+
+
+def _separable_gisin_params(g: GisinParams) -> XStateParams:
+    """``gisin_params(g)``, after the x_max check of :func:`gisin_state`."""
     x_max = gisin_x_max(g.a, g.b)
     if g.x > x_max + VALIDATION_TOL:
         raise DomainError(
             f"x = {g.x} exceeds the separability threshold x_max = {x_max:.6f}")
-    return x_state(gisin_params(g))
+    return gisin_params(g)
 
 
 def gisin_closed_forms(g: GisinParams) -> tuple[float, float, float]:

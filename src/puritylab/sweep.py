@@ -1,12 +1,13 @@
 """Parameter sweeps over the state families and the conjecture scan.
 
-Sweeps build one state per grid point and evaluate the built states a
-block at a time, with the same functions as one-state evaluation, so each
-row equals ``purity_set`` of its state.  Rows whose state constructor fails
-(Gisin beyond x_max, out-of-domain parameters, non-normalized amplitudes)
-are kept with ``valid=False`` and the closed-form columns still filled,
-since the closed forms are defined over the full parameter range; the
-generic-pipeline-only columns are blanked there.
+Sweeps check the parameters of each grid point, build its X-state matrix,
+and validate and evaluate the built matrices a block at a time, with the
+same functions as one-state evaluation, so each row equals ``purity_set``
+of its state.  Rows whose parameter checks fail (Gisin beyond x_max,
+out-of-domain parameters, non-normalized amplitudes) are kept with
+``valid=False`` and the closed-form columns still filled, since the closed
+forms are defined over the full parameter range; the generic-pipeline-only
+columns are blanked there.
 
 The conjecture scan alternates Ginibre-induced states (ranks cycling
 1..N) with separable control mixtures, flags every entangled sample whose
@@ -20,29 +21,32 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .defaults import ENTANGLE_TOL, GISIN_NORM_SLACK, REPORT_TOL, SWEEP_POINTS
 from .density import (
     SAMPLE_BLOCK,
     BlockShape,
-    DensityBlock,
     DensityMatrix,
     sample_block,
     sample_blocks,
+    validate_block,
 )
 from .errors import DomainError, NotPositive, SpecError, TraceNotOne
 from .inequalities import delta_block, purity_sets, require_tol
 from .prng import child_seed
 from .states import (
+    TWO_QUBIT_SHAPE,
     GisinParams,
     _gisin_closed,
     _require_ppt_shape,
+    _separable_gisin_params,
     beta_params,
-    gisin_state,
     gisin_x_max,
     ppt_entangled_block,
     random_x_params,
     werner_params,
-    x_state,
+    x_state_matrix,
     xstate_entangled,
 )
 
@@ -53,10 +57,11 @@ FAMILIES = ("werner", "gisin", "beta", "xrandom")
 class SweepSpec:
     """Equally spaced grid over one family parameter, endpoints included.
 
-    Bounds, their difference and amplitudes must be finite.  For the xrandom
-    family the grid values are rounded to integers and used as seeds for
-    random X-state draws; a grid whose rounded values repeat a seed is
-    refused.
+    Bounds, their difference and amplitudes must be finite.  The amplitudes
+    a and b are required by the gisin family and refused by the others.  For
+    the xrandom family the grid values are rounded to integers and used as
+    seeds for random X-state draws; a grid whose rounded values repeat a
+    seed is refused.
     """
 
     family: str
@@ -86,6 +91,8 @@ class SweepSpec:
                 raise SpecError(
                     f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, beyond slack"
                 )
+        elif self.a is not None or self.b is not None:
+            raise SpecError(f"amplitudes a and b are for gisin sweeps, not {self.family}")
         if self.family == "xrandom" and len(set(map(_xrandom_seed, self.grid()))) < self.count:
             raise SpecError(
                 f"xrandom grid [{self.start}, {self.stop}] with count {self.count} "
@@ -111,20 +118,33 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class _BuiltRow:
-    """A grid point whose state was built; :func:`run_sweep` evaluates it."""
+    """A grid point whose parameters passed their checks, with its X-state
+    matrix, not yet validated; :func:`run_sweep` evaluates it."""
 
     param: float
-    rho: DensityMatrix
+    mat: np.ndarray
     entangled: bool
 
 
 def _evaluate(rows: list[SweepRow | _BuiltRow]) -> list[SweepRow]:
-    """Replace each built row by its valid SweepRow, evaluating the built
-    states :data:`SAMPLE_BLOCK` at a time."""
+    """Replace each built row by its valid SweepRow, validating and
+    evaluating the built matrices :data:`SAMPLE_BLOCK` at a time.
+
+    A block that fails validation raises instead of marking one row invalid,
+    so validity is decided by the parameter checks, and they pass only
+    matrices that validation accepts.  Each is Hermitian by construction,
+    its diagonal sums to 1 within XSTATE_PARAM_TOL (below VALIDATION_TOL),
+    and each of its two 2x2 blocks is PSD in exact arithmetic, with entries
+    of modulus at most 1: diagonal, rank one (both beta blocks, the Gisin
+    inner block x v v^dagger with v = (a, b)), Werner's outer block with
+    eigenvalues (1+3p)/4 and (1-p)/4 on [-1/3, 1], or an xrandom block with
+    |c| <= sqrt(d d').  So their computed smallest eigenvalues are off by
+    rounding, far inside -VALIDATION_TOL.
+    """
     built = [i for i, row in enumerate(rows) if isinstance(row, _BuiltRow)]
     for start in range(0, len(built), SAMPLE_BLOCK):
         chunk = built[start:start + SAMPLE_BLOCK]
-        block = DensityBlock.stack([rows[i].rho for i in chunk])
+        block = validate_block([rows[i].mat for i in chunk], TWO_QUBIT_SHAPE)
         for i, ps in zip(chunk, purity_sets(block)):
             rows[i] = SweepRow(
                 param=rows[i].param, valid=True,
@@ -145,7 +165,7 @@ def _werner_row(p: float) -> SweepRow | _BuiltRow:
         return SweepRow(param=p, valid=False, mu12=mu12, mu1=0.5, mu2=0.5,
                         mu_tilde=mt, delta=mt - mu12, lhs5=0.0,
                         entangled=p > 1.0 / 3.0)
-    return _BuiltRow(p, x_state(params), xstate_entangled(params))
+    return _BuiltRow(p, x_state_matrix(params), xstate_entangled(params))
 
 
 def _beta_row(beta: float) -> SweepRow | _BuiltRow:
@@ -157,20 +177,20 @@ def _beta_row(beta: float) -> SweepRow | _BuiltRow:
         return SweepRow(param=beta, valid=False, mu12=mu12, mu1=0.5, mu2=0.5,
                         mu_tilde=mt, delta=mt - mu12, lhs5=0.0,
                         entangled=abs(beta - 0.5) > ENTANGLE_TOL)
-    return _BuiltRow(beta, x_state(params), xstate_entangled(params))
+    return _BuiltRow(beta, x_state_matrix(params), xstate_entangled(params))
 
 
 def _gisin_row(x: float, a: complex, b: complex) -> SweepRow | _BuiltRow:
     x_max = gisin_x_max(a, b)
     entangled = x > x_max + ENTANGLE_TOL
     try:
-        rho = gisin_state(GisinParams(x=x, a=a, b=b))
+        params = _separable_gisin_params(GisinParams(x=x, a=a, b=b))
     except (DomainError, NotPositive, TraceNotOne):
         lhs5, mt, mu12 = _gisin_closed(x, abs(a) ** 2, abs(b) ** 2)
         return SweepRow(param=x, valid=False, mu12=mu12, mu1=None, mu2=None,
                         mu_tilde=mt, delta=mt - mu12, lhs5=lhs5,
                         entangled=entangled)
-    return _BuiltRow(x, rho, entangled)
+    return _BuiltRow(x, x_state_matrix(params), entangled)
 
 
 def _xrandom_seed(value: float) -> int:
@@ -180,7 +200,7 @@ def _xrandom_seed(value: float) -> int:
 def _xrandom_row(value: float) -> _BuiltRow:
     seed = _xrandom_seed(value)
     params = random_x_params(seed)
-    return _BuiltRow(float(seed), x_state(params), xstate_entangled(params))
+    return _BuiltRow(float(seed), x_state_matrix(params), xstate_entangled(params))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

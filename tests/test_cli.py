@@ -98,6 +98,18 @@ class TestSweepCommand:
         assert err.startswith("error:") and "repeated seeds" in err
         assert out == ""
 
+    @pytest.mark.parametrize("family", ["werner", "beta", "xrandom"])
+    def test_amplitudes_outside_gisin_input_error(self, family, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(["sweep", "--family", family, "--start", "0",
+                                     "--stop", "1", "--count", "2", "--a", "0.3",
+                                     "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "amplitudes a and b are for gisin sweeps" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_unknown_family_usage_error(self, capsys):
         code, _, err = run_cli(["sweep", "--family", "ghz", "--start", "0",
                                 "--stop", "1"], capsys)
@@ -291,6 +303,40 @@ class TestCheckCommand:
         code, out, _ = run_cli(["check", str(path)], capsys)
         assert code == 2
         assert "satisfied=false" in out
+
+
+def parsed(parser, argv):
+    """The namespace argv parses to, or the usage error or exit it raises."""
+    try:
+        return vars(parser.parse_args(argv))
+    except (cli._UsageError, SystemExit) as err:
+        return repr(err)
+
+
+class TestSharedParser:
+    def test_calls_do_not_leak_state(self, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process; each call must behave as
+        # through a parser built for it alone
+        path = tmp_path / "state.txt"
+        write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(2, 2)))
+        sequence = [
+            ["scan", "--samples", "10", "--seed", "3"],
+            ["audit", "--shape", "2y2"],
+            ["check", str(path), "--tol", "0.5"],
+            ["sweep", "--family", "ghz", "--start", "0", "--stop", "1"],
+            ["check", str(path)],
+            ["--help"],
+            ["audit", "--samples", "20", "--seed", "1"],
+        ]
+        shared_parser = cli.build_parser
+        shared = [run_cli(argv, capsys) for argv in sequence]
+        assert [code for code, _, _ in shared] == [0, 1, 0, 1, 0, 0, 0]
+        monkeypatch.setattr(cli, "build_parser", shared_parser.__wrapped__)
+        assert [run_cli(argv, capsys) for argv in sequence] == shared
+        for argv in sequence:
+            assert parsed(shared_parser(), argv) == parsed(shared_parser.__wrapped__(), argv)
+        assert shared_parser() is shared_parser()
+        assert shared_parser.cache_info().misses == 1
 
 
 class TestUsage:

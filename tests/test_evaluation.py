@@ -11,14 +11,8 @@ import numpy as np
 import pytest
 
 from puritylab.cli import cli_main
-from puritylab.density import (
-    SAMPLE_BLOCK,
-    BlockShape,
-    DensityBlock,
-    random_density,
-    sample_blocks,
-)
-from puritylab.errors import ShapeMismatch
+from puritylab.density import SAMPLE_BLOCK, BlockShape, random_density, sample_blocks
+from puritylab.errors import DomainError, NotPositive, TraceNotOne
 from puritylab.fileio import write_matrix_file
 from puritylab.inequalities import (
     audit_block,
@@ -29,10 +23,12 @@ from puritylab.inequalities import (
 )
 from puritylab.prng import child_seed
 from puritylab.states import (
+    GisinParams,
+    gisin_state,
     ppt_entangled,
     ppt_entangled_block,
     random_x_params,
-    werner_params,
+    werner_state,
     x_state,
 )
 from puritylab.sweep import SweepSpec, _sample_recipe, run_sweep, scan_state
@@ -71,28 +67,51 @@ def test_audit_block_equals_one_state(shape):
                 for name, lhs, rhs in sides]
 
 
-@pytest.mark.parametrize("spec", [
-    SweepSpec(family="xrandom", start=0, stop=JOB - 1, count=JOB),
-    SweepSpec(family="werner", start=-0.6, stop=1.0, count=JOB),
-], ids=lambda spec: spec.family)
-def test_sweep_rows_equal_one_state(spec):
+def one_state(spec, param):
+    """The state of a sweep row, built and validated alone, or None where
+    its constructor refuses the parameter."""
+    try:
+        if spec.family == "xrandom":
+            return x_state(random_x_params(int(param)))
+        if spec.family == "werner":
+            return werner_state(param)
+        return gisin_state(GisinParams(x=param, a=spec.a, b=spec.b))
+    except (DomainError, NotPositive, TraceNotOne):
+        return None
+
+
+# Each spec with the row verdicts its grid must reach.  Werner rows below
+# p = -1/3 and Gisin rows beyond x_max or off normalization keep their
+# closed forms and no state; the edge grids put populations and
+# coherences at 0 and the mixing weight within 1e-6 of its bounds.
+@pytest.mark.parametrize("spec, verdicts", [
+    pytest.param(SweepSpec(family="xrandom", start=0, stop=JOB - 1, count=JOB),
+                 {True}, id="xrandom"),
+    pytest.param(SweepSpec(family="werner", start=-0.6, stop=1.0, count=JOB),
+                 {True, False}, id="werner"),
+    pytest.param(SweepSpec(family="gisin", start=0.005, stop=1.2, count=JOB, a=0.6, b=0.8),
+                 {True, False}, id="gisin-0.6-0.8"),
+    pytest.param(SweepSpec(family="gisin", start=0.005, stop=0.995, count=JOB,
+                           a=0.6j, b=0.8), {True, False}, id="gisin-complex"),
+    pytest.param(SweepSpec(family="gisin", start=0.005, stop=0.995, count=JOB,
+                           a=0.07, b=0.99), {False}, id="gisin-0.07-0.99"),
+    pytest.param(SweepSpec(family="gisin", start=1e-6, stop=1 - 1e-6, count=JOB, a=1, b=0),
+                 {True}, id="gisin-edge-a1-b0"),
+    pytest.param(SweepSpec(family="gisin", start=1e-6, stop=1 - 1e-6, count=JOB, a=0, b=1),
+                 {True}, id="gisin-edge-a0-b1"),
+])
+def test_sweep_rows_equal_one_state(spec, verdicts):
     rows = run_sweep(spec)
     assert len(rows) == JOB
+    assert {row.valid for row in rows} == verdicts
     for row in rows:
-        # Werner rows below p = -1/3 keep their closed forms and no state
-        assert row.valid == (row.param >= -1 / 3)
+        rho = one_state(spec, row.param)
+        assert row.valid == (rho is not None), row.param
         if not row.valid:
             continue
-        params = (random_x_params(int(row.param)) if spec.family == "xrandom"
-                  else werner_params(row.param))
-        ps = purity_set(x_state(params))
+        ps = purity_set(rho)
         assert (row.mu12, row.mu1, row.mu2, row.mu_tilde, row.delta) == (
             ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta)
-
-
-def test_block_of_mixed_shapes_refused():
-    with pytest.raises(ShapeMismatch):
-        DensityBlock.stack([random_density(2, 2, 1, 1), random_density(4, 1, 1, 1)])
 
 
 # One hermitian_eig, and so one eigenvalues-only LAPACK solve, per matrix:
@@ -121,7 +140,10 @@ def test_check_eigensolves_per_call(tmp_path, eigh_counts, capsys):
 
 
 def test_sweep_eigensolves_per_valid_row(eigh_counts):
-    rows = run_sweep(SweepSpec(family="werner", start=-0.6, stop=1.0, count=17))
-    valid = sum(row.valid for row in rows)
-    assert 0 < valid < len(rows)
-    assert eigh_counts == {4: valid, 2: 4 * valid}
+    for spec in (SweepSpec(family="werner", start=-0.6, stop=1.0, count=17),
+                 SweepSpec(family="gisin", start=0.005, stop=0.995, count=17, a=0.6, b=0.8)):
+        eigh_counts.clear()
+        rows = run_sweep(spec)
+        valid = sum(row.valid for row in rows)
+        assert 0 < valid < len(rows)
+        assert eigh_counts == {4: valid, 2: 4 * valid}, spec.family

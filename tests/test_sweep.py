@@ -43,6 +43,14 @@ class TestSweepSpec:
         with pytest.raises(SpecError):
             SweepSpec(family="gisin", start=0.1, stop=0.9, count=10, a=1.5, b=0.0)
 
+    @pytest.mark.parametrize("family", ["werner", "beta", "xrandom"])
+    @pytest.mark.parametrize("amplitudes", [{"a": 0.3}, {"b": 0.3}, {"a": 0.6, "b": 0.8}],
+                             ids=["a", "b", "a-and-b"])
+    def test_amplitudes_refused_outside_gisin(self, family, amplitudes):
+        # only the gisin family reads a and b; elsewhere they would be ignored
+        with pytest.raises(SpecError, match="amplitudes a and b are for gisin sweeps"):
+            SweepSpec(family=family, start=0, stop=1, count=2, **amplitudes)
+
     def test_xrandom_half_integer_grid_refused(self):
         # a step of 1, but round-half-to-even maps 0.5, 1.5, 2.5 to seeds 0, 2, 2
         with pytest.raises(SpecError, match="repeated seeds"):
