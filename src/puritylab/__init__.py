@@ -26,9 +26,6 @@ from .states import (
     XStateParams,
     beta_params,
     beta_state,
-    check_eq11,
-    check_eq12,
-    gisin_closed_forms,
     gisin_params,
     gisin_state,
     gisin_x_max,

@@ -192,15 +192,15 @@ def reduced_blocks(block: DensityBlock) -> tuple[DensityBlock, DensityBlock]:
 
     They are not validated again: each entry sums n or m entries of the
     state, so their Hermiticity defect can exceed ``VALIDATION_TOL`` where
-    the state's does not.  Positivity is still read from ``spectra`` with the
-    rule of :func:`validate_block` only because the benchmark's eigensolve
-    counts fix one solve per reduced matrix; a partial trace of a PSD matrix
-    is PSD.
+    the state's does not.  Positivity is still read, as the benchmark's
+    counts fix one solve per reduced matrix: since Tr_A rho >= d_A
+    lambda_min(rho) I, Tr_A rho / d_A gets the rule of :func:`validate_block`,
+    which the reductions of every validated state pass.
     """
     shape = block.shape
     over_inner, over_outer = block_trace_map(block.mats, shape), block_sum_map(block.mats, shape)
-    for mats in (over_inner, over_outer):
-        _require_positive(mats)
+    for mats, traced_dim in ((over_inner, shape.m), (over_outer, shape.n)):
+        _require_positive(mats / traced_dim)
         mats.flags.writeable = False
     return (DensityBlock(over_inner, BlockShape(shape.n, 1)),
             DensityBlock(over_outer, BlockShape(shape.m, 1)))

@@ -14,10 +14,6 @@ class NotHermitian(PurityLabError):
     pass
 
 
-class NegativeSpectrum(PurityLabError):
-    pass
-
-
 class DimMismatch(PurityLabError):
     pass
 

@@ -47,30 +47,25 @@ def csv_lines(rows: list[SweepRow]) -> list[str]:
     return lines
 
 
-def emit_csv(rows: list[SweepRow], path: str) -> None:
-    payload = "\n".join(csv_lines(rows)) + "\n"
+def _write_text(path: str, text: str) -> None:
+    """Write text as UTF-8 with LF line endings; OSError becomes IoError."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+            handle.write(text)
     except OSError as err:
         raise IoError(f"cannot write {path}: {err}") from err
+
+
+def emit_csv(rows: list[SweepRow], path: str) -> None:
+    _write_text(path, "\n".join(csv_lines(rows)) + "\n")
 
 
 def write_matrix_file(path: str, rho: DensityMatrix) -> None:
     lines = [f"{rho.shape.n} {rho.shape.m}"]
-    dim = rho.shape.dim
-    for i in range(dim):
-        for j in range(dim):
-            entry = rho.mat[i, j]
-            lines.append(
-                f"{i} {j} {format_value(float(entry.real))} "
-                f"{format_value(float(entry.imag))}"
-            )
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from err
+    for (i, j), entry in np.ndenumerate(rho.mat):
+        lines.append(f"{i} {j} {format_value(float(entry.real))} "
+                     f"{format_value(float(entry.imag))}")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_matrix_file(path: str) -> DensityMatrix:
@@ -120,8 +115,4 @@ def scan_report_json(report: ScanReport) -> str:
 
 
 def write_scan_report(report: ScanReport, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(scan_report_json(report))
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from err
+    _write_text(path, scan_report_json(report))

@@ -36,7 +36,7 @@ from .density import (
     reduced_blocks,
 )
 from .errors import BadInterval, SpecError
-from .linalg import clamp_spectra, spectra
+from .linalg import spectra
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,12 @@ def _report(name: str, lhs: float, rhs: float, tol: float) -> InequalityReport:
 
 def _sqrt_trace_stack(mats: np.ndarray) -> np.ndarray:
     """Tr A^(1/2) of every PSD Hermitian matrix A of a stack: the row sums of
-    the square roots of its clamped eigenvalues; no matrix square root is built."""
-    return np.sqrt(clamp_spectra(spectra(mats))).sum(axis=1)
+    the square roots of its eigenvalues, negatives read as 0; no matrix square
+    root is built.  Nothing is refused: for a validated N x N rho = H + S (S
+    anti-Hermitian, entries below VALIDATION_TOL) the Hermitian part of rho^2
+    is H^2 + S^2 >= -(N VALIDATION_TOL)^2, so a negative eigenvalue of its
+    reductions is rounding noise."""
+    return np.sqrt(np.maximum(spectra(mats), 0.0)).sum(axis=1)
 
 
 def _sqrt_traces(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Eigenvalues of dense complex Hermitian matrices and clamped PSD spectra.
+"""Eigenvalues of dense complex Hermitian matrices.
 
 Every eigensolve in the package is an eigenvalues-only ``hermitian_eig``
 (``spectra`` runs one per matrix of a stack) of the Hermitian part
@@ -18,8 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg._umath_linalg import eigvalsh_lo
 
-from .defaults import CLAMP_TOL
-from .errors import DimMismatch, NegativeSpectrum
+from .errors import DimMismatch
 
 
 def _square(mat) -> np.ndarray:
@@ -29,6 +28,7 @@ def _square(mat) -> np.ndarray:
     return arr
 
 
+# A named tuple, not a bare array: perfbench/tracer.py reads ``.values``.
 class HermitianEigen(NamedTuple):
     """Eigenvalues ascending: a pure function of the input bytes on one
     numpy/BLAS build."""
@@ -60,19 +60,3 @@ def spectra(mats) -> np.ndarray:
     for i, mat in enumerate(mats):
         values[i] = hermitian_eig(mat).values
     return values
-
-
-def clamp_spectra(values: np.ndarray) -> np.ndarray:
-    """Ascending spectra of positive-semidefinite matrices, one per row of
-    ``values`` (or a single one), with eigenvalues in [-CLAMP_TOL, 0) clamped
-    to 0.
-
-    A spectrum whose smallest eigenvalue lies below -CLAMP_TOL raises
-    NegativeSpectrum, naming the first such eigenvalue.
-    """
-    smallest = values[..., 0].ravel()
-    below = np.flatnonzero(smallest < -CLAMP_TOL)
-    if len(below):
-        raise NegativeSpectrum(
-            f"smallest eigenvalue {smallest[below[0]]:.3e} below -{CLAMP_TOL:.3e}")
-    return np.maximum(values, 0.0)

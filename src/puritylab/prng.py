@@ -54,6 +54,7 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# perfbench/tracer.py patches the four draw methods by name; keep them.
 class SplitMix64:
     """SplitMix64 stream with uniform, normal and complex-normal draws."""
 

@@ -26,6 +26,7 @@ Closed-form purities for the family:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,6 @@ import numpy as np
 from .defaults import (
     ENTANGLE_TOL,
     GISIN_NORM_SLACK,
-    REPORT_TOL,
     VALIDATION_TOL,
     XSTATE_PARAM_TOL,
 )
@@ -46,7 +46,7 @@ from .density import (
     partial_transpose_inner,
 )
 from .errors import DomainError, NotPositive, ShapeUnsupported, TraceNotOne
-from .inequalities import InequalityReport, PuritySet, _report
+from .inequalities import PuritySet
 from .linalg import spectra
 from .prng import stream_uniforms
 
@@ -66,6 +66,8 @@ class XStateParams:
 
     def __post_init__(self):
         diag = (self.d1, self.d2, self.d3, self.d4)
+        if not all(map(cmath.isfinite, (*diag, self.c14, self.c23))):
+            raise DomainError(f"X-state parameters must be finite, got {self}")
         if min(diag) < 0.0:
             raise NotPositive(f"diagonal entries must be nonnegative, got {diag}")
         total = sum(diag)
@@ -140,24 +142,6 @@ def x_state_purities(params: XStateParams) -> PuritySet:
     return PuritySet(mu12=mu12, mu1=mu1, mu2=mu2, mu_tilde=mt, delta=mt - mu12)
 
 
-def check_eq11(params: XStateParams) -> InequalityReport:
-    """X-state specialization of the purity inequality (lhs as displayed:
-    2 sum d_i^2 + 2(d1+d4)(d2+d3) - 1, rhs = mu12)."""
-    d1, d2, d3, d4 = params.diag
-    sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
-    lhs = 2.0 * sq + 2.0 * (d1 + d4) * (d2 + d3) - 1.0
-    rhs = sq + 2.0 * (abs(params.c14) ** 2 + abs(params.c23) ** 2)
-    return _report("eq11", lhs, rhs, REPORT_TOL)
-
-
-def check_eq12(params: XStateParams) -> InequalityReport:
-    """Same lhs as check_eq11 against the closed-form mu_tilde."""
-    d1, d2, d3, d4 = params.diag
-    sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
-    lhs = 2.0 * sq + 2.0 * (d1 + d4) * (d2 + d3) - 1.0
-    return _report("eq12", lhs, x_state_purities(params).mu_tilde, REPORT_TOL)
-
-
 def werner_params(p: float) -> XStateParams:
     p = float(p)
     if not -1.0 / 3.0 <= p <= 1.0:
@@ -207,12 +191,10 @@ def _separable_gisin_params(g: GisinParams) -> XStateParams:
     return gisin_params(g)
 
 
-def gisin_closed_forms(g: GisinParams) -> tuple[float, float, float]:
-    """(lhs5, mu_tilde, mu12) from the family's closed forms, defined for any x."""
-    return _gisin_closed(g.x, abs(g.a) ** 2, abs(g.b) ** 2)
-
-
 def _gisin_closed(x: float, a2: float, b2: float) -> tuple[float, float, float]:
+    """(lhs5, mu_tilde, mu12) of the Gisin family for any x, from the raw
+    |a|^2 and |b|^2, so off normalization not the X-state form.  Scalar on
+    purpose: perfbench's figure set calls it once per grid point."""
     lhs5 = x * x * (2.0 * (a2 * a2 + b2 * b2) - 1.0)
     mt = x * (3.0 * x - 2.0) + math.sqrt(x * x * (4.0 * a2 + 1.0) - 2.0 * x + 1.0) \
         * math.sqrt(x * x * (4.0 * b2 + 1.0) - 2.0 * x + 1.0)

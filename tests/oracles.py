@@ -128,6 +128,41 @@ def skewed_pure_state(n: int, m: int, seed: int) -> np.ndarray:
     return np.outer(psi, psi.conj()) + skew * (0.45 * VALIDATION_TOL / np.abs(skew).max())
 
 
+def dipped_diagonal(n: int, m: int, outer: bool) -> np.ndarray:
+    """Diagonal n*m matrix with -0.9 VALIDATION_TOL on every row (i, k) with
+    k >= 1 (or i >= 1 if ``outer``), the other rows sharing the rest of the
+    unit trace: validation accepts it, and its reduction over the dipped
+    index, of traced dimension d, has the eigenvalue -0.9 d VALIDATION_TOL.
+    At 2x2 inner it is diag(0.5 + 9e-11, -9e-11, 0.5 + 9e-11, -9e-11)."""
+    dip = 0.9 * VALIDATION_TOL
+    index = np.arange(n * m)
+    dipped = index // m >= 1 if outer else index % m >= 1
+    diag = np.where(dipped, -dip, (1.0 + dip * dipped.sum()) / (~dipped).sum())
+    return np.diag(diag).astype(complex)
+
+
+def edge_state(n: int, m: int, seed: int) -> np.ndarray:
+    """A matrix validation accepts at both tolerance edges: U diag(w) U^dagger
+    with a random unitary U and random rank r < n*m, whose n*m - r zero
+    eigenvalues are moved to -0.99 VALIDATION_TOL (the others rescaled to
+    keep the trace 1), plus a zero-diagonal anti-Hermitian matrix with
+    Hermiticity defect 0.99 VALIDATION_TOL."""
+    rng = np.random.default_rng(seed)
+    dim = n * m
+    rank = int(rng.integers(1, dim))
+    dip = 0.99 * VALIDATION_TOL
+    w = np.full(dim, -dip)
+    w[:rank] = rng.exponential(size=rank)
+    w[:rank] *= (1.0 + dip * (dim - rank)) / w[:rank].sum()
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    mat = (u * w) @ u.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
+    skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    skew -= skew.conj().T
+    np.fill_diagonal(skew, 0.0)
+    return mat + skew * (0.495 * VALIDATION_TOL / np.abs(skew).max())
+
+
 def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix by cyclic complex Jacobi.
 

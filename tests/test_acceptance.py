@@ -237,12 +237,13 @@ def test_criterion_7_oracle_equivalence():
             abs(closed.mu2 - generic.mu2),
             abs(closed.mu_tilde - generic.mu_tilde),
         )
-        from puritylab.states import check_eq11, check_eq12
-
+        # the paper's X-state eq11 and eq12 are eq5 and eq10 with the lhs
+        # mu1 + mu2 - 1 of the closed forms
+        lhs = closed.mu1 + closed.mu2 - 1.0
         worst_closed = max(
             worst_closed,
-            abs(check_eq11(params).margin - reports["eq5"].margin),
-            abs(check_eq12(params).margin - reports["eq10"].margin),
+            abs(closed.mu12 - lhs - reports["eq5"].margin),
+            abs(closed.mu_tilde - lhs - reports["eq10"].margin),
         )
     worst_traces = 0.0
     for shape in [BlockShape(2, 2), BlockShape(2, 3), BlockShape(3, 2), BlockShape(4, 2)]:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from oracles import skewed_pure_state, werner_matrix
+from oracles import dipped_diagonal, skewed_pure_state, werner_matrix
 from puritylab import cli, sweep
 from puritylab.cli import cli_main
 from puritylab.density import BlockShape, make_density
@@ -248,6 +248,17 @@ class TestCheckCommand:
             code, out, err = run_cli(["check", str(path)], capsys)
             assert code in (0, 2) and err == "", err
             assert len(out.splitlines()) == 11
+
+    def test_accepted_eigenvalue_dip_is_checked(self, tmp_path, capsys):
+        # diag(0.5 + 9e-11, -9e-11, 0.5 + 9e-11, -9e-11): its 2x2 reduction
+        # over the outer index has the eigenvalue -1.8e-10, within the bound
+        # 2 VALIDATION_TOL of a validated state
+        path = tmp_path / "dipped.txt"
+        write_matrix_file(str(path), make_density(dipped_diagonal(2, 2, False),
+                                                  BlockShape(2, 2)))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 11
 
     def test_missing_file_io_error(self, capsys):
         code, _, _ = run_cli(["check", "/nonexistent/state.txt"], capsys)

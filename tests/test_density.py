@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import index_block_sum, index_block_trace, skewed_pure_state, werner_matrix
+from oracles import (
+    dipped_diagonal,
+    index_block_sum,
+    index_block_trace,
+    skewed_pure_state,
+    werner_matrix,
+)
 from puritylab.defaults import VALIDATION_TOL
 from puritylab.density import (
     BlockShape,
@@ -200,6 +206,30 @@ class TestValidatedOnce:
             for block in reduced_blocks(DensityBlock.of(rho)):
                 assert not block.mats.flags.writeable
         assert max(reduced_defects) > VALIDATION_TOL
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("outer", [False, True], ids=["dip-inner", "dip-outer"])
+    def test_accepted_eigenvalue_dips_are_evaluated(self, n, m, outer):
+        # Tr_A rho >= d_A lambda_min(rho) I: tracing out the dipped index
+        # multiplies the dip by the traced dimension d_A, to -0.9 d_A
+        # VALIDATION_TOL, and the reduction is still accepted
+        rho = make_density(dipped_diagonal(n, m, outer), BlockShape(n, m))
+        traced = m if outer else n
+        reduced = (block_trace_map if outer else block_sum_map)(rho.mat, rho.shape)
+        smallest = hermitian_eig(reduced).values[0]
+        assert smallest == pytest.approx(-0.9 * traced * VALIDATION_TOL, rel=1e-6)
+        assert smallest < -VALIDATION_TOL
+        assert purity_set(rho).delta == delta(rho)
+        assert len(audit_reports(rho)) == 5
+
+    @pytest.mark.parametrize("outer", [False, True], ids=["dip-inner", "dip-outer"])
+    def test_reductions_beyond_the_traced_bound_refused(self, outer):
+        # a block that skipped validation, with a dip of 1.1 VALIDATION_TOL:
+        # its reduction reaches -2.2 VALIDATION_TOL, past d_A VALIDATION_TOL
+        mat = dipped_diagonal(2, 2, outer) * (1.1 / 0.9)
+        block = DensityBlock(mats=mat[None], shape=SHAPE22)
+        with pytest.raises(NotPositive):
+            reduced_blocks(block)
 
 
 class TestPartialTraces:

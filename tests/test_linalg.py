@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from oracles import jacobi_eigenvalues, random_hermitian
 from puritylab import linalg
-from puritylab.defaults import CLAMP_TOL, VALIDATION_TOL
+from puritylab.defaults import VALIDATION_TOL
 from puritylab.density import BlockShape, make_density, validate_block
-from puritylab.errors import DimMismatch, DomainError, NegativeSpectrum, NotHermitian
-from puritylab.linalg import clamp_spectra, hermitian_eig, spectra
+from puritylab.errors import DimMismatch, DomainError, NotHermitian
+from puritylab.linalg import hermitian_eig, spectra
 
 
 def eigenvalues(mat, stacked: bool) -> np.ndarray:
@@ -175,20 +175,3 @@ class TestDirectLapack:
                 make_density(mat, BlockShape(dim, 1))
         assert dict(eigh_counts) == ({dim: 1} if stacked else {})
 
-
-class TestClampSpectra:
-    def test_zeroes_the_clamp_band_only(self):
-        values = np.array([[-CLAMP_TOL, -0.5 * CLAMP_TOL, 0.0, 0.25],
-                           [-1e-300, 1e-300, 0.5, 0.5]])
-        expected = np.array([[0.0, 0.0, 0.0, 0.25], [0.0, 1e-300, 0.5, 0.5]])
-        assert np.array_equal(clamp_spectra(values), expected)
-
-    def test_one_spectrum(self):
-        assert np.array_equal(clamp_spectra(np.array([-1e-12, 1.0])), [0.0, 1.0])
-
-    def test_names_first_row_below_tol(self):
-        values = np.array([[-0.5 * CLAMP_TOL, 1.0],
-                           [-3e-9, 1.0],
-                           [-7e-9, 1.0]])
-        with pytest.raises(NegativeSpectrum, match="smallest eigenvalue -3.000e-09 below"):
-            clamp_spectra(values)

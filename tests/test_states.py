@@ -21,9 +21,6 @@ from puritylab.states import (
     XStateParams,
     beta_params,
     beta_state,
-    check_eq11,
-    check_eq12,
-    gisin_closed_forms,
     gisin_params,
     gisin_state,
     gisin_x_max,
@@ -57,6 +54,17 @@ class TestXStateParams:
     def test_negative_diagonal_rejected(self):
         with pytest.raises(NotPositive):
             XStateParams(-0.1, 0.5, 0.3, 0.3)
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("d1", "d2", "d3", "d4", "c14", "c23")
+        for value in (math.nan, math.inf, -math.inf)
+    ] + [("c14", complex(0.0, math.nan)), ("c23", complex(math.inf, 1.0))])
+    def test_non_finite_rejected(self, field, value):
+        # a NaN passed every comparison, and x_state_purities returned NaN
+        values = dict(d1=0.25, d2=0.25, d3=0.25, d4=0.25, c14=0.0, c23=0.0)
+        values[field] = value
+        with pytest.raises(DomainError, match="must be finite"):
+            XStateParams(**values)
 
     def test_random_draw_equals_scalar_draw(self):
         # the stream draw has the bits of one SplitMix64 uniform at a time
@@ -124,43 +132,57 @@ class TestXStatePurities:
         assert closed.delta == pytest.approx(generic.delta, abs=1e-12)
 
 
+def eq11_lhs(params: XStateParams) -> float:
+    """The X-state lhs as the paper displays it (eq11 and eq12):
+    2 sum d_i^2 + 2(d1+d4)(d2+d3) - 1."""
+    d1, d2, d3, d4 = params.diag
+    return 2.0 * (d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4) + 2.0 * (d1 + d4) * (d2 + d3) - 1.0
+
+
 class TestEq11Eq12:
+    """On X-states eq11 and eq12 are eq5 and eq10: their lhs is mu1 + mu2 - 1
+    of ``x_state_purities``, against mu12 and mu_tilde."""
+
     def test_maximally_mixed(self):
-        rep = check_eq11(XStateParams(0.25, 0.25, 0.25, 0.25))
-        assert rep.lhs == pytest.approx(0.0, abs=1e-14)
-        assert rep.rhs == pytest.approx(0.25, abs=1e-14)
+        closed = x_state_purities(XStateParams(0.25, 0.25, 0.25, 0.25))
+        assert closed.mu1 + closed.mu2 - 1.0 == pytest.approx(0.0, abs=1e-14)
+        assert closed.mu12 == pytest.approx(0.25, abs=1e-14)
 
     def test_bell_projector(self):
         # reduced states of the Bell projector are maximally mixed, so the
         # lhs collapses to 0 while mu12 = 1
-        rep = check_eq11(BELL_PARAMS)
-        assert rep.lhs == pytest.approx(0.0, abs=1e-14)
-        assert rep.rhs == pytest.approx(1.0, abs=1e-14)
-        assert rep.margin == pytest.approx(1.0, abs=1e-14)
+        closed = x_state_purities(BELL_PARAMS)
+        lhs = closed.mu1 + closed.mu2 - 1.0
+        assert lhs == pytest.approx(0.0, abs=1e-14)
+        assert closed.mu12 == pytest.approx(1.0, abs=1e-14)
+        assert closed.mu12 - lhs == pytest.approx(1.0, abs=1e-14)
 
     def test_pure_product_equality(self):
-        rep = check_eq11(E11_PARAMS)
-        assert rep.lhs == pytest.approx(1.0, abs=1e-14)
-        assert rep.rhs == pytest.approx(1.0, abs=1e-14)
-        assert abs(rep.margin) <= 1e-14
+        closed = x_state_purities(E11_PARAMS)
+        lhs = closed.mu1 + closed.mu2 - 1.0
+        assert lhs == pytest.approx(1.0, abs=1e-14)
+        assert closed.mu12 == pytest.approx(1.0, abs=1e-14)
+        assert abs(closed.mu12 - lhs) <= 1e-14
 
     @given(seeds)
     @settings(max_examples=100)
     def test_margins_match_generic_checks(self, seed):
         params = random_x_params(seed)
+        closed = x_state_purities(params)
+        lhs = closed.mu1 + closed.mu2 - 1.0
+        assert eq11_lhs(params) == pytest.approx(lhs, abs=1e-14)
         reports = {rep.name: rep for rep in audit_reports(x_state(params))}
-        assert check_eq11(params).margin == pytest.approx(
-            reports["eq5"].margin, abs=1e-12)
-        assert check_eq12(params).margin == pytest.approx(
-            reports["eq10"].margin, abs=1e-12)
+        assert closed.mu12 - lhs == pytest.approx(reports["eq5"].margin, abs=1e-12)
+        assert closed.mu_tilde - lhs == pytest.approx(reports["eq10"].margin, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.4, 0.9])
     def test_werner_margins(self, p):
+        closed = x_state_purities(werner_params(p))
+        lhs = closed.mu1 + closed.mu2 - 1.0
+        assert eq11_lhs(werner_params(p)) == pytest.approx(lhs, abs=1e-14)
         reports = {rep.name: rep for rep in audit_reports(werner_state(p))}
-        assert check_eq11(werner_params(p)).margin == pytest.approx(
-            reports["eq5"].margin, abs=1e-12)
-        assert check_eq12(werner_params(p)).margin == pytest.approx(
-            reports["eq10"].margin, abs=1e-12)
+        assert closed.mu12 - lhs == pytest.approx(reports["eq5"].margin, abs=1e-12)
+        assert closed.mu_tilde - lhs == pytest.approx(reports["eq10"].margin, abs=1e-12)
 
 
 class TestWerner:
@@ -240,14 +262,14 @@ class TestGisin:
 
     def test_closed_forms_diagonal_family(self):
         for x in (0.2, 0.5, 0.9):
-            lhs5, mt, mu12 = gisin_closed_forms(GisinParams(x=x, a=1.0, b=0.0))
+            lhs5, mt, mu12 = _gisin_closed(x, 1.0, 0.0)
             assert lhs5 == pytest.approx(x * x, abs=1e-14)
             assert mu12 == pytest.approx(1.5 * x * x - x + 0.5, abs=1e-14)
             del mt
 
     def test_closed_forms_balanced_amplitudes(self):
         inv = 1 / math.sqrt(2)
-        lhs5, _, _ = gisin_closed_forms(GisinParams(x=0.4, a=inv, b=inv))
+        lhs5, _, _ = _gisin_closed(0.4, inv * inv, inv * inv)
         assert lhs5 == pytest.approx(0.0, abs=1e-14)
 
     def test_closed_forms_small_x_limit(self):
@@ -260,7 +282,7 @@ class TestGisin:
         a, b = 0.6, 0.8
         for x in np.linspace(0.02, 0.5, 20):
             g = GisinParams(x=float(x), a=a, b=b)
-            lhs5, mt, mu12 = gisin_closed_forms(g)
+            lhs5, mt, mu12 = _gisin_closed(g.x, abs(g.a) ** 2, abs(g.b) ** 2)
             ps = purity_set(gisin_state(g))
             assert ps.mu12 == pytest.approx(mu12, abs=1e-10)
             assert ps.mu_tilde == pytest.approx(mt, abs=1e-10)
