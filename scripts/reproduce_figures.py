@@ -35,6 +35,15 @@ GISIN_SETS = [
 ]
 
 
+def gisin_delta(a2: float, b2: float):
+    """delta(x) = mu_tilde - mu12 of the Gisin set with raw |a|^2 = a2 and
+    |b|^2 = b2, from one closed-form evaluation per x."""
+    def delta(x: float) -> float:
+        _, mu_tilde, mu12 = _gisin_closed(x, a2, b2)
+        return mu_tilde - mu12
+    return delta
+
+
 def main() -> int:
     outdir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -55,11 +64,8 @@ def main() -> int:
     print("\ndelta = mu_tilde - mu12 structure per Gisin set:")
     for a, b in GISIN_SETS:
         x_max = gisin_x_max(a, b)
-        roots = find_delta_roots(
-            lambda x: _gisin_closed(x, abs(a) ** 2, abs(b) ** 2)[1]
-            - _gisin_closed(x, abs(a) ** 2, abs(b) ** 2)[2],
-            0.001, 0.999, grid=4096, tol=1e-10,
-        )
+        roots = find_delta_roots(gisin_delta(abs(a) ** 2, abs(b) ** 2),
+                                 0.001, 0.999, grid=4096, tol=1e-10)
         pretty = ", ".join(f"{r:.6f}" for r in roots) or "none in (0, 1)"
         print(f"  a={a}, b={b}: x_max = {x_max:.6f}, delta roots: {pretty}")
     return 0

@@ -29,7 +29,7 @@ from .errors import (
     SpecError,
     TraceNotOne,
 )
-from .linalg import _square, spectra
+from .linalg import spectra
 from .prng import complex_normals, stream_uniforms
 
 
@@ -152,6 +152,13 @@ def _raise_invalid(mat: np.ndarray, defect: float, trace_dev: float, peak: float
     raise NotPositive(
         f"largest entry modulus {peak:.3e} exceeds 1 by {peak - 1.0:.3e} "
         f"(tol {VALIDATION_TOL:.3e}); no entry of a unit-trace PSD matrix does")
+
+
+def _square(mat) -> np.ndarray:
+    arr = np.asarray(mat, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise DimMismatch(f"expected a square matrix, got shape {arr.shape}")
+    return arr
 
 
 def make_density(mat, shape: BlockShape) -> DensityMatrix:

@@ -6,17 +6,24 @@ from hypothesis import strategies as st
 from oracles import jacobi_eigenvalues, random_hermitian
 from puritylab import linalg
 from puritylab.defaults import VALIDATION_TOL
-from puritylab.density import BlockShape, make_density, validate_block
+from puritylab.density import SAMPLE_BLOCK, BlockShape, make_density, validate_block
 from puritylab.errors import DimMismatch, DomainError, NotHermitian
 from puritylab.linalg import hermitian_eig, spectra
 
 
+STACK = SAMPLE_BLOCK + 3
+
+
 def eigenvalues(mat, stacked: bool) -> np.ndarray:
-    """The eigenvalues of one matrix from ``hermitian_eig``, or from
-    ``spectra`` on a one-matrix stack."""
-    if stacked:
-        return spectra(np.asarray(mat, dtype=complex)[None])[0]
-    return hermitian_eig(mat).values
+    """The eigenvalues of one matrix from ``spectra``: alone in a one-matrix
+    stack, or (stacked) at index SAMPLE_BLOCK + 1 of a stack of STACK
+    matrices whose others are maximally mixed states."""
+    mat = np.asarray(mat, dtype=complex)
+    if not stacked:
+        return spectra(mat[None])[0]
+    mats = np.stack([np.eye(len(mat), dtype=complex) / len(mat)] * STACK)
+    mats[SAMPLE_BLOCK + 1] = mat
+    return spectra(mats)[SAMPLE_BLOCK + 1]
 
 
 class TestHermitianEig:
@@ -39,6 +46,15 @@ class TestHermitianEig:
         eig = hermitian_eig(random_hermitian(6, 7))
         assert (np.diff(eig.values) >= 0).all()
 
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_bits_equal_numpy_on_exactly_hermitian(self, dim):
+        # no symmetrisation here: the lower triangle alone is read, as
+        # numpy.linalg.eigvalsh reads it
+        h = random_hermitian(dim, 100 + dim)
+        expected = np.linalg.eigvalsh(h).tobytes()
+        assert hermitian_eig(h).values.tobytes() == expected
+        assert hermitian_eig(np.tril(h)).values.tobytes() == expected
+
     # hermitian_eig checks no tolerance: a matrix is refused where it enters
     # the package (make_density, validate_block), before any eigensolve.  The
     # input-check cases below hold that boundary to them.
@@ -47,9 +63,11 @@ class TestHermitianEig:
         mat = [[0.5, 1.0], [0.0, 0.5]]
         with pytest.raises(NotHermitian):
             make_density(mat, BlockShape(2, 1))
-        # behind the boundary, the eigenvalues are those of the Hermitian part
-        part = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert hermitian_eig(mat).values.tobytes() == np.linalg.eigvalsh(part).tobytes()
+        # behind the boundary, spectra gives the eigenvalues of the Hermitian
+        # part, alone or inside a stack
+        expected = np.linalg.eigvalsh(np.array([[0.5, 0.5], [0.5, 0.5]])).tobytes()
+        for stacked in (False, True):
+            assert eigenvalues(mat, stacked).tobytes() == expected
 
     @pytest.mark.parametrize("entry", [
         ((1, 1), complex(np.nan, 0.0)),
@@ -106,6 +124,23 @@ class TestSpectra:
     def test_empty_stack(self):
         assert spectra(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)
 
+    @pytest.mark.parametrize("count", [0, 1, 3, STACK])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 9])
+    def test_one_hermitian_eig_per_matrix(self, monkeypatch, count, dim):
+        # the unit the traced benchmark counts: one call per matrix, each on
+        # one (N, N) matrix, never on a stack
+        shapes = []
+        real = linalg.hermitian_eig
+
+        def counted(mat):
+            shapes.append(np.shape(mat))
+            return real(mat)
+        monkeypatch.setattr(linalg, "hermitian_eig", counted)
+        mats = np.array([random_hermitian(dim, seed) for seed in range(count)])
+        mats = mats.reshape(count, dim, dim)
+        assert spectra(mats).shape == (count, dim)
+        assert shapes == [(dim, dim)] * count
+
     def test_raises_for_the_first_bad_matrix(self):
         # spectra checks nothing; validating the stack names its first bad matrix
         mats = np.stack([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]], [[0.5, 0.2], [0.0, 0.5]]])
@@ -128,17 +163,20 @@ DIMS_AND_RANKS = [(dim, rank) for dim in range(1, 10) for rank in sorted({1, (di
 
 
 class TestDirectLapack:
-    """hermitian_eig calls numpy's LAPACK gufunc without numpy.linalg's
-    wrapper; its eigenvalues are the bits numpy.linalg.eigvalsh gives for the
-    Hermitian part."""
+    """spectra forms the Hermitian parts of a stack, and hermitian_eig calls
+    numpy's LAPACK gufunc on each without numpy.linalg's wrapper; the
+    eigenvalues are the bits numpy.linalg.eigvalsh gives for each part."""
 
     @pytest.mark.parametrize("dim,rank", DIMS_AND_RANKS)
     def test_bits_equal_numpy_on_hermitian_part(self, dim, rank):
-        for seed in range(3):
-            m = nearly_hermitian(dim, rank, 1000 * dim + 10 * rank + seed)
-            assert np.abs(m - m.conj().T).max() <= VALIDATION_TOL
-            h = 0.5 * (m + m.conj().T)
-            assert hermitian_eig(m).values.tobytes() == np.linalg.eigvalsh(h).tobytes()
+        mats = np.stack([nearly_hermitian(dim, rank, 1000 * dim + 10 * rank + seed)
+                         for seed in range(STACK)])
+        assert np.abs(mats - mats.conj().swapaxes(1, 2)).max() <= VALIDATION_TOL
+        expected = np.stack([np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in mats])
+        assert spectra(mats).tobytes() == expected.tobytes()
+        assert spectra(mats[:3]).tobytes() == expected[:3].tobytes()
+        for m, row in zip(mats[:3], expected):
+            assert spectra(m[None]).tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_nan_from_lapack_is_linalg_error(self, monkeypatch, stacked):

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end as subprocesses."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -23,6 +24,23 @@ def test_reproduce_figures(tmp_path):
     assert len(roots) == 4
     line = next(line for line in roots if line.strip().startswith("a=0.6, b=0.8:"))
     assert line.endswith("delta roots: 0.311199, 0.363531")
+
+
+def test_gisin_delta_evaluates_the_closed_form_once(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    real = module._gisin_closed
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, "_gisin_closed", counted)
+    _, mu_tilde, mu12 = real(0.3, 0.36, 0.64)
+    assert module.gisin_delta(0.36, 0.64)(0.3) == mu_tilde - mu12
+    assert calls == [(0.3, 0.36, 0.64)]
 
 
 def test_run_conjecture_scan():
