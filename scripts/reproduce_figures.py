@@ -37,8 +37,9 @@ GISIN_SETS = [
 
 def gisin_delta(a2: float, b2: float):
     """delta(x) = mu_tilde - mu12 of the Gisin set with raw |a|^2 = a2 and
-    |b|^2 = b2, from one closed-form evaluation per x."""
-    def delta(x: float) -> float:
+    |b|^2 = b2, from one closed-form evaluation per call.  Elementwise, as
+    ``find_delta_roots`` needs: x may be a float or a float64 array."""
+    def delta(x):
         _, mu_tilde, mu12 = _gisin_closed(x, a2, b2)
         return mu_tilde - mu12
     return delta

@@ -74,6 +74,8 @@ def read_matrix_file(path: str) -> DensityMatrix:
             raw = [line.strip() for line in handle if line.strip()]
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise SpecError(f"{path}: not UTF-8 text: {err}") from err
     if not raw:
         raise SpecError(f"{path}: empty matrix file")
     head = raw[0].split()

@@ -35,7 +35,7 @@ from .density import (
     purities,
     reduced_blocks,
 )
-from .errors import BadInterval, SpecError
+from .errors import BadInterval, DomainError, SpecError
 from .linalg import spectra
 
 
@@ -159,47 +159,62 @@ def audit_reports(rho: DensityMatrix, tol: float = REPORT_TOL) -> list[Inequalit
 
 def find_delta_roots(f, lo: float, hi: float, grid: int = ROOT_GRID,
                      tol: float = ROOT_TOL) -> list[float]:
-    """Roots of a continuous scalar function by grid scan plus bisection.
+    """Roots of a continuous function by grid scan plus bisection.
+
+    ``f`` is elementwise: it maps a 1-D float64 array to the array of its
+    values at each point, and every value must be finite (DomainError names
+    the first point where one is not).  ``f`` is called once on the grid
+    ``lo + (hi - lo) * i / (grid - 1)``, then once per bisection step on the
+    midpoints of all brackets still open, so each root has the bits a
+    one-point-at-a-time search gives.
 
     Grid points where |f| <= tol are reported once; each sign change between
     adjacent grid points is refined by bisection until the bracket is
-    narrower than tol.  Multiple roots inside one grid cell are not
-    separated, and a zero of even order (where f touches zero without
-    changing sign) is reported only if |f| <= tol at some grid point:
-    for Gisin with |a| = |b|, delta = (3x-1)^2/2 touches zero at x = 1/3,
-    yet the search on [0.001, 0.999] returns [].
+    narrower than tol, or a midpoint value is exactly 0.  Multiple roots
+    inside one grid cell are not separated, and a zero of even order (where
+    f touches zero without changing sign) is reported only if |f| <= tol at
+    some grid point: for Gisin with |a| = |b|, delta = (3x-1)^2/2 touches
+    zero at x = 1/3, yet the search on [0.001, 0.999] returns [].
     """
     if not lo < hi:
         raise BadInterval(f"need lo < hi, got [{lo}, {hi}]")
     if grid < 2:
         raise BadInterval(f"need at least 2 grid points, got {grid}")
-    xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
-    fs = [float(f(x)) for x in xs]
+    xs = lo + (hi - lo) * np.arange(grid) / (grid - 1)
+    fs = _finite_values(f, xs)
+    near = np.abs(fs) <= tol
+    neg = fs < 0.0
+    cells = np.flatnonzero(~(near[:-1] | near[1:]) & (neg[:-1] != neg[1:]))
+    # Bisection keeps the sign of f at a, so a_neg is fixed per bracket.
+    a, b, a_neg = xs[cells], xs[cells + 1], neg[cells]
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        mid = 0.5 * (a[live] + b[live])
+        fm = _finite_values(f, mid)
+        hit = fm == 0.0
+        to_b = hit | (a_neg[live] != (fm < 0.0))
+        to_a = hit | ~to_b
+        b[live[to_b]] = mid[to_b]
+        a[live[to_a]] = mid[to_a]
+        live = live[~hit & (b[live] - a[live] > tol)]
 
-    roots = [x for x, fx in zip(xs, fs) if abs(fx) <= tol]
-    for i in range(grid - 1):
-        f_lo, f_hi = fs[i], fs[i + 1]
-        if abs(f_lo) <= tol or abs(f_hi) <= tol:
-            continue
-        if (f_lo < 0.0) == (f_hi < 0.0):
-            continue
-        a, b = xs[i], xs[i + 1]
-        fa = f_lo
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = float(f(mid))
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fa < 0.0) != (fm < 0.0):
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-
-    roots.sort()
+    roots = sorted(xs[near].tolist() + (0.5 * (a + b)).tolist())
     deduped: list[float] = []
     for r in roots:
         if not deduped or r - deduped[-1] > tol:
             deduped.append(r)
     return deduped
+
+
+def _finite_values(f, xs: np.ndarray) -> np.ndarray:
+    """``f(xs)`` as a float64 array of the shape of ``xs``; DomainError
+    names the first point whose value is not finite."""
+    fs = np.asarray(f(xs), dtype=np.float64)
+    if fs.shape != xs.shape:
+        raise SpecError(f"f must be elementwise: {xs.shape[0]} points gave "
+                        f"values of shape {fs.shape}")
+    bad = ~np.isfinite(fs)
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"f is not finite at x = {float(xs[i])!r}: {float(fs[i])}")
+    return fs

@@ -191,13 +191,15 @@ def _separable_gisin_params(g: GisinParams) -> XStateParams:
     return gisin_params(g)
 
 
-def _gisin_closed(x: float, a2: float, b2: float) -> tuple[float, float, float]:
+def _gisin_closed(x: float | np.ndarray, a2: float, b2: float):
     """(lhs5, mu_tilde, mu12) of the Gisin family for any x, from the raw
-    |a|^2 and |b|^2, so off normalization not the X-state form.  Scalar on
-    purpose: perfbench's figure set calls it once per grid point."""
+    |a|^2 and |b|^2, so off normalization not the X-state form.  Elementwise
+    in x: a float or a float64 array, each value with the bits of its own
+    scalar evaluation (``np.sqrt`` is correctly rounded, as ``math.sqrt``
+    is), so the root search evaluates a whole grid in one call."""
     lhs5 = x * x * (2.0 * (a2 * a2 + b2 * b2) - 1.0)
-    mt = x * (3.0 * x - 2.0) + math.sqrt(x * x * (4.0 * a2 + 1.0) - 2.0 * x + 1.0) \
-        * math.sqrt(x * x * (4.0 * b2 + 1.0) - 2.0 * x + 1.0)
+    mt = x * (3.0 * x - 2.0) + np.sqrt(x * x * (4.0 * a2 + 1.0) - 2.0 * x + 1.0) \
+        * np.sqrt(x * x * (4.0 * b2 + 1.0) - 2.0 * x + 1.0)
     mu12 = 1.5 * x * x - x + 0.5
     return lhs5, mt, mu12
 

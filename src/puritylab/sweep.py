@@ -186,9 +186,13 @@ def _gisin_row(x: float, a: complex, b: complex) -> SweepRow | _BuiltRow:
     try:
         params = _separable_gisin_params(GisinParams(x=x, a=a, b=b))
     except (DomainError, NotPositive, TraceNotOne):
-        lhs5, mt, mu12 = _gisin_closed(x, abs(a) ** 2, abs(b) ** 2)
+        # far outside (0, 1) the closed forms overflow (inf - inf is nan);
+        # run_sweep refuses such rows, so numpy need not warn about them
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs5, mt, mu12 = _gisin_closed(x, abs(a) ** 2, abs(b) ** 2)
+            delta = mt - mu12
         return SweepRow(param=x, valid=False, mu12=mu12, mu1=None, mu2=None,
-                        mu_tilde=mt, delta=mt - mu12, lhs5=lhs5,
+                        mu_tilde=mt, delta=delta, lhs5=lhs5,
                         entangled=entangled)
     return _BuiltRow(x, x_state_matrix(params), entangled)
 

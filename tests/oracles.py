@@ -12,6 +12,8 @@ reductions and trace bookkeeping, not its eigensolver.  The scalar samplers
 draw one value at a time from ``SplitMix64`` and build each state term by
 term, the reference for the package's block sampler, and
 ``scalar_random_x_params`` is the reference for the X-state draw.
+``scalar_find_delta_roots`` is the one-point-at-a-time root search, the
+reference for the package's array search.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from numpy.polynomial import Polynomial
 
 from puritylab.defaults import VALIDATION_TOL
 from puritylab.density import BlockShape, DensityMatrix, make_density
-from puritylab.errors import BadRank
+from puritylab.errors import BadInterval, BadRank
 from puritylab.prng import SplitMix64
 from puritylab.states import XStateParams
 
@@ -285,3 +287,41 @@ def gisin_delta_quartic_roots(a: float, b: float) -> np.ndarray:
     roots = quartic.roots()
     real = roots[np.abs(roots.imag) <= 1e-12].real
     return np.sort(real[(real > 0.0) & (real < 1.0)])
+
+
+def scalar_find_delta_roots(f, lo: float, hi: float, grid: int, tol: float) -> list[float]:
+    """Grid scan plus bisection calling the scalar ``f`` once per point."""
+    if not lo < hi:
+        raise BadInterval(f"need lo < hi, got [{lo}, {hi}]")
+    if grid < 2:
+        raise BadInterval(f"need at least 2 grid points, got {grid}")
+    xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
+    fs = [float(f(x)) for x in xs]
+
+    roots = [x for x, fx in zip(xs, fs) if abs(fx) <= tol]
+    for i in range(grid - 1):
+        f_lo, f_hi = fs[i], fs[i + 1]
+        if abs(f_lo) <= tol or abs(f_hi) <= tol:
+            continue
+        if (f_lo < 0.0) == (f_hi < 0.0):
+            continue
+        a, b = xs[i], xs[i + 1]
+        fa = f_lo
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = float(f(mid))
+            if fm == 0.0:
+                a = b = mid
+                break
+            if (fa < 0.0) != (fm < 0.0):
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
+
+    roots.sort()
+    deduped: list[float] = []
+    for r in roots:
+        if not deduped or r - deduped[-1] > tol:
+            deduped.append(r)
+    return deduped

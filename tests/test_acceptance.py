@@ -77,7 +77,7 @@ def test_criterion_1_werner_closed_forms():
 
 
 def test_criterion_2_werner_threshold_coincidence():
-    roots = find_delta_roots(lambda p: delta(werner_state(p)),
+    roots = find_delta_roots(lambda ps: np.array([delta(werner_state(p)) for p in ps]),
                              1e-6, 1.0, grid=512, tol=1e-8)
     lo, hi = 0.2, 0.6
     while hi - lo > 1e-9:

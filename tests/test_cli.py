@@ -81,6 +81,7 @@ class TestSweepCommand:
         ["--family", "beta", "--start", "0", "--stop", "1e200"],
         ["--family", "gisin", "--start", "0.5", "--stop", "1e200", "--a", "0.6", "--b", "0.8"],
     ], ids=["werner", "werner-negative", "beta", "gisin"])
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_closed_forms_error(self, args, capsys):
         # the grid is finite, but the closed forms of its out-of-domain rows
         # overflow to inf or nan
@@ -263,6 +264,15 @@ class TestCheckCommand:
     def test_missing_file_io_error(self, capsys):
         code, _, _ = run_cli(["check", "/nonexistent/state.txt"], capsys)
         assert code == 3
+
+    def test_non_utf8_file_input_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + "2 2\n".encode("utf-16-le"))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not UTF-8" in err
+        assert out == ""
 
     def test_invalid_state_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -79,6 +79,12 @@ class TestMatrixFile:
         with pytest.raises(IoError):
             read_matrix_file(str(tmp_path / "nope.txt"))
 
+    def test_non_utf8_file_raises_spec_error(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xff\xfe2 2\n")
+        with pytest.raises(SpecError, match="not UTF-8"):
+            read_matrix_file(str(path))
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2 2\n")

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_state, ginibre, mpmath_sqrt_trace, numpy_sqrt_psd, werner_matrix
+from oracles import (
+    edge_state,
+    ginibre,
+    mpmath_sqrt_trace,
+    numpy_sqrt_psd,
+    scalar_find_delta_roots,
+    werner_matrix,
+)
 from puritylab.density import (
     BlockShape,
     DensityBlock,
@@ -18,7 +25,7 @@ from puritylab.density import (
     sample_blocks,
 )
 from puritylab.defaults import REPORT_TOL, VALIDATION_TOL
-from puritylab.errors import BadInterval, SpecError
+from puritylab.errors import BadInterval, DomainError, SpecError
 from puritylab.inequalities import (
     _sqrt_trace_stack,
     _sqrt_traces,
@@ -362,6 +369,61 @@ class TestFindDeltaRoots:
             find_delta_roots(lambda x: x, 1.0, -1.0)
         with pytest.raises(BadInterval):
             find_delta_roots(lambda x: x, 0.0, 1.0, grid=1)
+
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=4),
+           st.floats(0.1, 10.0), st.booleans(), st.floats(-3.0, 0.0),
+           st.floats(0.1, 5.0), st.integers(2, 300), st.floats(1e-12, 1e-4))
+    @settings(max_examples=200)
+    def test_bit_identical_to_scalar_search(self, zeros, scale, flip, lo, width,
+                                            grid, tol):
+        # a cubic or quartic with its zeros in or near [lo, lo + width]
+        def f(x):
+            value = -scale if flip else scale
+            for z in zeros:
+                value = value * (x - z)
+            return value
+
+        hi = lo + width
+        found = find_delta_roots(f, lo, hi, grid=grid, tol=tol)
+        expected = scalar_find_delta_roots(f, lo, hi, grid=grid, tol=tol)
+        assert all(type(r) is float for r in found)
+        assert [r.hex() for r in found] == [r.hex() for r in expected]
+
+    def test_exact_zero_at_midpoint(self):
+        # the first midpoint of [-1, 1] is 0, where f is exactly 0: the
+        # bracket closes there after one step (with grid=4 the cell ends
+        # -1/3 and 1/3 are not symmetric in floats, and no midpoint is 0)
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return x
+        found = find_delta_roots(f, -1.0, 1.0, grid=2, tol=1e-10)
+        assert calls == [2, 1]
+        assert found == scalar_find_delta_roots(lambda x: x, -1.0, 1.0, grid=2, tol=1e-10)
+        assert [r.hex() for r in found] == [(0.0).hex()]
+
+    def test_nan_on_grid_raises(self):
+        # read as positive, the NaN at x < 0 gave a false root near 0
+        def f(x):
+            return np.where(x >= 0.0, np.sqrt(np.abs(x)) - 0.5, np.nan)
+        with pytest.raises(DomainError, match=r"not finite at x = -1\.0"):
+            find_delta_roots(f, -1.0, 1.0, grid=101)
+
+    def test_nan_at_midpoint_raises(self):
+        # finite at both grid points, NaN at the first midpoint x = 0
+        def f(x):
+            return np.where(np.abs(x) < 0.5, np.nan, x)
+        with pytest.raises(DomainError, match=r"not finite at x = 0\.0"):
+            find_delta_roots(f, -1.0, 1.0, grid=2)
+
+    def test_infinite_value_raises(self):
+        with pytest.raises(DomainError, match="inf"):
+            find_delta_roots(lambda x: np.where(x < 0.9, x - 0.2, np.inf), 0.0, 1.0, grid=3)
+
+    def test_scalar_function_refused(self):
+        with pytest.raises(SpecError, match="elementwise"):
+            find_delta_roots(lambda x: 1.0, 0.0, 1.0)
 
 
 class TestReportFields:

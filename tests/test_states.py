@@ -278,6 +278,16 @@ class TestGisin:
         assert mt == pytest.approx(1.0, abs=1e-15)
         assert mu12 == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.2, math.sqrt(1 - 0.04)),
+                                      (0.6, 0.8), (0.07, 0.99)])
+    def test_closed_forms_elementwise_bit_for_bit(self, a, b):
+        # the figure set's Gisin pairs on the root search's 4096-point grid
+        a2, b2 = abs(a) ** 2, abs(b) ** 2
+        xs = 0.001 + (0.999 - 0.001) * np.arange(4096) / 4095
+        for column, values in zip(_gisin_closed(xs, a2, b2),
+                                  zip(*(_gisin_closed(float(x), a2, b2) for x in xs))):
+            assert column.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
     def test_closed_forms_match_generic_pipeline(self):
         a, b = 0.6, 0.8
         for x in np.linspace(0.02, 0.5, 20):
