@@ -175,11 +175,18 @@ def find_delta_roots(f, lo: float, hi: float, grid: int = ROOT_GRID,
     f touches zero without changing sign) is reported only if |f| <= tol at
     some grid point: for Gisin with |a| = |b|, delta = (3x-1)^2/2 touches
     zero at x = 1/3, yet the search on [0.001, 0.999] returns [].
+
+    ``lo < hi`` and ``grid >= 2`` (BadInterval) and a finite ``tol > 0``
+    (SpecError) are checked before ``f`` is called.
     """
     if not lo < hi:
         raise BadInterval(f"need lo < hi, got [{lo}, {hi}]")
     if grid < 2:
         raise BadInterval(f"need at least 2 grid points, got {grid}")
+    # tol = 0 would bisect a root between adjacent floats forever, and NaN
+    # would skip bisection and report unrefined cell midpoints
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise SpecError(f"tol must be a finite number > 0, got {tol}")
     xs = lo + (hi - lo) * np.arange(grid) / (grid - 1)
     fs = _finite_values(f, xs)
     near = np.abs(fs) <= tol

@@ -4,16 +4,16 @@ Every eigensolve in the package is an eigenvalues-only ``hermitian_eig`` of
 one Hermitian matrix, by the LAPACK gufunc behind ``numpy.linalg.eigvalsh``
 (``eigvalsh_lo`` of numpy's private ``_umath_linalg``), without numpy's
 per-call wrapper.  ``spectra`` forms the Hermitian parts (m + m^dagger)/2 of
-a whole stack at once and runs one ``hermitian_eig`` per matrix.  Nothing
-here checks a tolerance: states are validated once, where they enter the
-package (``density.validate_block``), and every matrix solved here is such a
-state or derived from one: its entries are finite and bounded.  No quantity
-the package computes needs an eigenvector.
+a whole stack at once, runs one ``hermitian_eig`` per matrix, and raises
+``numpy.linalg.LinAlgError`` once per stack if LAPACK failed on any of them.
+Nothing here checks a tolerance: states are validated once, where they
+enter the package (``density.validate_block``), and every matrix solved here
+is such a state or derived from one: its entries are finite and bounded.  No
+quantity the package computes needs an eigenvector.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -35,14 +35,11 @@ def hermitian_eig(mat: np.ndarray) -> HermitianEigen:
 
     Neither shape nor symmetry is checked, and nothing is symmetrised:
     ``spectra`` passes Hermitian parts.  Entries must be finite: LAPACK may
-    return finite values for a NaN.  Raises ``numpy.linalg.LinAlgError`` if
-    an end of the spectrum is not finite (no convergence, or overflow).
+    return finite values for a NaN.  Nothing is raised here: on a LAPACK
+    failure (no convergence, or overflow) the values are NaN, and
+    ``spectra`` raises ``numpy.linalg.LinAlgError`` for its stack.
     """
-    values = eigvalsh_lo(mat, signature="D->d")
-    # On a LAPACK failure the gufunc fills its output with NaN (and warns).
-    if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return HermitianEigen(values)
+    return HermitianEigen(eigvalsh_lo(mat, signature="D->d"))
 
 
 def spectra(mats) -> np.ndarray:
@@ -52,12 +49,18 @@ def spectra(mats) -> np.ndarray:
 
     The parts are formed for the whole stack at once, then solved by one
     ``hermitian_eig`` call per matrix: the traced benchmark counts those
-    calls per dimension.
+    calls per dimension.  Raises ``numpy.linalg.LinAlgError`` if any
+    eigenvalue of the stack is not finite.
     """
     mats = np.asarray(mats, dtype=np.complex128)
-    hermitian = mats + mats.conj().swapaxes(-1, -2)
+    # m^dagger + m, summed in place to keep one temporary stack; addition
+    # commutes, so the bits are those of m + m^dagger
+    hermitian = np.conjugate(mats.swapaxes(-1, -2), order="C")
+    hermitian += mats
     hermitian *= 0.5
-    values = np.empty(mats.shape[:2])
-    for i, mat in enumerate(hermitian):
-        values[i] = hermitian_eig(mat).values
+    values = np.array([hermitian_eig(m).values for m in hermitian]).reshape(mats.shape[:2])
+    # On a LAPACK failure the gufunc fills its output with NaN (and warns).
+    # The whole stack is checked: cheaper than indexing the ends of each row.
+    if not np.isfinite(values).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return values

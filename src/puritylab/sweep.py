@@ -25,9 +25,9 @@ import numpy as np
 
 from .defaults import ENTANGLE_TOL, GISIN_NORM_SLACK, REPORT_TOL, SWEEP_POINTS
 from .density import (
-    SAMPLE_BLOCK,
     BlockShape,
     DensityMatrix,
+    in_blocks,
     sample_block,
     sample_blocks,
     validate_block,
@@ -142,8 +142,7 @@ def _evaluate(rows: list[SweepRow | _BuiltRow]) -> list[SweepRow]:
     rounding, far inside -VALIDATION_TOL.
     """
     built = [i for i, row in enumerate(rows) if isinstance(row, _BuiltRow)]
-    for start in range(0, len(built), SAMPLE_BLOCK):
-        chunk = built[start:start + SAMPLE_BLOCK]
+    for chunk in in_blocks(built):
         block = validate_block([rows[i].mat for i in chunk], TWO_QUBIT_SHAPE)
         for i, ps in zip(chunk, purity_sets(block)):
             rows[i] = SweepRow(

@@ -10,6 +10,7 @@ Hermitian eigensolves of each dimension every command performs per state.
 import numpy as np
 import pytest
 
+from puritylab import density
 from puritylab.cli import cli_main
 from puritylab.density import SAMPLE_BLOCK, BlockShape, random_density, sample_blocks
 from puritylab.errors import DomainError, NotPositive, TraceNotOne
@@ -33,8 +34,15 @@ from puritylab.states import (
 )
 from puritylab.sweep import SweepSpec, _sample_recipe, run_sweep, scan_state
 
-# Crosses two block boundaries and ends in a partial block.
-JOB = 2 * SAMPLE_BLOCK + 5
+# The block size these tests evaluate with: small, so that short jobs cross
+# block boundaries.  JOB crosses two and ends in a partial block.
+BLOCK = 32
+JOB = 2 * BLOCK + 5
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(density, "SAMPLE_BLOCK", BLOCK)
 
 
 @pytest.mark.parametrize("shape", [BlockShape(2, 2), BlockShape(2, 3), BlockShape(3, 2)],
@@ -114,19 +122,42 @@ def test_sweep_rows_equal_one_state(spec, verdicts):
             ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta)
 
 
+# Jobs that cross the block boundary at every size tested below; the Gisin
+# grid mixes about 300 valid rows with rows beyond x_max.
+BLOCK_SIZE_RUNS = {
+    "scan-2x2": ["scan", "--shape", "2x2", "--samples", "300", "--seed", "3"],
+    "scan-2x3": ["scan", "--shape", "2x3", "--samples", "300", "--seed", "3"],
+    "audit-3x3": ["audit", "--shape", "3x3", "--samples", "300", "--seed", "3"],
+    "sweep-gisin": ["sweep", "--family", "gisin", "--start", "0.005", "--stop", "1.2",
+                    "--count", "700", "--a", "0.6", "--b", "0.8"],
+    "sweep-xrandom": ["sweep", "--family", "xrandom", "--start", "0", "--stop", "299",
+                      "--count", "300"],
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_SIZE_RUNS)
+def test_outputs_do_not_depend_on_block_size(name, monkeypatch, capsys):
+    outputs = set()
+    for block in (1, 7, 64, SAMPLE_BLOCK):
+        monkeypatch.setattr(density, "SAMPLE_BLOCK", block)
+        assert cli_main(BLOCK_SIZE_RUNS[name]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+
+
 # One hermitian_eig, and so one eigenvalues-only LAPACK solve, per matrix:
 # these are the counts per dimension the traced benchmark checks
 # (perfbench/workloads.py, expected_eigs).
 
 
 def test_scan_eigensolves_per_sample(eigh_counts, capsys):
-    samples = SAMPLE_BLOCK + 6
+    samples = BLOCK + 6
     assert cli_main(["scan", "--shape", "2x2", "--samples", str(samples), "--seed", "5"]) == 0
     assert eigh_counts == {4: 2 * samples, 2: 2 * samples}
 
 
 def test_audit_eigensolves_per_state(eigh_counts, capsys):
-    samples = SAMPLE_BLOCK + 6
+    samples = BLOCK + 6
     assert cli_main(["audit", "--shape", "3x3", "--samples", str(samples), "--seed", "5"]) == 0
     assert eigh_counts == {9: samples, 3: 4 * samples}
 

@@ -370,6 +370,15 @@ class TestFindDeltaRoots:
         with pytest.raises(BadInterval):
             find_delta_roots(lambda x: x, 0.0, 1.0, grid=1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_tol_refused_before_any_call(self, tol):
+        # tol = 0 used to bisect forever and tol = nan to skip bisection; an f
+        # that fails on its first call keeps a missing check from hanging
+        def f(x):
+            raise AssertionError("f called")
+        with pytest.raises(SpecError, match="tol must be a finite number > 0"):
+            find_delta_roots(f, 1.0, 2.0, grid=11, tol=tol)
+
     @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=4),
            st.floats(0.1, 10.0), st.booleans(), st.floats(-3.0, 0.0),
            st.floats(0.1, 5.0), st.integers(2, 300), st.floats(1e-12, 1e-4))

@@ -6,24 +6,26 @@ from hypothesis import strategies as st
 from oracles import jacobi_eigenvalues, random_hermitian
 from puritylab import linalg
 from puritylab.defaults import VALIDATION_TOL
-from puritylab.density import SAMPLE_BLOCK, BlockShape, make_density, validate_block
+from puritylab.density import BlockShape, make_density, validate_block
 from puritylab.errors import DimMismatch, DomainError, NotHermitian
 from puritylab.linalg import hermitian_eig, spectra
 
 
-STACK = SAMPLE_BLOCK + 3
+# spectra solves a stack of any length in one call; the sampled jobs pass
+# stacks of up to density.SAMPLE_BLOCK matrices.
+STACK = 67
 
 
 def eigenvalues(mat, stacked: bool) -> np.ndarray:
     """The eigenvalues of one matrix from ``spectra``: alone in a one-matrix
-    stack, or (stacked) at index SAMPLE_BLOCK + 1 of a stack of STACK
-    matrices whose others are maximally mixed states."""
+    stack, or (stacked) at index STACK - 2 of a stack of STACK matrices whose
+    others are maximally mixed states."""
     mat = np.asarray(mat, dtype=complex)
     if not stacked:
         return spectra(mat[None])[0]
     mats = np.stack([np.eye(len(mat), dtype=complex) / len(mat)] * STACK)
-    mats[SAMPLE_BLOCK + 1] = mat
-    return spectra(mats)[SAMPLE_BLOCK + 1]
+    mats[STACK - 2] = mat
+    return spectra(mats)[STACK - 2]
 
 
 class TestHermitianEig:
@@ -189,6 +191,24 @@ class TestDirectLapack:
         monkeypatch.setattr(linalg, "eigvalsh_lo", failing)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             eigenvalues(random_hermitian(3, 5), stacked)
+
+    @pytest.mark.parametrize("bad", [0, STACK // 2, STACK - 1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_nan_from_lapack_in_one_matrix_of_a_stack(self, monkeypatch, dim, bad):
+        # the check runs once per stack, after every matrix is solved
+        real, solved = linalg.eigvalsh_lo, []
+
+        def failing(a, **kwargs):
+            out = real(a, **kwargs)
+            if len(solved) == bad:
+                out[...] = np.nan
+            solved.append(a)
+            return out
+        monkeypatch.setattr(linalg, "eigvalsh_lo", failing)
+        mats = np.stack([random_hermitian(dim, seed) for seed in range(STACK)])
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            spectra(mats)
+        assert len(solved) == STACK
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("stacked", [False, True])

@@ -11,7 +11,6 @@ import oracles
 from oracles import scalar_random_density, scalar_random_separable
 from puritylab import density
 from puritylab.density import (
-    SAMPLE_BLOCK,
     BlockShape,
     _draw_count,
     random_density,
@@ -23,8 +22,15 @@ from puritylab.prng import SplitMix64, child_seed, complex_normals, stream_unifo
 from puritylab.sweep import _sample_recipe, scan_state
 
 SHAPES = [BlockShape(2, 2), BlockShape(2, 3), BlockShape(3, 3)]
-# Not a multiple of the block, so the last block is partial.
-JOB = 2 * SAMPLE_BLOCK + 2
+# The block size these tests sample with: small, so that short jobs cross
+# block boundaries.  JOB is not a multiple of it, so the last block is partial.
+BLOCK = 32
+JOB = 2 * BLOCK + 2
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(density, "SAMPLE_BLOCK", BLOCK)
 
 
 def scalar_uniforms(seed: int, count: int) -> list[float]:
@@ -115,7 +121,7 @@ class TestJobSampler:
                 yield _sample_recipe(shape, k, 1)
 
         next(sample_blocks(shape, recipes()))
-        assert len(taken) == SAMPLE_BLOCK
+        assert len(taken) == BLOCK
 
     def test_one_draw_per_block(self, monkeypatch):
         calls = []
@@ -127,7 +133,7 @@ class TestJobSampler:
         monkeypatch.setattr(density, "stream_uniforms", counted)
         shape = BlockShape(2, 3)
         assert len(job_mats(shape, scan_recipes(shape, 9))) == JOB
-        assert calls == [SAMPLE_BLOCK, SAMPLE_BLOCK, JOB - 2 * SAMPLE_BLOCK]
+        assert calls == [BLOCK, BLOCK, JOB - 2 * BLOCK]
 
     def test_empty_job(self):
         assert list(sample_blocks(BlockShape(2, 2), [])) == []
