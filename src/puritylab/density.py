@@ -248,9 +248,10 @@ def _draw_count(shape: BlockShape, kind: str, size: int) -> int:
     raise SpecError(f"unknown sample kind {kind!r}")
 
 
-def _ginibre_mats(shape: BlockShape, rank: int, uniforms: np.ndarray) -> np.ndarray:
-    """G G^dagger / Tr(G G^dagger) per row of uniforms; G is N x rank, row-major."""
-    g = complex_normals(uniforms).reshape(len(uniforms), shape.dim, rank)
+def _ginibre_mats(shape: BlockShape, rank: int, g: np.ndarray) -> np.ndarray:
+    """G G^dagger / Tr(G G^dagger) per row of complex normals; G is N x rank,
+    row-major."""
+    g = g.reshape(len(g), shape.dim, rank)
     raw = g @ g.conj().transpose(0, 2, 1)
     return raw / raw.trace(axis1=1, axis2=2).real[:, None, None]
 
@@ -264,35 +265,56 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
 
 
-def _separable_mats(shape: BlockShape, terms: int, uniforms: np.ndarray) -> np.ndarray:
-    """Weighted sums of kron(u u^dagger, v v^dagger) per row of uniforms.
+def _separable_mats(shape: BlockShape, terms: int, heads: np.ndarray,
+                    z: np.ndarray) -> np.ndarray:
+    """Weighted sums of kron(u u^dagger, v v^dagger) per row: the weights
+    are -ln of the ``terms`` head uniforms, normalized; each row of complex
+    normals ``z`` holds u then v of each term in turn.
 
     Each vector is divided by its own norm (see ``_norms``) and the terms are
     added in order, so the bytes match a term-by-term build.
     """
     n, m = shape.n, shape.m
-    weights = -np.log(uniforms[:, :terms])
+    weights = -np.log(heads)
     weights /= weights.sum(axis=1, keepdims=True)
-    z = complex_normals(uniforms[:, terms:]).reshape(len(uniforms), terms, n + m)
+    z = z.reshape(len(z), terms, n + m)
     u = z[..., :n] / _norms(z[..., :n])
     v = z[..., n:] / _norms(z[..., n:])
     pu = u[..., :, None] * u.conj()[..., None, :]
     pv = v[..., :, None] * v.conj()[..., None, :]
     prods = (pu[..., :, None, :, None] * pv[..., None, :, None, :]).reshape(
-        len(uniforms), terms, shape.dim, shape.dim)
-    acc = np.zeros((len(uniforms), shape.dim, shape.dim), dtype=np.complex128)
+        len(z), terms, shape.dim, shape.dim)
+    acc = np.zeros((len(z), shape.dim, shape.dim), dtype=np.complex128)
     for t in range(terms):
         acc += weights[:, t, None, None] * prods[:, t]
     return acc
+
+
+def _build_inputs(kind: str, size: int, rows: np.ndarray) -> tuple:
+    """What a group's build reads after its shape and size, from its rows of
+    uniforms: the complex normals of a Ginibre group; the ``terms`` weight
+    heads (copied) and the complex normals of the rest for a separable one."""
+    if kind == "ginibre":
+        return (complex_normals(rows),)
+    return rows[:, :size].copy(), complex_normals(rows[:, size:])
 
 
 def sample_block(shape: BlockShape, recipes: list) -> DensityBlock:
     """Validated block of the states of a list of ``(kind, size, seed)``
     recipes, in order.
 
-    The uniforms of the whole block come from one draw, ordered by recipe
-    group; recipes with the same kind and size share one array build.  The
-    block is then validated by :func:`validate_block`.
+    Recipes with the same kind and size form a group, and a block is sampled
+    in three phases: one draw of the uniforms of the whole block, ordered by
+    group; then the complex normals of every group (for a separable group,
+    of the uniforms after its ``terms`` weight heads); only then one array
+    build per group.  No normal is drawn once a build has started.  The
+    order is for speed; the bytes are the same in any order.  Right after a
+    complex matmul such as a Ginibre build's ``G @ G^dagger``, the scalar
+    ``math.log`` pass of ``complex_normals`` ran about 3.2 times slower per
+    value (247 against 76 ns on an Intel Xeon with OpenBLAS 0.3.31), and
+    drawing and building group by group put a matmul before the logs of
+    every group but the first.  The block is then validated by
+    :func:`validate_block`.
     """
     groups: dict[tuple[str, int], list[int]] = {}
     for i, (kind, size, _) in enumerate(recipes):
@@ -301,15 +323,17 @@ def sample_block(shape: BlockShape, recipes: list) -> DensityBlock:
     uniforms = stream_uniforms(
         [recipes[i][2] for members in groups.values() for i in members],
         [counts[key] for key, members in groups.items() for _ in members])
-    mats = np.empty((len(recipes), shape.dim, shape.dim), dtype=np.complex128)
+    inputs = {}
     start = 0
-    for (kind, size), members in groups.items():
-        count = counts[kind, size]
-        stop = start + count * len(members)
-        build = _ginibre_mats if kind == "ginibre" else _separable_mats
-        mats[members] = build(shape, size, uniforms[start:stop].reshape(len(members), count))
+    for key, members in groups.items():
+        stop = start + counts[key] * len(members)
+        inputs[key] = _build_inputs(*key, uniforms[start:stop].reshape(len(members), counts[key]))
         start = stop
-    del uniforms  # freed before validation, where a block's memory peaks
+    del uniforms  # the builds read only the normals and the weight heads
+    mats = np.empty((len(recipes), shape.dim, shape.dim), dtype=np.complex128)
+    for (kind, size), members in groups.items():
+        build = _ginibre_mats if kind == "ginibre" else _separable_mats
+        mats[members] = build(shape, size, *inputs.pop((kind, size)))
     return validate_block(mats, shape)
 
 
