@@ -14,11 +14,19 @@ this package the state is entangled iff one coherence beats the geometric
 mean of the *other* pair of populations: |c14|^2 > d2*d3 or
 |c23|^2 > d1*d4 (at most one of the two can hold).
 
+Each family is defined once, as an unchecked map from its parameters to the
+six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``
+and ``gisin_entries``.  The ``*_params`` constructors are the family's
+domain checks followed by ``XStateParams(*entries)``.  The entanglement rule
+and the closed forms below read entries, checked or not.  Squares of
+unchecked entries are written as products: ``x ** 2`` raises OverflowError
+on large finite floats.
+
 Closed-form purities for the family:
 
     mu12 = sum d_i^2 + 2(|c14|^2 + |c23|^2)
-    mu1  = sum d_i^2 + 2(d1 d2 + d3 d4)
-    mu2  = sum d_i^2 + 2(d1 d3 + d2 d4)
+    mu1  = (d1 + d2)^2 + (d3 + d4)^2
+    mu2  = (d1 + d3)^2 + (d2 + d4)^2
     mu_tilde = 2 sqrt(d1^2+d2^2+K) sqrt(d3^2+d4^2+K)
              + 2 sqrt(d1^2+d3^2+K) sqrt(d2^2+d4^2+K)
              + 2 sum d_i^2 + 4K - 1,     K = |c14|^2 + |c23|^2
@@ -52,6 +60,9 @@ from .prng import stream_uniforms
 
 TWO_QUBIT_SHAPE = BlockShape(2, 2)
 
+# d1, d2, d3, d4, c14, c23
+XEntries = tuple[float, float, float, float, complex, complex]
+
 
 @dataclass(frozen=True)
 class XStateParams:
@@ -65,22 +76,23 @@ class XStateParams:
     c23: complex = 0.0
 
     def __post_init__(self):
-        diag = (self.d1, self.d2, self.d3, self.d4)
-        if not all(map(cmath.isfinite, (*diag, self.c14, self.c23))):
+        diag = self.diag
+        if not all(map(cmath.isfinite, self)):
             raise DomainError(f"X-state parameters must be finite, got {self}")
         if min(diag) < 0.0:
             raise NotPositive(f"diagonal entries must be nonnegative, got {diag}")
         total = sum(diag)
         if abs(total - 1.0) > XSTATE_PARAM_TOL:
             raise TraceNotOne(f"diagonal sums to {total!r}, off by {abs(total-1.0):.3e}")
-        if self.d2 * self.d3 < abs(self.c23) ** 2 - XSTATE_PARAM_TOL:
-            raise NotPositive(
-                f"d2*d3 = {self.d2 * self.d3:.6e} < |c23|^2 = {abs(self.c23)**2:.6e}"
-            )
-        if self.d1 * self.d4 < abs(self.c14) ** 2 - XSTATE_PARAM_TOL:
-            raise NotPositive(
-                f"d1*d4 = {self.d1 * self.d4:.6e} < |c14|^2 = {abs(self.c14)**2:.6e}"
-            )
+        c14_2, c23_2 = abs(self.c14) * abs(self.c14), abs(self.c23) * abs(self.c23)
+        if self.d2 * self.d3 < c23_2 - XSTATE_PARAM_TOL:
+            raise NotPositive(f"d2*d3 = {self.d2 * self.d3:.6e} < |c23|^2 = {c23_2:.6e}")
+        if self.d1 * self.d4 < c14_2 - XSTATE_PARAM_TOL:
+            raise NotPositive(f"d1*d4 = {self.d1 * self.d4:.6e} < |c14|^2 = {c14_2:.6e}")
+
+    def __iter__(self):
+        """The six entries, so checked parameters unpack as entries do."""
+        return iter((self.d1, self.d2, self.d3, self.d4, self.c14, self.c23))
 
     @property
     def diag(self) -> tuple[float, float, float, float]:
@@ -104,7 +116,7 @@ class GisinParams:
     def __post_init__(self):
         if not 0.0 < self.x < 1.0:
             raise DomainError(f"Gisin x must lie in (0, 1), got {self.x}")
-        defect = abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
+        defect = abs(abs(self.a) * abs(self.a) + abs(self.b) * abs(self.b) - 1.0)
         if not defect <= GISIN_NORM_SLACK:
             raise DomainError(
                 f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, "
@@ -126,14 +138,19 @@ def x_state(params: XStateParams) -> DensityMatrix:
     return make_density(x_state_matrix(params), TWO_QUBIT_SHAPE)
 
 
-def x_state_purities(params: XStateParams) -> PuritySet:
-    """Closed-form purity set; matches the generic pipeline to ~1e-12."""
-    d1, d2, d3, d4 = params.diag
-    k = abs(params.c14) ** 2 + abs(params.c23) ** 2
+def x_state_purities(entries: XEntries | XStateParams) -> PuritySet:
+    """Closed-form purity set of the six entries, checked or not; matches
+    the generic pipeline to ~1e-12 on valid states.  mu1 and mu2 are sums of
+    squared population pairs: the Werner and beta pairs sum to 1/2, so they
+    stay within rounding of 0.5 at any parameter, where the expanded form
+    sum d_i^2 + 2(d1 d2 + d3 d4) cancels to 0 at p = 1e10."""
+    d1, d2, d3, d4, c14, c23 = entries
+    k = abs(c14) * abs(c14) + abs(c23) * abs(c23)
     sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
     mu12 = sq + 2.0 * k
-    mu1 = sq + 2.0 * (d1 * d2 + d3 * d4)
-    mu2 = sq + 2.0 * (d1 * d3 + d2 * d4)
+    s12, s34, s13, s24 = d1 + d2, d3 + d4, d1 + d3, d2 + d4
+    mu1 = s12 * s12 + s34 * s34
+    mu2 = s13 * s13 + s24 * s24
     mt = (
         2.0 * math.sqrt(d1 * d1 + d2 * d2 + k) * math.sqrt(d3 * d3 + d4 * d4 + k)
         + 2.0 * math.sqrt(d1 * d1 + d3 * d3 + k) * math.sqrt(d2 * d2 + d4 * d4 + k)
@@ -142,13 +159,18 @@ def x_state_purities(params: XStateParams) -> PuritySet:
     return PuritySet(mu12=mu12, mu1=mu1, mu2=mu2, mu_tilde=mt, delta=mt - mu12)
 
 
+def werner_entries(p: float) -> XEntries:
+    """Entries of the Werner matrix at any p, unchecked."""
+    outer = (1.0 + p) / 4.0
+    inner = (1.0 - p) / 4.0
+    return outer, inner, inner, outer, p / 2.0, 0.0
+
+
 def werner_params(p: float) -> XStateParams:
     p = float(p)
     if not -1.0 / 3.0 <= p <= 1.0:
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
-    outer = (1.0 + p) / 4.0
-    inner = (1.0 - p) / 4.0
-    return XStateParams(d1=outer, d2=inner, d3=inner, d4=outer, c14=p / 2.0)
+    return XStateParams(*werner_entries(p))
 
 
 def werner_state(p: float) -> DensityMatrix:
@@ -160,14 +182,32 @@ def gisin_x_max(a: complex, b: complex) -> float:
     return 1.0 / (1.0 + 2.0 * abs(a * b))
 
 
+def gisin_entries(x: float, a: complex, b: complex) -> XEntries:
+    """Entries of the Gisin matrix at any x and raw amplitudes, unchecked:
+    populations (1-x)/2, x|a|^2, x|b|^2, (1-x)/2 and coherence
+    c23 = x a b*."""
+    outer = (1.0 - x) / 2.0
+    return (outer, x * (abs(a) * abs(a)), x * (abs(b) * abs(b)), outer,
+            0.0, complex(x * a * np.conj(b)))
+
+
 def gisin_params(g: GisinParams) -> XStateParams:
-    """X-state parameters of the Gisin state: populations (1-x)/2, x|a|^2,
-    x|b|^2, (1-x)/2 and coherence c23 = x a b*.  Defined for every x, since
+    """X-state parameters of the Gisin state.  Defined for every x, since
     these matrices are PSD on both sides of x_max; raw amplitudes off
     |a|^2 + |b|^2 = 1 raise TraceNotOne."""
-    outer = (1.0 - g.x) / 2.0
-    return XStateParams(d1=outer, d2=g.x * abs(g.a) ** 2, d3=g.x * abs(g.b) ** 2,
-                        d4=outer, c23=complex(g.x * g.a * np.conj(g.b)))
+    return XStateParams(*gisin_entries(g.x, g.a, g.b))
+
+
+def gisin_state_params(x: float, a: complex, b: complex) -> XStateParams:
+    """The checked X-state parameters of :func:`gisin_state`: the
+    ``GisinParams`` domain checks, then x <= x_max + VALIDATION_TOL, then
+    :func:`gisin_params`."""
+    g = GisinParams(x=x, a=a, b=b)
+    x_max = gisin_x_max(a, b)
+    if x > x_max + VALIDATION_TOL:
+        raise DomainError(
+            f"x = {x} exceeds the separability threshold x_max = {x_max:.6f}")
+    return gisin_params(g)
 
 
 def gisin_state(g: GisinParams) -> DensityMatrix:
@@ -179,16 +219,7 @@ def gisin_state(g: GisinParams) -> DensityMatrix:
     matrices are PSD with unit trace; ``x_state(gisin_params(g))`` builds
     them.  Raw non-normalized amplitudes surface as TraceNotOne.
     """
-    return x_state(_separable_gisin_params(g))
-
-
-def _separable_gisin_params(g: GisinParams) -> XStateParams:
-    """``gisin_params(g)``, after the x_max check of :func:`gisin_state`."""
-    x_max = gisin_x_max(g.a, g.b)
-    if g.x > x_max + VALIDATION_TOL:
-        raise DomainError(
-            f"x = {g.x} exceeds the separability threshold x_max = {x_max:.6f}")
-    return gisin_params(g)
+    return x_state(gisin_state_params(g.x, g.a, g.b))
 
 
 def _gisin_closed(x: float | np.ndarray, a2: float, b2: float):
@@ -204,27 +235,32 @@ def _gisin_closed(x: float | np.ndarray, a2: float, b2: float):
     return lhs5, mt, mu12
 
 
+def beta_entries(beta: float) -> XEntries:
+    """Entries of the beta matrix at any beta, unchecked."""
+    outer = beta / 2.0
+    inner = (1.0 - beta) / 2.0
+    return outer, inner, inner, outer, outer, inner
+
+
 def beta_params(beta: float) -> XStateParams:
     beta = float(beta)
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    outer = beta / 2.0
-    inner = (1.0 - beta) / 2.0
-    return XStateParams(d1=outer, d2=inner, d3=inner, d4=outer,
-                        c14=outer, c23=inner)
+    return XStateParams(*beta_entries(beta))
 
 
 def beta_state(beta: float) -> DensityMatrix:
     return x_state(beta_params(beta))
 
 
-def xstate_entangled(params: XStateParams) -> bool:
-    """Exact entanglement verdict for X-states; boundary cases (within
-    ``ENTANGLE_TOL``) count as separable."""
-    return (
-        abs(params.c14) ** 2 > params.d2 * params.d3 + ENTANGLE_TOL
-        or abs(params.c23) ** 2 > params.d1 * params.d4 + ENTANGLE_TOL
-    )
+def xstate_entangled(entries: XEntries | XStateParams) -> bool:
+    """Exact entanglement verdict of the six entries, checked or not (Peres
+    1996: a coherence beats the geometric mean of the other pair of
+    populations); boundary cases (within ``ENTANGLE_TOL``) count as
+    separable."""
+    d1, d2, d3, d4, c14, c23 = entries
+    return (abs(c14) * abs(c14) > d2 * d3 + ENTANGLE_TOL
+            or abs(c23) * abs(c23) > d1 * d4 + ENTANGLE_TOL)
 
 
 _PPT_CONCLUSIVE = {(2, 2), (2, 3), (3, 2)}

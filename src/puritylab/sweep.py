@@ -1,13 +1,16 @@
 """Parameter sweeps over the state families and the conjecture scan.
 
-Sweeps check the parameters of each grid point, build its X-state matrix,
-and validate and evaluate the built matrices a block at a time, with the
-same functions as one-state evaluation, so each row equals ``purity_set``
-of its state.  Rows whose parameter checks fail (Gisin beyond x_max,
-out-of-domain parameters, non-normalized amplitudes) are kept with
-``valid=False`` and the closed-form columns still filled, since the closed
-forms are defined over the full parameter range; the generic-pipeline-only
-columns are blanked there.
+Every sweep row follows one rule.  The family's X-state entries at the grid
+value give ``entangled`` (``states.xstate_entangled``), valid or not.  The
+family's checked constructor (``werner_params``, ``beta_params``,
+``gisin_state_params``) decides ``valid``.  A valid row's matrix is
+validated and evaluated a block at a time, with the same functions as
+one-state evaluation, so it equals ``purity_set`` of its state.  An invalid
+row keeps the closed forms: ``x_state_purities`` of the entries fills mu12,
+mu1, mu2, mu_tilde, delta and lhs5 = mu1 + mu2 - 1 for Werner and beta; for
+Gisin, ``_gisin_closed`` of the raw amplitudes fills mu12, mu_tilde, delta
+and lhs5, and mu1 and mu2 are blank.  xrandom draws are valid by
+construction.
 
 The conjecture scan alternates Ginibre-induced states (ranks cycling
 1..N) with separable control mixtures, flags every entangled sample whose
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import ENTANGLE_TOL, GISIN_NORM_SLACK, REPORT_TOL, SWEEP_POINTS
+from .defaults import GISIN_NORM_SLACK, REPORT_TOL, SWEEP_POINTS, XSTATE_PARAM_TOL
 from .density import (
     BlockShape,
     DensityMatrix,
@@ -37,16 +40,18 @@ from .inequalities import delta_block, purity_sets, require_tol
 from .prng import child_seed
 from .states import (
     TWO_QUBIT_SHAPE,
-    GisinParams,
     _gisin_closed,
     _require_ppt_shape,
-    _separable_gisin_params,
+    beta_entries,
     beta_params,
-    gisin_x_max,
+    gisin_entries,
+    gisin_state_params,
     ppt_entangled_block,
     random_x_params,
+    werner_entries,
     werner_params,
     x_state_matrix,
+    x_state_purities,
     xstate_entangled,
 )
 
@@ -86,7 +91,7 @@ class SweepSpec:
         if self.family == "gisin":
             if self.a is None or self.b is None:
                 raise SpecError("gisin sweeps need amplitudes a and b")
-            defect = abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
+            defect = abs(abs(self.a) * abs(self.a) + abs(self.b) * abs(self.b) - 1.0)
             if not defect <= GISIN_NORM_SLACK:
                 raise SpecError(
                     f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, beyond slack"
@@ -118,7 +123,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class _BuiltRow:
-    """A grid point whose parameters passed their checks, with its X-state
+    """A grid point that passed its checked constructor, with its X-state
     matrix, not yet validated; :func:`run_sweep` evaluates it."""
 
     param: float
@@ -131,7 +136,7 @@ def _evaluate(rows: list[SweepRow | _BuiltRow]) -> list[SweepRow]:
     evaluating the built matrices :data:`SAMPLE_BLOCK` at a time.
 
     A block that fails validation raises instead of marking one row invalid,
-    so validity is decided by the parameter checks, and they pass only
+    so validity is decided by the checked constructors, and they pass only
     matrices that validation accepts.  Each is Hermitian by construction,
     its diagonal sums to 1 within XSTATE_PARAM_TOL (below VALIDATION_TOL),
     and each of its two 2x2 blocks is PSD in exact arithmetic, with entries
@@ -155,70 +160,64 @@ def _evaluate(rows: list[SweepRow | _BuiltRow]) -> list[SweepRow]:
     return rows
 
 
-def _werner_row(p: float) -> SweepRow | _BuiltRow:
-    try:
-        params = werner_params(p)
-    except (DomainError, NotPositive):
-        mu12 = (3.0 * p * p + 1.0) / 4.0
-        mt = 3.0 * p * p
-        return SweepRow(param=p, valid=False, mu12=mu12, mu1=0.5, mu2=0.5,
-                        mu_tilde=mt, delta=mt - mu12, lhs5=0.0,
-                        entangled=p > 1.0 / 3.0)
-    return _BuiltRow(p, x_state_matrix(params), xstate_entangled(params))
-
-
-def _beta_row(beta: float) -> SweepRow | _BuiltRow:
-    try:
-        params = beta_params(beta)
-    except (DomainError, NotPositive):
-        mu12 = 2.0 * beta * beta - 2.0 * beta + 1.0
-        mt = 8.0 * beta * beta - 8.0 * beta + 3.0
-        return SweepRow(param=beta, valid=False, mu12=mu12, mu1=0.5, mu2=0.5,
-                        mu_tilde=mt, delta=mt - mu12, lhs5=0.0,
-                        entangled=abs(beta - 0.5) > ENTANGLE_TOL)
-    return _BuiltRow(beta, x_state_matrix(params), xstate_entangled(params))
-
-
-def _gisin_row(x: float, a: complex, b: complex) -> SweepRow | _BuiltRow:
-    x_max = gisin_x_max(a, b)
-    entangled = x > x_max + ENTANGLE_TOL
-    try:
-        params = _separable_gisin_params(GisinParams(x=x, a=a, b=b))
-    except (DomainError, NotPositive, TraceNotOne):
-        # far outside (0, 1) the closed forms overflow (inf - inf is nan);
-        # run_sweep refuses such rows, so numpy need not warn about them
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs5, mt, mu12 = _gisin_closed(x, abs(a) ** 2, abs(b) ** 2)
-            delta = mt - mu12
-        return SweepRow(param=x, valid=False, mu12=mu12, mu1=None, mu2=None,
-                        mu_tilde=mt, delta=delta, lhs5=lhs5,
-                        entangled=entangled)
-    return _BuiltRow(x, x_state_matrix(params), entangled)
+# Each family's unchecked entries map and its checked constructor, both
+# called with the grid value (and, for gisin, the amplitudes a and b).
+_FAMILY_MAPS = {
+    "werner": (werner_entries, werner_params),
+    "beta": (beta_entries, beta_params),
+    "gisin": (gisin_entries, gisin_state_params),
+}
 
 
 def _xrandom_seed(value: float) -> int:
     return int(round(value))
 
 
-def _xrandom_row(value: float) -> _BuiltRow:
-    seed = _xrandom_seed(value)
-    params = random_x_params(seed)
-    return _BuiltRow(float(seed), x_state_matrix(params), xstate_entangled(params))
+def _row(spec: SweepSpec, v: float) -> SweepRow | _BuiltRow:
+    """The row of grid value ``v``: ``entangled`` from the family's entries,
+    ``valid`` from its checked constructor, closed forms where invalid.
+
+    Werner and beta entries that no longer sum to 1 within XSTATE_PARAM_TOL
+    (|param| near 1e16, where 1 + p rounds to p) would make the closed forms
+    drop the 1, and are refused like closed forms that overflow.
+    """
+    if spec.family == "xrandom":
+        seed = _xrandom_seed(v)
+        params = random_x_params(seed)
+        return _BuiltRow(float(seed), x_state_matrix(params), xstate_entangled(params))
+    entries_of, checked = _FAMILY_MAPS[spec.family]
+    args = (v, spec.a, spec.b) if spec.family == "gisin" else (v,)
+    try:
+        params = checked(*args)
+    except (DomainError, NotPositive, TraceNotOne):
+        entries = entries_of(*args)
+    else:
+        # the checked parameters are the entries, so nothing is mapped twice
+        return _BuiltRow(v, x_state_matrix(params), xstate_entangled(params))
+    entangled = xstate_entangled(entries)
+    if spec.family == "gisin":
+        lhs5, mt, mu12 = _gisin_closed(v, abs(spec.a) ** 2, abs(spec.b) ** 2)
+        mu1 = mu2 = None
+    else:
+        ps = x_state_purities(entries)
+        mu12, mu1, mu2, mt = ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde
+        lhs5 = mu1 + mu2 - 1.0
+    delta = mt - mu12
+    # delta = mu_tilde - mu12 is finite only where both are
+    if not all(map(math.isfinite, (delta, lhs5))):
+        raise SpecError(f"{spec.family} closed forms are not finite at param {v!r}")
+    if mu1 is not None and abs(sum(entries[:4]) - 1.0) > XSTATE_PARAM_TOL:
+        raise SpecError(f"{spec.family} entries at param {v!r} sum to "
+                        f"{sum(entries[:4])!r}, not 1: the closed forms would drop the 1")
+    return SweepRow(param=v, valid=False, mu12=mu12, mu1=mu1, mu2=mu2,
+                    mu_tilde=mt, delta=delta, lhs5=lhs5, entangled=entangled)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    if spec.family == "werner":
-        rows = [_werner_row(p) for p in spec.grid()]
-    elif spec.family == "beta":
-        rows = [_beta_row(b) for b in spec.grid()]
-    elif spec.family == "gisin":
-        rows = [_gisin_row(x, spec.a, spec.b) for x in spec.grid()]
-    else:
-        rows = [_xrandom_row(v) for v in spec.grid()]
-    for row in rows:
-        # delta = mu_tilde - mu12 is finite only where both are
-        if isinstance(row, SweepRow) and not all(map(math.isfinite, (row.delta, row.lhs5))):
-            raise SpecError(f"{spec.family} closed forms are not finite at param {row.param!r}")
+    # far outside (0, 1) the Gisin closed forms overflow (inf - inf is nan);
+    # _row refuses such rows, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [_row(spec, v) for v in spec.grid()]
     return _evaluate(rows)
 
 

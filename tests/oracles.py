@@ -259,6 +259,24 @@ def werner_matrix(p: float) -> np.ndarray:
     return mat
 
 
+def beta_matrix(beta: float) -> np.ndarray:
+    """The beta-family matrix written out entry by entry (no package code)."""
+    outer, inner = beta / 2.0, (1.0 - beta) / 2.0
+    mat = np.zeros((4, 4), dtype=np.complex128)
+    mat[0, 0] = mat[3, 3] = mat[0, 3] = mat[3, 0] = outer
+    mat[1, 1] = mat[2, 2] = mat[1, 2] = mat[2, 1] = inner
+    return mat
+
+
+def gisin_matrix(x: float, a: complex, b: complex) -> np.ndarray:
+    """The Gisin matrix from the raw amplitudes, entry by entry: x |v><v|
+    with v = (a, b) on the inner block, (1 - x)/2 on the outer diagonal."""
+    mat = np.zeros((4, 4), dtype=np.complex128)
+    mat[0, 0] = mat[3, 3] = (1.0 - x) / 2.0
+    mat[1:3, 1:3] = x * np.outer([a, b], np.conj([a, b]))
+    return mat
+
+
 def gisin_delta_quartic_roots(a: float, b: float) -> np.ndarray:
     """Real roots in (0, 1) of the quartic whose zeros are the Gisin delta roots.
 
@@ -325,3 +343,35 @@ def scalar_find_delta_roots(f, lo: float, hi: float, grid: int, tol: float) -> l
         if not deduped or r - deduped[-1] > tol:
             deduped.append(r)
     return deduped
+
+
+def mpmath_purity_set(rho, n: int, m: int) -> dict[str, float]:
+    """mu12, mu1, mu2, mu_tilde, delta and lhs5 = mu1 + mu2 - 1 of an
+    (n*m) x (n*m) Hermitian mpmath matrix, at the working precision, then
+    rounded to float.
+
+    Written out from the definitions: mu12 = Tr rho^2; mu1 and mu2 are the
+    purities of the block trace and the block sum of rho; mu_tilde sums the
+    squared Tr A^(1/2) of the block trace and the block sum of rho^2, from
+    mpmath's ``eighe``.  Needs no positivity of rho, since rho^2 is PSD for
+    any Hermitian rho.
+    """
+    def block_trace(a):
+        return mp.matrix([[mp.fsum(a[i * m + k, j * m + k] for k in range(m))
+                           for j in range(n)] for i in range(n)])
+
+    def block_sum(a):
+        return mp.matrix([[mp.fsum(a[k * m + i, k * m + j] for k in range(n))
+                           for j in range(m)] for i in range(m)])
+
+    def purity(a):
+        return mp.fsum(abs(a[i, j]) ** 2 for i in range(a.rows) for j in range(a.cols))
+
+    def sqrt_trace(a):
+        return mp.fsum(mp.sqrt(max(v, 0)) for v in mp.eighe(a, eigvals_only=True))
+
+    squared = rho * rho
+    mu12, mu1, mu2 = purity(rho), purity(block_trace(rho)), purity(block_sum(rho))
+    mt = sqrt_trace(block_trace(squared)) ** 2 + sqrt_trace(block_sum(squared)) ** 2 - 1
+    return {"mu12": float(mu12), "mu1": float(mu1), "mu2": float(mu2), "mu_tilde": float(mt),
+            "delta": float(mt - mu12), "lhs5": float(mu1 + mu2 - 1)}

@@ -91,6 +91,26 @@ class TestSweepCommand:
         assert "not finite at param" in err
         assert out == ""
 
+    @pytest.mark.parametrize("family", ["werner", "beta"])
+    def test_entries_off_unit_sum_error(self, family, capsys):
+        # at 1e16, 1 + p rounds to p: the closed forms would drop the 1
+        code, out, err = run_cli(["sweep", "--family", family, "--start", "0",
+                                  "--stop", "1e16", "--count", "2"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "sum to" in err
+        assert out == ""
+
+    def test_huge_amplitude_input_error(self, capsys):
+        # finite, but |a|^2 overflows
+        code, out, err = run_cli(["sweep", "--family", "gisin", "--start", "0.1",
+                                  "--stop", "0.9", "--count", "3", "--a", "1e200",
+                                  "--b", "0"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "deviates from 1 by inf" in err
+        assert out == ""
+
     def test_xrandom_repeated_seeds_input_error(self, capsys):
         # a step of 1/2 rounds to the seeds 0, 0, 1, 2, 2
         code, out, err = run_cli(["sweep", "--family", "xrandom", "--start", "0",

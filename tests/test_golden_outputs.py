@@ -41,6 +41,15 @@ GOLDEN = {
          "--a", "0.6", "--b", "0.8"],
         "eef9b9830120be10a165f98e30c669944d1cd3e020cdcb12628f6378fe13c497",
     ),
+    # out-of-domain rows: the closed forms of the family's entries
+    "sweep-werner-wide": (
+        ["sweep", "--family", "werner", "--start=-3", "--stop", "3", "--count", "61"],
+        "4cffca48b9a07e0a2cb3e5c1b762764468cd52834581032678d7b9598a60d7b9",
+    ),
+    "sweep-beta-wide": (
+        ["sweep", "--family", "beta", "--start=-2", "--stop", "3", "--count", "51"],
+        "a6b42887b9d8df39e470a68c453c50b0d609c677006f25f33af1e39c506ca2f1",
+    ),
     "sweep-xrandom": (
         ["sweep", "--family", "xrandom", "--start", "0", "--stop", "99", "--count", "100"],
         "4c9b5122414ed854f65c65c3d16f0ebdc249f6b50cab540fdbc8ab8b34ec1663",

@@ -19,13 +19,16 @@ from puritylab.prng import child_seed
 from puritylab.states import (
     GisinParams,
     XStateParams,
+    beta_entries,
     beta_params,
     beta_state,
+    gisin_entries,
     gisin_params,
     gisin_state,
     gisin_x_max,
     ppt_entangled,
     random_x_params,
+    werner_entries,
     werner_params,
     werner_state,
     x_state,
@@ -65,6 +68,12 @@ class TestXStateParams:
         values[field] = value
         with pytest.raises(DomainError, match="must be finite"):
             XStateParams(**values)
+
+    @pytest.mark.parametrize("field, value", [("c14", 1e200), ("c23", 1e200j)])
+    def test_huge_coherence_not_positive(self, field, value):
+        # finite, but |c|^2 overflows to inf: a refusal, not an OverflowError
+        with pytest.raises(NotPositive, match=rf"\|{field}\|\^2 = inf"):
+            XStateParams(0.25, 0.25, 0.25, 0.25, **{field: value})
 
     def test_random_draw_equals_scalar_draw(self):
         # the stream draw has the bits of one SplitMix64 uniform at a time
@@ -207,7 +216,42 @@ class TestWerner:
         assert np.array_equal(werner_state(0.8).mat, werner_matrix(0.8))
 
 
+class TestEntries:
+    """The ``*_params`` constructors are their domain checks followed by
+    ``XStateParams`` of the family's entries map."""
+
+    @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.3, 1 / 3, 0.8, 1.0])
+    def test_werner(self, p):
+        assert tuple(werner_params(p)) == werner_entries(p)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9, 1.0])
+    def test_beta(self, beta):
+        assert tuple(beta_params(beta)) == beta_entries(beta)
+
+    @pytest.mark.parametrize("x, a, b", [(0.3, 0.6, 0.8), (0.9, 0.6, 0.8),
+                                         (0.5, 0.6j, 0.8), (0.7, 1.0, 0.0)])
+    def test_gisin(self, x, a, b):
+        assert tuple(gisin_params(GisinParams(x=x, a=a, b=b))) == gisin_entries(x, a, b)
+
+    @pytest.mark.parametrize("p", [-3.0, -1.5, 1.5, 1e8])
+    def test_out_of_domain_entries_unchecked(self, p):
+        # populations below 0 or a coherence beyond the populations: the
+        # map returns them, the constructor refuses them
+        entries = werner_entries(p)
+        assert sum(entries[:4]) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(DomainError):
+            werner_params(p)
+        ps = x_state_purities(entries)
+        assert ps.mu12 == pytest.approx((3 * p * p + 1) / 4, rel=1e-15)
+        assert ps.mu_tilde == pytest.approx(3 * p * p, rel=1e-15)
+        assert xstate_entangled(entries)
+
+
 class TestGisin:
+    def test_huge_amplitude_domain_error(self):
+        with pytest.raises(DomainError, match="deviates from 1 by inf"):
+            GisinParams(x=0.5, a=1e200, b=0)
+
     def test_x_max_values(self):
         assert gisin_x_max(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
         assert gisin_x_max(0.2, math.sqrt(1 - 0.04)) == pytest.approx(0.718, abs=1e-3)

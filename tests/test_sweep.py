@@ -1,8 +1,18 @@
 import math
 
+import numpy as np
 import pytest
+from mpmath import mp
 
+from oracles import (
+    beta_matrix,
+    gisin_matrix,
+    mpmath_purity_set,
+    scalar_random_x_params,
+    werner_matrix,
+)
 from puritylab import sweep
+from puritylab.defaults import ENTANGLE_TOL
 from puritylab.density import BlockShape
 from puritylab.errors import SpecError
 from puritylab.inequalities import audit_reports, delta, find_delta_roots, purity_set
@@ -16,6 +26,7 @@ from puritylab.sweep import (
 )
 
 SHAPE22 = BlockShape(2, 2)
+EPS = 2.0 ** -52
 
 # Roots of the closed-form delta for {a, b} = {0.6, 0.8}, frozen from an
 # independent fine-grid bisection (200001 points, 80 halvings).
@@ -42,6 +53,12 @@ class TestSweepSpec:
     def test_gisin_slack_enforced(self):
         with pytest.raises(SpecError):
             SweepSpec(family="gisin", start=0.1, stop=0.9, count=10, a=1.5, b=0.0)
+
+    @pytest.mark.parametrize("a, b", [(1e200, 0.0), (0.6, 1e200j)])
+    def test_huge_amplitudes_refused(self, a, b):
+        # |a|^2 overflows to inf: a refusal, not an OverflowError
+        with pytest.raises(SpecError, match="deviates from 1 by inf"):
+            SweepSpec(family="gisin", start=0.1, stop=0.9, count=3, a=a, b=b)
 
     @pytest.mark.parametrize("family", ["werner", "beta", "xrandom"])
     @pytest.mark.parametrize("amplitudes", [{"a": 0.3}, {"b": 0.3}, {"a": 0.6, "b": 0.8}],
@@ -136,6 +153,96 @@ class TestGisinSweep:
         assert len(roots) == len(GISIN_DELTA_ROOTS_06_08)
         for found, frozen in zip(roots, GISIN_DELTA_ROOTS_06_08):
             assert found == pytest.approx(frozen, abs=1e-4)
+
+
+def werner_mp(p: float):
+    """The Werner matrix at the exact float p, in mpmath at its precision."""
+    p = mp.mpf(p)
+    outer, inner, c = (1 + p) / 4, (1 - p) / 4, p / 2
+    return mp.matrix([[outer, 0, 0, c], [0, inner, 0, 0], [0, 0, inner, 0], [c, 0, 0, outer]])
+
+
+def beta_mp(beta: float):
+    """The beta matrix at the exact float beta, in mpmath at its precision."""
+    beta = mp.mpf(beta)
+    outer, inner = beta / 2, (1 - beta) / 2
+    return mp.matrix([[outer, 0, 0, outer], [0, inner, inner, 0],
+                      [0, inner, inner, 0], [outer, 0, 0, outer]])
+
+
+class TestOutOfDomainRows:
+    """Werner and beta rows outside the family's domain are invalid and
+    carry the X-state closed forms of the family's entries."""
+
+    @pytest.mark.parametrize("family, start, stop, count, invalid, build", [
+        ("werner", -3, 3, 601, 467, werner_mp),
+        ("beta", -2, 3, 501, 400, beta_mp),
+    ], ids=["werner", "beta"])
+    def test_closed_forms_match_mpmath(self, family, start, stop, count, invalid, build):
+        # a few roundings of the largest term: the entries, their squares,
+        # the square roots and the sums each round once
+        rows = run_sweep(SweepSpec(family=family, start=start, stop=stop, count=count))
+        outside = [row for row in rows if not row.valid]
+        assert len(outside) == invalid
+        for row in outside:
+            with mp.workdps(40):
+                expected = mpmath_purity_set(build(row.param), 2, 2)
+            bound = 8 * EPS * max(1.0, expected["mu_tilde"])
+            for key, value in expected.items():
+                assert abs(getattr(row, key) - value) <= bound, (row.param, key)
+
+    def test_werner_below_minus_one_entangled(self):
+        # populations (1 - p)/4 > 0 > (1 + p)/4 there, and |p/2| beats
+        # (1 - p)/4, so the entry rule calls these rows entangled
+        rows = run_sweep(SweepSpec(family="werner", start=-3, stop=3, count=601))
+        for row in rows:
+            if row.param < -1.0 - 1e-9:
+                assert row.entangled
+            elif row.param < 1 / 3:
+                assert not row.entangled
+
+    @pytest.mark.parametrize("family", ["werner", "beta"])
+    @pytest.mark.parametrize("start, stop", [(-1e16, 0.0), (0.0, 1e16)], ids=["minus", "plus"])
+    def test_entries_off_unit_sum_refused(self, family, start, stop):
+        # 1 + p rounds to p there, so the entries no longer carry the 1
+        with pytest.raises(SpecError, match="sum to"):
+            run_sweep(SweepSpec(family=family, start=start, stop=stop, count=2))
+
+
+ENTRY_RULE_SPECS = [
+    SweepSpec(family="werner", start=-3, stop=3, count=601),
+    SweepSpec(family="beta", start=-2, stop=3, count=501),
+    SweepSpec(family="gisin", start=-2, stop=3, count=501, a=0.6, b=0.8),
+    SweepSpec(family="gisin", start=0.005, stop=0.995, count=200, a=0.07, b=0.99),
+    SweepSpec(family="gisin", start=0.005, stop=0.995, count=200, a=0.6j, b=0.8),
+    SweepSpec(family="xrandom", start=0, stop=199, count=200),
+]
+
+
+def family_matrix(spec: SweepSpec, param: float):
+    if spec.family == "werner":
+        return werner_matrix(param)
+    if spec.family == "beta":
+        return beta_matrix(param)
+    if spec.family == "gisin":
+        return gisin_matrix(param, spec.a, spec.b)
+    x = scalar_random_x_params(int(param))
+    mat = np.diag(np.array(x.diag, dtype=np.complex128))
+    mat[0, 3], mat[1, 2] = x.c14, x.c23
+    return mat
+
+
+@pytest.mark.parametrize("spec", ENTRY_RULE_SPECS,
+                         ids=["werner", "beta", "gisin", "gisin-raw", "gisin-complex", "xrandom"])
+def test_entangled_is_the_entry_rule(spec):
+    # every row, valid or not: a coherence beats the geometric mean of the
+    # other pair of populations (Peres 1996)
+    for row in run_sweep(spec):
+        mat = family_matrix(spec, row.param)
+        d1, d2, d3, d4 = mat.diagonal().real
+        rule = (abs(mat[0, 3]) ** 2 > d2 * d3 + ENTANGLE_TOL
+                or abs(mat[1, 2]) ** 2 > d1 * d4 + ENTANGLE_TOL)
+        assert row.entangled == rule, row.param
 
 
 class TestXRandomSweep:
