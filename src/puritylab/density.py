@@ -220,11 +220,6 @@ def purities(mats: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", mats, mats).real
 
 
-def purity(rho: DensityMatrix) -> float:
-    """Tr rho^2, in [1/N, 1]."""
-    return float(purities(rho.mat))
-
-
 # States drawn, validated and evaluated per numpy pass.  Every block pays the
 # same set-up (one array build per recipe kind and size, the validation
 # pre-checks, four or five ``spectra`` calls), so larger blocks are faster: a

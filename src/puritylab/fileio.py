@@ -37,14 +37,19 @@ def format_value(value: float | bool | None) -> str:
     return format(value, ".17g")
 
 
+_BOOL = {True: "true", False: "false"}
+_LINE = "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
+_BLANKED_LINE = "%.17g,%s,%.17g,,,%.17g,%.17g,%.17g,%s"  # mu1 and mu2 blank
+
+
 def csv_lines(rows: list[SweepRow]) -> list[str]:
-    lines = [",".join(CSV_HEADER)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in (
-            row.param, row.valid, row.mu12, row.mu1, row.mu2,
-            row.mu_tilde, row.delta, row.lhs5, row.entangled,
-        )))
-    return lines
+    """The header, then each row by one expression (``%.17g`` is ``format_value``)."""
+    return [",".join(CSV_HEADER)] + [
+        _LINE % (r.param, _BOOL[r.valid], r.mu12, r.mu1, r.mu2, r.mu_tilde, r.delta,
+                 r.lhs5, _BOOL[r.entangled]) if r.mu1 is not None else
+        _BLANKED_LINE % (r.param, _BOOL[r.valid], r.mu12, r.mu_tilde, r.delta, r.lhs5,
+                         _BOOL[r.entangled])
+        for r in rows]
 
 
 def _write_text(path: str, text: str) -> None:

@@ -121,17 +121,16 @@ def _audit_terms(block: DensityBlock) -> tuple[np.ndarray, ...]:
     return purities(block.mats), purities(reduced_n.mats), purities(reduced_m.mats), s6, s8
 
 
-def purity_sets(block: DensityBlock) -> list[PuritySet]:
-    """The purity set of every state of a block."""
+def purity_block(block: DensityBlock) -> tuple[np.ndarray, ...]:
+    """mu12, mu1, mu2, mu_tilde and delta of every state of a block."""
     mu12, mu1, mu2, s6, s8 = _audit_terms(block)
     mt = s8 * s8 + s6 * s6 - 1.0
-    return [PuritySet(mu12=a, mu1=b, mu2=c, mu_tilde=d, delta=e) for a, b, c, d, e in
-            zip(mu12.tolist(), mu1.tolist(), mu2.tolist(), mt.tolist(), (mt - mu12).tolist())]
+    return mu12, mu1, mu2, mt, mt - mu12
 
 
 def purity_set(rho: DensityMatrix) -> PuritySet:
     """All four purity scalars of one state, plus delta = mu_tilde - mu12."""
-    return purity_sets(DensityBlock.of(rho))[0]
+    return PuritySet(*(float(v[0]) for v in purity_block(DensityBlock.of(rho))))
 
 
 def audit_block(block: DensityBlock) -> list[tuple[str, np.ndarray, np.ndarray]]:

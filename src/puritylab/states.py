@@ -17,10 +17,10 @@ mean of the *other* pair of populations: |c14|^2 > d2*d3 or
 Each family is defined once, as an unchecked map from its parameters to the
 six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``
 and ``gisin_entries``.  The ``*_params`` constructors are the family's
-domain checks followed by ``XStateParams(*entries)``.  The entanglement rule
-and the closed forms below read entries, checked or not.  Squares of
-unchecked entries are written as products: ``x ** 2`` raises OverflowError
-on large finite floats.
+domain checks (``*_domain``) followed by ``XStateParams(*entries)``, whose
+rules ``xstate_valid`` gives as a mask.  These and the rules below are
+elementwise, each value with the bits of its scalar evaluation: moduli are
+``np.hypot(re, im)`` and squares products (``x ** 2`` raises on overflow).
 
 Closed-form purities for the family:
 
@@ -99,6 +99,22 @@ class XStateParams:
         return (self.d1, self.d2, self.d3, self.d4)
 
 
+def _modulus(c):
+    return np.hypot(np.real(c), np.imag(c))
+
+
+def xstate_valid(entries: XEntries | XStateParams):
+    """Elementwise mask of the entries ``XStateParams`` accepts: its rules
+    with its tolerances, the diagonal summed in its order.  Each comparison
+    is the complement of its refusal, and NaN or Inf fails one of them."""
+    d1, d2, d3, d4, c14, c23 = entries
+    m14, m23 = _modulus(c14), _modulus(c23)
+    return ((d1 >= 0.0) & (d2 >= 0.0) & (d3 >= 0.0) & (d4 >= 0.0)
+            & (abs(((d1 + d2) + d3) + d4 - 1.0) <= XSTATE_PARAM_TOL)
+            & (d2 * d3 >= m23 * m23 - XSTATE_PARAM_TOL)
+            & (d1 * d4 >= m14 * m14 - XSTATE_PARAM_TOL))
+
+
 @dataclass(frozen=True)
 class GisinParams:
     """Mixing weight x in (0, 1) and amplitudes a, b with |a|^2+|b|^2 = 1.
@@ -124,13 +140,13 @@ class GisinParams:
             )
 
 
-def x_state_matrix(params: XStateParams) -> np.ndarray:
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    mat[0, 0], mat[1, 1], mat[2, 2], mat[3, 3] = params.diag
-    mat[0, 3] = params.c14
-    mat[3, 0] = np.conj(params.c14)
-    mat[1, 2] = params.c23
-    mat[2, 1] = np.conj(params.c23)
+def x_state_matrix(entries: XEntries | XStateParams) -> np.ndarray:
+    """The 4x4 matrix of six X-state entries, or the (B, 4, 4) stack of six arrays."""
+    d1, d2, d3, d4, c14, c23 = entries
+    mat = np.zeros(np.shape(d1) + (4, 4), dtype=np.complex128)
+    mat[..., 0, 0], mat[..., 1, 1], mat[..., 2, 2], mat[..., 3, 3] = d1, d2, d3, d4
+    mat[..., 0, 3], mat[..., 3, 0] = c14, np.conj(c14)
+    mat[..., 1, 2], mat[..., 2, 1] = c23, np.conj(c23)
     return mat
 
 
@@ -145,15 +161,16 @@ def x_state_purities(entries: XEntries | XStateParams) -> PuritySet:
     stay within rounding of 0.5 at any parameter, where the expanded form
     sum d_i^2 + 2(d1 d2 + d3 d4) cancels to 0 at p = 1e10."""
     d1, d2, d3, d4, c14, c23 = entries
-    k = abs(c14) * abs(c14) + abs(c23) * abs(c23)
+    m14, m23 = _modulus(c14), _modulus(c23)
+    k = m14 * m14 + m23 * m23
     sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
     mu12 = sq + 2.0 * k
     s12, s34, s13, s24 = d1 + d2, d3 + d4, d1 + d3, d2 + d4
     mu1 = s12 * s12 + s34 * s34
     mu2 = s13 * s13 + s24 * s24
     mt = (
-        2.0 * math.sqrt(d1 * d1 + d2 * d2 + k) * math.sqrt(d3 * d3 + d4 * d4 + k)
-        + 2.0 * math.sqrt(d1 * d1 + d3 * d3 + k) * math.sqrt(d2 * d2 + d4 * d4 + k)
+        2.0 * np.sqrt(d1 * d1 + d2 * d2 + k) * np.sqrt(d3 * d3 + d4 * d4 + k)
+        + 2.0 * np.sqrt(d1 * d1 + d3 * d3 + k) * np.sqrt(d2 * d2 + d4 * d4 + k)
         + 2.0 * sq + 4.0 * k - 1.0
     )
     return PuritySet(mu12=mu12, mu1=mu1, mu2=mu2, mu_tilde=mt, delta=mt - mu12)
@@ -166,9 +183,14 @@ def werner_entries(p: float) -> XEntries:
     return outer, inner, inner, outer, p / 2.0, 0.0
 
 
+def werner_domain(p):
+    """Elementwise mask of -1/3 <= p <= 1, where the Werner matrix is a state."""
+    return (-1.0 / 3.0 <= p) & (p <= 1.0)
+
+
 def werner_params(p: float) -> XStateParams:
     p = float(p)
-    if not -1.0 / 3.0 <= p <= 1.0:
+    if not werner_domain(p):
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
     return XStateParams(*werner_entries(p))
 
@@ -182,13 +204,31 @@ def gisin_x_max(a: complex, b: complex) -> float:
     return 1.0 / (1.0 + 2.0 * abs(a * b))
 
 
+def _product(u, v):
+    """u * v elementwise with the bits of Python's scalar product: a real
+    factor reads as (r, +0.0), and each real product and sum rounds once,
+    where numpy's complex loops may fuse them."""
+    if not (np.iscomplexobj(u) or np.iscomplexobj(v)):
+        return u * v
+    ur, ui, vr, vi = np.real(u), np.imag(u), np.real(v), np.imag(v)
+    out = np.empty(np.broadcast(ur, vr).shape, dtype=np.complex128)
+    out.real, out.imag = ur * vr - ui * vi, ur * vi + ui * vr
+    return out[()]
+
+
 def gisin_entries(x: float, a: complex, b: complex) -> XEntries:
     """Entries of the Gisin matrix at any x and raw amplitudes, unchecked:
     populations (1-x)/2, x|a|^2, x|b|^2, (1-x)/2 and coherence
-    c23 = x a b*."""
+    c23 = (x a) b*, complex."""
     outer = (1.0 - x) / 2.0
     return (outer, x * (abs(a) * abs(a)), x * (abs(b) * abs(b)), outer,
-            0.0, complex(x * a * np.conj(b)))
+            0.0, np.complex128(_product(_product(x, a), np.conj(b))))
+
+
+def gisin_domain(x, a: complex, b: complex):
+    """Elementwise mask of the x that :func:`gisin_state` accepts with
+    amplitudes a and b: 0 < x < 1 and x <= x_max + VALIDATION_TOL."""
+    return (0.0 < x) & (x < 1.0) & (x <= gisin_x_max(a, b) + VALIDATION_TOL)
 
 
 def gisin_params(g: GisinParams) -> XStateParams:
@@ -203,10 +243,9 @@ def gisin_state_params(x: float, a: complex, b: complex) -> XStateParams:
     ``GisinParams`` domain checks, then x <= x_max + VALIDATION_TOL, then
     :func:`gisin_params`."""
     g = GisinParams(x=x, a=a, b=b)
-    x_max = gisin_x_max(a, b)
-    if x > x_max + VALIDATION_TOL:
+    if not gisin_domain(x, a, b):
         raise DomainError(
-            f"x = {x} exceeds the separability threshold x_max = {x_max:.6f}")
+            f"x = {x} exceeds the separability threshold x_max = {gisin_x_max(a, b):.6f}")
     return gisin_params(g)
 
 
@@ -214,10 +253,12 @@ def gisin_state(g: GisinParams) -> DensityMatrix:
     """The Gisin state for x <= x_max + VALIDATION_TOL.
 
     x_max = 1/(1+2|ab|) is the family's separability (Peres-Horodecki)
-    threshold, not a validity threshold: the state is entangled for
-    x > x_max, where this constructor raises DomainError although the
-    matrices are PSD with unit trace; ``x_state(gisin_params(g))`` builds
-    them.  Raw non-normalized amplitudes surface as TraceNotOne.
+    threshold, not a validity threshold: past x_max + VALIDATION_TOL this
+    constructor raises DomainError although the matrices are PSD with unit
+    trace; ``x_state(gisin_params(g))`` builds them.  In the band up to
+    x_max + VALIDATION_TOL it builds states that are entangled once x - x_max
+    exceeds about 2e-12 x_max / (1 - x_max).  Raw non-normalized amplitudes
+    surface as TraceNotOne.
     """
     return x_state(gisin_state_params(g.x, g.a, g.b))
 
@@ -242,9 +283,14 @@ def beta_entries(beta: float) -> XEntries:
     return outer, inner, inner, outer, outer, inner
 
 
+def beta_domain(beta):
+    """Elementwise mask of 0 <= beta <= 1, where the beta matrix is a state."""
+    return (0.0 <= beta) & (beta <= 1.0)
+
+
 def beta_params(beta: float) -> XStateParams:
     beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
+    if not beta_domain(beta):
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
     return XStateParams(*beta_entries(beta))
 
@@ -253,14 +299,14 @@ def beta_state(beta: float) -> DensityMatrix:
     return x_state(beta_params(beta))
 
 
-def xstate_entangled(entries: XEntries | XStateParams) -> bool:
-    """Exact entanglement verdict of the six entries, checked or not (Peres
-    1996: a coherence beats the geometric mean of the other pair of
-    populations); boundary cases (within ``ENTANGLE_TOL``) count as
-    separable."""
+def xstate_entangled(entries: XEntries | XStateParams):
+    """Exact entanglement verdict of the six entries, checked or not, as a
+    bool or an elementwise mask (Peres 1996: a coherence beats the geometric
+    mean of the other pair of populations); boundary cases (within
+    ``ENTANGLE_TOL``) count as separable."""
     d1, d2, d3, d4, c14, c23 = entries
-    return (abs(c14) * abs(c14) > d2 * d3 + ENTANGLE_TOL
-            or abs(c23) * abs(c23) > d1 * d4 + ENTANGLE_TOL)
+    m14, m23 = _modulus(c14), _modulus(c23)
+    return (m14 * m14 > d2 * d3 + ENTANGLE_TOL) | (m23 * m23 > d1 * d4 + ENTANGLE_TOL)
 
 
 _PPT_CONCLUSIVE = {(2, 2), (2, 3), (3, 2)}

@@ -1,16 +1,19 @@
 """Parameter sweeps over the state families and the conjecture scan.
 
-Every sweep row follows one rule.  The family's X-state entries at the grid
-value give ``entangled`` (``states.xstate_entangled``), valid or not.  The
-family's checked constructor (``werner_params``, ``beta_params``,
-``gisin_state_params``) decides ``valid``.  A valid row's matrix is
-validated and evaluated a block at a time, with the same functions as
-one-state evaluation, so it equals ``purity_set`` of its state.  An invalid
-row keeps the closed forms: ``x_state_purities`` of the entries fills mu12,
-mu1, mu2, mu_tilde, delta and lhs5 = mu1 + mu2 - 1 for Werner and beta; for
-Gisin, ``_gisin_closed`` of the raw amplitudes fills mu12, mu_tilde, delta
-and lhs5, and mu1 and mu2 are blank.  xrandom draws are valid by
-construction.
+A sweep is a few array passes over its whole grid, by one rule for every
+family.  The family's entries map (for xrandom, ``random_x_params`` of each
+seed) gives the X-state entries of every grid value, and ``entangled`` is
+``states.xstate_entangled`` of them, valid or not.  ``valid`` is the mask of
+the family's domain and of ``xstate_valid``: what its checked constructor
+(``werner_params``, ``beta_params``, ``gisin_state_params``) accepts.  The
+valid rows' matrices form one (V, 4, 4) stack, validated and evaluated a
+block at a time by the functions of one-state evaluation, so each row equals
+``purity_set`` of its state.  The invalid rows keep the closed forms, in one
+elementwise call: ``x_state_purities`` of the entries fills mu12, mu1, mu2,
+mu_tilde, delta and lhs5 = mu1 + mu2 - 1 for Werner and beta; for Gisin,
+``_gisin_closed`` of the raw amplitudes fills mu12, mu_tilde, delta and
+lhs5, and mu1 and mu2 are blank.  Each value has the bits of its one-point
+evaluation.
 
 The conjecture scan alternates Ginibre-induced states (ranks cycling
 1..N) with separable control mixtures, flags every entangled sample whose
@@ -35,24 +38,25 @@ from .density import (
     sample_blocks,
     validate_block,
 )
-from .errors import DomainError, NotPositive, SpecError, TraceNotOne
-from .inequalities import delta_block, purity_sets, require_tol
+from .errors import SpecError
+from .inequalities import delta_block, purity_block, require_tol
 from .prng import child_seed
 from .states import (
     TWO_QUBIT_SHAPE,
     _gisin_closed,
     _require_ppt_shape,
+    beta_domain,
     beta_entries,
-    beta_params,
+    gisin_domain,
     gisin_entries,
-    gisin_state_params,
     ppt_entangled_block,
     random_x_params,
+    werner_domain,
     werner_entries,
-    werner_params,
     x_state_matrix,
     x_state_purities,
     xstate_entangled,
+    xstate_valid,
 )
 
 FAMILIES = ("werner", "gisin", "beta", "xrandom")
@@ -98,127 +102,98 @@ class SweepSpec:
                 )
         elif self.a is not None or self.b is not None:
             raise SpecError(f"amplitudes a and b are for gisin sweeps, not {self.family}")
-        if self.family == "xrandom" and len(set(map(_xrandom_seed, self.grid()))) < self.count:
+        if self.family == "xrandom" and len(set(_seeds(self.grid()))) < self.count:
             raise SpecError(
                 f"xrandom grid [{self.start}, {self.stop}] with count {self.count} "
                 "rounds to repeated seeds; use integer bounds with a step of at least 1")
 
-    def grid(self) -> list[float]:
+    def grid(self) -> np.ndarray:
         step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * step for i in range(self.count)]
+        return float(self.start) + np.arange(self.count) * step
 
 
 @dataclass(frozen=True)
 class SweepRow:
     param: float
     valid: bool
-    mu12: float | None
-    mu1: float | None
+    mu12: float
+    mu1: float | None  # blank on invalid Gisin rows
     mu2: float | None
-    mu_tilde: float | None
-    delta: float | None
-    lhs5: float | None
+    mu_tilde: float
+    delta: float
+    lhs5: float
     entangled: bool
 
 
-@dataclass(frozen=True)
-class _BuiltRow:
-    """A grid point that passed its checked constructor, with its X-state
-    matrix, not yet validated; :func:`run_sweep` evaluates it."""
-
-    param: float
-    mat: np.ndarray
-    entangled: bool
+def _seeds(grid: np.ndarray) -> list[int]:
+    """The xrandom seeds of a grid: its values rounded half to even."""
+    return [int(round(v)) for v in grid.tolist()]
 
 
-def _evaluate(rows: list[SweepRow | _BuiltRow]) -> list[SweepRow]:
-    """Replace each built row by its valid SweepRow, validating and
-    evaluating the built matrices :data:`SAMPLE_BLOCK` at a time.
-
-    A block that fails validation raises instead of marking one row invalid,
-    so validity is decided by the checked constructors, and they pass only
-    matrices that validation accepts.  Each is Hermitian by construction,
-    its diagonal sums to 1 within XSTATE_PARAM_TOL (below VALIDATION_TOL),
-    and each of its two 2x2 blocks is PSD in exact arithmetic, with entries
-    of modulus at most 1: diagonal, rank one (both beta blocks, the Gisin
-    inner block x v v^dagger with v = (a, b)), Werner's outer block with
-    eigenvalues (1+3p)/4 and (1-p)/4 on [-1/3, 1], or an xrandom block with
-    |c| <= sqrt(d d').  So their computed smallest eigenvalues are off by
-    rounding, far inside -VALIDATION_TOL.
-    """
-    built = [i for i, row in enumerate(rows) if isinstance(row, _BuiltRow)]
-    for chunk in in_blocks(built):
-        block = validate_block([rows[i].mat for i in chunk], TWO_QUBIT_SHAPE)
-        for i, ps in zip(chunk, purity_sets(block)):
-            rows[i] = SweepRow(
-                param=rows[i].param, valid=True,
-                mu12=ps.mu12, mu1=ps.mu1, mu2=ps.mu2,
-                mu_tilde=ps.mu_tilde, delta=ps.delta,
-                lhs5=ps.mu1 + ps.mu2 - 1.0,
-                entangled=rows[i].entangled,
-            )
-    return rows
-
-
-# Each family's unchecked entries map and its checked constructor, both
-# called with the grid value (and, for gisin, the amplitudes a and b).
-_FAMILY_MAPS = {
-    "werner": (werner_entries, werner_params),
-    "beta": (beta_entries, beta_params),
-    "gisin": (gisin_entries, gisin_state_params),
-}
-
-
-def _xrandom_seed(value: float) -> int:
-    return int(round(value))
-
-
-def _row(spec: SweepSpec, v: float) -> SweepRow | _BuiltRow:
-    """The row of grid value ``v``: ``entangled`` from the family's entries,
-    ``valid`` from its checked constructor, closed forms where invalid.
-
-    Werner and beta entries that no longer sum to 1 within XSTATE_PARAM_TOL
-    (|param| near 1e16, where 1 + p rounds to p) would make the closed forms
-    drop the 1, and are refused like closed forms that overflow.
-    """
+def _entries_and_domain(spec: SweepSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The params of a grid, their six entry arrays and the domain mask."""
+    grid = spec.grid()
     if spec.family == "xrandom":
-        seed = _xrandom_seed(v)
-        params = random_x_params(seed)
-        return _BuiltRow(float(seed), x_state_matrix(params), xstate_entangled(params))
-    entries_of, checked = _FAMILY_MAPS[spec.family]
-    args = (v, spec.a, spec.b) if spec.family == "gisin" else (v,)
-    try:
-        params = checked(*args)
-    except (DomainError, NotPositive, TraceNotOne):
-        entries = entries_of(*args)
-    else:
-        # the checked parameters are the entries, so nothing is mapped twice
-        return _BuiltRow(v, x_state_matrix(params), xstate_entangled(params))
-    entangled = xstate_entangled(entries)
+        seeds = _seeds(grid)
+        entries = [np.array(e) for e in zip(*map(random_x_params, seeds))]
+        return np.array(seeds, dtype=np.float64), entries, np.ones(len(seeds), dtype=bool)
+    entries_of, domain = {"werner": (werner_entries, werner_domain),
+                          "beta": (beta_entries, beta_domain),
+                          "gisin": (gisin_entries, gisin_domain)}[spec.family]
+    args = (grid, spec.a, spec.b) if spec.family == "gisin" else (grid,)
+    return grid, [np.broadcast_to(e, grid.shape) for e in entries_of(*args)], domain(*args)
+
+
+def _closed_forms(spec: SweepSpec, param: np.ndarray, entries: list[np.ndarray]):
+    """mu12, mu1, mu2 (NaN for Gisin), mu_tilde, delta and lhs5 of the
+    invalid rows.  SpecError for the first whose delta or lhs5 is not finite
+    or, for Werner and beta, whose entries do not sum to 1 within
+    XSTATE_PARAM_TOL (|param| near 1e16, where 1 + p rounds to p)."""
     if spec.family == "gisin":
-        lhs5, mt, mu12 = _gisin_closed(v, abs(spec.a) ** 2, abs(spec.b) ** 2)
-        mu1 = mu2 = None
+        lhs5, mt, mu12 = _gisin_closed(param, abs(spec.a) ** 2, abs(spec.b) ** 2)
+        mu1 = mu2 = np.full(len(param), np.nan)
+        delta, off = mt - mu12, np.zeros(len(param), dtype=bool)
     else:
         ps = x_state_purities(entries)
-        mu12, mu1, mu2, mt = ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde
+        mu12, mu1, mu2, mt, delta = ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta
         lhs5 = mu1 + mu2 - 1.0
-    delta = mt - mu12
+        total = ((entries[0] + entries[1]) + entries[2]) + entries[3]
+        off = abs(total - 1.0) > XSTATE_PARAM_TOL
     # delta = mu_tilde - mu12 is finite only where both are
-    if not all(map(math.isfinite, (delta, lhs5))):
-        raise SpecError(f"{spec.family} closed forms are not finite at param {v!r}")
-    if mu1 is not None and abs(sum(entries[:4]) - 1.0) > XSTATE_PARAM_TOL:
+    not_finite = ~(np.isfinite(delta) & np.isfinite(lhs5))
+    if (not_finite | off).any():
+        i = int((not_finite | off).argmax())
+        v = float(param[i])  # a Python float's repr
+        if not_finite[i]:
+            raise SpecError(f"{spec.family} closed forms are not finite at param {v!r}")
         raise SpecError(f"{spec.family} entries at param {v!r} sum to "
-                        f"{sum(entries[:4])!r}, not 1: the closed forms would drop the 1")
-    return SweepRow(param=v, valid=False, mu12=mu12, mu1=mu1, mu2=mu2,
-                    mu_tilde=mt, delta=delta, lhs5=lhs5, entangled=entangled)
+                        f"{float(total[i])!r}, not 1: the closed forms would drop the 1")
+    return mu12, mu1, mu2, mt, delta, lhs5
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    # far outside (0, 1) the Gisin closed forms overflow (inf - inf is nan);
-    # _row refuses such rows, so numpy need not warn about them
+    # far outside (0, 1) the closed forms overflow (inf - inf is nan);
+    # _closed_forms refuses such rows, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [_row(spec, v) for v in spec.grid()]
-    return _evaluate(rows)
+        param, entries, domain = _entries_and_domain(spec)
+        valid = domain & xstate_valid(entries)
+        entangled = xstate_entangled(entries)
+        columns = np.empty((6, len(param)))  # mu12, mu1, mu2, mu_tilde, delta, lhs5
+        columns[:, ~valid] = _closed_forms(spec, param[~valid], [e[~valid] for e in entries])
+    # A block failing validation would raise, but each valid row's matrix is
+    # Hermitian with unit diagonal sum and 2x2 blocks PSD in exact arithmetic,
+    # entries of modulus <= 1: diagonal, rank one (beta, Gisin inner), Werner
+    # outer for p in [-1/3, 1], or xrandom's with |c| <= sqrt(d d').
+    at = np.flatnonzero(valid)
+    mats = x_state_matrix([e[valid] for e in entries])
+    for chunk in in_blocks(range(len(at))):
+        mu12, mu1, mu2, mt, delta = purity_block(validate_block(mats[chunk], TWO_QUBIT_SHAPE))
+        columns[:, at[chunk]] = mu12, mu1, mu2, mt, delta, mu1 + mu2 - 1.0
+    values = columns.tolist()
+    if spec.family == "gisin":
+        values[1:3] = np.where(valid, columns[1:3], None).tolist()
+    return [SweepRow(*row) for row in
+            zip(param.tolist(), valid.tolist(), *values, entangled.tolist())]
 
 
 @dataclass(frozen=True)

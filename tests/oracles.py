@@ -13,7 +13,9 @@ draw one value at a time from ``SplitMix64`` and build each state term by
 term, the reference for the package's block sampler, and
 ``scalar_random_x_params`` is the reference for the X-state draw.
 ``scalar_find_delta_roots`` is the one-point-at-a-time root search, the
-reference for the package's array search.
+reference for the package's array search, and ``scalar_sweep_rows`` builds a
+sweep one grid point at a time, the reference for the package's array
+sweep.
 """
 
 from __future__ import annotations
@@ -24,11 +26,33 @@ import numpy as np
 from mpmath import mp
 from numpy.polynomial import Polynomial
 
-from puritylab.defaults import VALIDATION_TOL
+from puritylab.defaults import VALIDATION_TOL, XSTATE_PARAM_TOL
 from puritylab.density import BlockShape, DensityMatrix, make_density
-from puritylab.errors import BadInterval, BadRank
+from puritylab.errors import (
+    BadInterval,
+    BadRank,
+    DomainError,
+    NotPositive,
+    SpecError,
+    TraceNotOne,
+)
+from puritylab.inequalities import purity_set
 from puritylab.prng import SplitMix64
-from puritylab.states import XStateParams
+from puritylab.states import (
+    XStateParams,
+    _gisin_closed,
+    beta_entries,
+    beta_params,
+    gisin_entries,
+    gisin_state_params,
+    random_x_params,
+    werner_entries,
+    werner_params,
+    x_state,
+    x_state_purities,
+    xstate_entangled,
+)
+from puritylab.sweep import SweepRow, SweepSpec
 
 
 def index_block_trace(mat: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -375,3 +399,55 @@ def mpmath_purity_set(rho, n: int, m: int) -> dict[str, float]:
     mt = sqrt_trace(block_trace(squared)) ** 2 + sqrt_trace(block_sum(squared)) ** 2 - 1
     return {"mu12": float(mu12), "mu1": float(mu1), "mu2": float(mu2), "mu_tilde": float(mt),
             "delta": float(mt - mu12), "lhs5": float(mu1 + mu2 - 1)}
+
+
+_SCALAR_FAMILIES = {
+    "werner": (werner_entries, werner_params),
+    "beta": (beta_entries, beta_params),
+    "gisin": (gisin_entries, gisin_state_params),
+}
+
+
+def _scalar_sweep_row(spec: SweepSpec, v: float) -> SweepRow:
+    """The row of grid value ``v``, alone: ``entangled`` from the family's
+    entries, ``valid`` from its checked constructor, ``purity_set`` of the
+    validated state where valid and the closed forms where not."""
+    if spec.family == "xrandom":
+        seed = int(round(v))
+        params = random_x_params(seed)
+        v = float(seed)
+    else:
+        entries_of, checked = _SCALAR_FAMILIES[spec.family]
+        args = (v, spec.a, spec.b) if spec.family == "gisin" else (v,)
+        try:
+            params = checked(*args)
+        except (DomainError, NotPositive, TraceNotOne):
+            params = None
+            entries = entries_of(*args)
+    if params is not None:
+        ps = purity_set(x_state(params))
+        return SweepRow(v, True, ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta,
+                        ps.mu1 + ps.mu2 - 1.0, bool(xstate_entangled(params)))
+    if spec.family == "gisin":
+        lhs5, mt, mu12 = _gisin_closed(v, abs(spec.a) ** 2, abs(spec.b) ** 2)
+        mu1 = mu2 = None
+    else:
+        ps = x_state_purities(entries)
+        mu12, mu1, mu2, mt = ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde
+        lhs5 = mu1 + mu2 - 1.0
+    delta = mt - mu12
+    if not (math.isfinite(delta) and math.isfinite(lhs5)):
+        raise SpecError(f"{spec.family} closed forms are not finite at param {v!r}")
+    if mu1 is not None and abs(sum(entries[:4]) - 1.0) > XSTATE_PARAM_TOL:
+        raise SpecError(f"{spec.family} entries at param {v!r} sum to "
+                        f"{sum(entries[:4])!r}, not 1: the closed forms would drop the 1")
+    return SweepRow(v, False, mu12, mu1, mu2, mt, delta, lhs5, bool(xstate_entangled(entries)))
+
+
+def scalar_sweep_rows(spec: SweepSpec) -> list[SweepRow]:
+    """The rows of a sweep built one grid point at a time, on the grid
+    ``start + i * step``; raises the SpecError of the first row refused."""
+    step = (spec.stop - spec.start) / (spec.count - 1)
+    # far outside the domain the closed forms overflow; such rows raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_scalar_sweep_row(spec, spec.start + i * step) for i in range(spec.count)]

@@ -18,7 +18,7 @@ from puritylab.density import (
     block_trace_map,
     hermiticity_defect,
     make_density,
-    purity,
+    purities,
     random_density,
     random_separable,
     reduced_blocks,
@@ -285,19 +285,19 @@ class TestPartialTraces:
 
 class TestPurity:
     def test_maximally_mixed(self):
-        assert purity(mixed_state()) == pytest.approx(0.25, abs=1e-15)
+        assert purities(mixed_state().mat) == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.3, 0.8, 1.0])
     def test_werner_closed_form(self, p):
         rho = make_density(werner_matrix(p), SHAPE22)
-        assert purity(rho) == pytest.approx((3 * p * p + 1) / 4, abs=1e-14)
+        assert purities(rho.mat) == pytest.approx((3 * p * p + 1) / 4, abs=1e-14)
 
     @given(seeds)
     @settings(max_examples=60)
     def test_equals_eigenvalue_square_sum(self, seed):
         rho = random_state(SHAPE22, seed)
         vals = hermitian_eig(rho.mat).values
-        assert abs(purity(rho) - float((vals ** 2).sum())) <= 1e-10
+        assert abs(purities(rho.mat) - float((vals ** 2).sum())) <= 1e-10
 
 
 class TestPuritySet:
@@ -352,7 +352,7 @@ class TestRandomStates:
 
     def test_rank_one_is_pure(self):
         rho = random_density(2, 2, 1, seed=7)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-10)
+        assert purities(rho.mat) == pytest.approx(1.0, abs=1e-10)
 
     def test_same_seed_bit_identical(self):
         a = random_density(2, 3, 5, seed=123)
@@ -368,8 +368,8 @@ class TestRandomStates:
     def test_separable_single_term_is_product(self):
         rho = random_separable(2, 2, terms=1, seed=4)
         over_2, over_1 = reduced_states(rho)
-        assert purity(over_2) == pytest.approx(1.0, abs=1e-10)
-        assert purity(over_1) == pytest.approx(1.0, abs=1e-10)
+        assert purities(over_2.mat) == pytest.approx(1.0, abs=1e-10)
+        assert purities(over_1.mat) == pytest.approx(1.0, abs=1e-10)
 
     def test_separable_unit_trace(self):
         rho = random_separable(2, 2, terms=6, seed=11)

@@ -50,6 +50,24 @@ GOLDEN = {
         ["sweep", "--family", "beta", "--start=-2", "--stop", "3", "--count", "51"],
         "a6b42887b9d8df39e470a68c453c50b0d609c677006f25f33af1e39c506ca2f1",
     ),
+    # complex amplitudes, as the command line reads them
+    "sweep-gisin-complex": (
+        ["sweep", "--family", "gisin", "--start", "0.005", "--stop", "0.995", "--count", "200",
+         "--a", "0.6j", "--b", "0.8"],
+        "86261d0c82cf7a94af6f0c49a3b2ba0086865ea107c9e929482bb23a178e064c",
+    ),
+    # x outside (0, 1) and past x_max: the raw-amplitude closed forms
+    "sweep-gisin-wide": (
+        ["sweep", "--family", "gisin", "--start=-2", "--stop", "3", "--count", "51",
+         "--a", "0.6", "--b", "0.8"],
+        "fd05557c0f3ff7f61ba2df1cdaf3a4ee6e8a163e722274d87a3ce1552bc83d01",
+    ),
+    # the published pair, off normalization: every row invalid
+    "sweep-gisin-raw": (
+        ["sweep", "--family", "gisin", "--start", "0.005", "--stop", "0.995", "--count", "200",
+         "--a", "0.07", "--b", "0.99"],
+        "4b1839e2c093b16a32519aac38705003086814c141669bc3d415c79785d82519",
+    ),
     "sweep-xrandom": (
         ["sweep", "--family", "xrandom", "--start", "0", "--stop", "99", "--count", "100"],
         "4c9b5122414ed854f65c65c3d16f0ebdc249f6b50cab540fdbc8ab8b34ec1663",

@@ -20,7 +20,7 @@ from puritylab.density import (
     block_trace_map,
     hermiticity_defect,
     make_density,
-    purity,
+    purities,
     random_density,
     sample_blocks,
 )
@@ -338,7 +338,7 @@ class TestDelta:
         bs = block_sum_map(squared, rho.shape)
         s_bt = numpy_sqrt_psd(bt).trace().real
         s_bs = numpy_sqrt_psd(bs).trace().real
-        swapped = s_bt * s_bt + s_bs * s_bs - 1.0 - purity(rho)
+        swapped = s_bt * s_bt + s_bs * s_bs - 1.0 - purities(rho.mat)
         assert delta(rho) == pytest.approx(swapped, abs=1e-10)
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import scalar_random_x_params, werner_matrix
-from puritylab.density import purity
+from puritylab.defaults import XSTATE_PARAM_TOL
+from puritylab.density import purities
 from puritylab.errors import (
     DomainError,
     NotPositive,
@@ -34,6 +35,7 @@ from puritylab.states import (
     x_state,
     x_state_purities,
     xstate_entangled,
+    xstate_valid,
 )
 from puritylab.states import _gisin_closed
 
@@ -96,7 +98,7 @@ class TestXState:
 
     def test_bell_projector_is_pure(self):
         rho = x_state(BELL_PARAMS)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-14)
+        assert purities(rho.mat) == pytest.approx(1.0, abs=1e-14)
         vals = hermitian_eig(rho.mat).values
         assert np.allclose(vals, [0, 0, 0, 1], atol=1e-14)
 
@@ -200,7 +202,7 @@ class TestWerner:
 
     def test_p_one_is_bell_projector(self):
         rho = werner_state(1.0)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-14)
+        assert purities(rho.mat) == pytest.approx(1.0, abs=1e-14)
 
     def test_boundary_has_zero_eigenvalue(self):
         vals = hermitian_eig(werner_state(-1 / 3).mat).values
@@ -232,6 +234,49 @@ class TestEntries:
                                          (0.5, 0.6j, 0.8), (0.7, 1.0, 0.0)])
     def test_gisin(self, x, a, b):
         assert tuple(gisin_params(GisinParams(x=x, a=a, b=b))) == gisin_entries(x, a, b)
+
+    @pytest.mark.parametrize("a, b", [(0.6, 0.8), (-0.6, -0.8), (0.6j, 0.8),
+                                      (complex(0.6), complex(-0.8)), (0.3 + 0.4j, 0.5 - 0.7j)])
+    def test_gisin_coherence_has_the_bits_of_the_scalar_product(self, a, b):
+        # numpy's complex loops may fuse the products of (x a) b*, which
+        # moves the last bit of about a quarter of them
+        xs = np.random.default_rng(0).uniform(-2.0, 3.0, 2000)
+        c23 = gisin_entries(xs, a, b)[5]
+        expected = np.array([complex(x * a * np.conj(b)) for x in xs.tolist()])
+        assert c23.dtype == np.complex128
+        assert c23.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_valid_mask_is_the_constructor_rule(self):
+        # entries on both sides of each XStateParams rule
+        rng = np.random.default_rng(1)
+        d = rng.dirichlet(np.ones(4), 4000)
+        d[::7, 1] -= 1e-13 * rng.uniform(0.0, 2.0, len(d[::7]))
+        d[::5] *= 1.0 + 1e-12 * rng.uniform(-2.0, 2.0, (len(d[::5]), 1))
+        # diagonals within a few ulps of the edge 1 + XSTATE_PARAM_TOL,
+        # where the verdict depends on the order of the sum
+        edge = d[3::5]
+        edge[:, 3] = (1.0 + XSTATE_PARAM_TOL) - ((edge[:, 0] + edge[:, 1]) + edge[:, 2])
+        edge[:, 3] += rng.integers(-3, 4, len(edge)) * np.spacing(edge[:, 3])
+        d[3::5] = edge
+        phase = np.exp(2j * np.pi * rng.uniform(size=(2, len(d))))
+        scale = rng.choice([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5], size=(2, len(d)))
+        c14 = scale[0] * np.sqrt(np.maximum(d[:, 0] * d[:, 3], 0.0)) * phase[0]
+        c23 = scale[1] * np.sqrt(np.maximum(d[:, 1] * d[:, 2], 0.0)) * phase[1]
+        entries = (*d.T, c14, c23)
+        # NaN or Inf in each entry, which the constructor refuses first
+        for k, column in enumerate(entries):
+            column[3 * k:3 * k + 3] = (np.nan, np.inf, -np.inf)
+        c23[18:20] = complex(0.0, np.nan), complex(np.inf, np.nan)
+        accepted = []
+        for row in zip(*(e.tolist() for e in entries)):
+            try:
+                XStateParams(*row)
+            except (DomainError, NotPositive, TraceNotOne):
+                accepted.append(False)
+            else:
+                accepted.append(True)
+        assert 0.2 < np.mean(accepted) < 0.8
+        assert xstate_valid(entries).tolist() == accepted
 
     @pytest.mark.parametrize("p", [-3.0, -1.5, 1.5, 1e8])
     def test_out_of_domain_entries_unchecked(self, p):
@@ -374,7 +419,7 @@ class TestBeta:
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_endpoints_are_pure(self, beta):
-        assert purity(beta_state(beta)) == pytest.approx(1.0, abs=1e-14)
+        assert purities(beta_state(beta).mat) == pytest.approx(1.0, abs=1e-14)
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from oracles import (
@@ -9,15 +11,17 @@ from oracles import (
     gisin_matrix,
     mpmath_purity_set,
     scalar_random_x_params,
+    scalar_sweep_rows,
     werner_matrix,
 )
 from puritylab import sweep
 from puritylab.defaults import ENTANGLE_TOL
 from puritylab.density import BlockShape
-from puritylab.errors import SpecError
+from puritylab.errors import DomainError, SpecError
 from puritylab.inequalities import audit_reports, delta, find_delta_roots, purity_set
-from puritylab.states import _gisin_closed, gisin_x_max
+from puritylab.states import GisinParams, _gisin_closed, gisin_state, gisin_x_max
 from puritylab.sweep import (
+    FAMILIES,
     ScanSample,
     SweepSpec,
     run_sweep,
@@ -144,6 +148,20 @@ class TestGisinSweep:
         assert not rows[-1].valid  # x = 1
         assert all(row.valid for row in rows[1:-1])
 
+    def test_threshold_band_is_valid_and_entangled(self):
+        # gisin_state accepts x <= x_max + VALIDATION_TOL (1e-10), and just
+        # past x_max the entry rule already calls the state entangled, so
+        # rows in that band read valid and entangled; pinned so that any
+        # change to the band is deliberate
+        a, b = 0.6, 0.8
+        x_max = gisin_x_max(a, b)
+        rows = run_sweep(SweepSpec("gisin", x_max - 1e-10, x_max + 2e-10, 7, a=a, b=b))
+        assert [row.valid for row in rows] == [True] * 5 + [False] * 2
+        assert [row.entangled for row in rows] == [False] * 3 + [True] * 4
+        assert gisin_state(GisinParams(rows[4].param, a, b)) is not None
+        with pytest.raises(DomainError, match="exceeds the separability threshold"):
+            gisin_state(GisinParams(rows[5].param, a, b))
+
     def test_root_location_against_frozen_oracle(self):
         a2, b2 = 0.36, 0.64
         roots = find_delta_roots(
@@ -243,6 +261,62 @@ def test_entangled_is_the_entry_rule(spec):
         rule = (abs(mat[0, 3]) ** 2 > d2 * d3 + ENTANGLE_TOL
                 or abs(mat[1, 2]) ** 2 > d1 * d4 + ENTANGLE_TOL)
         assert row.entangled == rule, row.param
+
+
+def row_bits(row) -> tuple:
+    """Every field of a row, floats by their bits."""
+    return tuple(v if v is None or type(v) is bool else float(v).hex()
+                 for v in row.__dict__.values())
+
+
+@st.composite
+def amplitude_pairs(draw):
+    """Gisin amplitudes |a| = s cos t, |b| = s sin t: normalized or within
+    the slack, real (of either sign), complex with zero imaginary parts, or
+    with phases."""
+    t = draw(st.floats(0.0, math.pi / 2))
+    s = draw(st.sampled_from([1.0, 1.0, 1.0, 0.995, 1.008]))
+    a, b = s * math.cos(t), s * math.sin(t)
+    kind = draw(st.sampled_from(["real", "signed", "complex", "phased", "phased"]))
+    if kind == "signed":
+        return -a, draw(st.sampled_from([-b, b]))
+    if kind == "complex":
+        return complex(a), complex(b)
+    if kind == "phased":
+        pa, pb = draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi))
+        return a * complex(math.cos(pa), math.sin(pa)), b * complex(math.cos(pb), math.sin(pb))
+    return a, b
+
+
+@st.composite
+def sweep_specs(draw):
+    """Grids of every family, inside and outside its domain, up to values
+    whose closed forms overflow or whose entries no longer sum to 1."""
+    family = draw(st.sampled_from(FAMILIES))
+    count = draw(st.integers(2, 40))
+    if family == "xrandom":
+        start = draw(st.integers(0, 2**40))
+        return SweepSpec(family, start, start + draw(st.integers(1, 3)) * (count - 1), count)
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.0, 1.0), (-3.0, 3.0), (-1e17, 1e17),
+                                   (-1e200, 1e200)]))
+    start, stop = sorted((draw(st.floats(lo, hi)), draw(st.floats(lo, hi))))
+    assume(start < stop)
+    a, b = draw(amplitude_pairs()) if family == "gisin" else (None, None)
+    return SweepSpec(family, start, stop, count, a=a, b=b)
+
+
+@given(sweep_specs())
+@settings(max_examples=200, deadline=None)
+def test_array_rows_equal_one_point_rows(spec):
+    # every field bit for bit, or the same SpecError for the first row refused
+    try:
+        expected = scalar_sweep_rows(spec)
+    except SpecError as err:
+        with pytest.raises(SpecError) as raised:
+            run_sweep(spec)
+        assert str(raised.value) == str(err)
+        return
+    assert [row_bits(row) for row in run_sweep(spec)] == [row_bits(row) for row in expected]
 
 
 class TestXRandomSweep:
