@@ -181,10 +181,7 @@ def cli_main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except IoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (IoError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except PurityLabError as err:

@@ -345,7 +345,8 @@ def sample_blocks(shape: BlockShape, recipes) -> Iterator[DensityBlock]:
     of :data:`SAMPLE_BLOCK` states (the last one may be shorter).
 
     ``kind`` is "ginibre" (``size`` = rank, the Hilbert-Schmidt measure at
-    full rank) or "separable" (``size`` = number of pure product terms).
+    full rank) or "separable" (a flat-Dirichlet mixture of ``size`` pure
+    product states, PPT by construction).
     Recipes are read lazily, one block at a time; a state's bytes depend on
     its recipe alone, not on its block.
     """
@@ -361,12 +362,3 @@ def random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityMatri
     """
     return sample_block(BlockShape(dim_n, dim_m), [("ginibre", rank, seed)]).state(0)
 
-
-def random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> DensityMatrix:
-    """Convex mixture of random pure product states; PPT by construction.
-
-    Weights are exponential draws normalized to 1 (flat Dirichlet); each term
-    is kron(u u^dagger, v v^dagger) with u, v normalized complex-normal
-    vectors of length n and m, matching the block layout of the package.
-    """
-    return sample_block(BlockShape(dim_n, dim_m), [("separable", terms, seed)]).state(0)

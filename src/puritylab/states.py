@@ -17,10 +17,12 @@ mean of the *other* pair of populations: |c14|^2 > d2*d3 or
 Each family is defined once, as an unchecked map from its parameters to the
 six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``
 and ``gisin_entries``.  The ``*_params`` constructors are the family's
-domain checks (``*_domain``) followed by ``XStateParams(*entries)``, whose
-rules ``xstate_valid`` gives as a mask.  These and the rules below are
-elementwise, each value with the bits of its scalar evaluation: moduli are
-``np.hypot(re, im)`` and squares products (``x ** 2`` raises on overflow).
+domain checks (``*_domain``; Gisin first checks 0 < x < 1 and the
+normalization slack) followed by ``XStateParams(*entries)``, whose rules
+``xstate_valid`` gives as a mask, and ``*_state`` is ``x_state`` of them.
+These and the rules below are elementwise, each value with the bits of its
+scalar evaluation: moduli are ``np.hypot(re, im)`` and squares products
+(``x ** 2`` raises on overflow).
 
 Closed-form purities for the family:
 
@@ -115,31 +117,6 @@ def xstate_valid(entries: XEntries | XStateParams):
             & (d1 * d4 >= m14 * m14 - XSTATE_PARAM_TOL))
 
 
-@dataclass(frozen=True)
-class GisinParams:
-    """Mixing weight x in (0, 1) and amplitudes a, b with |a|^2+|b|^2 = 1.
-
-    ``GISIN_NORM_SLACK`` bounds the allowed normalization defect; the
-    published {0.07, 0.99} parameter set misses normalization by 1.5% and is
-    accepted as-is (raw values are kept, nothing is renormalized) so that
-    x_max comes out of the raw product |a b|.
-    """
-
-    x: float
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        if not 0.0 < self.x < 1.0:
-            raise DomainError(f"Gisin x must lie in (0, 1), got {self.x}")
-        defect = abs(abs(self.a) * abs(self.a) + abs(self.b) * abs(self.b) - 1.0)
-        if not defect <= GISIN_NORM_SLACK:
-            raise DomainError(
-                f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, "
-                f"beyond slack {GISIN_NORM_SLACK}"
-            )
-
-
 def x_state_matrix(entries: XEntries | XStateParams) -> np.ndarray:
     """The 4x4 matrix of six X-state entries, or the (B, 4, 4) stack of six arrays."""
     d1, d2, d3, d4, c14, c23 = entries
@@ -226,41 +203,46 @@ def gisin_entries(x: float, a: complex, b: complex) -> XEntries:
 
 
 def gisin_domain(x, a: complex, b: complex):
-    """Elementwise mask of the x that :func:`gisin_state` accepts with
-    amplitudes a and b: 0 < x < 1 and x <= x_max + VALIDATION_TOL."""
+    """Elementwise mask of 0 < x < 1 and x <= x_max + VALIDATION_TOL."""
     return (0.0 < x) & (x < 1.0) & (x <= gisin_x_max(a, b) + VALIDATION_TOL)
 
 
-def gisin_params(g: GisinParams) -> XStateParams:
-    """X-state parameters of the Gisin state.  Defined for every x, since
-    these matrices are PSD on both sides of x_max; raw amplitudes off
+def _gisin_norm_defect(a: complex, b: complex) -> float | None:
+    """The defect | |a|^2 + |b|^2 - 1 | of raw amplitudes beyond
+    ``GISIN_NORM_SLACK`` (NaN included), None within it.  The published
+    pair {0.07, 0.99} misses by 1.5% and is kept as-is, not renormalized,
+    so that x_max comes out of the raw product |a b|."""
+    defect = abs(abs(a) * abs(a) + abs(b) * abs(b) - 1.0)
+    return None if defect <= GISIN_NORM_SLACK else defect
+
+
+def gisin_params(x: float, a: complex, b: complex) -> XStateParams:
+    """0 < x < 1, the normalization slack and x <= x_max + VALIDATION_TOL,
+    then ``XStateParams`` of the entries: raw amplitudes off
     |a|^2 + |b|^2 = 1 raise TraceNotOne."""
-    return XStateParams(*gisin_entries(g.x, g.a, g.b))
-
-
-def gisin_state_params(x: float, a: complex, b: complex) -> XStateParams:
-    """The checked X-state parameters of :func:`gisin_state`: the
-    ``GisinParams`` domain checks, then x <= x_max + VALIDATION_TOL, then
-    :func:`gisin_params`."""
-    g = GisinParams(x=x, a=a, b=b)
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"Gisin x must lie in (0, 1), got {x}")
+    defect = _gisin_norm_defect(a, b)
+    if defect is not None:
+        raise DomainError(
+            f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, beyond slack {GISIN_NORM_SLACK}")
     if not gisin_domain(x, a, b):
         raise DomainError(
             f"x = {x} exceeds the separability threshold x_max = {gisin_x_max(a, b):.6f}")
-    return gisin_params(g)
+    return XStateParams(*gisin_entries(x, a, b))
 
 
-def gisin_state(g: GisinParams) -> DensityMatrix:
+def gisin_state(x: float, a: complex, b: complex) -> DensityMatrix:
     """The Gisin state for x <= x_max + VALIDATION_TOL.
 
     x_max = 1/(1+2|ab|) is the family's separability (Peres-Horodecki)
     threshold, not a validity threshold: past x_max + VALIDATION_TOL this
     constructor raises DomainError although the matrices are PSD with unit
-    trace; ``x_state(gisin_params(g))`` builds them.  In the band up to
-    x_max + VALIDATION_TOL it builds states that are entangled once x - x_max
-    exceeds about 2e-12 x_max / (1 - x_max).  Raw non-normalized amplitudes
-    surface as TraceNotOne.
+    trace; ``x_state(XStateParams(*gisin_entries(x, a, b)))`` builds them.
+    In the band up to x_max + VALIDATION_TOL it builds states that are
+    entangled once x - x_max exceeds about 2e-12 x_max / (1 - x_max).
     """
-    return x_state(gisin_state_params(g.x, g.a, g.b))
+    return x_state(gisin_params(x, a, b))
 
 
 def _gisin_closed(x: float | np.ndarray, a2: float, b2: float):

@@ -5,7 +5,7 @@ family.  The family's entries map (for xrandom, ``random_x_params`` of each
 seed) gives the X-state entries of every grid value, and ``entangled`` is
 ``states.xstate_entangled`` of them, valid or not.  ``valid`` is the mask of
 the family's domain and of ``xstate_valid``: what its checked constructor
-(``werner_params``, ``beta_params``, ``gisin_state_params``) accepts.  The
+(``werner_params``, ``beta_params``, ``gisin_params``) accepts.  The
 valid rows' matrices form one (V, 4, 4) stack, validated and evaluated a
 block at a time by the functions of one-state evaluation, so each row equals
 ``purity_set`` of its state.  The invalid rows keep the closed forms, in one
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import GISIN_NORM_SLACK, REPORT_TOL, SWEEP_POINTS, XSTATE_PARAM_TOL
+from .defaults import REPORT_TOL, SWEEP_POINTS, XSTATE_PARAM_TOL
 from .density import (
     BlockShape,
     DensityMatrix,
@@ -44,6 +44,7 @@ from .prng import child_seed
 from .states import (
     TWO_QUBIT_SHAPE,
     _gisin_closed,
+    _gisin_norm_defect,
     _require_ppt_shape,
     beta_domain,
     beta_entries,
@@ -70,7 +71,7 @@ class SweepSpec:
     a and b are required by the gisin family and refused by the others.  For
     the xrandom family the grid values are rounded to integers and used as
     seeds for random X-state draws; a grid whose rounded values repeat a
-    seed is refused.
+    seed modulo 2^64 is refused.
     """
 
     family: str
@@ -95,17 +96,17 @@ class SweepSpec:
         if self.family == "gisin":
             if self.a is None or self.b is None:
                 raise SpecError("gisin sweeps need amplitudes a and b")
-            defect = abs(abs(self.a) * abs(self.a) + abs(self.b) * abs(self.b) - 1.0)
-            if not defect <= GISIN_NORM_SLACK:
-                raise SpecError(
-                    f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, beyond slack"
-                )
+            defect = _gisin_norm_defect(self.a, self.b)
+            if defect is not None:
+                raise SpecError(f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, beyond slack")
         elif self.a is not None or self.b is not None:
             raise SpecError(f"amplitudes a and b are for gisin sweeps, not {self.family}")
-        if self.family == "xrandom" and len(set(_seeds(self.grid()))) < self.count:
+        seeds = _seeds(self.grid()) if self.family == "xrandom" else []
+        if len({seed % 2**64 for seed in seeds}) < len(seeds):
             raise SpecError(
                 f"xrandom grid [{self.start}, {self.stop}] with count {self.count} "
-                "rounds to repeated seeds; use integer bounds with a step of at least 1")
+                "rounds to repeated seeds (streams read a seed modulo 2^64); "
+                "use integer bounds with a step of at least 1 and a span below 2^64")
 
     def grid(self) -> np.ndarray:
         step = (self.stop - self.start) / (self.count - 1)

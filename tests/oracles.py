@@ -44,7 +44,7 @@ from puritylab.states import (
     beta_entries,
     beta_params,
     gisin_entries,
-    gisin_state_params,
+    gisin_params,
     random_x_params,
     werner_entries,
     werner_params,
@@ -404,7 +404,7 @@ def mpmath_purity_set(rho, n: int, m: int) -> dict[str, float]:
 _SCALAR_FAMILIES = {
     "werner": (werner_entries, werner_params),
     "beta": (beta_entries, beta_params),
-    "gisin": (gisin_entries, gisin_state_params),
+    "gisin": (gisin_entries, gisin_params),
 }
 
 

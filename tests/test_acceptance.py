@@ -32,9 +32,9 @@ from puritylab.inequalities import audit_reports, delta, find_delta_roots, purit
 from puritylab.linalg import hermitian_eig
 from puritylab.prng import child_seed
 from puritylab.states import (
-    GisinParams,
+    XStateParams,
     _gisin_closed,
-    gisin_params,
+    gisin_entries,
     gisin_state,
     gisin_x_max,
     ppt_entangled,
@@ -112,9 +112,8 @@ def test_criterion_3_gisin_closed_forms():
         assert abs(x_max - caption) <= cap_tol, (a, b, x_max, caption)
         top = min(x_max, 0.99)
         for x in np.linspace(0.01, top, 50):
-            g = GisinParams(x=float(x), a=a, b=b)
             lhs5, mt, mu12 = _gisin_closed(float(x), a * a, b * b)
-            ps = purity_set(gisin_state(g))
+            ps = purity_set(gisin_state(float(x), a, b))
             worst = max(worst,
                         abs(ps.mu12 - mu12),
                         abs(ps.mu_tilde - mt),
@@ -161,13 +160,13 @@ def test_criterion_4b_gisin_delta_root_near_x_max():
     below_ok = all(r < x_max for r in roots)
 
     # One midpoint per interval cut by the roots; the last lies above x_max,
-    # where gisin_state refuses, so the state is built from gisin_params.
+    # where gisin_state refuses, so the state is built from gisin_entries.
     ends = [0.0, *roots, 1.0]
     mids = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
     signs = []
     worst = 0.0
     for x in mids:
-        rho = x_state(gisin_params(GisinParams(x=x, a=a, b=b)))
+        rho = x_state(XStateParams(*gisin_entries(x, a, b)))
         d = purity_set(rho).delta
         signs.append(1 if d > 0 else -1)
         worst = max(worst, abs(d - closed_delta(x)))

@@ -20,7 +20,6 @@ from puritylab.density import (
     make_density,
     purities,
     random_density,
-    random_separable,
     reduced_blocks,
     validate_block,
 )
@@ -35,7 +34,8 @@ from puritylab.errors import (
 )
 from puritylab.inequalities import audit_reports, delta, purity_set
 from puritylab.linalg import hermitian_eig
-from puritylab.states import GisinParams, gisin_state, gisin_x_max, ppt_entangled
+from puritylab.states import gisin_state, gisin_x_max, ppt_entangled
+from puritylab.sweep import scan_state
 
 SHAPE22 = BlockShape(2, 2)
 SHAPES = [BlockShape(2, 2), BlockShape(2, 3), BlockShape(3, 2), BlockShape(4, 2)]
@@ -164,9 +164,9 @@ class TestValidationEdges:
     def test_gisin_x_max_edge(self):
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
-        gisin_state(GisinParams(x=x_max + 0.5 * VALIDATION_TOL, a=a, b=b))
+        gisin_state(x_max + 0.5 * VALIDATION_TOL, a, b)
         with pytest.raises(DomainError, match="separability threshold x_max"):
-            gisin_state(GisinParams(x=x_max + 2.0 * VALIDATION_TOL, a=a, b=b))
+            gisin_state(x_max + 2.0 * VALIDATION_TOL, a, b)
 
     def test_entry_bound_edge(self, eigh_counts):
         # a unit-trace PSD matrix has |rho_ij| <= 1: a pure state with
@@ -366,23 +366,23 @@ class TestRandomStates:
             random_density(2, 2, 0, seed=0)
 
     def test_separable_single_term_is_product(self):
-        rho = random_separable(2, 2, terms=1, seed=4)
+        rho = scan_state(SHAPE22, "separable", 1, 4)
         over_2, over_1 = reduced_states(rho)
         assert purities(over_2.mat) == pytest.approx(1.0, abs=1e-10)
         assert purities(over_1.mat) == pytest.approx(1.0, abs=1e-10)
 
     def test_separable_unit_trace(self):
-        rho = random_separable(2, 2, terms=6, seed=11)
+        rho = scan_state(SHAPE22, "separable", 6, 11)
         assert abs(complex(rho.mat.trace()) - 1.0) <= 1e-12
 
     def test_separable_bad_terms(self):
         with pytest.raises(BadRank):
-            random_separable(2, 2, terms=0, seed=0)
+            scan_state(SHAPE22, "separable", 0, 0)
 
     @given(seeds)
     @settings(max_examples=40)
     def test_separable_states_are_ppt(self, seed):
         from puritylab.states import ppt_entangled
 
-        rho = random_separable(2, 2, terms=seed % 4 + 1, seed=seed)
+        rho = scan_state(SHAPE22, "separable", seed % 4 + 1, seed)
         assert not ppt_entangled(rho)

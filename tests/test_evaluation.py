@@ -24,7 +24,6 @@ from puritylab.inequalities import (
 )
 from puritylab.prng import child_seed
 from puritylab.states import (
-    GisinParams,
     gisin_state,
     ppt_entangled,
     ppt_entangled_block,
@@ -83,7 +82,7 @@ def one_state(spec, param):
             return x_state(random_x_params(int(param)))
         if spec.family == "werner":
             return werner_state(param)
-        return gisin_state(GisinParams(x=param, a=spec.a, b=spec.b))
+        return gisin_state(param, spec.a, spec.b)
     except (DomainError, NotPositive, TraceNotOne):
         return None
 

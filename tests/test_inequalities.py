@@ -94,10 +94,10 @@ class TestEq5:
         assert abs(rep.margin) <= 1e-12
 
     def test_gisin_lhs_closed_form(self):
-        from puritylab.states import GisinParams, gisin_state
+        from puritylab.states import gisin_state
 
         x, a, b = 0.3, 0.6, 0.8
-        rep = check("eq5", gisin_state(GisinParams(x=x, a=a, b=b)))
+        rep = check("eq5", gisin_state(x, a, b))
         expected = x * x * (2 * (a ** 4 + b ** 4) - 1)
         assert rep.lhs == pytest.approx(expected, abs=1e-12)
 
@@ -111,11 +111,11 @@ class TestMuTilde:
         assert mu_tilde(mixed()) == pytest.approx(0.0, abs=1e-14)
 
     def test_gisin_closed_form_grid(self):
-        from puritylab.states import GisinParams, gisin_state
+        from puritylab.states import gisin_state
 
         a, b = 0.6, 0.8
         for x in np.linspace(0.02, 0.51, 25):
-            rho = gisin_state(GisinParams(x=float(x), a=a, b=b))
+            rho = gisin_state(float(x), a, b)
             expected = x * (3 * x - 2) + math.sqrt(
                 x * x * (4 * a * a + 1) - 2 * x + 1
             ) * math.sqrt(x * x * (4 * b * b + 1) - 2 * x + 1)

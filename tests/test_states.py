@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from puritylab.density import purities
 from puritylab.errors import (
     DomainError,
     NotPositive,
+    PurityLabError,
     ShapeUnsupported,
     TraceNotOne,
 )
@@ -18,11 +20,11 @@ from puritylab.inequalities import audit_reports, purity_set
 from puritylab.linalg import hermitian_eig
 from puritylab.prng import child_seed
 from puritylab.states import (
-    GisinParams,
     XStateParams,
     beta_entries,
     beta_params,
     beta_state,
+    gisin_domain,
     gisin_entries,
     gisin_params,
     gisin_state,
@@ -37,7 +39,7 @@ from puritylab.states import (
     xstate_entangled,
     xstate_valid,
 )
-from puritylab.states import _gisin_closed
+from puritylab.states import _gisin_closed, _gisin_norm_defect
 
 seeds = st.integers(0, 10**6)
 
@@ -233,7 +235,11 @@ class TestEntries:
     @pytest.mark.parametrize("x, a, b", [(0.3, 0.6, 0.8), (0.9, 0.6, 0.8),
                                          (0.5, 0.6j, 0.8), (0.7, 1.0, 0.0)])
     def test_gisin(self, x, a, b):
-        assert tuple(gisin_params(GisinParams(x=x, a=a, b=b))) == gisin_entries(x, a, b)
+        if not gisin_domain(x, a, b):
+            with pytest.raises(DomainError, match="separability threshold"):
+                gisin_params(x, a, b)
+            return
+        assert tuple(gisin_params(x, a, b)) == gisin_entries(x, a, b)
 
     @pytest.mark.parametrize("a, b", [(0.6, 0.8), (-0.6, -0.8), (0.6j, 0.8),
                                       (complex(0.6), complex(-0.8)), (0.3 + 0.4j, 0.5 - 0.7j)])
@@ -295,7 +301,7 @@ class TestEntries:
 class TestGisin:
     def test_huge_amplitude_domain_error(self):
         with pytest.raises(DomainError, match="deviates from 1 by inf"):
-            GisinParams(x=0.5, a=1e200, b=0)
+            gisin_params(0.5, 1e200, 0)
 
     def test_x_max_values(self):
         assert gisin_x_max(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -304,15 +310,16 @@ class TestGisin:
         assert gisin_x_max(0.07, 0.99) == pytest.approx(0.87, abs=1e-2)
 
     def test_valid_below_x_max(self):
-        rho = gisin_state(GisinParams(x=0.5, a=0.6, b=0.8))
+        rho = gisin_state(0.5, 0.6, 0.8)
         assert abs(complex(rho.mat.trace()) - 1.0) <= 1e-15
 
     def test_rejected_above_x_max(self):
         # PSD with unit trace, but past the separability threshold
-        g = GisinParams(x=0.75, a=0.2, b=math.sqrt(1 - 0.04))
+        x, a, b = 0.75, 0.2, math.sqrt(1 - 0.04)
         with pytest.raises(DomainError, match="separability threshold"):
-            gisin_state(g)
-        assert float(hermitian_eig(x_state(gisin_params(g)).mat).values[0]) >= -1e-15
+            gisin_state(x, a, b)
+        rho = x_state(XStateParams(*gisin_entries(x, a, b)))
+        assert float(hermitian_eig(rho.mat).values[0]) >= -1e-15
 
     @pytest.mark.parametrize("x, a, b", [(0.3, 0.6, 0.8), (0.9, 0.6, 0.8),
                                          (0.5, 0.6j, 0.8), (0.7, 1.0, 0.0)])
@@ -324,30 +331,30 @@ class TestGisin:
         expected[2, 2] = x * abs(b) ** 2
         expected[1, 2] = x * a * np.conj(b)
         expected[2, 1] = np.conj(expected[1, 2])
-        rho = x_state(gisin_params(GisinParams(x=x, a=a, b=b)))
+        rho = x_state(XStateParams(*gisin_entries(x, a, b)))
         assert rho.mat.tobytes() == expected.tobytes()
 
     def test_diagonal_family_valid_everywhere(self):
         for x in np.linspace(0.05, 0.95, 10):
-            rho = gisin_state(GisinParams(x=float(x), a=1.0, b=0.0))
+            rho = gisin_state(float(x), 1.0, 0.0)
             assert float(hermitian_eig(rho.mat).values[0]) >= -1e-12
 
     def test_normalization_slack(self):
         with pytest.raises(DomainError):
-            GisinParams(x=0.5, a=1.5, b=0.0)
-        # the non-normalized reference pair is accepted at params level
-        g = GisinParams(x=0.5, a=0.07, b=0.99)
-        assert gisin_x_max(g.a, g.b) == pytest.approx(0.878, abs=1e-3)
+            gisin_params(0.5, 1.5, 0.0)
+        # the non-normalized reference pair is within the slack
+        assert _gisin_norm_defect(0.07, 0.99) is None
+        assert gisin_x_max(0.07, 0.99) == pytest.approx(0.878, abs=1e-3)
 
     def test_raw_non_normalized_matrix_fails_trace(self):
         with pytest.raises(TraceNotOne):
-            gisin_state(GisinParams(x=0.5, a=0.07, b=0.99))
+            gisin_state(0.5, 0.07, 0.99)
 
     def test_x_domain(self):
         with pytest.raises(DomainError):
-            GisinParams(x=0.0, a=0.6, b=0.8)
+            gisin_params(0.0, 0.6, 0.8)
         with pytest.raises(DomainError):
-            GisinParams(x=1.0, a=0.6, b=0.8)
+            gisin_params(1.0, 0.6, 0.8)
 
     def test_closed_forms_diagonal_family(self):
         for x in (0.2, 0.5, 0.9):
@@ -380,9 +387,8 @@ class TestGisin:
     def test_closed_forms_match_generic_pipeline(self):
         a, b = 0.6, 0.8
         for x in np.linspace(0.02, 0.5, 20):
-            g = GisinParams(x=float(x), a=a, b=b)
-            lhs5, mt, mu12 = _gisin_closed(g.x, abs(g.a) ** 2, abs(g.b) ** 2)
-            ps = purity_set(gisin_state(g))
+            lhs5, mt, mu12 = _gisin_closed(float(x), abs(a) ** 2, abs(b) ** 2)
+            ps = purity_set(gisin_state(float(x), a, b))
             assert ps.mu12 == pytest.approx(mu12, abs=1e-10)
             assert ps.mu_tilde == pytest.approx(mt, abs=1e-10)
             assert ps.mu1 + ps.mu2 - 1 == pytest.approx(lhs5, abs=1e-10)
@@ -398,6 +404,49 @@ class TestGisin:
         assert closed_delta(1e-9) > 0
         assert any(closed_delta(x) < 0 for x in np.linspace(0.05, x_max, 200))
         assert all(closed_delta(x) > 0 for x in np.linspace(x_max + 1e-6, 0.999, 200))
+
+
+# Every Gisin refusal and acceptance: (x, a, b), then the exception class and
+# its full message, or the sha256 of the accepted state's matrix bytes.
+X_MAX_06_08 = gisin_x_max(0.6, 0.8)
+GISIN_CASES = [
+    (0.0, 0.6, 0.8, DomainError, "Gisin x must lie in (0, 1), got 0.0"),
+    (1.0, 0.6, 0.8, DomainError, "Gisin x must lie in (0, 1), got 1.0"),
+    (1.5, 0.6, 0.8, DomainError, "Gisin x must lie in (0, 1), got 1.5"),
+    (math.nan, 0.6, 0.8, DomainError, "Gisin x must lie in (0, 1), got nan"),
+    # the x check comes before the slack check
+    (-0.2, 1e200, 0.0, DomainError, "Gisin x must lie in (0, 1), got -0.2"),
+    (0.5, 1.5, 0.0, DomainError,
+     "|a|^2+|b|^2 deviates from 1 by 1.2500, beyond slack 0.02"),
+    (0.5, 1e200, 0.0, DomainError,
+     "|a|^2+|b|^2 deviates from 1 by inf, beyond slack 0.02"),
+    (0.5, math.nan, 0.0, DomainError,
+     "|a|^2+|b|^2 deviates from 1 by nan, beyond slack 0.02"),
+    # the raw published pair: within the slack, off unit trace below x_max
+    (0.5, 0.07, 0.99, TraceNotOne, "diagonal sums to 0.9924999999999999, off by 7.500e-03"),
+    (0.9, 0.07, 0.99, DomainError,
+     "x = 0.9 exceeds the separability threshold x_max = 0.878272"),
+    (X_MAX_06_08 + 2e-10, 0.6, 0.8, DomainError,
+     "x = 0.5102040818326531 exceeds the separability threshold x_max = 0.510204"),
+    (X_MAX_06_08 + 5e-11, 0.6, 0.8, None,
+     "96c2eba190c3fcf194d71daeb9a0e9dd57083bc823da1da075adbafce317a372"),
+    (0.2, 0.6, 0.8, None, "e384cfb19f9847c8b291ac5423513685f78571dbb57479a3998b7a1ba7d5ac82"),
+    (0.3, 0.6, 0.8, None, "2dfcc45627affb829c4a0d2704954487f880d1f8f0b84e8d2914fd74c5d7d764"),
+    (0.5, 0.6j, 0.8, None, "9c875ae01f02acf07dbcde0dcea1681b34d4e5550378da3b39ba4d8abd363aea"),
+    (0.7, 1.0, 0.0, None, "40fe82291e893c2981c0e5fc9aff3ac11caf12541972f52c713dc244ab4eb4cf"),
+]
+
+
+@pytest.mark.parametrize("x, a, b, error, expected", GISIN_CASES)
+def test_gisin_refusals_and_states(x, a, b, error, expected):
+    if error is None:
+        rho = gisin_state(x, a, b)
+        assert hashlib.sha256(rho.mat.tobytes()).hexdigest() == expected
+        return
+    with pytest.raises(PurityLabError) as info:
+        gisin_state(x, a, b)
+    assert type(info.value) is error
+    assert str(info.value) == expected
 
 
 class TestBeta:
@@ -447,7 +496,7 @@ class TestEntanglement:
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
         for x in (0.2, x_max - 0.01, x_max + 0.01, 0.9):
-            rho = x_state(gisin_params(GisinParams(x=x, a=a, b=b)))
+            rho = x_state(XStateParams(*gisin_entries(x, a, b)))
             assert ppt_entangled(rho) == (x > x_max)
 
     def test_unsupported_shape(self):

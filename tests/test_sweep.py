@@ -19,7 +19,7 @@ from puritylab.defaults import ENTANGLE_TOL
 from puritylab.density import BlockShape
 from puritylab.errors import DomainError, SpecError
 from puritylab.inequalities import audit_reports, delta, find_delta_roots, purity_set
-from puritylab.states import GisinParams, _gisin_closed, gisin_state, gisin_x_max
+from puritylab.states import _gisin_closed, gisin_state, gisin_x_max
 from puritylab.sweep import (
     FAMILIES,
     ScanSample,
@@ -76,6 +76,12 @@ class TestSweepSpec:
         # a step of 1, but round-half-to-even maps 0.5, 1.5, 2.5 to seeds 0, 2, 2
         with pytest.raises(SpecError, match="repeated seeds"):
             SweepSpec(family="xrandom", start=0.5, stop=2.5, count=3)
+
+    @pytest.mark.parametrize("start, stop", [(0, 2.0**64), (-2.0**63, 2.0**63)])
+    def test_xrandom_seeds_equal_modulo_2_64_refused(self, start, stop):
+        # distinct ints that streams read as one seed: the rows would repeat
+        with pytest.raises(SpecError, match=r"repeated seeds \(streams read a seed modulo 2\^64\)"):
+            SweepSpec(family="xrandom", start=start, stop=stop, count=2)
 
     def test_grid_endpoints_inclusive(self):
         spec = SweepSpec(family="werner", start=-1 / 3, stop=1.0, count=5)
@@ -158,9 +164,9 @@ class TestGisinSweep:
         rows = run_sweep(SweepSpec("gisin", x_max - 1e-10, x_max + 2e-10, 7, a=a, b=b))
         assert [row.valid for row in rows] == [True] * 5 + [False] * 2
         assert [row.entangled for row in rows] == [False] * 3 + [True] * 4
-        assert gisin_state(GisinParams(rows[4].param, a, b)) is not None
+        assert gisin_state(rows[4].param, a, b) is not None
         with pytest.raises(DomainError, match="exceeds the separability threshold"):
-            gisin_state(GisinParams(rows[5].param, a, b))
+            gisin_state(rows[5].param, a, b)
 
     def test_root_location_against_frozen_oracle(self):
         a2, b2 = 0.36, 0.64
@@ -337,8 +343,8 @@ class TestSweepInvariants:
             SweepSpec(family="gisin", start=0.05, stop=0.95, count=40, a=0.6, b=0.8),
             SweepSpec(family="xrandom", start=0, stop=39, count=40),
         ]
-        from puritylab.states import (GisinParams, beta_params, gisin_state,
-                                      random_x_params, werner_params, x_state)
+        from puritylab.states import (beta_params, gisin_state, random_x_params,
+                                      werner_params, x_state)
 
         for spec in specs:
             for row in run_sweep(spec):
@@ -349,7 +355,7 @@ class TestSweepInvariants:
                 elif spec.family == "beta":
                     rho = x_state(beta_params(row.param))
                 elif spec.family == "gisin":
-                    rho = gisin_state(GisinParams(row.param, spec.a, spec.b))
+                    rho = gisin_state(row.param, spec.a, spec.b)
                 else:
                     rho = x_state(random_x_params(int(row.param)))
                 for rep in audit_reports(rho, tol=1e-9):
