@@ -108,8 +108,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _refuse_trivial_shape(shape: BlockShape) -> None:
+    """A factor of 1 makes every audited inequality an identity (mu1 = 1,
+    mu2 = mu12), so its margins would say nothing."""
+    if 1 in (shape.n, shape.m):
+        raise _UsageError(f"shape {shape.n}x{shape.m} has a factor of 1, where every "
+                          "audited inequality holds with equality; need n, m >= 2")
+
+
 def _cmd_audit(args) -> int:
     shape = _parse_shape(args.shape)
+    _refuse_trivial_shape(shape)
     if args.samples < 1:
         raise _UsageError(f"samples must be >= 1, got {args.samples}")
     require_tol(args.tol)
@@ -134,7 +143,6 @@ def _cmd_audit(args) -> int:
 
 def _cmd_scan(args) -> int:
     shape = _parse_shape(args.shape)
-    require_tol(args.tol)
     report = scan_conjecture(shape, args.samples, args.seed, tol=args.tol)
     if args.out is None:
         sys.stdout.write(scan_report_json(report))
@@ -149,6 +157,7 @@ def _cmd_scan(args) -> int:
 def _cmd_check(args) -> int:
     require_tol(args.tol)
     rho = read_matrix_file(args.path)
+    _refuse_trivial_shape(rho.shape)
     ps = purity_set(rho)
     print(f"shape: {rho.shape.n}x{rho.shape.m}")
     for label, value in (("mu12", ps.mu12), ("mu1", ps.mu1), ("mu2", ps.mu2),

@@ -15,14 +15,14 @@ mean of the *other* pair of populations: |c14|^2 > d2*d3 or
 |c23|^2 > d1*d4 (at most one of the two can hold).
 
 Each family is defined once, as an unchecked map from its parameters to the
-six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``
-and ``gisin_entries``.  The ``*_params`` constructors are the family's
-domain checks (``*_domain``; Gisin first checks 0 < x < 1 and the
-normalization slack) followed by ``XStateParams(*entries)``, whose rules
-``xstate_valid`` gives as a mask, and ``*_state`` is ``x_state`` of them.
-These and the rules below are elementwise, each value with the bits of its
-scalar evaluation: moduli are ``np.hypot(re, im)`` and squares products
-(``x ** 2`` raises on overflow).
+six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``,
+``gisin_entries`` and ``random_x_entries`` (of seeds).  The ``*_params``
+constructors are the family's domain checks (``*_domain``; Gisin first
+checks 0 < x < 1 and the normalization slack) followed by
+``XStateParams(*entries)``, whose rules ``xstate_valid`` gives as a mask,
+and ``*_state`` is ``x_state`` of them.  These and the rules below are
+elementwise, each value with the bits of its scalar evaluation: moduli are
+``np.hypot(re, im)`` and squares products (``x ** 2`` raises on overflow).
 
 Closed-form purities for the family:
 
@@ -310,7 +310,7 @@ def ppt_entangled_block(block: DensityBlock) -> np.ndarray:
 
     The partial transposes are taken on the whole stack, and their smallest
     eigenvalues come from ``spectra``.  Conclusive (necessary and
-    sufficient) only for 2x2 and 2x3 systems; any other block shape raises
+    sufficient) only for 2x2, 2x3 and 3x2 systems; any other block shape raises
     ShapeUnsupported since a PSD partial transpose would prove nothing there.
     """
     _require_ppt_shape(block.shape)
@@ -324,23 +324,23 @@ def ppt_entangled(rho: DensityMatrix) -> bool:
     return bool(ppt_entangled_block(DensityBlock.of(rho))[0])
 
 
-def random_x_params(seed: int) -> XStateParams:
-    """Random valid X-state parameters from the packaged stream.
+def random_x_entries(seeds) -> XEntries:
+    """Entries of the random X-state of each seed, six arrays from one draw:
+    the first 8 uniforms of stream ``seed`` give four exponentials, normalized
+    to 1 as the diagonal, then |c14| = u sqrt(d1 d4) with u in (0, 1], a
+    uniform phase of c14, and likewise c23.  Each value has the bits of its
+    scalar evaluation, the logarithms taken one ``math.log`` call at a time."""
+    u = stream_uniforms(seeds, [8] * len(seeds)).reshape(-1, 8)
+    logs = np.fromiter(map(math.log, u[:, :4].ravel().tolist()), np.float64, 4 * len(u))
+    r = -logs.reshape(-1, 4).T
+    d1, d2, d3, d4 = r / (((r[0] + r[1]) + r[2]) + r[3])
+    angle = 2.0 * math.pi * u[:, [5, 7]]
+    phase = np.empty(angle.shape, dtype=np.complex128)
+    phase.real, phase.imag = np.cos(angle), np.sin(angle)
+    c14, c23 = _product(u[:, [4, 6]] * np.sqrt([d1 * d4, d2 * d3]).T, phase).T
+    return d1, d2, d3, d4, c14, c23
 
-    The first 8 uniforms of stream ``seed`` give four exponential draws,
-    normalized to 1 as the diagonal, then |c14| = u * sqrt(d1 d4) with u in
-    (0, 1], a uniform phase of c14, and likewise |c23| and its phase.
-    """
-    uniforms = stream_uniforms([seed], [8]).tolist()
-    raw = [-math.log(u) for u in uniforms[:4]]
-    total = sum(raw)
-    d1, d2, d3, d4 = (r / total for r in raw)
-    mag14 = uniforms[4] * math.sqrt(d1 * d4)
-    ph14 = 2.0 * math.pi * uniforms[5]
-    mag23 = uniforms[6] * math.sqrt(d2 * d3)
-    ph23 = 2.0 * math.pi * uniforms[7]
-    return XStateParams(
-        d1=d1, d2=d2, d3=d3, d4=d4,
-        c14=mag14 * complex(math.cos(ph14), math.sin(ph14)),
-        c23=mag23 * complex(math.cos(ph23), math.sin(ph23)),
-    )
+
+def random_x_params(seed: int) -> XStateParams:
+    """The checked one-point :func:`random_x_entries`, as Python scalars."""
+    return XStateParams(*(e.item(0) for e in random_x_entries([seed])))

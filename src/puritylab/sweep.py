@@ -1,11 +1,11 @@
 """Parameter sweeps over the state families and the conjecture scan.
 
 A sweep is a few array passes over its whole grid, by one rule for every
-family.  The family's entries map (for xrandom, ``random_x_params`` of each
-seed) gives the X-state entries of every grid value, and ``entangled`` is
+family.  The family's entries map (for xrandom, ``random_x_entries`` of the
+seeds) gives the X-state entries of every grid value, and ``entangled`` is
 ``states.xstate_entangled`` of them, valid or not.  ``valid`` is the mask of
-the family's domain and of ``xstate_valid``: what its checked constructor
-(``werner_params``, ``beta_params``, ``gisin_params``) accepts.  The
+the family's domain (xrandom has none) and of ``xstate_valid``: what its
+checked constructor (``werner_params``, ``random_x_params``, ...) accepts.  The
 valid rows' matrices form one (V, 4, 4) stack, validated and evaluated a
 block at a time by the functions of one-state evaluation, so each row equals
 ``purity_set`` of its state.  The invalid rows keep the closed forms, in one
@@ -51,7 +51,7 @@ from .states import (
     gisin_domain,
     gisin_entries,
     ppt_entangled_block,
-    random_x_params,
+    random_x_entries,
     werner_domain,
     werner_entries,
     x_state_matrix,
@@ -131,13 +131,13 @@ def _seeds(grid: np.ndarray) -> list[int]:
     return [int(round(v)) for v in grid.tolist()]
 
 
-def _entries_and_domain(spec: SweepSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The params of a grid, their six entry arrays and the domain mask."""
+def _entries_and_domain(spec: SweepSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | bool]:
+    """The params of a grid, their six entry arrays and the domain mask
+    (True for xrandom, whose draws have no domain beyond ``xstate_valid``)."""
     grid = spec.grid()
     if spec.family == "xrandom":
         seeds = _seeds(grid)
-        entries = [np.array(e) for e in zip(*map(random_x_params, seeds))]
-        return np.array(seeds, dtype=np.float64), entries, np.ones(len(seeds), dtype=bool)
+        return np.array(seeds, dtype=np.float64), list(random_x_entries(seeds)), True
     entries_of, domain = {"werner": (werner_entries, werner_domain),
                           "beta": (beta_entries, beta_domain),
                           "gisin": (gisin_entries, gisin_domain)}[spec.family]

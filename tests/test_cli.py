@@ -170,6 +170,18 @@ class TestAuditCommand:
         assert code == 1
         assert "shape" in err
 
+    @pytest.mark.parametrize("shape", ["1x1", "1x4", "3x1"])
+    def test_factor_one_shape_refused_before_sampling(self, shape, monkeypatch, capsys):
+        # n = 1 or m = 1 makes every audited inequality an identity
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("audit sampled states for a shape it refuses")
+
+        monkeypatch.setattr(cli, "sample_blocks", no_sampling)
+        code, out, err = run_cli(["audit", "--shape", shape, "--samples", "50"], capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "has a factor of 1" in err
+        assert out == ""
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_usage_error(self, samples, capsys):
         code, out, err = run_cli(["audit", "--samples", samples], capsys)
@@ -292,6 +304,15 @@ class TestCheckCommand:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert "not UTF-8" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (4, 1)])
+    def test_factor_one_shape_refused(self, n, m, tmp_path, capsys):
+        path = tmp_path / "state.txt"
+        write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(n, m)))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and f"shape {n}x{m} has a factor of 1" in err
         assert out == ""
 
     def test_invalid_state_input_error(self, tmp_path, capsys):

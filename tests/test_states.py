@@ -30,6 +30,7 @@ from puritylab.states import (
     gisin_state,
     gisin_x_max,
     ppt_entangled,
+    random_x_entries,
     random_x_params,
     werner_entries,
     werner_params,
@@ -85,6 +86,23 @@ class TestXStateParams:
         seeds = [*range(5000), *(child_seed(11, k) for k in range(5000))]
         for seed in seeds:
             assert repr(random_x_params(seed)) == repr(scalar_random_x_params(seed)), seed
+
+    def test_entries_of_many_seeds_equal_scalar_draws(self):
+        # one array of 10^4 seeds, negative ones and ones >= 2^64 among
+        # them (streams read a seed modulo 2^64), row for row in bits
+        seeds = [*range(-2500, 2500), *(child_seed(3, k) for k in range(3000)),
+                 *(2**64 + child_seed(4, k) for k in range(1000)),
+                 *(-(2**63) - k for k in range(500)), *(2**70 + k for k in range(500))]
+        assert len(seeds) == 10_000
+
+        def bits(value):
+            if isinstance(value, complex):
+                return value.real.hex(), value.imag.hex()
+            return value.hex()
+
+        rows = zip(*(e.tolist() for e in random_x_entries(seeds)))
+        for seed, row in zip(seeds, rows, strict=True):
+            assert list(map(bits, row)) == list(map(bits, scalar_random_x_params(seed))), seed
 
 
 class TestXState:

@@ -334,6 +334,21 @@ class TestXRandomSweep:
         assert [row.param for row in rows_a] == [float(s) for s in range(20)]
         assert all(row.valid for row in rows_a)
 
+    def test_one_draw_and_no_per_seed_params(self, monkeypatch):
+        # the grid's entries come from one stream_uniforms call, and no
+        # XStateParams is built per seed: xstate_valid checks them once
+        from puritylab import states
+
+        draws, params = [], []
+        real_draw, real_params = states.stream_uniforms, states.XStateParams
+        monkeypatch.setattr(states, "stream_uniforms",
+                            lambda *args: draws.append(args) or real_draw(*args))
+        monkeypatch.setattr(states, "XStateParams",
+                            lambda *args, **kw: params.append(args) or real_params(*args, **kw))
+        rows = run_sweep(SweepSpec(family="xrandom", start=0, stop=199, count=200))
+        assert len(draws) == 1 and params == []
+        assert all(row.valid for row in rows)
+
 
 class TestSweepInvariants:
     def test_valid_rows_pass_all_checks(self):
