@@ -23,7 +23,6 @@ from .errors import IoError, PurityLabError
 from .fileio import (
     csv_lines,
     emit_csv,
-    format_value,
     read_matrix_file,
     scan_report_json,
     write_scan_report,
@@ -131,13 +130,13 @@ def _cmd_audit(args) -> int:
             if name not in worst or margin < worst[name]:
                 worst[name] = margin
     print(f"audited {args.samples} states of shape {shape.n}x{shape.m} "
-          f"(seed {args.seed}, tol {format_value(args.tol)})")
+          f"(seed {args.seed}, tol {args.tol:.17g})")
     all_ok = True
     for name, margin in worst.items():
         ok = margin >= -args.tol
         all_ok &= ok
         verdict = "ok" if ok else "VIOLATED"
-        print(f"{name}: min margin = {format_value(margin)} {verdict}")
+        print(f"{name}: min margin = {margin:.17g} {verdict}")
     return 0 if all_ok else 2
 
 
@@ -162,14 +161,13 @@ def _cmd_check(args) -> int:
     print(f"shape: {rho.shape.n}x{rho.shape.m}")
     for label, value in (("mu12", ps.mu12), ("mu1", ps.mu1), ("mu2", ps.mu2),
                          ("mu_tilde", ps.mu_tilde), ("delta", ps.delta)):
-        print(f"{label} = {format_value(value)}")
+        print(f"{label} = {value:.17g}")
     reports = audit_reports(rho, tol=args.tol)
     failed = False
     for rep in reports:
         failed |= not rep.satisfied
-        print(f"{rep.name}: lhs={format_value(rep.lhs)} "
-              f"rhs={format_value(rep.rhs)} expected=<= "
-              f"margin={format_value(rep.margin)} "
+        print(f"{rep.name}: lhs={rep.lhs:.17g} rhs={rep.rhs:.17g} expected=<= "
+              f"margin={rep.margin:.17g} "
               f"satisfied={'true' if rep.satisfied else 'false'}")
     return 2 if failed else 0
 

@@ -1,5 +1,9 @@
 """Density matrices with block structure, partial-trace maps and purities.
 
+Validated states have one type, :class:`DensityBlock`, made only by
+:func:`validate_block`; a single state is a block of one.  The reductions
+and partial transposes below are plain arrays, not states.
+
 An N x N state with N = n*m is viewed as an n x n grid of m x m blocks
 a_ij.  Two reduction maps act on it:
 
@@ -50,32 +54,24 @@ class BlockShape:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Validated state: Hermitian, unit trace and PSD within
-    ``VALIDATION_TOL``."""
-
-    mat: np.ndarray
-    shape: BlockShape
-
-
-@dataclass(frozen=True)
 class DensityBlock:
     """Validated states of one block shape, stacked as a read-only
-    (B, N, N) array; the unit the sampled jobs are evaluated in."""
+    (B, N, N) array: Hermitian, unit trace and PSD within ``VALIDATION_TOL``.
+    Only :func:`validate_block` makes them, and a single state is a block of
+    one."""
 
     mats: np.ndarray
     shape: BlockShape
 
-    @classmethod
-    def of(cls, rho: DensityMatrix) -> DensityBlock:
-        """One-state block sharing the state's memory."""
-        return cls(mats=rho.mat[None], shape=rho.shape)
-
     def __len__(self) -> int:
         return len(self.mats)
 
-    def state(self, index: int) -> DensityMatrix:
-        return DensityMatrix(mat=self.mats[index], shape=self.shape)
+    @property
+    def mat(self) -> np.ndarray:
+        """The read-only matrix of a one-state block; DimMismatch otherwise."""
+        if len(self.mats) != 1:
+            raise DimMismatch(f"mat is the matrix of a one-state block, not of {len(self)} states")
+        return self.mats[0]
 
 
 def hermiticity_defect(mat: np.ndarray) -> np.ndarray:
@@ -163,13 +159,13 @@ def _square(mat) -> np.ndarray:
     return arr
 
 
-def make_density(mat, shape: BlockShape) -> DensityMatrix:
-    """Validate and wrap a matrix as a density matrix: a one-state
+def make_density(mat, shape: BlockShape) -> DensityBlock:
+    """Validate a matrix as a density matrix: the one-state block of
     :func:`validate_block`.
 
     The input is stored as given; nothing is renormalized or repaired.
     """
-    return validate_block(_square(mat)[None], shape).state(0)
+    return validate_block(_square(mat)[None], shape)
 
 
 def _blocks(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
@@ -194,12 +190,12 @@ def partial_transpose_inner(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
     return _blocks(mat, shape).swapaxes(-3, -1).reshape(mat.shape)
 
 
-def reduced_blocks(block: DensityBlock) -> tuple[DensityBlock, DensityBlock]:
-    """Both reduced states of every state of a block, read-only: the n x n
-    one with entries Tr a_ij (the partial trace over the inner index) and
-    the m x m sum of the diagonal blocks (over the outer index).
+def reduced_blocks(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Both reductions of every state of a block, as read-only (B, n, n)
+    and (B, m, m) arrays: entries Tr a_ij (the partial trace over the inner
+    index) and the sum of the diagonal blocks (over the outer index).
 
-    They are not validated again: each entry sums n or m entries of the
+    They are not validated states: each entry sums n or m entries of the
     state, so their Hermiticity defect can exceed ``VALIDATION_TOL`` where
     the state's does not.  Positivity is still read, as the benchmark's
     counts fix one solve per reduced matrix: since Tr_A rho >= d_A
@@ -211,8 +207,7 @@ def reduced_blocks(block: DensityBlock) -> tuple[DensityBlock, DensityBlock]:
     for mats, traced_dim in ((over_inner, shape.m), (over_outer, shape.n)):
         _require_positive(mats / traced_dim)
         mats.flags.writeable = False
-    return (DensityBlock(over_inner, BlockShape(shape.n, 1)),
-            DensityBlock(over_outer, BlockShape(shape.m, 1)))
+    return over_inner, over_outer
 
 
 def purities(mats: np.ndarray) -> np.ndarray:
@@ -354,11 +349,11 @@ def sample_blocks(shape: BlockShape, recipes) -> Iterator[DensityBlock]:
         yield sample_block(shape, recipe_block)
 
 
-def random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityMatrix:
-    """Ginibre-induced random state rho = G G^dagger / Tr(G G^dagger).
+def random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityBlock:
+    """Ginibre-induced random state rho = G G^dagger / Tr(G G^dagger), one-state.
 
     At full rank this samples the Hilbert-Schmidt measure.  Identical seeds
     produce bit-identical matrices, also inside a :func:`sample_blocks` job.
     """
-    return sample_block(BlockShape(dim_n, dim_m), [("ginibre", rank, seed)]).state(0)
+    return sample_block(BlockShape(dim_n, dim_m), [("ginibre", rank, seed)])
 

@@ -21,20 +21,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .density import BlockShape, DensityMatrix, make_density
+from .density import BlockShape, DensityBlock, make_density
 from .errors import IoError, SpecError
 from .sweep import ScanReport, SweepRow
 
 CSV_HEADER = ("param", "valid", "mu12", "mu1", "mu2",
               "mu_tilde", "delta", "lhs5", "entangled")
-
-
-def format_value(value: float | bool | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(value, ".17g")
 
 
 _BOOL = {True: "true", False: "false"}
@@ -43,7 +35,7 @@ _BLANKED_LINE = "%.17g,%s,%.17g,,,%.17g,%.17g,%.17g,%s"  # mu1 and mu2 blank
 
 
 def csv_lines(rows: list[SweepRow]) -> list[str]:
-    """The header, then each row by one expression (``%.17g`` is ``format_value``)."""
+    """The header, then each row by one expression."""
     return [",".join(CSV_HEADER)] + [
         _LINE % (r.param, _BOOL[r.valid], r.mu12, r.mu1, r.mu2, r.mu_tilde, r.delta,
                  r.lhs5, _BOOL[r.entangled]) if r.mu1 is not None else
@@ -65,15 +57,16 @@ def emit_csv(rows: list[SweepRow], path: str) -> None:
     _write_text(path, "\n".join(csv_lines(rows)) + "\n")
 
 
-def write_matrix_file(path: str, rho: DensityMatrix) -> None:
+def write_matrix_file(path: str, rho: DensityBlock) -> None:
+    """Write a one-state block in the matrix format."""
     lines = [f"{rho.shape.n} {rho.shape.m}"]
     for (i, j), entry in np.ndenumerate(rho.mat):
-        lines.append(f"{i} {j} {format_value(float(entry.real))} "
-                     f"{format_value(float(entry.imag))}")
+        lines.append(f"{i} {j} {float(entry.real):.17g} {float(entry.imag):.17g}")
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def read_matrix_file(path: str) -> DensityMatrix:
+def read_matrix_file(path: str) -> DensityBlock:
+    """The one-state block of a matrix file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = [line.strip() for line in handle if line.strip()]

@@ -15,9 +15,10 @@ with mu_tilde = (rhs of eq8)^2 + (rhs of eq6)^2 - 1.  eq6 and eq8 are the
 traces of the matrix square roots are sums of square roots of eigenvalues,
 never of entries.  ``audit_block`` gives both sides of all five for a whole
 block of states, from one set of purities and square-root traces per state;
-``audit_reports`` turns its one-state block into reports.  The other
+``audit_reports`` turns it into reports for a one-state block.  The other
 ``*_block`` functions likewise evaluate a whole block of states, and the
-one-state functions are one-state blocks of them.
+one-state functions (``delta``, ``purity_set``) are the same call on a
+one-state block, read with ``.item()``, which refuses a longer block.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .defaults import REPORT_TOL, ROOT_GRID, ROOT_TOL
 from .density import (
     DensityBlock,
-    DensityMatrix,
     block_sum_map,
     block_trace_map,
     purities,
@@ -93,67 +93,67 @@ def _sqrt_trace_stack(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(spectra(mats), 0.0)).sum(axis=1)
 
 
-def _sqrt_traces(block: DensityBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Tr[(block_trace(rho^2))^(1/2)] and Tr[(block_sum(rho^2))^(1/2)] of
-    every state of a block (the rhs of eq6 and of eq8)."""
+def _minkowski_terms(block: DensityBlock) -> tuple[np.ndarray, ...]:
+    """s6 = Tr[(block_trace(rho^2))^(1/2)], s8 = Tr[(block_sum(rho^2))^(1/2)]
+    (the rhs of eq6 and eq8), s8^2 + s6^2 (the rhs of eq9) and mu_tilde =
+    s8^2 + s6^2 - 1 of every state of a block."""
     squared = block.mats @ block.mats
-    return (_sqrt_trace_stack(block_trace_map(squared, block.shape)),
-            _sqrt_trace_stack(block_sum_map(squared, block.shape)))
+    s6 = _sqrt_trace_stack(block_trace_map(squared, block.shape))
+    s8 = _sqrt_trace_stack(block_sum_map(squared, block.shape))
+    squares = s8 * s8 + s6 * s6
+    return s6, s8, squares, squares - 1.0
 
 
 def delta_block(block: DensityBlock) -> np.ndarray:
     """delta = mu_tilde - mu12 of every state of a block."""
-    s6, s8 = _sqrt_traces(block)
-    return s8 * s8 + s6 * s6 - 1.0 - purities(block.mats)
+    return _minkowski_terms(block)[3] - purities(block.mats)
 
 
-def delta(rho: DensityMatrix) -> float:
-    """mu_tilde - mu12; positivity of this difference is what the
-    entanglement conjecture asserts on entangled states."""
-    return float(delta_block(DensityBlock.of(rho))[0])
+def delta(rho: DensityBlock) -> float:
+    """mu_tilde - mu12 of a one-state block; positivity of this difference
+    is what the entanglement conjecture asserts on entangled states."""
+    return delta_block(rho).item()
 
 
 def _audit_terms(block: DensityBlock) -> tuple[np.ndarray, ...]:
-    """mu12, mu1, mu2 (from the validated reduced states), s6 and s8 of
-    every state of a block."""
+    """mu12, mu1, mu2 (from the reductions), then the ``_minkowski_terms``
+    of every state of a block."""
     reduced_n, reduced_m = reduced_blocks(block)
-    s6, s8 = _sqrt_traces(block)
-    return purities(block.mats), purities(reduced_n.mats), purities(reduced_m.mats), s6, s8
+    return (purities(block.mats), purities(reduced_n), purities(reduced_m),
+            *_minkowski_terms(block))
 
 
 def purity_block(block: DensityBlock) -> tuple[np.ndarray, ...]:
     """mu12, mu1, mu2, mu_tilde and delta of every state of a block."""
-    mu12, mu1, mu2, s6, s8 = _audit_terms(block)
-    mt = s8 * s8 + s6 * s6 - 1.0
+    mu12, mu1, mu2, *_, mt = _audit_terms(block)
     return mu12, mu1, mu2, mt, mt - mu12
 
 
-def purity_set(rho: DensityMatrix) -> PuritySet:
-    """All four purity scalars of one state, plus delta = mu_tilde - mu12."""
-    return PuritySet(*(float(v[0]) for v in purity_block(DensityBlock.of(rho))))
+def purity_set(rho: DensityBlock) -> PuritySet:
+    """All four purity scalars of a one-state block, plus
+    delta = mu_tilde - mu12."""
+    return PuritySet(*(v.item() for v in purity_block(rho)))
 
 
 def audit_block(block: DensityBlock) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """``(name, lhs, rhs)`` of eq5, eq6, eq8, eq9 and eq10 with one entry per
     state of a block."""
-    mu12, mu1, mu2, s6, s8 = _audit_terms(block)
-    squares = s8 * s8 + s6 * s6
+    mu12, mu1, mu2, s6, s8, squares, mt = _audit_terms(block)
     return [
         ("eq5", mu1 + mu2 - 1.0, mu12),
         ("eq6", np.sqrt(mu2), s6),
         ("eq8", np.sqrt(mu1), s8),
         ("eq9", mu1 + mu2, squares),
-        ("eq10", mu1 + mu2 - 1.0, squares - 1.0),
+        ("eq10", mu1 + mu2 - 1.0, mt),
     ]
 
 
-def audit_reports(rho: DensityMatrix, tol: float = REPORT_TOL) -> list[InequalityReport]:
-    """Reports of eq5, eq6, eq8, eq9 and eq10, in that order: the one-state
-    :func:`audit_block`, each judged satisfied when its margin is >= -tol;
-    ``tol`` must be a finite number >= 0."""
+def audit_reports(rho: DensityBlock, tol: float = REPORT_TOL) -> list[InequalityReport]:
+    """Reports of eq5, eq6, eq8, eq9 and eq10, in that order, of a one-state
+    block: its :func:`audit_block`, each judged satisfied when its margin is
+    >= -tol; ``tol`` must be a finite number >= 0."""
     require_tol(tol)
-    return [_report(name, float(lhs[0]), float(rhs[0]), tol)
-            for name, lhs, rhs in audit_block(DensityBlock.of(rho))]
+    return [_report(name, lhs.item(), rhs.item(), tol) for name, lhs, rhs in audit_block(rho)]
 
 
 def find_delta_roots(f, lo: float, hi: float, grid: int = ROOT_GRID,

@@ -20,9 +20,10 @@ six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``,
 constructors are the family's domain checks (``*_domain``; Gisin first
 checks 0 < x < 1 and the normalization slack) followed by
 ``XStateParams(*entries)``, whose rules ``xstate_valid`` gives as a mask,
-and ``*_state`` is ``x_state`` of them.  These and the rules below are
-elementwise, each value with the bits of its scalar evaluation: moduli are
-``np.hypot(re, im)`` and squares products (``x ** 2`` raises on overflow).
+and ``*_state`` is ``x_state`` of them, a one-state ``DensityBlock``.  These
+and the rules below are elementwise, each value with the bits of its scalar
+evaluation: moduli are ``np.hypot(re, im)`` and squares products (``x ** 2``
+raises on overflow).
 
 Closed-form purities for the family:
 
@@ -51,7 +52,6 @@ from .defaults import (
 from .density import (
     BlockShape,
     DensityBlock,
-    DensityMatrix,
     make_density,
     partial_transpose_inner,
 )
@@ -127,7 +127,7 @@ def x_state_matrix(entries: XEntries | XStateParams) -> np.ndarray:
     return mat
 
 
-def x_state(params: XStateParams) -> DensityMatrix:
+def x_state(params: XStateParams) -> DensityBlock:
     return make_density(x_state_matrix(params), TWO_QUBIT_SHAPE)
 
 
@@ -172,7 +172,7 @@ def werner_params(p: float) -> XStateParams:
     return XStateParams(*werner_entries(p))
 
 
-def werner_state(p: float) -> DensityMatrix:
+def werner_state(p: float) -> DensityBlock:
     return x_state(werner_params(p))
 
 
@@ -232,7 +232,7 @@ def gisin_params(x: float, a: complex, b: complex) -> XStateParams:
     return XStateParams(*gisin_entries(x, a, b))
 
 
-def gisin_state(x: float, a: complex, b: complex) -> DensityMatrix:
+def gisin_state(x: float, a: complex, b: complex) -> DensityBlock:
     """The Gisin state for x <= x_max + VALIDATION_TOL.
 
     x_max = 1/(1+2|ab|) is the family's separability (Peres-Horodecki)
@@ -277,7 +277,7 @@ def beta_params(beta: float) -> XStateParams:
     return XStateParams(*beta_entries(beta))
 
 
-def beta_state(beta: float) -> DensityMatrix:
+def beta_state(beta: float) -> DensityBlock:
     return x_state(beta_params(beta))
 
 
@@ -318,10 +318,10 @@ def ppt_entangled_block(block: DensityBlock) -> np.ndarray:
     return spectra(transposed)[:, 0] < -ENTANGLE_TOL
 
 
-def ppt_entangled(rho: DensityMatrix) -> bool:
-    """Peres-Horodecki verdict of one state: the one-state
-    :func:`ppt_entangled_block`."""
-    return bool(ppt_entangled_block(DensityBlock.of(rho))[0])
+def ppt_entangled(rho: DensityBlock) -> bool:
+    """Peres-Horodecki verdict of a one-state block: its
+    :func:`ppt_entangled_block`, read with ``.item()``."""
+    return ppt_entangled_block(rho).item()
 
 
 def random_x_entries(seeds) -> XEntries:

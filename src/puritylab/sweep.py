@@ -24,6 +24,7 @@ uses the child seed ``child_seed(seed, k)``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ import numpy as np
 from .defaults import REPORT_TOL, SWEEP_POINTS, XSTATE_PARAM_TOL
 from .density import (
     BlockShape,
-    DensityMatrix,
+    DensityBlock,
     in_blocks,
     sample_block,
     sample_blocks,
@@ -101,7 +102,7 @@ class SweepSpec:
                 raise SpecError(f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, beyond slack")
         elif self.a is not None or self.b is not None:
             raise SpecError(f"amplitudes a and b are for gisin sweeps, not {self.family}")
-        seeds = _seeds(self.grid()) if self.family == "xrandom" else []
+        seeds = self._seeds if self.family == "xrandom" else ()
         if len({seed % 2**64 for seed in seeds}) < len(seeds):
             raise SpecError(
                 f"xrandom grid [{self.start}, {self.stop}] with count {self.count} "
@@ -111,6 +112,12 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         step = (self.stop - self.start) / (self.count - 1)
         return float(self.start) + np.arange(self.count) * step
+
+    @functools.cached_property
+    def _seeds(self) -> tuple[int, ...]:
+        """The xrandom seeds of the grid: its values rounded half to even,
+        computed once per spec."""
+        return tuple(int(round(v)) for v in self.grid().tolist())
 
 
 @dataclass(frozen=True)
@@ -126,18 +133,13 @@ class SweepRow:
     entangled: bool
 
 
-def _seeds(grid: np.ndarray) -> list[int]:
-    """The xrandom seeds of a grid: its values rounded half to even."""
-    return [int(round(v)) for v in grid.tolist()]
-
-
 def _entries_and_domain(spec: SweepSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | bool]:
     """The params of a grid, their six entry arrays and the domain mask
     (True for xrandom, whose draws have no domain beyond ``xstate_valid``)."""
-    grid = spec.grid()
     if spec.family == "xrandom":
-        seeds = _seeds(grid)
+        seeds = spec._seeds
         return np.array(seeds, dtype=np.float64), list(random_x_entries(seeds)), True
+    grid = spec.grid()
     entries_of, domain = {"werner": (werner_entries, werner_domain),
                           "beta": (beta_entries, beta_domain),
                           "gisin": (gisin_entries, gisin_domain)}[spec.family]
@@ -228,10 +230,11 @@ class ScanReport:
     separable_stats: SubsetStats
 
 
-def scan_state(shape: BlockShape, kind: str, size: int, seed: int) -> DensityMatrix:
-    """Rebuild a scanned state from its record, for independent re-derivation;
-    the bytes equal those of the same sample drawn inside its scan."""
-    return sample_block(shape, [(kind, size, seed)]).state(0)
+def scan_state(shape: BlockShape, kind: str, size: int, seed: int) -> DensityBlock:
+    """Rebuild a scanned state from its record as a one-state block, for
+    independent re-derivation; the bytes equal those of the same sample drawn
+    inside its scan."""
+    return sample_block(shape, [(kind, size, seed)])
 
 
 def _sample_recipe(shape: BlockShape, index: int, seed: int) -> tuple[str, int, int]:

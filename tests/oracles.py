@@ -27,7 +27,7 @@ from mpmath import mp
 from numpy.polynomial import Polynomial
 
 from puritylab.defaults import VALIDATION_TOL, XSTATE_PARAM_TOL
-from puritylab.density import BlockShape, DensityMatrix, make_density
+from puritylab.density import BlockShape, DensityBlock, make_density
 from puritylab.errors import (
     BadInterval,
     BadRank,
@@ -91,7 +91,7 @@ def ginibre(rows: int, cols: int, gen: SplitMix64) -> np.ndarray:
     return out
 
 
-def scalar_random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityMatrix:
+def scalar_random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityBlock:
     """Ginibre state G G^dagger / Tr(G G^dagger), one draw at a time."""
     shape = BlockShape(dim_n, dim_m)
     if not 1 <= rank <= shape.dim:
@@ -102,7 +102,7 @@ def scalar_random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> Densi
     return make_density(raw / raw.trace().real, shape)
 
 
-def scalar_random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> DensityMatrix:
+def scalar_random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> DensityBlock:
     """Mixture of pure product states, built term by term: exponential
     weights first, then u (length n) and v (length m) per term."""
     if terms < 1:

@@ -24,7 +24,6 @@ from oracles import (
 )
 from puritylab.density import (
     BlockShape,
-    DensityBlock,
     random_density,
     reduced_blocks,
 )
@@ -251,11 +250,11 @@ def test_criterion_7_oracle_equivalence():
                                  child_seed(70 + shape.n * 10 + shape.m, k))
             bt = index_block_trace(rho.mat, shape.n, shape.m)
             bs = index_block_sum(rho.mat, shape.n, shape.m)
-            reduced_n, reduced_m = reduced_blocks(DensityBlock.of(rho))
+            reduced_n, reduced_m = reduced_blocks(rho)
             worst_traces = max(
                 worst_traces,
-                float(np.abs(reduced_n.mats[0] - bt).max()),
-                float(np.abs(reduced_m.mats[0] - bs).max()),
+                float(np.abs(reduced_n[0] - bt).max()),
+                float(np.abs(reduced_m[0] - bs).max()),
             )
     ok = worst_closed <= 1e-12 and worst_traces <= 1e-14
     report(

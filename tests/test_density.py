@@ -48,9 +48,9 @@ def mixed_state():
 
 
 def reduced_states(rho):
-    """The validated n x n (over the inner index) and m x m (over the outer
-    index) reduced states of rho."""
-    return [block.state(0) for block in reduced_blocks(DensityBlock.of(rho))]
+    """The n x n (over the inner index) and m x m (over the outer index)
+    reduced matrices of a one-state block."""
+    return [reduced[0] for reduced in reduced_blocks(rho)]
 
 
 def random_state(shape: BlockShape, seed: int, rank: int | None = None):
@@ -100,13 +100,32 @@ class TestMakeDensity:
         assert make_density(mat, SHAPE22).mat.tobytes() == mat.astype(complex).tobytes()
 
 
+class TestOneStateBlock:
+    """A single state is a one-state block; readers of one state refuse a
+    longer block."""
+
+    def test_mat_has_the_bytes_of_the_input(self):
+        mat = np.array(random_density(2, 3, 4, seed=5).mat)  # complex entries
+        rho = make_density(mat, BlockShape(2, 3))
+        assert len(rho) == 1 and rho.mat.tobytes() == mat.tobytes()
+        assert not rho.mat.flags.writeable
+
+    def test_two_state_block_refused(self):
+        block = validate_block(np.stack([werner_matrix(0.2), werner_matrix(0.8)]), SHAPE22)
+        with pytest.raises(DimMismatch):
+            block.mat
+        for one_state in (delta, purity_set, audit_reports, ppt_entangled):
+            with pytest.raises(ValueError, match="size 1"):
+                one_state(block)
+
+
 class TestValidateBlock:
     def test_states_equal_one_state_validation(self):
         mats = np.stack([werner_matrix(p) for p in (-0.2, 0.3, 1.0)])
         block = validate_block(mats, SHAPE22)
         assert len(block) == 3 and not block.mats.flags.writeable
         for i, mat in enumerate(mats):
-            assert block.state(i).mat.tobytes() == make_density(mat, SHAPE22).mat.tobytes()
+            assert block.mats[i].tobytes() == make_density(mat, SHAPE22).mat.tobytes()
 
     @pytest.mark.parametrize("bad, error", [
         ((werner_matrix(1.5), np.eye(4) / 2), NotPositive),
@@ -203,8 +222,8 @@ class TestValidatedOnce:
             assert len(audit_reports(rho)) == 5
             if (n, m) != (3, 3):
                 ppt_entangled(rho)
-            for block in reduced_blocks(DensityBlock.of(rho)):
-                assert not block.mats.flags.writeable
+            for reduced in reduced_blocks(rho):
+                assert not reduced.flags.writeable
         assert max(reduced_defects) > VALIDATION_TOL
 
     @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -235,14 +254,14 @@ class TestValidatedOnce:
 class TestPartialTraces:
     def test_mixed_reduces_to_mixed(self):
         over_2, over_1 = reduced_states(mixed_state())
-        assert np.allclose(over_2.mat, np.eye(2) / 2, atol=1e-15)
-        assert np.allclose(over_1.mat, np.eye(2) / 2, atol=1e-15)
+        assert np.allclose(over_2, np.eye(2) / 2, atol=1e-15)
+        assert np.allclose(over_1, np.eye(2) / 2, atol=1e-15)
 
     @pytest.mark.parametrize("p", [-1 / 3, -0.1, 0.0, 0.25, 1 / 3, 0.9, 1.0])
     def test_werner_reduces_to_mixed(self, p):
         over_2, over_1 = reduced_states(make_density(werner_matrix(p), SHAPE22))
-        assert np.abs(over_2.mat - np.eye(2) / 2).max() <= 1e-15
-        assert np.abs(over_1.mat - np.eye(2) / 2).max() <= 1e-15
+        assert np.abs(over_2 - np.eye(2) / 2).max() <= 1e-15
+        assert np.abs(over_1 - np.eye(2) / 2).max() <= 1e-15
 
     def test_xstate_block_formulas(self):
         d = np.array([0.35, 0.25, 0.15, 0.25])
@@ -252,8 +271,8 @@ class TestPartialTraces:
         mat[1, 2] = 0.05 - 0.1j
         mat[2, 1] = np.conj(mat[1, 2])
         over_2, over_1 = reduced_states(make_density(mat, SHAPE22))
-        assert np.allclose(over_2.mat, np.diag([d[0] + d[1], d[2] + d[3]]), atol=1e-15)
-        assert np.allclose(over_1.mat, np.diag([d[0] + d[2], d[1] + d[3]]), atol=1e-15)
+        assert np.allclose(over_2, np.diag([d[0] + d[1], d[2] + d[3]]), atol=1e-15)
+        assert np.allclose(over_1, np.diag([d[0] + d[2], d[1] + d[3]]), atol=1e-15)
 
     def test_gisin_block_sum(self):
         x, a, b = 0.4, 0.6, 0.8
@@ -263,7 +282,7 @@ class TestPartialTraces:
         mat[1, 2] = mat[2, 1] = x * a * b
         _, over_1 = reduced_states(make_density(mat, SHAPE22))
         expected = np.diag([(1 - x) / 2 + x * b * b, x * a * a + (1 - x) / 2])
-        assert np.allclose(over_1.mat, expected, atol=1e-15)
+        assert np.allclose(over_1, expected, atol=1e-15)
 
     @given(seeds, st.sampled_from(SHAPES))
     @settings(max_examples=100)
@@ -272,14 +291,15 @@ class TestPartialTraces:
         bt = index_block_trace(rho.mat, shape.n, shape.m)
         bs = index_block_sum(rho.mat, shape.n, shape.m)
         over_2, over_1 = reduced_states(rho)
-        assert np.abs(over_2.mat - bt).max() <= 1e-14
-        assert np.abs(over_1.mat - bs).max() <= 1e-14
+        assert np.abs(over_2 - bt).max() <= 1e-14
+        assert np.abs(over_1 - bs).max() <= 1e-14
 
     @given(seeds, st.sampled_from(SHAPES))
     @settings(max_examples=50)
     def test_reduced_states_are_valid(self, seed, shape):
         rho = random_state(shape, seed)
-        # construction re-validates; reaching here without raising is the test
+        # reduced_blocks reads each reduction's positivity; reaching here
+        # without raising is the test
         reduced_states(rho)
 
 
@@ -368,8 +388,8 @@ class TestRandomStates:
     def test_separable_single_term_is_product(self):
         rho = scan_state(SHAPE22, "separable", 1, 4)
         over_2, over_1 = reduced_states(rho)
-        assert purities(over_2.mat) == pytest.approx(1.0, abs=1e-10)
-        assert purities(over_1.mat) == pytest.approx(1.0, abs=1e-10)
+        assert purities(over_2) == pytest.approx(1.0, abs=1e-10)
+        assert purities(over_1) == pytest.approx(1.0, abs=1e-10)
 
     def test_separable_unit_trace(self):
         rho = scan_state(SHAPE22, "separable", 6, 11)

@@ -15,7 +15,6 @@ from oracles import (
 )
 from puritylab.density import (
     BlockShape,
-    DensityBlock,
     block_sum_map,
     block_trace_map,
     hermiticity_defect,
@@ -27,8 +26,8 @@ from puritylab.density import (
 from puritylab.defaults import REPORT_TOL, VALIDATION_TOL
 from puritylab.errors import BadInterval, DomainError, SpecError
 from puritylab.inequalities import (
+    _minkowski_terms,
     _sqrt_trace_stack,
-    _sqrt_traces,
     audit_reports,
     delta,
     find_delta_roots,
@@ -71,7 +70,7 @@ def sqrt_trace(mat):
 
 def sqrt_traces(rho):
     """The rhs of eq6 and of eq8 of one state."""
-    s6, s8 = _sqrt_traces(DensityBlock.of(rho))
+    s6, s8, *_ = _minkowski_terms(rho)
     return float(s6[0]), float(s8[0])
 
 
@@ -184,12 +183,12 @@ class TestSqrtTrace:
     def test_one_matrix_equals_block_value(self, shape):
         recipes = [("ginibre", k % shape.dim + 1, k) for k in range(20)]
         block = next(sample_blocks(shape, recipes))
-        s6, s8 = _sqrt_traces(block)
+        s6, s8, *_ = _minkowski_terms(block)
         squared = block.mats @ block.mats
         for i in range(len(block)):
             assert sqrt_trace(block_trace_map(squared[i], shape)) == s6[i]
             assert sqrt_trace(block_sum_map(squared[i], shape)) == s8[i]
-            assert sqrt_traces(block.state(i)) == (s6[i], s8[i])
+            assert sqrt_traces(make_density(block.mats[i], shape)) == (s6[i], s8[i])
 
 
 class TestEq6Eq8:

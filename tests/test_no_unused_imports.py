@@ -29,8 +29,8 @@ def unused_sibling_imports(source: str) -> list[str]:
 def test_finds_planted_unused_imports():
     source = ("from __future__ import annotations\nimport math\n"
               "from .states import random_x_entries, random_x_params as draw\n"
-              "from .density import BlockShape, DensityMatrix\nfrom . import errors\n"
-              "def f(shape: BlockShape) -> DensityMatrix:\n"
+              "from .density import BlockShape, DensityBlock\nfrom . import errors\n"
+              "def f(shape: BlockShape) -> DensityBlock:\n"
               "    return random_x_entries([shape.n])\n")
     assert unused_sibling_imports(source) == ["draw", "errors"]
     source += "raise errors.SpecError(draw)\n"

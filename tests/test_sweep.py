@@ -83,6 +83,14 @@ class TestSweepSpec:
         with pytest.raises(SpecError, match=r"repeated seeds \(streams read a seed modulo 2\^64\)"):
             SweepSpec(family="xrandom", start=start, stop=stop, count=2)
 
+    def test_xrandom_grid_rounded_once(self, monkeypatch):
+        # the spec's refusal and run_sweep read one list of seeds
+        calls = []
+        grid = SweepSpec.grid
+        monkeypatch.setattr(SweepSpec, "grid", lambda spec: calls.append(spec) or grid(spec))
+        rows = run_sweep(SweepSpec(family="xrandom", start=3, stop=7, count=5))
+        assert len(calls) == 1 and [row.param for row in rows] == [3.0, 4.0, 5.0, 6.0, 7.0]
+
     def test_grid_endpoints_inclusive(self):
         spec = SweepSpec(family="werner", start=-1 / 3, stop=1.0, count=5)
         grid = spec.grid()
