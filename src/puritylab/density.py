@@ -16,6 +16,7 @@ r = i*m + k, i indexing blocks and k indexing positions inside a block.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -37,6 +38,16 @@ from .linalg import spectra
 from .prng import complex_normals, stream_uniforms
 
 
+def require_int(value, name: str, error: type[Exception]) -> int:
+    """``value`` as a Python int if it is an integer, a Python or a numpy
+    one (``operator.index``); ``error`` otherwise: a float size would reach
+    ``np.arange`` or a reshape and act as some other size."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BlockShape:
     """n blocks per side, each block m x m; the full dimension is n*m."""
@@ -45,6 +56,8 @@ class BlockShape:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", require_int(self.n, "block shape n", ShapeMismatch))
+        object.__setattr__(self, "m", require_int(self.m, "block shape m", ShapeMismatch))
         if self.n < 1 or self.m < 1:
             raise ShapeMismatch(f"block shape must be positive, got ({self.n}, {self.m})")
 
@@ -91,8 +104,9 @@ def _require_positive(mats: np.ndarray) -> None:
 
 
 def validate_block(mats, shape: BlockShape) -> DensityBlock:
-    """Validate a (B, N, N) stack as density matrices: the one place that
-    knows the rules, run once on each state entering the package.
+    """Validate a (B, N, N) stack as density matrices: the one check of a
+    matrix, run once on each state entering the package (``states.x_state``
+    checks the X-state rules on its entries first, at ``XSTATE_PARAM_TOL``).
 
     In this order: a non-empty stack of square matrices (DimMismatch), finite
     entries (DomainError), dimension n*m (ShapeMismatch), Hermitian

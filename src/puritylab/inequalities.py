@@ -34,6 +34,7 @@ from .density import (
     block_trace_map,
     purities,
     reduced_blocks,
+    require_int,
 )
 from .errors import BadInterval, DomainError, SpecError
 from .linalg import spectra
@@ -175,11 +176,12 @@ def find_delta_roots(f, lo: float, hi: float, grid: int = ROOT_GRID,
     some grid point: for Gisin with |a| = |b|, delta = (3x-1)^2/2 touches
     zero at x = 1/3, yet the search on [0.001, 0.999] returns [].
 
-    ``lo < hi`` and ``grid >= 2`` (BadInterval) and a finite ``tol > 0``
-    (SpecError) are checked before ``f`` is called.
+    ``lo < hi`` and an integer ``grid >= 2`` (BadInterval) and a finite
+    ``tol > 0`` (SpecError) are checked before ``f`` is called.
     """
     if not lo < hi:
         raise BadInterval(f"need lo < hi, got [{lo}, {hi}]")
+    grid = require_int(grid, "grid", BadInterval)
     if grid < 2:
         raise BadInterval(f"need at least 2 grid points, got {grid}")
     # tol = 0 would bisect a root between adjacent floats forever, and NaN

@@ -16,12 +16,14 @@ mean of the *other* pair of populations: |c14|^2 > d2*d3 or
 
 Each family is defined once, as an unchecked map from its parameters to the
 six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``,
-``gisin_entries`` and ``random_x_entries`` (of seeds).  The ``*_params``
-constructors are the family's domain checks (``*_domain``; Gisin first
-checks 0 < x < 1 and the normalization slack) followed by
-``XStateParams(*entries)``, whose rules ``xstate_valid`` gives as a mask,
-and ``*_state`` is ``x_state`` of them, a one-state ``DensityBlock``.  These
-and the rules below are elementwise, each value with the bits of its scalar
+``gisin_entries`` and ``random_x_entries`` (of seeds).  The six entries are
+the one X-state parameter type.  ``x_state`` is the one checked constructor:
+it refuses entries by the rules that ``xstate_valid`` gives as a mask, then
+validates the matrix, a one-state ``DensityBlock``.  ``werner_state``,
+``beta_state`` and ``gisin_state`` are the family's domain checks
+(``*_domain``; Gisin first checks 0 < x < 1 and the normalization slack)
+followed by ``x_state`` of the family's entries.  The maps, masks and
+verdicts are elementwise, each value with the bits of its scalar
 evaluation: moduli are ``np.hypot(re, im)`` and squares products (``x ** 2``
 raises on overflow).
 
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,48 +67,13 @@ TWO_QUBIT_SHAPE = BlockShape(2, 2)
 XEntries = tuple[float, float, float, float, complex, complex]
 
 
-@dataclass(frozen=True)
-class XStateParams:
-    """Defining parameters of an X-state; validated on construction."""
-
-    d1: float
-    d2: float
-    d3: float
-    d4: float
-    c14: complex = 0.0
-    c23: complex = 0.0
-
-    def __post_init__(self):
-        diag = self.diag
-        if not all(map(cmath.isfinite, self)):
-            raise DomainError(f"X-state parameters must be finite, got {self}")
-        if min(diag) < 0.0:
-            raise NotPositive(f"diagonal entries must be nonnegative, got {diag}")
-        total = sum(diag)
-        if abs(total - 1.0) > XSTATE_PARAM_TOL:
-            raise TraceNotOne(f"diagonal sums to {total!r}, off by {abs(total-1.0):.3e}")
-        c14_2, c23_2 = abs(self.c14) * abs(self.c14), abs(self.c23) * abs(self.c23)
-        if self.d2 * self.d3 < c23_2 - XSTATE_PARAM_TOL:
-            raise NotPositive(f"d2*d3 = {self.d2 * self.d3:.6e} < |c23|^2 = {c23_2:.6e}")
-        if self.d1 * self.d4 < c14_2 - XSTATE_PARAM_TOL:
-            raise NotPositive(f"d1*d4 = {self.d1 * self.d4:.6e} < |c14|^2 = {c14_2:.6e}")
-
-    def __iter__(self):
-        """The six entries, so checked parameters unpack as entries do."""
-        return iter((self.d1, self.d2, self.d3, self.d4, self.c14, self.c23))
-
-    @property
-    def diag(self) -> tuple[float, float, float, float]:
-        return (self.d1, self.d2, self.d3, self.d4)
-
-
 def _modulus(c):
     return np.hypot(np.real(c), np.imag(c))
 
 
-def xstate_valid(entries: XEntries | XStateParams):
-    """Elementwise mask of the entries ``XStateParams`` accepts: its rules
-    with its tolerances, the diagonal summed in its order.  Each comparison
+def xstate_valid(entries: XEntries):
+    """Elementwise mask of the entries ``x_state`` accepts: its rules with
+    its tolerances, the diagonal summed in its order.  Each comparison
     is the complement of its refusal, and NaN or Inf fails one of them."""
     d1, d2, d3, d4, c14, c23 = entries
     m14, m23 = _modulus(c14), _modulus(c23)
@@ -117,7 +83,7 @@ def xstate_valid(entries: XEntries | XStateParams):
             & (d1 * d4 >= m14 * m14 - XSTATE_PARAM_TOL))
 
 
-def x_state_matrix(entries: XEntries | XStateParams) -> np.ndarray:
+def x_state_matrix(entries: XEntries) -> np.ndarray:
     """The 4x4 matrix of six X-state entries, or the (B, 4, 4) stack of six arrays."""
     d1, d2, d3, d4, c14, c23 = entries
     mat = np.zeros(np.shape(d1) + (4, 4), dtype=np.complex128)
@@ -127,12 +93,35 @@ def x_state_matrix(entries: XEntries | XStateParams) -> np.ndarray:
     return mat
 
 
-def x_state(params: XStateParams) -> DensityBlock:
-    return make_density(x_state_matrix(params), TWO_QUBIT_SHAPE)
+def x_state(entries: XEntries) -> DensityBlock:
+    """The X-state of six scalar entries, a one-state ``DensityBlock``.
+
+    The entries are checked first, in this order and within
+    ``XSTATE_PARAM_TOL``: all finite (DomainError), a nonnegative diagonal
+    (NotPositive) summing to 1 (TraceNotOne), then d2*d3 >= |c23|^2 and
+    d1*d4 >= |c14|^2 (NotPositive).  The matrix is then validated by
+    ``make_density``.
+    """
+    entries = tuple(entries)
+    d1, d2, d3, d4, c14, c23 = entries
+    diag = (d1, d2, d3, d4)
+    if not all(map(cmath.isfinite, entries)):
+        raise DomainError(f"X-state parameters must be finite, got {entries}")
+    if min(diag) < 0.0:
+        raise NotPositive(f"diagonal entries must be nonnegative, got {diag}")
+    total = sum(diag)
+    if abs(total - 1.0) > XSTATE_PARAM_TOL:
+        raise TraceNotOne(f"diagonal sums to {total!r}, off by {abs(total-1.0):.3e}")
+    c14_2, c23_2 = abs(c14) * abs(c14), abs(c23) * abs(c23)
+    if d2 * d3 < c23_2 - XSTATE_PARAM_TOL:
+        raise NotPositive(f"d2*d3 = {d2 * d3:.6e} < |c23|^2 = {c23_2:.6e}")
+    if d1 * d4 < c14_2 - XSTATE_PARAM_TOL:
+        raise NotPositive(f"d1*d4 = {d1 * d4:.6e} < |c14|^2 = {c14_2:.6e}")
+    return make_density(x_state_matrix(entries), TWO_QUBIT_SHAPE)
 
 
-def x_state_purities(entries: XEntries | XStateParams) -> PuritySet:
-    """Closed-form purity set of the six entries, checked or not; matches
+def x_state_purities(entries: XEntries) -> PuritySet:
+    """Closed-form purity set of six entries, valid or not; matches
     the generic pipeline to ~1e-12 on valid states.  mu1 and mu2 are sums of
     squared population pairs: the Werner and beta pairs sum to 1/2, so they
     stay within rounding of 0.5 at any parameter, where the expanded form
@@ -165,15 +154,11 @@ def werner_domain(p):
     return (-1.0 / 3.0 <= p) & (p <= 1.0)
 
 
-def werner_params(p: float) -> XStateParams:
+def werner_state(p: float) -> DensityBlock:
     p = float(p)
     if not werner_domain(p):
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
-    return XStateParams(*werner_entries(p))
-
-
-def werner_state(p: float) -> DensityBlock:
-    return x_state(werner_params(p))
+    return x_state(werner_entries(p))
 
 
 def gisin_x_max(a: complex, b: complex) -> float:
@@ -216,10 +201,18 @@ def _gisin_norm_defect(a: complex, b: complex) -> float | None:
     return None if defect <= GISIN_NORM_SLACK else defect
 
 
-def gisin_params(x: float, a: complex, b: complex) -> XStateParams:
-    """0 < x < 1, the normalization slack and x <= x_max + VALIDATION_TOL,
-    then ``XStateParams`` of the entries: raw amplitudes off
-    |a|^2 + |b|^2 = 1 raise TraceNotOne."""
+def gisin_state(x: float, a: complex, b: complex) -> DensityBlock:
+    """The Gisin state for x <= x_max + VALIDATION_TOL: 0 < x < 1, the
+    normalization slack and that threshold are checked, then ``x_state`` of
+    the entries, so raw amplitudes off |a|^2 + |b|^2 = 1 raise TraceNotOne.
+
+    x_max = 1/(1+2|ab|) is the family's separability (Peres-Horodecki)
+    threshold, not a validity threshold: past x_max + VALIDATION_TOL this
+    constructor raises DomainError although the matrices are PSD with unit
+    trace; ``x_state(gisin_entries(x, a, b))`` builds them.  In the band up
+    to x_max + VALIDATION_TOL it builds states that are entangled once
+    x - x_max exceeds about 2e-12 x_max / (1 - x_max).
+    """
     if not 0.0 < x < 1.0:
         raise DomainError(f"Gisin x must lie in (0, 1), got {x}")
     defect = _gisin_norm_defect(a, b)
@@ -229,20 +222,7 @@ def gisin_params(x: float, a: complex, b: complex) -> XStateParams:
     if not gisin_domain(x, a, b):
         raise DomainError(
             f"x = {x} exceeds the separability threshold x_max = {gisin_x_max(a, b):.6f}")
-    return XStateParams(*gisin_entries(x, a, b))
-
-
-def gisin_state(x: float, a: complex, b: complex) -> DensityBlock:
-    """The Gisin state for x <= x_max + VALIDATION_TOL.
-
-    x_max = 1/(1+2|ab|) is the family's separability (Peres-Horodecki)
-    threshold, not a validity threshold: past x_max + VALIDATION_TOL this
-    constructor raises DomainError although the matrices are PSD with unit
-    trace; ``x_state(XStateParams(*gisin_entries(x, a, b)))`` builds them.
-    In the band up to x_max + VALIDATION_TOL it builds states that are
-    entangled once x - x_max exceeds about 2e-12 x_max / (1 - x_max).
-    """
-    return x_state(gisin_params(x, a, b))
+    return x_state(gisin_entries(x, a, b))
 
 
 def _gisin_closed(x: float | np.ndarray, a2: float, b2: float):
@@ -270,19 +250,15 @@ def beta_domain(beta):
     return (0.0 <= beta) & (beta <= 1.0)
 
 
-def beta_params(beta: float) -> XStateParams:
+def beta_state(beta: float) -> DensityBlock:
     beta = float(beta)
     if not beta_domain(beta):
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    return XStateParams(*beta_entries(beta))
+    return x_state(beta_entries(beta))
 
 
-def beta_state(beta: float) -> DensityBlock:
-    return x_state(beta_params(beta))
-
-
-def xstate_entangled(entries: XEntries | XStateParams):
-    """Exact entanglement verdict of the six entries, checked or not, as a
+def xstate_entangled(entries: XEntries):
+    """Exact entanglement verdict of six entries, valid or not, as a
     bool or an elementwise mask (Peres 1996: a coherence beats the geometric
     mean of the other pair of populations); boundary cases (within
     ``ENTANGLE_TOL``) count as separable."""
@@ -340,7 +316,3 @@ def random_x_entries(seeds) -> XEntries:
     c14, c23 = _product(u[:, [4, 6]] * np.sqrt([d1 * d4, d2 * d3]).T, phase).T
     return d1, d2, d3, d4, c14, c23
 
-
-def random_x_params(seed: int) -> XStateParams:
-    """The checked one-point :func:`random_x_entries`, as Python scalars."""
-    return XStateParams(*(e.item(0) for e in random_x_entries([seed])))

@@ -4,13 +4,14 @@ A sweep is a few array passes over its whole grid, by one rule for every
 family.  The family's entries map (for xrandom, ``random_x_entries`` of the
 seeds) gives the X-state entries of every grid value, and ``entangled`` is
 ``states.xstate_entangled`` of them, valid or not.  ``valid`` is the mask of
-the family's domain (xrandom has none) and of ``xstate_valid``: what its
-checked constructor (``werner_params``, ``random_x_params``, ...) accepts.  The
-valid rows' matrices form one (V, 4, 4) stack, validated and evaluated a
-block at a time by the functions of one-state evaluation, so each row equals
-``purity_set`` of its state.  The invalid rows keep the closed forms, in one
-elementwise call: ``x_state_purities`` of the entries fills mu12, mu1, mu2,
-mu_tilde, delta and lhs5 = mu1 + mu2 - 1 for Werner and beta; for Gisin,
+the family's domain (xrandom has none) and of ``xstate_valid``: the rows
+whose state its checked constructor (``werner_state``, ``x_state`` of a
+seed's entries, ...) builds.  The valid rows' matrices form one (V, 4, 4)
+stack, validated and evaluated a block at a time by the functions of
+one-state evaluation, so each row equals ``purity_set`` of its state.  The
+invalid rows keep the closed forms, in one elementwise call:
+``x_state_purities`` of the entries fills mu12, mu1, mu2, mu_tilde, delta
+and lhs5 = mu1 + mu2 - 1 for Werner and beta; for Gisin,
 ``_gisin_closed`` of the raw amplitudes fills mu12, mu_tilde, delta and
 lhs5, and mu1 and mu2 are blank.  Each value has the bits of its one-point
 evaluation.
@@ -35,6 +36,7 @@ from .density import (
     BlockShape,
     DensityBlock,
     in_blocks,
+    require_int,
     sample_block,
     sample_blocks,
     validate_block,
@@ -85,6 +87,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SpecError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        object.__setattr__(self, "count", require_int(self.count, "count", SpecError))
         if self.count < 2:
             raise SpecError(f"count must be >= 2, got {self.count}")
         bounds = {"start": self.start, "stop": self.stop, "stop - start": self.stop - self.start,
@@ -244,13 +247,13 @@ def _sample_recipe(shape: BlockShape, index: int, seed: int) -> tuple[str, int, 
     return "separable", (index // 2) % 4 + 1, sample_seed
 
 
-def _subset_stats(deltas: list[float]) -> SubsetStats:
-    if not deltas:
+def _subset_stats(deltas: np.ndarray) -> SubsetStats:
+    if not len(deltas):
         return SubsetStats(count=0, min_delta=None, max_delta=None, mean_delta=None)
     return SubsetStats(
         count=len(deltas),
-        min_delta=min(deltas),
-        max_delta=max(deltas),
+        min_delta=float(np.min(deltas)),
+        max_delta=float(np.max(deltas)),
         mean_delta=math.fsum(deltas) / len(deltas),
     )
 
@@ -263,33 +266,31 @@ def scan_conjecture(shape: BlockShape, samples: int, seed: int,
     A counterexample is a sample with entangled=True and delta <= tol;
     separable samples can never be counterexamples by definition (delta < 0
     on separable states is allowed and expected).  The report is a pure
-    function of (shape, samples, seed, tol).  ``tol`` must be a finite
-    number >= 0 and the shape one with a conclusive PPT verdict; both are
-    checked before any draw.
+    function of (shape, samples, seed, tol).  ``samples`` must be an
+    integer >= 1, ``tol`` a finite number >= 0 and the shape one with a
+    conclusive PPT verdict; all are checked before any draw.
     """
+    samples = require_int(samples, "samples", SpecError)
     if samples < 1:
         raise SpecError(f"samples must be >= 1, got {samples}")
     require_tol(tol)
     _require_ppt_shape(shape)
-    counterexamples: list[ScanSample] = []
-    entangled_deltas: list[float] = []
-    separable_deltas: list[float] = []
-    recipes = (_sample_recipe(shape, index, seed) for index in range(samples))
-    index = 0
-    for block in sample_blocks(shape, recipes):
-        verdicts = ppt_entangled_block(block).tolist()
-        for d, entangled in zip(delta_block(block).tolist(), verdicts):
-            (entangled_deltas if entangled else separable_deltas).append(d)
-            if entangled and d <= tol:
-                kind, size, sample_seed = _sample_recipe(shape, index, seed)
-                counterexamples.append(ScanSample(
-                    index=index, seed=sample_seed, kind=kind, size=size,
-                    delta=d, entangled=True,
-                ))
-            index += 1
+    deltas, entangled = [], []
+    for block in sample_blocks(shape, (_sample_recipe(shape, index, seed)
+                                       for index in range(samples))):
+        entangled.append(ppt_entangled_block(block))
+        deltas.append(delta_block(block))
+    deltas, entangled = np.concatenate(deltas), np.concatenate(entangled)
+    counterexamples = []
+    for index in np.flatnonzero(entangled & (deltas <= tol)).tolist():
+        kind, size, sample_seed = _sample_recipe(shape, index, seed)
+        counterexamples.append(ScanSample(
+            index=index, seed=sample_seed, kind=kind, size=size,
+            delta=float(deltas[index]), entangled=True,
+        ))
     return ScanReport(
         shape=(shape.n, shape.m), samples=samples, seed=seed, tol=tol,
         counterexamples=tuple(counterexamples),
-        entangled_stats=_subset_stats(entangled_deltas),
-        separable_stats=_subset_stats(separable_deltas),
+        entangled_stats=_subset_stats(deltas[entangled]),
+        separable_stats=_subset_stats(deltas[~entangled]),
     )

@@ -39,15 +39,15 @@ from puritylab.errors import (
 from puritylab.inequalities import purity_set
 from puritylab.prng import SplitMix64
 from puritylab.states import (
-    XStateParams,
+    XEntries,
     _gisin_closed,
     beta_entries,
-    beta_params,
+    beta_state,
     gisin_entries,
-    gisin_params,
-    random_x_params,
+    gisin_state,
+    random_x_entries,
     werner_entries,
-    werner_params,
+    werner_state,
     x_state,
     x_state_purities,
     xstate_entangled,
@@ -121,10 +121,10 @@ def scalar_random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> De
     return make_density(acc, shape)
 
 
-def scalar_random_x_params(seed: int) -> XStateParams:
-    """X-state parameters drawn one uniform at a time from ``SplitMix64``:
-    four exponentials normalized to the diagonal, then |c14|, its phase,
-    |c23| and its phase."""
+def scalar_random_x_params(seed: int) -> XEntries:
+    """The six X-state entries drawn one uniform at a time from
+    ``SplitMix64``: four exponentials normalized to the diagonal, then
+    |c14|, its phase, |c23| and its phase."""
     gen = SplitMix64(seed)
     raw = [-math.log(gen.uniform()) for _ in range(4)]
     total = sum(raw)
@@ -133,11 +133,15 @@ def scalar_random_x_params(seed: int) -> XStateParams:
     ph14 = 2.0 * math.pi * gen.uniform()
     mag23 = gen.uniform() * math.sqrt(d2 * d3)
     ph23 = 2.0 * math.pi * gen.uniform()
-    return XStateParams(
-        d1=d1, d2=d2, d3=d3, d4=d4,
-        c14=mag14 * complex(math.cos(ph14), math.sin(ph14)),
-        c23=mag23 * complex(math.cos(ph23), math.sin(ph23)),
-    )
+    return (d1, d2, d3, d4,
+            mag14 * complex(math.cos(ph14), math.sin(ph14)),
+            mag23 * complex(math.cos(ph23), math.sin(ph23)))
+
+
+def one_x_entries(seed: int) -> XEntries:
+    """The package's draw of one seed, ``random_x_entries([seed])``, read as
+    six Python scalars: the entries of the random X-state of ``seed``."""
+    return tuple(e.item(0) for e in random_x_entries([seed]))
 
 
 def skewed_pure_state(n: int, m: int, seed: int) -> np.ndarray:
@@ -402,32 +406,34 @@ def mpmath_purity_set(rho, n: int, m: int) -> dict[str, float]:
 
 
 _SCALAR_FAMILIES = {
-    "werner": (werner_entries, werner_params),
-    "beta": (beta_entries, beta_params),
-    "gisin": (gisin_entries, gisin_params),
+    "werner": (werner_entries, werner_state),
+    "beta": (beta_entries, beta_state),
+    "gisin": (gisin_entries, gisin_state),
 }
 
 
 def _scalar_sweep_row(spec: SweepSpec, v: float) -> SweepRow:
     """The row of grid value ``v``, alone: ``entangled`` from the family's
-    entries, ``valid`` from its checked constructor, ``purity_set`` of the
-    validated state where valid and the closed forms where not."""
+    entries, ``valid`` where its checked constructor builds the state,
+    ``purity_set`` of that state where valid and the closed forms where
+    not."""
     if spec.family == "xrandom":
         seed = int(round(v))
-        params = random_x_params(seed)
+        entries = one_x_entries(seed)
+        rho = x_state(entries)
         v = float(seed)
     else:
         entries_of, checked = _SCALAR_FAMILIES[spec.family]
         args = (v, spec.a, spec.b) if spec.family == "gisin" else (v,)
+        entries = entries_of(*args)
         try:
-            params = checked(*args)
+            rho = checked(*args)
         except (DomainError, NotPositive, TraceNotOne):
-            params = None
-            entries = entries_of(*args)
-    if params is not None:
-        ps = purity_set(x_state(params))
+            rho = None
+    if rho is not None:
+        ps = purity_set(rho)
         return SweepRow(v, True, ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta,
-                        ps.mu1 + ps.mu2 - 1.0, bool(xstate_entangled(params)))
+                        ps.mu1 + ps.mu2 - 1.0, bool(xstate_entangled(entries)))
     if spec.family == "gisin":
         lhs5, mt, mu12 = _gisin_closed(v, abs(spec.a) ** 2, abs(spec.b) ** 2)
         mu1 = mu2 = None

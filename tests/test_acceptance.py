@@ -20,6 +20,7 @@ from oracles import (
     index_block_sum,
     index_block_trace,
     jacobi_eigenvalues,
+    one_x_entries,
     random_hermitian,
 )
 from puritylab.density import (
@@ -31,13 +32,11 @@ from puritylab.inequalities import audit_reports, delta, find_delta_roots, purit
 from puritylab.linalg import hermitian_eig
 from puritylab.prng import child_seed
 from puritylab.states import (
-    XStateParams,
     _gisin_closed,
     gisin_entries,
     gisin_state,
     gisin_x_max,
     ppt_entangled,
-    random_x_params,
     werner_state,
     x_state,
     x_state_purities,
@@ -165,7 +164,7 @@ def test_criterion_4b_gisin_delta_root_near_x_max():
     signs = []
     worst = 0.0
     for x in mids:
-        rho = x_state(XStateParams(*gisin_entries(x, a, b)))
+        rho = x_state(gisin_entries(x, a, b))
         d = purity_set(rho).delta
         signs.append(1 if d > 0 else -1)
         worst = max(worst, abs(d - closed_delta(x)))
@@ -223,7 +222,7 @@ def test_criterion_6_inequality_audit():
 def test_criterion_7_oracle_equivalence():
     worst_closed = 0.0
     for k in range(10_000):
-        params = random_x_params(k + 1)
+        params = one_x_entries(k + 1)
         closed = x_state_purities(params)
         rho = x_state(params)
         reports = {rep.name: rep for rep in audit_reports(rho, tol=1e-9)}

@@ -7,14 +7,13 @@ not rest on the package's own pipeline.
 
 import pytest
 
-from oracles import delta_and_min_pt
+from oracles import delta_and_min_pt, one_x_entries
 from puritylab.defaults import ENTANGLE_TOL, REPORT_TOL
 from puritylab.density import BlockShape, make_density
 from puritylab.inequalities import delta
 from puritylab.prng import child_seed
 from puritylab.states import (
     ppt_entangled,
-    random_x_params,
     x_state,
     x_state_purities,
     xstate_entangled,
@@ -59,13 +58,13 @@ class TestXStateCounterexample:
     SEED = 19584
 
     def test_closed_form_and_pipeline_agree(self):
-        params = random_x_params(self.SEED)
+        params = one_x_entries(self.SEED)
         closed = x_state_purities(params).delta
         assert closed == pytest.approx(-0.054277, abs=5e-7)
         assert abs(delta(x_state(params)) - closed) <= 1e-12
 
     def test_entangled_with_negative_delta_by_oracle(self):
-        params = random_x_params(self.SEED)
+        params = one_x_entries(self.SEED)
         rho = x_state(params)
         assert xstate_entangled(params)
         assert ppt_entangled(rho)

@@ -93,6 +93,17 @@ class TestMakeDensity:
         with pytest.raises(ShapeMismatch):
             make_density(np.eye(4) / 4, BlockShape(2, 3))
 
+    @pytest.mark.parametrize("n, m", [(2.5, 2), (2, 2.0), (np.float64(2), 2)])
+    def test_non_integer_block_shape_rejected(self, n, m):
+        # BlockShape(2.5, 2) had dim 5.0: a 5x5 matrix passed validation,
+        # and purity_set then raised a bare TypeError
+        with pytest.raises(ShapeMismatch, match="must be an integer"):
+            BlockShape(n, m)
+
+    def test_numpy_integer_block_shape_accepted(self):
+        shape = BlockShape(np.int64(2), np.int32(2))
+        assert make_density(np.eye(4) / 4, shape).shape == SHAPE22
+
     def test_no_silent_renormalization(self):
         with pytest.raises(TraceNotOne):
             make_density(np.eye(4), SHAPE22)

@@ -10,6 +10,7 @@ Hermitian eigensolves of each dimension every command performs per state.
 import numpy as np
 import pytest
 
+from oracles import one_x_entries
 from puritylab import density
 from puritylab.cli import cli_main
 from puritylab.density import SAMPLE_BLOCK, BlockShape, random_density, sample_blocks
@@ -27,7 +28,6 @@ from puritylab.states import (
     gisin_state,
     ppt_entangled,
     ppt_entangled_block,
-    random_x_params,
     werner_state,
     x_state,
 )
@@ -79,7 +79,7 @@ def one_state(spec, param):
     its constructor refuses the parameter."""
     try:
         if spec.family == "xrandom":
-            return x_state(random_x_params(int(param)))
+            return x_state(one_x_entries(int(param)))
         if spec.family == "werner":
             return werner_state(param)
         return gisin_state(param, spec.a, spec.b)

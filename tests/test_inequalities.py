@@ -369,6 +369,15 @@ class TestFindDeltaRoots:
         with pytest.raises(BadInterval):
             find_delta_roots(lambda x: x, 0.0, 1.0, grid=1)
 
+    @pytest.mark.parametrize("grid", [2.5, 3.0, np.float64(11)])
+    def test_non_integer_grid_rejected(self, grid):
+        # grid=2.5 put grid points past hi: a root at 1.2 was found on [0, 1]
+        with pytest.raises(BadInterval, match="grid must be an integer"):
+            find_delta_roots(lambda x: x - 1.2, 0.0, 1.0, grid=grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        assert find_delta_roots(lambda x: x, -1.0, 1.0, grid=np.int64(3), tol=1e-10) == [0.0]
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_bad_tol_refused_before_any_call(self, tol):
         # tol = 0 used to bisect forever and tol = nan to skip bisection; an f

@@ -28,7 +28,7 @@ def unused_sibling_imports(source: str) -> list[str]:
 
 def test_finds_planted_unused_imports():
     source = ("from __future__ import annotations\nimport math\n"
-              "from .states import random_x_entries, random_x_params as draw\n"
+              "from .states import random_x_entries, werner_entries as draw\n"
               "from .density import BlockShape, DensityBlock\nfrom . import errors\n"
               "def f(shape: BlockShape) -> DensityBlock:\n"
               "    return random_x_entries([shape.n])\n")

@@ -1,6 +1,6 @@
 """The README's library quick tour runs as written, the package's top
 level carries exactly the names it imports, plus ``__version__``, and every
-name of code the README quotes exists."""
+name of code the README or a package docstring quotes exists."""
 
 import ast
 import builtins
@@ -63,19 +63,51 @@ def code_names() -> set[str]:
     return names
 
 
-def quoted_names() -> set[tuple[str, str]]:
-    """(name, span) for each name of code in the README's inline code spans:
-    an identifier with ``_`` or in CamelCase, or a ``*_suffix`` pattern.
-    Spans naming pandas, and formulas (with ``·`` or ``|x|``), are skipped."""
-    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
-    return {(name, span) for span in re.findall(r"`([^`]+)`", text)
-            if "pandas" not in span and "·" not in span and "|" not in span
+def names_in(spans, formula: str) -> set[tuple[str, str]]:
+    """(name, span) for each name of code in ``spans``: an identifier with
+    ``_`` or in CamelCase, or a ``*_suffix`` pattern.  Spans matching the
+    regex ``formula`` are skipped."""
+    return {(name, span) for span in spans if not re.search(formula, span)
             for name in re.findall(r"\*?[A-Za-z_]\w*", span)
             if "_" in name or (name[0].isupper() and re.search("[a-z][A-Z]", name))}
 
 
+def quoted_names() -> set[tuple[str, str]]:
+    """Names of code in the README's inline code spans.  Spans naming
+    pandas, and formulas (with ``·`` or ``|x|``), are skipped."""
+    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    return names_in(re.findall(r"`([^`]+)`", text), r"pandas|·|\|")
+
+
+def docstring_names(source: str) -> set[tuple[str, str]]:
+    """Names of code in the double-backticked spans of a module's
+    docstrings.  Formulas are skipped: spans with ``·``, ``|x|`` or an
+    operator between spaces, such as ``start_i + j * GAMMA``."""
+    spans = [span for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+             for span in re.findall(r"``([^`]+)``", ast.get_docstring(node, clean=False) or "")]
+    return names_in(spans, r"·|\|| [-+*/] ")
+
+
+def missing_names(quoted: set[tuple[str, str]], names: set[str]) -> list[tuple[str, str]]:
+    return sorted((name, span) for name, span in quoted if name not in names
+                  and not any(fnmatch.fnmatchcase(known, name) for known in names))
+
+
 def test_named_code_exists():
     names = code_names()
-    missing = sorted((name, span) for name, span in quoted_names() if name not in names
-                     and not any(fnmatch.fnmatchcase(known, name) for known in names))
-    assert not missing
+    assert not missing_names(quoted_names(), names)
+    package = (ROOT / "src" / "puritylab").glob("*.py")
+    quoted = set().union(*(docstring_names(path.read_text(encoding="utf-8")) for path in package))
+    assert len(quoted) > 20
+    assert not missing_names(quoted, names)
+
+
+def test_docstring_names_find_a_deleted_name():
+    source = ('"""Module: ``x_state(werner_entries(p))``."""\n'
+              'def f(p):\n    """Was ``deleted_helper(p)``; ``start_i + j * GAMMA``."""\n')
+    assert docstring_names(source) == {("x_state", "x_state(werner_entries(p))"),
+                                       ("werner_entries", "x_state(werner_entries(p))"),
+                                       ("deleted_helper", "deleted_helper(p)")}
+    assert missing_names(docstring_names(source), code_names()) == [
+        ("deleted_helper", "deleted_helper(p)")]

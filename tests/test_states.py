@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_random_x_params, werner_matrix
+from oracles import one_x_entries, scalar_random_x_params, werner_matrix
 from puritylab.defaults import XSTATE_PARAM_TOL
 from puritylab.density import purities
 from puritylab.errors import (
@@ -20,20 +20,15 @@ from puritylab.inequalities import audit_reports, purity_set
 from puritylab.linalg import hermitian_eig
 from puritylab.prng import child_seed
 from puritylab.states import (
-    XStateParams,
     beta_entries,
-    beta_params,
     beta_state,
     gisin_domain,
     gisin_entries,
-    gisin_params,
     gisin_state,
     gisin_x_max,
     ppt_entangled,
     random_x_entries,
-    random_x_params,
     werner_entries,
-    werner_params,
     werner_state,
     x_state,
     x_state_purities,
@@ -44,48 +39,54 @@ from puritylab.states import _gisin_closed, _gisin_norm_defect
 
 seeds = st.integers(0, 10**6)
 
-BELL_PARAMS = XStateParams(0.5, 0.0, 0.0, 0.5, c14=0.5)
-E11_PARAMS = XStateParams(1.0, 0.0, 0.0, 0.0)
+FIELDS = ("d1", "d2", "d3", "d4", "c14", "c23")
+BELL_PARAMS = (0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
+E11_PARAMS = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+MIXED_PARAMS = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
 
 
 class TestXStateParams:
+    """``x_state`` checks the six entries before it forms the matrix."""
+
     def test_trace_enforced(self):
-        with pytest.raises(TraceNotOne):
-            XStateParams(0.5, 0.5, 0.5, 0.5)
+        with pytest.raises(TraceNotOne, match="diagonal sums to 2.0"):
+            x_state((0.5, 0.5, 0.5, 0.5, 0.0, 0.0))
 
     def test_positivity_enforced(self):
-        with pytest.raises(NotPositive):
-            XStateParams(0.4, 0.1, 0.1, 0.4, c23=0.2)
-        with pytest.raises(NotPositive):
-            XStateParams(0.4, 0.1, 0.1, 0.4, c14=0.5)
+        with pytest.raises(NotPositive, match=r"d2\*d3 = "):
+            x_state((0.4, 0.1, 0.1, 0.4, 0.0, 0.2))
+        with pytest.raises(NotPositive, match=r"d1\*d4 = "):
+            x_state((0.4, 0.1, 0.1, 0.4, 0.5, 0.0))
 
     def test_negative_diagonal_rejected(self):
-        with pytest.raises(NotPositive):
-            XStateParams(-0.1, 0.5, 0.3, 0.3)
+        with pytest.raises(NotPositive, match="diagonal entries must be nonnegative"):
+            x_state((-0.1, 0.5, 0.3, 0.3, 0.0, 0.0))
 
     @pytest.mark.parametrize("field, value", [
-        (field, value) for field in ("d1", "d2", "d3", "d4", "c14", "c23")
+        (field, value) for field in FIELDS
         for value in (math.nan, math.inf, -math.inf)
     ] + [("c14", complex(0.0, math.nan)), ("c23", complex(math.inf, 1.0))])
     def test_non_finite_rejected(self, field, value):
         # a NaN passed every comparison, and x_state_purities returned NaN
-        values = dict(d1=0.25, d2=0.25, d3=0.25, d4=0.25, c14=0.0, c23=0.0)
-        values[field] = value
+        values = list(MIXED_PARAMS)
+        values[FIELDS.index(field)] = value
         with pytest.raises(DomainError, match="must be finite"):
-            XStateParams(**values)
+            x_state(values)
 
     @pytest.mark.parametrize("field, value", [("c14", 1e200), ("c23", 1e200j)])
     def test_huge_coherence_not_positive(self, field, value):
         # finite, but |c|^2 overflows to inf: a refusal, not an OverflowError
+        values = list(MIXED_PARAMS)
+        values[FIELDS.index(field)] = value
         with pytest.raises(NotPositive, match=rf"\|{field}\|\^2 = inf"):
-            XStateParams(0.25, 0.25, 0.25, 0.25, **{field: value})
+            x_state(values)
 
     def test_random_draw_equals_scalar_draw(self):
         # the stream draw has the bits of one SplitMix64 uniform at a time
         # (repr round-trips every float, so equal reprs mean equal bits)
         seeds = [*range(5000), *(child_seed(11, k) for k in range(5000))]
         for seed in seeds:
-            assert repr(random_x_params(seed)) == repr(scalar_random_x_params(seed)), seed
+            assert repr(one_x_entries(seed)) == repr(scalar_random_x_params(seed)), seed
 
     def test_entries_of_many_seeds_equal_scalar_draws(self):
         # one array of 10^4 seeds, negative ones and ones >= 2^64 among
@@ -107,12 +108,12 @@ class TestXStateParams:
 
 class TestXState:
     def test_uniform_diagonal_is_maximally_mixed(self):
-        rho = x_state(XStateParams(0.25, 0.25, 0.25, 0.25))
+        rho = x_state(MIXED_PARAMS)
         assert np.array_equal(rho.mat, np.eye(4) / 4)
 
     def test_werner_params_byte_identical_to_werner_state(self):
         for p in (-1 / 3, 0.0, 0.37, 1.0):
-            via_x = x_state(werner_params(p))
+            via_x = x_state(werner_entries(p))
             direct = werner_state(p)
             assert via_x.mat.tobytes() == direct.mat.tobytes()
 
@@ -123,7 +124,7 @@ class TestXState:
         assert np.allclose(vals, [0, 0, 0, 1], atol=1e-14)
 
     def test_conjugate_structure(self):
-        params = XStateParams(0.3, 0.2, 0.2, 0.3, c14=0.1 + 0.2j, c23=0.05 - 0.1j)
+        params = (0.3, 0.2, 0.2, 0.3, 0.1 + 0.2j, 0.05 - 0.1j)
         rho = x_state(params)
         assert rho.mat[3, 0] == np.conj(rho.mat[0, 3])
         assert rho.mat[2, 1] == np.conj(rho.mat[1, 2])
@@ -132,28 +133,28 @@ class TestXState:
 class TestXStatePurities:
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.5, 1.0])
     def test_werner_closed_forms(self, p):
-        ps = x_state_purities(werner_params(p))
+        ps = x_state_purities(werner_entries(p))
         assert ps.mu12 == pytest.approx((3 * p * p + 1) / 4, abs=1e-14)
         assert ps.mu1 == pytest.approx(0.5, abs=1e-14)
         assert ps.mu2 == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_beta_closed_forms(self, beta):
-        ps = x_state_purities(beta_params(beta))
+        ps = x_state_purities(beta_entries(beta))
         assert ps.mu12 == pytest.approx(2 * beta * beta - 2 * beta + 1, abs=1e-14)
         assert ps.mu1 == pytest.approx(0.5, abs=1e-14)
         assert ps.mu2 == pytest.approx(0.5, abs=1e-14)
         assert ps.mu_tilde == pytest.approx(8 * beta * beta - 8 * beta + 3, abs=1e-14)
 
     def test_maximally_mixed(self):
-        ps = x_state_purities(XStateParams(0.25, 0.25, 0.25, 0.25))
+        ps = x_state_purities(MIXED_PARAMS)
         assert ps.mu12 == pytest.approx(0.25, abs=1e-15)
         assert ps.mu_tilde == pytest.approx(0.0, abs=1e-15)
 
     @given(seeds)
     @settings(max_examples=150)
     def test_matches_generic_pipeline(self, seed):
-        params = random_x_params(seed)
+        params = one_x_entries(seed)
         closed = x_state_purities(params)
         generic = purity_set(x_state(params))
         assert closed.mu12 == pytest.approx(generic.mu12, abs=1e-12)
@@ -163,10 +164,10 @@ class TestXStatePurities:
         assert closed.delta == pytest.approx(generic.delta, abs=1e-12)
 
 
-def eq11_lhs(params: XStateParams) -> float:
+def eq11_lhs(params) -> float:
     """The X-state lhs as the paper displays it (eq11 and eq12):
     2 sum d_i^2 + 2(d1+d4)(d2+d3) - 1."""
-    d1, d2, d3, d4 = params.diag
+    d1, d2, d3, d4 = params[:4]
     return 2.0 * (d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4) + 2.0 * (d1 + d4) * (d2 + d3) - 1.0
 
 
@@ -175,7 +176,7 @@ class TestEq11Eq12:
     of ``x_state_purities``, against mu12 and mu_tilde."""
 
     def test_maximally_mixed(self):
-        closed = x_state_purities(XStateParams(0.25, 0.25, 0.25, 0.25))
+        closed = x_state_purities(MIXED_PARAMS)
         assert closed.mu1 + closed.mu2 - 1.0 == pytest.approx(0.0, abs=1e-14)
         assert closed.mu12 == pytest.approx(0.25, abs=1e-14)
 
@@ -198,7 +199,7 @@ class TestEq11Eq12:
     @given(seeds)
     @settings(max_examples=100)
     def test_margins_match_generic_checks(self, seed):
-        params = random_x_params(seed)
+        params = one_x_entries(seed)
         closed = x_state_purities(params)
         lhs = closed.mu1 + closed.mu2 - 1.0
         assert eq11_lhs(params) == pytest.approx(lhs, abs=1e-14)
@@ -208,9 +209,9 @@ class TestEq11Eq12:
 
     @pytest.mark.parametrize("p", [0.0, 0.4, 0.9])
     def test_werner_margins(self, p):
-        closed = x_state_purities(werner_params(p))
+        closed = x_state_purities(werner_entries(p))
         lhs = closed.mu1 + closed.mu2 - 1.0
-        assert eq11_lhs(werner_params(p)) == pytest.approx(lhs, abs=1e-14)
+        assert eq11_lhs(werner_entries(p)) == pytest.approx(lhs, abs=1e-14)
         reports = {rep.name: rep for rep in audit_reports(werner_state(p))}
         assert closed.mu12 - lhs == pytest.approx(reports["eq5"].margin, abs=1e-12)
         assert closed.mu_tilde - lhs == pytest.approx(reports["eq10"].margin, abs=1e-12)
@@ -230,7 +231,7 @@ class TestWerner:
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
-            werner_params(1.01)
+            werner_state(1.01)
         with pytest.raises(DomainError):
             werner_state(-0.34)
 
@@ -239,25 +240,26 @@ class TestWerner:
 
 
 class TestEntries:
-    """The ``*_params`` constructors are their domain checks followed by
-    ``XStateParams`` of the family's entries map."""
+    """The ``*_state`` constructors are their domain checks followed by
+    ``x_state`` of the family's entries map: the same matrix bytes."""
 
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.3, 1 / 3, 0.8, 1.0])
     def test_werner(self, p):
-        assert tuple(werner_params(p)) == werner_entries(p)
+        assert werner_state(p).mat.tobytes() == x_state(werner_entries(p)).mat.tobytes()
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9, 1.0])
     def test_beta(self, beta):
-        assert tuple(beta_params(beta)) == beta_entries(beta)
+        assert beta_state(beta).mat.tobytes() == x_state(beta_entries(beta)).mat.tobytes()
 
     @pytest.mark.parametrize("x, a, b", [(0.3, 0.6, 0.8), (0.9, 0.6, 0.8),
                                          (0.5, 0.6j, 0.8), (0.7, 1.0, 0.0)])
     def test_gisin(self, x, a, b):
         if not gisin_domain(x, a, b):
             with pytest.raises(DomainError, match="separability threshold"):
-                gisin_params(x, a, b)
+                gisin_state(x, a, b)
             return
-        assert tuple(gisin_params(x, a, b)) == gisin_entries(x, a, b)
+        assert (gisin_state(x, a, b).mat.tobytes()
+                == x_state(gisin_entries(x, a, b)).mat.tobytes())
 
     @pytest.mark.parametrize("a, b", [(0.6, 0.8), (-0.6, -0.8), (0.6j, 0.8),
                                       (complex(0.6), complex(-0.8)), (0.3 + 0.4j, 0.5 - 0.7j)])
@@ -271,7 +273,7 @@ class TestEntries:
         assert c23.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_valid_mask_is_the_constructor_rule(self):
-        # entries on both sides of each XStateParams rule
+        # entries on both sides of each rule x_state checks
         rng = np.random.default_rng(1)
         d = rng.dirichlet(np.ones(4), 4000)
         d[::7, 1] -= 1e-13 * rng.uniform(0.0, 2.0, len(d[::7]))
@@ -294,7 +296,7 @@ class TestEntries:
         accepted = []
         for row in zip(*(e.tolist() for e in entries)):
             try:
-                XStateParams(*row)
+                x_state(row)
             except (DomainError, NotPositive, TraceNotOne):
                 accepted.append(False)
             else:
@@ -309,7 +311,7 @@ class TestEntries:
         entries = werner_entries(p)
         assert sum(entries[:4]) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(DomainError):
-            werner_params(p)
+            werner_state(p)
         ps = x_state_purities(entries)
         assert ps.mu12 == pytest.approx((3 * p * p + 1) / 4, rel=1e-15)
         assert ps.mu_tilde == pytest.approx(3 * p * p, rel=1e-15)
@@ -319,7 +321,7 @@ class TestEntries:
 class TestGisin:
     def test_huge_amplitude_domain_error(self):
         with pytest.raises(DomainError, match="deviates from 1 by inf"):
-            gisin_params(0.5, 1e200, 0)
+            gisin_state(0.5, 1e200, 0)
 
     def test_x_max_values(self):
         assert gisin_x_max(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -336,7 +338,7 @@ class TestGisin:
         x, a, b = 0.75, 0.2, math.sqrt(1 - 0.04)
         with pytest.raises(DomainError, match="separability threshold"):
             gisin_state(x, a, b)
-        rho = x_state(XStateParams(*gisin_entries(x, a, b)))
+        rho = x_state(gisin_entries(x, a, b))
         assert float(hermitian_eig(rho.mat).values[0]) >= -1e-15
 
     @pytest.mark.parametrize("x, a, b", [(0.3, 0.6, 0.8), (0.9, 0.6, 0.8),
@@ -349,7 +351,7 @@ class TestGisin:
         expected[2, 2] = x * abs(b) ** 2
         expected[1, 2] = x * a * np.conj(b)
         expected[2, 1] = np.conj(expected[1, 2])
-        rho = x_state(XStateParams(*gisin_entries(x, a, b)))
+        rho = x_state(gisin_entries(x, a, b))
         assert rho.mat.tobytes() == expected.tobytes()
 
     def test_diagonal_family_valid_everywhere(self):
@@ -359,7 +361,7 @@ class TestGisin:
 
     def test_normalization_slack(self):
         with pytest.raises(DomainError):
-            gisin_params(0.5, 1.5, 0.0)
+            gisin_state(0.5, 1.5, 0.0)
         # the non-normalized reference pair is within the slack
         assert _gisin_norm_defect(0.07, 0.99) is None
         assert gisin_x_max(0.07, 0.99) == pytest.approx(0.878, abs=1e-3)
@@ -370,9 +372,9 @@ class TestGisin:
 
     def test_x_domain(self):
         with pytest.raises(DomainError):
-            gisin_params(0.0, 0.6, 0.8)
+            gisin_state(0.0, 0.6, 0.8)
         with pytest.raises(DomainError):
-            gisin_params(1.0, 0.6, 0.8)
+            gisin_state(1.0, 0.6, 0.8)
 
     def test_closed_forms_diagonal_family(self):
         for x in (0.2, 0.5, 0.9):
@@ -467,6 +469,48 @@ def test_gisin_refusals_and_states(x, a, b, error, expected):
     assert str(info.value) == expected
 
 
+# Every Werner and beta refusal and a few acceptances, as GISIN_CASES: the
+# parameter, then the exception class and its full message, or the sha256
+# of the accepted state's matrix bytes.  The parameter is read as a float.
+WERNER_CASES = [
+    (1.01, DomainError, "Werner parameter must lie in [-1/3, 1], got 1.01"),
+    (-0.34, DomainError, "Werner parameter must lie in [-1/3, 1], got -0.34"),
+    (2, DomainError, "Werner parameter must lie in [-1/3, 1], got 2.0"),
+    (math.nan, DomainError, "Werner parameter must lie in [-1/3, 1], got nan"),
+    (math.inf, DomainError, "Werner parameter must lie in [-1/3, 1], got inf"),
+    (-1 / 3, None, "5463d49701759d3bc3c44139c916cfddb3357d45a68fecc2b1b1fa793fa9934f"),
+    (1 / 3, None, "8cfbbe057b2f79140ae9a2c8d9e9fc2a0c226863e7a1abb6317e53cc5679bf46"),
+    (0.8, None, "0887c7dc5cded26343a919aa5a44509b16c61d3f1ec7ba11f97b7e4c4fd08ab3"),
+    (1.0, None, "765c6024b5d7e983de2e17ee52973a5dd074746b1811b4a75464400a70e98228"),
+]
+BETA_CASES = [
+    (-0.01, DomainError, "beta must lie in [0, 1], got -0.01"),
+    (1.01, DomainError, "beta must lie in [0, 1], got 1.01"),
+    (np.int64(2), DomainError, "beta must lie in [0, 1], got 2.0"),
+    (math.nan, DomainError, "beta must lie in [0, 1], got nan"),
+    (-math.inf, DomainError, "beta must lie in [0, 1], got -inf"),
+    (0.0, None, "d8b85d389e4228b7e314901649125b979d3b354703a930dd4c27f1774410f7ba"),
+    (0.5, None, "703267e22addb0e32c6a0c5d700f1e1baee7aeb026e86cce8caba8206d313665"),
+    (0.9, None, "31510f30d250e9295452b4879e819b55f59216ba599151b8880e843464420d5f"),
+    (1.0, None, "765c6024b5d7e983de2e17ee52973a5dd074746b1811b4a75464400a70e98228"),
+]
+
+
+@pytest.mark.parametrize("constructor, param, error, expected", [
+    *((werner_state, *case) for case in WERNER_CASES),
+    *((beta_state, *case) for case in BETA_CASES),
+])
+def test_werner_and_beta_refusals_and_states(constructor, param, error, expected):
+    if error is None:
+        rho = constructor(param)
+        assert hashlib.sha256(rho.mat.tobytes()).hexdigest() == expected
+        return
+    with pytest.raises(PurityLabError) as info:
+        constructor(param)
+    assert type(info.value) is error
+    assert str(info.value) == expected
+
+
 class TestBeta:
     def test_half_is_quarter_filled_x_pattern(self):
         rho = beta_state(0.5)
@@ -490,21 +534,21 @@ class TestBeta:
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
-            beta_params(-0.01)
+            beta_state(-0.01)
         with pytest.raises(DomainError):
             beta_state(1.01)
 
 
 class TestEntanglement:
     def test_werner_thresholds(self):
-        assert xstate_entangled(werner_params(0.5))
-        assert not xstate_entangled(werner_params(0.2))
-        assert not xstate_entangled(werner_params(1 / 3))
+        assert xstate_entangled(werner_entries(0.5))
+        assert not xstate_entangled(werner_entries(0.2))
+        assert not xstate_entangled(werner_entries(1 / 3))
 
     def test_beta_thresholds(self):
-        assert not xstate_entangled(beta_params(0.5))
-        assert xstate_entangled(beta_params(0.9))
-        assert xstate_entangled(beta_params(0.0))
+        assert not xstate_entangled(beta_entries(0.5))
+        assert xstate_entangled(beta_entries(0.9))
+        assert xstate_entangled(beta_entries(0.0))
 
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.33, 0.3334, 0.5, 1.0])
     def test_ppt_matches_werner_domain(self, p):
@@ -514,7 +558,7 @@ class TestEntanglement:
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
         for x in (0.2, x_max - 0.01, x_max + 0.01, 0.9):
-            rho = x_state(XStateParams(*gisin_entries(x, a, b)))
+            rho = x_state(gisin_entries(x, a, b))
             assert ppt_entangled(rho) == (x > x_max)
 
     def test_unsupported_shape(self):
@@ -527,7 +571,7 @@ class TestEntanglement:
     @given(seeds)
     @settings(max_examples=150)
     def test_agrees_with_ppt_on_x_states(self, seed):
-        params = random_x_params(seed)
+        params = one_x_entries(seed)
         assert xstate_entangled(params) == ppt_entangled(x_state(params))
 
     def test_agrees_with_ppt_bulk(self):
@@ -535,14 +579,14 @@ class TestEntanglement:
         # on a large ensemble, not just on shrunk examples
         disagreements = sum(
             xstate_entangled(params) != ppt_entangled(x_state(params))
-            for params in map(random_x_params, range(10_000))
+            for params in map(one_x_entries, range(10_000))
         )
         assert disagreements == 0
 
     @given(seeds)
     @settings(max_examples=150)
     def test_at_most_one_entanglement_chain(self, seed):
-        params = random_x_params(seed)
-        first = abs(params.c14) ** 2 > params.d2 * params.d3
-        second = abs(params.c23) ** 2 > params.d1 * params.d4
+        d1, d2, d3, d4, c14, c23 = one_x_entries(seed)
+        first = abs(c14) ** 2 > d2 * d3
+        second = abs(c23) ** 2 > d1 * d4
         assert not (first and second)

@@ -18,6 +18,7 @@ from puritylab import sweep
 from puritylab.defaults import ENTANGLE_TOL
 from puritylab.density import BlockShape
 from puritylab.errors import DomainError, SpecError
+from puritylab.fileio import scan_report_json
 from puritylab.inequalities import audit_reports, delta, find_delta_roots, purity_set
 from puritylab.states import _gisin_closed, gisin_state, gisin_x_max
 from puritylab.sweep import (
@@ -45,6 +46,16 @@ class TestSweepSpec:
     def test_count_too_small(self):
         with pytest.raises(SpecError):
             SweepSpec(family="werner", start=0, stop=1, count=1)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3)])
+    def test_non_integer_count_rejected(self, count):
+        # count=2.5 swept a row at p = 1.333, past stop
+        with pytest.raises(SpecError, match="count must be an integer"):
+            SweepSpec(family="werner", start=0.0, stop=1.0, count=count)
+
+    def test_numpy_integer_count_accepted(self):
+        rows = run_sweep(SweepSpec(family="werner", start=0.0, stop=1.0, count=np.int64(3)))
+        assert [row.param for row in rows] == [0.0, 0.5, 1.0]
 
     def test_bad_interval(self):
         with pytest.raises(SpecError):
@@ -258,9 +269,9 @@ def family_matrix(spec: SweepSpec, param: float):
         return beta_matrix(param)
     if spec.family == "gisin":
         return gisin_matrix(param, spec.a, spec.b)
-    x = scalar_random_x_params(int(param))
-    mat = np.diag(np.array(x.diag, dtype=np.complex128))
-    mat[0, 3], mat[1, 2] = x.c14, x.c23
+    d1, d2, d3, d4, c14, c23 = scalar_random_x_params(int(param))
+    mat = np.diag(np.array([d1, d2, d3, d4], dtype=np.complex128))
+    mat[0, 3], mat[1, 2] = c14, c23
     return mat
 
 
@@ -344,15 +355,15 @@ class TestXRandomSweep:
 
     def test_one_draw_and_no_per_seed_params(self, monkeypatch):
         # the grid's entries come from one stream_uniforms call, and no
-        # XStateParams is built per seed: xstate_valid checks them once
+        # x_state is built per seed: xstate_valid checks them once
         from puritylab import states
 
         draws, params = [], []
-        real_draw, real_params = states.stream_uniforms, states.XStateParams
+        real_draw, real_x_state = states.stream_uniforms, states.x_state
         monkeypatch.setattr(states, "stream_uniforms",
                             lambda *args: draws.append(args) or real_draw(*args))
-        monkeypatch.setattr(states, "XStateParams",
-                            lambda *args, **kw: params.append(args) or real_params(*args, **kw))
+        monkeypatch.setattr(states, "x_state",
+                            lambda *args: params.append(args) or real_x_state(*args))
         rows = run_sweep(SweepSpec(family="xrandom", start=0, stop=199, count=200))
         assert len(draws) == 1 and params == []
         assert all(row.valid for row in rows)
@@ -366,21 +377,21 @@ class TestSweepInvariants:
             SweepSpec(family="gisin", start=0.05, stop=0.95, count=40, a=0.6, b=0.8),
             SweepSpec(family="xrandom", start=0, stop=39, count=40),
         ]
-        from puritylab.states import (beta_params, gisin_state, random_x_params,
-                                      werner_params, x_state)
+        from oracles import one_x_entries
+        from puritylab.states import beta_state, gisin_state, werner_state, x_state
 
         for spec in specs:
             for row in run_sweep(spec):
                 if not row.valid:
                     continue
                 if spec.family == "werner":
-                    rho = x_state(werner_params(row.param))
+                    rho = werner_state(row.param)
                 elif spec.family == "beta":
-                    rho = x_state(beta_params(row.param))
+                    rho = beta_state(row.param)
                 elif spec.family == "gisin":
                     rho = gisin_state(row.param, spec.a, spec.b)
                 else:
-                    rho = x_state(random_x_params(int(row.param)))
+                    rho = x_state(one_x_entries(int(row.param)))
                 for rep in audit_reports(rho, tol=1e-9):
                     assert rep.satisfied, (spec.family, row.param, rep)
 
@@ -394,6 +405,19 @@ class TestScan:
     def test_alternates_kinds_evenly(self):
         report = scan_conjecture(SHAPE22, samples=40, seed=9)
         assert report.entangled_stats.count + report.separable_stats.count == 40
+
+    @pytest.mark.parametrize("samples", [2.5, 40.0])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(SpecError, match="samples must be an integer"):
+            scan_conjecture(SHAPE22, samples=samples, seed=9)
+
+    def test_numpy_integer_samples_accepted(self):
+        # read as Python ints, so the report's JSON has the same bytes
+        shape = BlockShape(np.int64(2), np.int64(2))
+        report = scan_conjecture(shape, samples=np.int64(40), seed=9)
+        assert report == scan_conjecture(SHAPE22, samples=40, seed=9)
+        assert scan_report_json(report) == scan_report_json(
+            scan_conjecture(SHAPE22, samples=40, seed=9))
 
     def test_counterexamples_are_entangled_with_small_delta(self):
         report = scan_conjecture(SHAPE22, samples=200, seed=5, tol=1e-9)
