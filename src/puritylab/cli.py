@@ -84,7 +84,8 @@ def build_parser() -> _Parser:
     scan.add_argument("--samples", type=int, default=1000)
     scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--tol", type=float, default=REPORT_TOL)
-    scan.add_argument("--out", default=None, help="JSON path (default stdout)")
+    scan.add_argument("--out", default=None,
+                      help="JSON path (default stdout); stdout then gets a summary")
     scan.set_defaults(func=_cmd_scan)
 
     check = sub.add_parser("check", help="evaluate one state from a matrix file")
@@ -98,12 +99,12 @@ def build_parser() -> _Parser:
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(family=args.family, start=args.start, stop=args.stop,
                      count=args.count, a=args.a, b=args.b)
-    rows = run_sweep(spec)
+    table = run_sweep(spec)
     if args.out is None:
-        for line in csv_lines(rows):
+        for line in csv_lines(table):
             print(line)
     else:
-        emit_csv(rows, args.out)
+        emit_csv(table, args.out)
     return 0
 
 
@@ -145,11 +146,23 @@ def _cmd_scan(args) -> int:
     report = scan_conjecture(shape, args.samples, args.seed, tol=args.tol)
     if args.out is None:
         sys.stdout.write(scan_report_json(report))
+        return 0
+    write_scan_report(report, args.out)
+    for label, stats in (("entangled", report.entangled_stats),
+                         ("separable", report.separable_stats)):
+        print(f"{label}: no samples" if stats.count == 0 else
+              f"{label}: {stats.count} states, delta in [{stats.min_delta:.6f}, "
+              f"{stats.max_delta:.6f}], mean {stats.mean_delta:.6f}")
+    if report.counterexamples:
+        print(f"{len(report.counterexamples)} counterexample(s):")
+        for sample in report.counterexamples:
+            print(f"  index {sample.index} kind {sample.kind} size {sample.size} "
+                  f"seed {sample.seed}: delta = {sample.delta:.6e}")
     else:
-        write_scan_report(report, args.out)
-        print(f"scanned {report.samples} states; "
-              f"{len(report.counterexamples)} counterexample(s); "
-              f"report written to {args.out}")
+        print("no counterexamples: delta > 0 on every entangled sample")
+    print(f"scanned {report.samples} states; "
+          f"{len(report.counterexamples)} counterexample(s); "
+          f"report written to {args.out}")
     return 0
 
 

@@ -1,11 +1,11 @@
 """Serialization: sweep CSV, the plain-text matrix format and scan JSON.
 
-CSV columns are fixed as
+CSV columns are the fields of ``SweepTable``,
 
     param,valid,mu12,mu1,mu2,mu_tilde,delta,lhs5,entangled
 
 with numbers printed to 17 significant digits (which round-trips IEEE
-doubles exactly), booleans as true/false, blanked columns empty, LF line
+doubles exactly), booleans as true/false, NaN (blank) cells empty, LF line
 endings and UTF-8 throughout.  Identical inputs always serialize to
 identical bytes.
 
@@ -17,31 +17,31 @@ indices, row-major order, all n*m x n*m entries present).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 
 from .density import BlockShape, DensityBlock, make_density
 from .errors import IoError, SpecError
-from .sweep import ScanReport, SweepRow
+from .sweep import ScanReport, SweepTable
 
-CSV_HEADER = ("param", "valid", "mu12", "mu1", "mu2",
-              "mu_tilde", "delta", "lhs5", "entangled")
-
+CSV_HEADER = SweepTable._fields
 
 _BOOL = {True: "true", False: "false"}
 _LINE = "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 _BLANKED_LINE = "%.17g,%s,%.17g,,,%.17g,%.17g,%.17g,%s"  # mu1 and mu2 blank
 
 
-def csv_lines(rows: list[SweepRow]) -> list[str]:
-    """The header, then each row by one expression."""
-    return [",".join(CSV_HEADER)] + [
-        _LINE % (r.param, _BOOL[r.valid], r.mu12, r.mu1, r.mu2, r.mu_tilde, r.delta,
-                 r.lhs5, _BOOL[r.entangled]) if r.mu1 is not None else
-        _BLANKED_LINE % (r.param, _BOOL[r.valid], r.mu12, r.mu_tilde, r.delta, r.lhs5,
-                         _BOOL[r.entangled])
-        for r in rows]
+def csv_lines(table: SweepTable) -> list[str]:
+    """The header, then one line per row; mu1 and mu2 blank where mu1 is NaN."""
+    lines = [",".join(CSV_HEADER)]
+    for param, valid, mu12, mu1, mu2, mt, delta, lhs5, ent in zip(
+            *(column.tolist() for column in table)):
+        valid, ent = _BOOL[valid], _BOOL[ent]
+        lines.append(_BLANKED_LINE % (param, valid, mu12, mt, delta, lhs5, ent) if math.isnan(mu1)
+                     else _LINE % (param, valid, mu12, mu1, mu2, mt, delta, lhs5, ent))
+    return lines
 
 
 def _write_text(path: str, text: str) -> None:
@@ -53,8 +53,8 @@ def _write_text(path: str, text: str) -> None:
         raise IoError(f"cannot write {path}: {err}") from err
 
 
-def emit_csv(rows: list[SweepRow], path: str) -> None:
-    _write_text(path, "\n".join(csv_lines(rows)) + "\n")
+def emit_csv(table: SweepTable, path: str) -> None:
+    _write_text(path, "\n".join(csv_lines(table)) + "\n")
 
 
 def write_matrix_file(path: str, rho: DensityBlock) -> None:
@@ -66,9 +66,9 @@ def write_matrix_file(path: str, rho: DensityBlock) -> None:
 
 
 def read_matrix_file(path: str) -> DensityBlock:
-    """The one-state block of a matrix file."""
+    """The one-state block of a matrix file (UTF-8; a leading BOM is skipped)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             raw = [line.strip() for line in handle if line.strip()]
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
@@ -105,8 +105,7 @@ def read_matrix_file(path: str) -> DensityBlock:
             raise SpecError(f"{path}: duplicate entry for ({i}, {j})")
         seen[i, j] = True
         mat[i, j] = complex(re, im)
-    if not seen.all():
-        raise SpecError(f"{path}: missing entries")
+    # dim * dim unique in-range indices: every entry is present
     return make_density(mat, shape)
 
 

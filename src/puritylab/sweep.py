@@ -28,6 +28,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,17 +124,19 @@ class SweepSpec:
         return tuple(int(round(v)) for v in self.grid().tolist())
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    param: float
-    valid: bool
-    mu12: float
-    mu1: float | None  # blank on invalid Gisin rows
-    mu2: float | None
-    mu_tilde: float
-    delta: float
-    lhs5: float
-    entangled: bool
+class SweepTable(NamedTuple):
+    """A sweep's columns, in CSV order, one array each; blank cells (mu1
+    and mu2 of invalid Gisin rows) are NaN."""
+
+    param: np.ndarray
+    valid: np.ndarray
+    mu12: np.ndarray
+    mu1: np.ndarray
+    mu2: np.ndarray
+    mu_tilde: np.ndarray
+    delta: np.ndarray
+    lhs5: np.ndarray
+    entangled: np.ndarray
 
 
 def _entries_and_domain(spec: SweepSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | bool]:
@@ -177,7 +180,7 @@ def _closed_forms(spec: SweepSpec, param: np.ndarray, entries: list[np.ndarray])
     return mu12, mu1, mu2, mt, delta, lhs5
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     # far outside (0, 1) the closed forms overflow (inf - inf is nan);
     # _closed_forms refuses such rows, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,11 +198,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for chunk in in_blocks(range(len(at))):
         mu12, mu1, mu2, mt, delta = purity_block(validate_block(mats[chunk], TWO_QUBIT_SHAPE))
         columns[:, at[chunk]] = mu12, mu1, mu2, mt, delta, mu1 + mu2 - 1.0
-    values = columns.tolist()
-    if spec.family == "gisin":
-        values[1:3] = np.where(valid, columns[1:3], None).tolist()
-    return [SweepRow(*row) for row in
-            zip(param.tolist(), valid.tolist(), *values, entangled.tolist())]
+    return SweepTable(param, valid, *columns, entangled)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from puritylab.states import (
     x_state_purities,
     xstate_entangled,
 )
-from puritylab.sweep import SweepRow, SweepSpec
+from puritylab.sweep import SweepSpec
 
 
 def index_block_trace(mat: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -412,11 +412,11 @@ _SCALAR_FAMILIES = {
 }
 
 
-def _scalar_sweep_row(spec: SweepSpec, v: float) -> SweepRow:
-    """The row of grid value ``v``, alone: ``entangled`` from the family's
-    entries, ``valid`` where its checked constructor builds the state,
-    ``purity_set`` of that state where valid and the closed forms where
-    not."""
+def _scalar_sweep_row(spec: SweepSpec, v: float) -> tuple:
+    """The nine values of grid value ``v``, alone, in CSV order: ``entangled``
+    from the family's entries, ``valid`` where its checked constructor
+    builds the state, ``purity_set`` of that state where valid and the
+    closed forms where not (mu1 and mu2 NaN for Gisin)."""
     if spec.family == "xrandom":
         seed = int(round(v))
         entries = one_x_entries(seed)
@@ -432,11 +432,11 @@ def _scalar_sweep_row(spec: SweepSpec, v: float) -> SweepRow:
             rho = None
     if rho is not None:
         ps = purity_set(rho)
-        return SweepRow(v, True, ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta,
-                        ps.mu1 + ps.mu2 - 1.0, bool(xstate_entangled(entries)))
+        return (v, True, ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta,
+                ps.mu1 + ps.mu2 - 1.0, bool(xstate_entangled(entries)))
     if spec.family == "gisin":
         lhs5, mt, mu12 = _gisin_closed(v, abs(spec.a) ** 2, abs(spec.b) ** 2)
-        mu1 = mu2 = None
+        mu1 = mu2 = math.nan
     else:
         ps = x_state_purities(entries)
         mu12, mu1, mu2, mt = ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde
@@ -444,13 +444,13 @@ def _scalar_sweep_row(spec: SweepSpec, v: float) -> SweepRow:
     delta = mt - mu12
     if not (math.isfinite(delta) and math.isfinite(lhs5)):
         raise SpecError(f"{spec.family} closed forms are not finite at param {v!r}")
-    if mu1 is not None and abs(sum(entries[:4]) - 1.0) > XSTATE_PARAM_TOL:
+    if spec.family != "gisin" and abs(sum(entries[:4]) - 1.0) > XSTATE_PARAM_TOL:
         raise SpecError(f"{spec.family} entries at param {v!r} sum to "
                         f"{sum(entries[:4])!r}, not 1: the closed forms would drop the 1")
-    return SweepRow(v, False, mu12, mu1, mu2, mt, delta, lhs5, bool(xstate_entangled(entries)))
+    return (v, False, mu12, mu1, mu2, mt, delta, lhs5, bool(xstate_entangled(entries)))
 
 
-def scalar_sweep_rows(spec: SweepSpec) -> list[SweepRow]:
+def scalar_sweep_rows(spec: SweepSpec) -> list[tuple]:
     """The rows of a sweep built one grid point at a time, on the grid
     ``start + i * step``; raises the SpecError of the first row refused."""
     step = (spec.stop - spec.start) / (spec.count - 1)

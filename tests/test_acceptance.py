@@ -130,11 +130,11 @@ def test_criterion_3_gisin_closed_forms():
 def test_criterion_4a_gisin_delta_positive_beyond_x_max():
     a, b = 0.6, 0.8
     x_max = gisin_x_max(a, b)
-    rows = run_sweep(SweepSpec(family="gisin", start=0.005, stop=0.995,
-                               count=199, a=a, b=b))
-    beyond = [row for row in rows if row.param > x_max]
-    ok = bool(beyond) and all(row.delta > 0 for row in beyond)
-    worst = min(row.delta for row in beyond)
+    table = run_sweep(SweepSpec(family="gisin", start=0.005, stop=0.995,
+                                count=199, a=a, b=b))
+    beyond = table.delta[table.param > x_max].tolist()
+    ok = bool(beyond) and all(delta > 0 for delta in beyond)
+    worst = min(beyond)
     report(
         "criterion 4a (Gisin delta > 0 beyond x_max)", ok,
         f"{len(beyond)} grid points above x_max {x_max:.4f}, "

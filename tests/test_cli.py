@@ -10,7 +10,7 @@ from oracles import dipped_diagonal, skewed_pure_state, werner_matrix
 from puritylab import cli, sweep
 from puritylab.cli import cli_main
 from puritylab.density import BlockShape, make_density
-from puritylab.fileio import write_matrix_file
+from puritylab.fileio import scan_report_json, write_matrix_file
 
 
 def run_cli(args, capsys):
@@ -205,6 +205,32 @@ class TestScanCommand:
                               "--seed", "2024", "--out", str(out)], capsys)
         assert code == 0
         assert out.read_text().startswith("{")
+
+    def test_out_prints_summary(self, tmp_path, capsys):
+        out = tmp_path / "scan.json"
+        code, stdout, _ = run_cli(["scan", "--samples", "200", "--seed", "5",
+                                   "--out", str(out)], capsys)
+        assert code == 0
+        assert stdout.splitlines() == [
+            "entangled: 88 states, delta in [0.079727, 1.884560], mean 0.626476",
+            "separable: 112 states, delta in [-0.070104, 0.357614], mean 0.091077",
+            "no counterexamples: delta > 0 on every entangled sample",
+            f"scanned 200 states; 0 counterexample(s); report written to {out}",
+        ]
+        report = sweep.scan_conjecture(BlockShape(2, 2), samples=200, seed=5)
+        assert out.read_text(encoding="utf-8") == scan_report_json(report)
+
+    def test_out_lists_counterexamples_and_empty_subsets(self, tmp_path, capsys):
+        out = str(tmp_path / "scan.json")
+        _, stdout, _ = run_cli(["scan", "--samples", "200", "--seed", "5", "--tol", "0.1",
+                                "--out", out], capsys)
+        assert stdout.splitlines()[2:] == [
+            "1 counterexample(s):",
+            "  index 148 kind ginibre size 3 seed 9875627240877486525: delta = 7.972676e-02",
+            f"scanned 200 states; 1 counterexample(s); report written to {out}",
+        ]
+        _, stdout, _ = run_cli(["scan", "--samples", "1", "--seed", "5", "--out", out], capsys)
+        assert stdout.splitlines()[1] == "separable: no samples"
 
     def test_stdout_json(self, capsys):
         code, out, _ = run_cli(["scan", "--samples", "10", "--seed", "3"], capsys)

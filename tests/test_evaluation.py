@@ -108,16 +108,17 @@ def one_state(spec, param):
                  {True}, id="gisin-edge-a0-b1"),
 ])
 def test_sweep_rows_equal_one_state(spec, verdicts):
-    rows = run_sweep(spec)
-    assert len(rows) == JOB
-    assert {row.valid for row in rows} == verdicts
-    for row in rows:
-        rho = one_state(spec, row.param)
-        assert row.valid == (rho is not None), row.param
-        if not row.valid:
+    table = run_sweep(spec)
+    assert len(table.param) == JOB
+    assert set(table.valid.tolist()) == verdicts
+    for param, valid, mu12, mu1, mu2, mu_tilde, delta, _, _ in zip(
+            *(column.tolist() for column in table)):
+        rho = one_state(spec, param)
+        assert valid == (rho is not None), param
+        if not valid:
             continue
         ps = purity_set(rho)
-        assert (row.mu12, row.mu1, row.mu2, row.mu_tilde, row.delta) == (
+        assert (mu12, mu1, mu2, mu_tilde, delta) == (
             ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta)
 
 
@@ -173,7 +174,7 @@ def test_sweep_eigensolves_per_valid_row(eigh_counts):
     for spec in (SweepSpec(family="werner", start=-0.6, stop=1.0, count=17),
                  SweepSpec(family="gisin", start=0.005, stop=0.995, count=17, a=0.6, b=0.8)):
         eigh_counts.clear()
-        rows = run_sweep(spec)
-        valid = sum(row.valid for row in rows)
-        assert 0 < valid < len(rows)
+        table = run_sweep(spec)
+        valid = int(table.valid.sum())
+        assert 0 < valid < len(table.valid)
         assert eigh_counts == {4: valid, 2: 4 * valid}, spec.family

@@ -1,17 +1,20 @@
-"""The README's library quick tour runs as written, the package's top
-level carries exactly the names it imports, plus ``__version__``, and every
-name of code the README or a package docstring quotes exists."""
+"""The README's library quick tour runs as written, its command lines
+parse, the package's top level carries exactly the names it imports, plus
+``__version__``, and every name of code the README or a package docstring
+quotes exists."""
 
 import ast
 import builtins
 import fnmatch
 import pathlib
 import re
+import shlex
 import types
 
 import pytest
 
 import puritylab
+from puritylab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -28,6 +31,19 @@ def test_quick_tour_runs():
     assert namespace["ps"].mu1 == pytest.approx(0.5, abs=1e-12)
     assert len(namespace["reps"]) == 5
     assert namespace["report"].samples == 10_000
+
+
+def command_lines() -> list[str]:
+    """The ``puritylab ...`` lines of the README's Command line block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("puritylab ")]
+
+
+def test_command_lines_parse():
+    # parsed only: the commands read and write files the tests do not have
+    parsed = [cli.build_parser().parse_args(shlex.split(line)[1:]) for line in command_lines()]
+    assert {args.command for args in parsed} == {"sweep", "audit", "scan", "check"}
 
 
 def test_top_level_is_the_quick_tour():

@@ -56,8 +56,3 @@ def test_gisin_delta_evaluates_the_closed_form_once(monkeypatch):
     _, mu_tilde, mu12 = real(0.3, 0.36, 0.64)
     assert module.gisin_delta(0.36, 0.64)(0.3) == mu_tilde - mu12
     assert calls == [(0.3, 0.36, 0.64)]
-
-
-def test_run_conjecture_scan():
-    proc = run_script("run_conjecture_scan.py", 200, 5)
-    assert proc.returncode == 0, proc.stderr

@@ -54,8 +54,8 @@ class TestSweepSpec:
             SweepSpec(family="werner", start=0.0, stop=1.0, count=count)
 
     def test_numpy_integer_count_accepted(self):
-        rows = run_sweep(SweepSpec(family="werner", start=0.0, stop=1.0, count=np.int64(3)))
-        assert [row.param for row in rows] == [0.0, 0.5, 1.0]
+        table = run_sweep(SweepSpec(family="werner", start=0.0, stop=1.0, count=np.int64(3)))
+        assert table.param.tolist() == [0.0, 0.5, 1.0]
 
     def test_bad_interval(self):
         with pytest.raises(SpecError):
@@ -99,8 +99,8 @@ class TestSweepSpec:
         calls = []
         grid = SweepSpec.grid
         monkeypatch.setattr(SweepSpec, "grid", lambda spec: calls.append(spec) or grid(spec))
-        rows = run_sweep(SweepSpec(family="xrandom", start=3, stop=7, count=5))
-        assert len(calls) == 1 and [row.param for row in rows] == [3.0, 4.0, 5.0, 6.0, 7.0]
+        table = run_sweep(SweepSpec(family="xrandom", start=3, stop=7, count=5))
+        assert len(calls) == 1 and table.param.tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_grid_endpoints_inclusive(self):
         spec = SweepSpec(family="werner", start=-1 / 3, stop=1.0, count=5)
@@ -113,65 +113,62 @@ class TestSweepSpec:
 class TestWernerSweep:
     def test_closed_forms_and_threshold(self):
         spec = SweepSpec(family="werner", start=-1 / 3, stop=1.0, count=200)
-        rows = run_sweep(spec)
-        assert len(rows) == 200
-        for row in rows:
-            assert row.valid
-            p = row.param
-            assert row.mu12 == pytest.approx((3 * p * p + 1) / 4, abs=1e-12)
-            assert row.mu1 == pytest.approx(0.5, abs=1e-12)
-            assert row.mu2 == pytest.approx(0.5, abs=1e-12)
-            assert row.entangled == (p > 1 / 3)
-        deltas = [row.delta for row in rows]
+        table = run_sweep(spec)
+        assert len(table.param) == 200
+        p = table.param
+        assert table.valid.all()
+        assert table.mu12 == pytest.approx((3 * p * p + 1) / 4, abs=1e-12)
+        assert table.mu1 == pytest.approx(0.5, abs=1e-12)
+        assert table.mu2 == pytest.approx(0.5, abs=1e-12)
+        assert table.entangled.tolist() == (p > 1 / 3).tolist()
+        deltas = table.delta.tolist()
         signs = [d > 0 for d in deltas]
         assert signs[0] is False or abs(deltas[0]) < 1e-9  # at p = -1/3 delta = 0
         assert True in signs and False in signs
 
     def test_delta_crosses_at_one_third(self):
-        rows = run_sweep(SweepSpec(family="werner", start=0.0, stop=1.0, count=101))
+        table = run_sweep(SweepSpec(family="werner", start=0.0, stop=1.0, count=101))
         crossing = [i for i in range(100)
-                    if (rows[i].delta < 0) != (rows[i + 1].delta < 0)]
+                    if (table.delta[i] < 0) != (table.delta[i + 1] < 0)]
         assert len(crossing) == 1
-        low, high = rows[crossing[0]].param, rows[crossing[0] + 1].param
+        low, high = table.param[crossing[0]], table.param[crossing[0] + 1]
         assert low < 1 / 3 < high
 
 
 class TestBetaSweep:
     def test_closed_forms(self):
-        rows = run_sweep(SweepSpec(family="beta", start=0.0, stop=1.0, count=200))
-        for row in rows:
-            b = row.param
-            assert row.valid
-            assert row.mu_tilde == pytest.approx(8 * b * b - 8 * b + 3, abs=1e-12)
-            assert row.delta == pytest.approx(6 * b * b - 6 * b + 2, abs=1e-12)
-            assert row.delta > 0
+        table = run_sweep(SweepSpec(family="beta", start=0.0, stop=1.0, count=200))
+        b = table.param
+        assert table.valid.all()
+        assert table.mu_tilde == pytest.approx(8 * b * b - 8 * b + 3, abs=1e-12)
+        assert table.delta == pytest.approx(6 * b * b - 6 * b + 2, abs=1e-12)
+        assert (table.delta > 0).all()
 
 
 class TestGisinSweep:
     def test_invalid_rows_keep_closed_forms(self):
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
-        rows = run_sweep(SweepSpec(family="gisin", start=0.01, stop=0.99,
-                                   count=99, a=a, b=b))
-        beyond = [row for row in rows if row.param > x_max + 1e-9]
-        assert beyond, "grid must reach past x_max"
-        for row in beyond:
-            assert not row.valid
-            assert row.mu1 is None and row.mu2 is None
-            lhs5, mt, mu12 = _gisin_closed(row.param, a * a, b * b)
-            assert row.mu12 == pytest.approx(mu12, abs=1e-14)
-            assert row.mu_tilde == pytest.approx(mt, abs=1e-14)
-            assert row.lhs5 == pytest.approx(lhs5, abs=1e-14)
-            assert row.entangled
-        inside = [row for row in rows if row.param < x_max - 1e-9]
-        assert all(row.valid and not row.entangled for row in inside)
+        table = run_sweep(SweepSpec(family="gisin", start=0.01, stop=0.99,
+                                    count=99, a=a, b=b))
+        beyond = table.param > x_max + 1e-9
+        assert beyond.any(), "grid must reach past x_max"
+        assert not table.valid[beyond].any()
+        assert np.isnan(table.mu1[beyond]).all() and np.isnan(table.mu2[beyond]).all()
+        lhs5, mt, mu12 = _gisin_closed(table.param[beyond], a * a, b * b)
+        assert table.mu12[beyond] == pytest.approx(mu12, abs=1e-14)
+        assert table.mu_tilde[beyond] == pytest.approx(mt, abs=1e-14)
+        assert table.lhs5[beyond] == pytest.approx(lhs5, abs=1e-14)
+        assert table.entangled[beyond].all()
+        inside = table.param < x_max - 1e-9
+        assert (table.valid[inside] & ~table.entangled[inside]).all()
 
     def test_out_of_domain_grid_points_marked_invalid(self):
-        rows = run_sweep(SweepSpec(family="gisin", start=0.0, stop=1.0,
-                                   count=11, a=1.0, b=0.0))
-        assert not rows[0].valid   # x = 0
-        assert not rows[-1].valid  # x = 1
-        assert all(row.valid for row in rows[1:-1])
+        valid = run_sweep(SweepSpec(family="gisin", start=0.0, stop=1.0,
+                                    count=11, a=1.0, b=0.0)).valid
+        assert not valid[0]   # x = 0
+        assert not valid[-1]  # x = 1
+        assert valid[1:-1].all()
 
     def test_threshold_band_is_valid_and_entangled(self):
         # gisin_state accepts x <= x_max + VALIDATION_TOL (1e-10), and just
@@ -180,12 +177,13 @@ class TestGisinSweep:
         # change to the band is deliberate
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
-        rows = run_sweep(SweepSpec("gisin", x_max - 1e-10, x_max + 2e-10, 7, a=a, b=b))
-        assert [row.valid for row in rows] == [True] * 5 + [False] * 2
-        assert [row.entangled for row in rows] == [False] * 3 + [True] * 4
-        assert gisin_state(rows[4].param, a, b) is not None
+        table = run_sweep(SweepSpec("gisin", x_max - 1e-10, x_max + 2e-10, 7, a=a, b=b))
+        assert table.valid.tolist() == [True] * 5 + [False] * 2
+        assert table.entangled.tolist() == [False] * 3 + [True] * 4
+        param = table.param.tolist()
+        assert gisin_state(param[4], a, b) is not None
         with pytest.raises(DomainError, match="exceeds the separability threshold"):
-            gisin_state(rows[5].param, a, b)
+            gisin_state(param[5], a, b)
 
     def test_root_location_against_frozen_oracle(self):
         a2, b2 = 0.36, 0.64
@@ -224,25 +222,24 @@ class TestOutOfDomainRows:
     def test_closed_forms_match_mpmath(self, family, start, stop, count, invalid, build):
         # a few roundings of the largest term: the entries, their squares,
         # the square roots and the sums each round once
-        rows = run_sweep(SweepSpec(family=family, start=start, stop=stop, count=count))
-        outside = [row for row in rows if not row.valid]
+        table = run_sweep(SweepSpec(family=family, start=start, stop=stop, count=count))
+        outside = np.flatnonzero(~table.valid).tolist()
         assert len(outside) == invalid
-        for row in outside:
+        for i in outside:
+            param = table.param[i].item()
             with mp.workdps(40):
-                expected = mpmath_purity_set(build(row.param), 2, 2)
+                expected = mpmath_purity_set(build(param), 2, 2)
             bound = 8 * EPS * max(1.0, expected["mu_tilde"])
             for key, value in expected.items():
-                assert abs(getattr(row, key) - value) <= bound, (row.param, key)
+                assert abs(getattr(table, key)[i] - value) <= bound, (param, key)
 
     def test_werner_below_minus_one_entangled(self):
         # populations (1 - p)/4 > 0 > (1 + p)/4 there, and |p/2| beats
         # (1 - p)/4, so the entry rule calls these rows entangled
-        rows = run_sweep(SweepSpec(family="werner", start=-3, stop=3, count=601))
-        for row in rows:
-            if row.param < -1.0 - 1e-9:
-                assert row.entangled
-            elif row.param < 1 / 3:
-                assert not row.entangled
+        table = run_sweep(SweepSpec(family="werner", start=-3, stop=3, count=601))
+        below = table.param < -1.0 - 1e-9
+        assert table.entangled[below].all()
+        assert not table.entangled[~below & (table.param < 1 / 3)].any()
 
     @pytest.mark.parametrize("family", ["werner", "beta"])
     @pytest.mark.parametrize("start, stop", [(-1e16, 0.0), (0.0, 1e16)], ids=["minus", "plus"])
@@ -280,18 +277,23 @@ def family_matrix(spec: SweepSpec, param: float):
 def test_entangled_is_the_entry_rule(spec):
     # every row, valid or not: a coherence beats the geometric mean of the
     # other pair of populations (Peres 1996)
-    for row in run_sweep(spec):
-        mat = family_matrix(spec, row.param)
+    table = run_sweep(spec)
+    for param, entangled in zip(table.param.tolist(), table.entangled.tolist()):
+        mat = family_matrix(spec, param)
         d1, d2, d3, d4 = mat.diagonal().real
         rule = (abs(mat[0, 3]) ** 2 > d2 * d3 + ENTANGLE_TOL
                 or abs(mat[1, 2]) ** 2 > d1 * d4 + ENTANGLE_TOL)
-        assert row.entangled == rule, row.param
+        assert entangled == rule, param
 
 
 def row_bits(row) -> tuple:
-    """Every field of a row, floats by their bits."""
-    return tuple(v if v is None or type(v) is bool else float(v).hex()
-                 for v in row.__dict__.values())
+    """The nine values of a row, floats by their bits (NaN as "nan")."""
+    return tuple(v if type(v) is bool else float(v).hex() for v in row)
+
+
+def table_rows(table) -> list[tuple]:
+    """The rows of a sweep's columns, as Python scalars."""
+    return list(zip(*(column.tolist() for column in table)))
 
 
 @st.composite
@@ -341,17 +343,18 @@ def test_array_rows_equal_one_point_rows(spec):
             run_sweep(spec)
         assert str(raised.value) == str(err)
         return
-    assert [row_bits(row) for row in run_sweep(spec)] == [row_bits(row) for row in expected]
+    assert ([row_bits(row) for row in table_rows(run_sweep(spec))]
+            == [row_bits(row) for row in expected])
 
 
 class TestXRandomSweep:
     def test_deterministic_and_valid(self):
         spec = SweepSpec(family="xrandom", start=0, stop=19, count=20)
-        rows_a = run_sweep(spec)
-        rows_b = run_sweep(spec)
-        assert rows_a == rows_b
-        assert [row.param for row in rows_a] == [float(s) for s in range(20)]
-        assert all(row.valid for row in rows_a)
+        table_a = run_sweep(spec)
+        table_b = run_sweep(spec)
+        assert table_rows(table_a) == table_rows(table_b)
+        assert table_a.param.tolist() == [float(s) for s in range(20)]
+        assert table_a.valid.all()
 
     def test_one_draw_and_no_per_seed_params(self, monkeypatch):
         # the grid's entries come from one stream_uniforms call, and no
@@ -364,9 +367,9 @@ class TestXRandomSweep:
                             lambda *args: draws.append(args) or real_draw(*args))
         monkeypatch.setattr(states, "x_state",
                             lambda *args: params.append(args) or real_x_state(*args))
-        rows = run_sweep(SweepSpec(family="xrandom", start=0, stop=199, count=200))
+        table = run_sweep(SweepSpec(family="xrandom", start=0, stop=199, count=200))
         assert len(draws) == 1 and params == []
-        assert all(row.valid for row in rows)
+        assert table.valid.all()
 
 
 class TestSweepInvariants:
@@ -381,19 +384,18 @@ class TestSweepInvariants:
         from puritylab.states import beta_state, gisin_state, werner_state, x_state
 
         for spec in specs:
-            for row in run_sweep(spec):
-                if not row.valid:
-                    continue
+            table = run_sweep(spec)
+            for param in table.param[table.valid].tolist():
                 if spec.family == "werner":
-                    rho = werner_state(row.param)
+                    rho = werner_state(param)
                 elif spec.family == "beta":
-                    rho = beta_state(row.param)
+                    rho = beta_state(param)
                 elif spec.family == "gisin":
-                    rho = gisin_state(row.param, spec.a, spec.b)
+                    rho = gisin_state(param, spec.a, spec.b)
                 else:
-                    rho = x_state(one_x_entries(int(row.param)))
+                    rho = x_state(one_x_entries(int(param)))
                 for rep in audit_reports(rho, tol=1e-9):
-                    assert rep.satisfied, (spec.family, row.param, rep)
+                    assert rep.satisfied, (spec.family, param, rep)
 
 
 class TestScan:
