@@ -166,20 +166,13 @@ def _raise_invalid(mat: np.ndarray, defect: float, trace_dev: float, peak: float
         f"(tol {VALIDATION_TOL:.3e}); no entry of a unit-trace PSD matrix does")
 
 
-def _square(mat) -> np.ndarray:
-    arr = np.asarray(mat, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise DimMismatch(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
 def make_density(mat, shape: BlockShape) -> DensityBlock:
-    """Validate a matrix as a density matrix: the one-state block of
-    :func:`validate_block`.
-
-    The input is stored as given; nothing is renormalized or repaired.
+    """Validate a matrix as a density matrix: :func:`validate_block` of the
+    one-matrix stack ``[mat]``, so a non-square, empty or non-2-D matrix
+    raises DimMismatch.  The input is stored as given; nothing is
+    renormalized or repaired.
     """
-    return validate_block(_square(mat)[None], shape)
+    return validate_block([mat], shape)
 
 
 def _blocks(mat: np.ndarray, shape: BlockShape) -> np.ndarray:

@@ -11,7 +11,9 @@ identical bytes.
 
 The matrix format is line oriented for diffability: a header line "n m"
 with the block shape, then one line "row col re im" per entry (0-based
-indices, row-major order, all n*m x n*m entries present).
+indices, row-major order, all n*m x n*m entries present).  Its grammar is
+strict ASCII: fields are separated by spaces and tabs, sizes and indices
+are unsigned digits, and reals are sign, digits, point and exponent.
 """
 
 from __future__ import annotations
@@ -65,23 +67,34 @@ def write_matrix_file(path: str, rho: DensityBlock) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+# The grammar's characters: ``int()``, ``float()`` and ``str.split()`` see no
+# other, so no digit-group underscore, non-ASCII digit or Unicode separator.
+_ALPHABET = b"0123456789eE+-. \t\n"
+
+
 def read_matrix_file(path: str) -> DensityBlock:
-    """The one-state block of a matrix file (UTF-8; a leading BOM is skipped)."""
+    """The one-state block of a matrix file (UTF-8; a leading BOM is skipped).
+    SpecError for any text outside the grammar of the module docstring."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            raw = [line.strip() for line in handle if line.strip()]
+            text = handle.read()
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
     except UnicodeDecodeError as err:
         raise SpecError(f"{path}: not UTF-8 text: {err}") from err
+    if not text.isascii() or text.encode().translate(None, _ALPHABET):
+        at = next(k for k, char in enumerate(text) if char not in _ALPHABET.decode())
+        line = text.count("\n", 0, at) + 1
+        raise SpecError(f"{path}: line {line}: character {text[at]!r} is outside the matrix format")
+    raw = [line.strip() for line in text.split("\n") if line.strip()]
     if not raw:
         raise SpecError(f"{path}: empty matrix file")
     head = raw[0].split()
-    if len(head) != 2:
+    if len(head) != 2 or not (head[0].isdigit() and head[1].isdigit()):
         raise SpecError(f"{path}: first line must be 'n m', got {raw[0]!r}")
     try:
         shape = BlockShape(int(head[0]), int(head[1]))
-    except ValueError as err:
+    except ValueError as err:  # beyond int()'s 4300 digits
         raise SpecError(f"{path}: bad shape line {raw[0]!r}") from err
     dim = shape.dim
     if len(raw) - 1 != dim * dim:
@@ -92,14 +105,14 @@ def read_matrix_file(path: str) -> DensityBlock:
     seen = np.zeros((dim, dim), dtype=bool)
     for line in raw[1:]:
         fields = line.split()
-        if len(fields) != 4:
+        if len(fields) != 4 or not (fields[0].isdigit() and fields[1].isdigit()):
             raise SpecError(f"{path}: bad entry line {line!r}")
         try:
             i, j = int(fields[0]), int(fields[1])
             re, im = float(fields[2]), float(fields[3])
         except ValueError as err:
             raise SpecError(f"{path}: bad entry line {line!r}") from err
-        if not (0 <= i < dim and 0 <= j < dim):
+        if not (i < dim and j < dim):
             raise SpecError(f"{path}: index ({i}, {j}) out of range for dim {dim}")
         if seen[i, j]:
             raise SpecError(f"{path}: duplicate entry for ({i}, {j})")

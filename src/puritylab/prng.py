@@ -34,11 +34,12 @@ sampled inside a job has the same bytes as its one-recipe replay.
 
 ``sample_block`` works in three phases: one ``stream_uniforms`` draw, then
 ``complex_normals`` on the uniforms of every recipe group, then the matrix
-builds.  ``complex_normals`` takes its logarithms one ``math.log`` call at a
-time, and that scalar pass ran about 3.2 times slower per value right after
-the complex matmul of a Ginibre build (Intel Xeon, OpenBLAS 0.3.31), so no
-normal is drawn once a build has started.  Both functions work mostly in
-place: each peaks at about 2 to 2.5 times its output.
+builds.  ``complex_normals`` takes its logarithms by ``scalar_logs``, one
+``math.log`` call at a time, and that pass ran about 3.2 times slower per
+value right after the complex matmul of a Ginibre build (Intel Xeon,
+OpenBLAS 0.3.31), so no normal is drawn once a build has started.  Both
+functions work mostly in place: each peaks at about 2 to 2.5 times its
+output.
 """
 
 from __future__ import annotations
@@ -129,19 +130,23 @@ def stream_uniforms(seeds, counts) -> np.ndarray:
     return out
 
 
+def scalar_logs(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of every value of an array, in its shape: the logarithm
+    of the scalar draws, which numpy's vector log differs from in the last
+    bit on some values (the square root, cosine and sine agree)."""
+    return np.fromiter(map(math.log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
 def complex_normals(uniforms: np.ndarray) -> np.ndarray:
     """Box-Muller on consecutive uniform pairs (u1, u2) along the last axis:
     one complex normal r cos(2 pi u2) + i r sin(2 pi u2), r = sqrt(-2 ln u1),
     per pair, as ``SplitMix64.complex_normal`` draws it from a fresh stream.
     """
-    u1 = uniforms[..., 0::2]
-    # math.log, not np.log: numpy's vector log differs in the last bit on
-    # some draws; the square root, cosine and sine agree.
-    r = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size).reshape(u1.shape)
+    r = scalar_logs(uniforms[..., 0::2])
     r *= -2.0
     np.sqrt(r, out=r)
     angle = _TWO_PI * uniforms[..., 1::2]
-    out = np.empty(u1.shape, dtype=np.complex128)
+    out = np.empty(r.shape, dtype=np.complex128)
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     out.real *= r

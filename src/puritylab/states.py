@@ -19,10 +19,10 @@ six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``,
 ``gisin_entries`` and ``random_x_entries`` (of seeds).  The six entries are
 the one X-state parameter type.  ``x_state`` is the one checked constructor:
 it refuses entries by the rules that ``xstate_valid`` gives as a mask, then
-validates the matrix, a one-state ``DensityBlock``.  ``werner_state``,
-``beta_state`` and ``gisin_state`` are the family's domain checks
-(``*_domain``; Gisin first checks 0 < x < 1 and the normalization slack)
-followed by ``x_state`` of the family's entries.  The maps, masks and
+validates the matrix, a one-state ``DensityBlock``.  ``werner_state`` and
+``beta_state`` raise DomainError where ``xstate_valid`` of their entries is
+false; ``gisin_state`` checks 0 < x < 1, the normalization slack and
+``gisin_domain``.  Each then calls ``x_state``.  The maps, masks and
 verdicts are elementwise, each value with the bits of its scalar
 evaluation: moduli are ``np.hypot(re, im)`` and squares products (``x ** 2``
 raises on overflow).
@@ -59,7 +59,7 @@ from .density import (
 from .errors import DomainError, NotPositive, ShapeUnsupported, TraceNotOne
 from .inequalities import PuritySet
 from .linalg import spectra
-from .prng import stream_uniforms
+from .prng import scalar_logs, stream_uniforms
 
 TWO_QUBIT_SHAPE = BlockShape(2, 2)
 
@@ -74,13 +74,15 @@ def _modulus(c):
 def xstate_valid(entries: XEntries):
     """Elementwise mask of the entries ``x_state`` accepts: its rules with
     its tolerances, the diagonal summed in its order.  Each comparison
-    is the complement of its refusal, and NaN or Inf fails one of them."""
+    is the complement of its refusal, and NaN or Inf fails one of them, so
+    numpy need not warn about overflow (a coherence of 1e200) or Inf - Inf."""
     d1, d2, d3, d4, c14, c23 = entries
     m14, m23 = _modulus(c14), _modulus(c23)
-    return ((d1 >= 0.0) & (d2 >= 0.0) & (d3 >= 0.0) & (d4 >= 0.0)
-            & (abs(((d1 + d2) + d3) + d4 - 1.0) <= XSTATE_PARAM_TOL)
-            & (d2 * d3 >= m23 * m23 - XSTATE_PARAM_TOL)
-            & (d1 * d4 >= m14 * m14 - XSTATE_PARAM_TOL))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((d1 >= 0.0) & (d2 >= 0.0) & (d3 >= 0.0) & (d4 >= 0.0)
+                & (abs(((d1 + d2) + d3) + d4 - 1.0) <= XSTATE_PARAM_TOL)
+                & (d2 * d3 >= m23 * m23 - XSTATE_PARAM_TOL)
+                & (d1 * d4 >= m14 * m14 - XSTATE_PARAM_TOL))
 
 
 def x_state_matrix(entries: XEntries) -> np.ndarray:
@@ -149,16 +151,12 @@ def werner_entries(p: float) -> XEntries:
     return outer, inner, inner, outer, p / 2.0, 0.0
 
 
-def werner_domain(p):
-    """Elementwise mask of -1/3 <= p <= 1, where the Werner matrix is a state."""
-    return (-1.0 / 3.0 <= p) & (p <= 1.0)
-
-
 def werner_state(p: float) -> DensityBlock:
     p = float(p)
-    if not werner_domain(p):
+    entries = werner_entries(p)  # valid down to about p = -1/3 - 4e-12
+    if not xstate_valid(entries):
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
-    return x_state(werner_entries(p))
+    return x_state(entries)
 
 
 def gisin_x_max(a: complex, b: complex) -> float:
@@ -245,16 +243,12 @@ def beta_entries(beta: float) -> XEntries:
     return outer, inner, inner, outer, outer, inner
 
 
-def beta_domain(beta):
-    """Elementwise mask of 0 <= beta <= 1, where the beta matrix is a state."""
-    return (0.0 <= beta) & (beta <= 1.0)
-
-
 def beta_state(beta: float) -> DensityBlock:
     beta = float(beta)
-    if not beta_domain(beta):
+    entries = beta_entries(beta)
+    if not xstate_valid(entries):
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    return x_state(beta_entries(beta))
+    return x_state(entries)
 
 
 def xstate_entangled(entries: XEntries):
@@ -305,10 +299,9 @@ def random_x_entries(seeds) -> XEntries:
     the first 8 uniforms of stream ``seed`` give four exponentials, normalized
     to 1 as the diagonal, then |c14| = u sqrt(d1 d4) with u in (0, 1], a
     uniform phase of c14, and likewise c23.  Each value has the bits of its
-    scalar evaluation, the logarithms taken one ``math.log`` call at a time."""
+    scalar evaluation, the logarithms by ``scalar_logs``."""
     u = stream_uniforms(seeds, [8] * len(seeds)).reshape(-1, 8)
-    logs = np.fromiter(map(math.log, u[:, :4].ravel().tolist()), np.float64, 4 * len(u))
-    r = -logs.reshape(-1, 4).T
+    r = -scalar_logs(u[:, :4]).T
     d1, d2, d3, d4 = r / (((r[0] + r[1]) + r[2]) + r[3])
     angle = 2.0 * math.pi * u[:, [5, 7]]
     phase = np.empty(angle.shape, dtype=np.complex128)

@@ -4,11 +4,11 @@ A sweep is a few array passes over its whole grid, by one rule for every
 family.  The family's entries map (for xrandom, ``random_x_entries`` of the
 seeds) gives the X-state entries of every grid value, and ``entangled`` is
 ``states.xstate_entangled`` of them, valid or not.  ``valid`` is the mask of
-the family's domain (xrandom has none) and of ``xstate_valid``: the rows
-whose state its checked constructor (``werner_state``, ``x_state`` of a
-seed's entries, ...) builds.  The valid rows' matrices form one (V, 4, 4)
-stack, validated and evaluated a block at a time by the functions of
-one-state evaluation, so each row equals ``purity_set`` of its state.  The
+``xstate_valid`` and, for Gisin, of ``gisin_domain``: the rows whose state
+its checked constructor (``werner_state``, ``x_state`` of a seed's entries,
+...) builds.  The valid rows' matrices form one (V, 4, 4) stack, validated
+and evaluated a block at a time by the functions of one-state evaluation,
+so each row equals ``purity_set`` of its state.  The
 invalid rows keep the closed forms, in one elementwise call:
 ``x_state_purities`` of the entries fills mu12, mu1, mu2, mu_tilde, delta
 and lhs5 = mu1 + mu2 - 1 for Werner and beta; for Gisin,
@@ -50,13 +50,11 @@ from .states import (
     _gisin_closed,
     _gisin_norm_defect,
     _require_ppt_shape,
-    beta_domain,
     beta_entries,
     gisin_domain,
     gisin_entries,
     ppt_entangled_block,
     random_x_entries,
-    werner_domain,
     werner_entries,
     x_state_matrix,
     x_state_purities,
@@ -140,17 +138,17 @@ class SweepTable(NamedTuple):
 
 
 def _entries_and_domain(spec: SweepSpec) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | bool]:
-    """The params of a grid, their six entry arrays and the domain mask
-    (True for xrandom, whose draws have no domain beyond ``xstate_valid``)."""
+    """The params of a grid, their six entry arrays and the domain mask:
+    Gisin's separability cut, True for the others (``xstate_valid`` decides)."""
     if spec.family == "xrandom":
         seeds = spec._seeds
         return np.array(seeds, dtype=np.float64), list(random_x_entries(seeds)), True
-    grid = spec.grid()
-    entries_of, domain = {"werner": (werner_entries, werner_domain),
-                          "beta": (beta_entries, beta_domain),
-                          "gisin": (gisin_entries, gisin_domain)}[spec.family]
-    args = (grid, spec.a, spec.b) if spec.family == "gisin" else (grid,)
-    return grid, [np.broadcast_to(e, grid.shape) for e in entries_of(*args)], domain(*args)
+    grid, domain = spec.grid(), True
+    if spec.family == "gisin":
+        entries, domain = gisin_entries(grid, spec.a, spec.b), gisin_domain(grid, spec.a, spec.b)
+    else:
+        entries = (werner_entries if spec.family == "werner" else beta_entries)(grid)
+    return grid, [np.broadcast_to(e, grid.shape) for e in entries], domain
 
 
 def _closed_forms(spec: SweepSpec, param: np.ndarray, entries: list[np.ndarray]):
@@ -192,7 +190,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     # A block failing validation would raise, but each valid row's matrix is
     # Hermitian with unit diagonal sum and 2x2 blocks PSD in exact arithmetic,
     # entries of modulus <= 1: diagonal, rank one (beta, Gisin inner), Werner
-    # outer for p in [-1/3, 1], or xrandom's with |c| <= sqrt(d d').
+    # outer for p in [-1/3, 1] (down to -1/3 - 4e-12, eigenvalue > -3e-12),
+    # or xrandom's with |c| <= sqrt(d d').
     at = np.flatnonzero(valid)
     mats = x_state_matrix([e[valid] for e in entries])
     for chunk in in_blocks(range(len(at))):

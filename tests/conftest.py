@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -20,13 +21,18 @@ settings.load_profile("puritylab")
 
 @pytest.fixture
 def eigh_counts(monkeypatch):
-    """Count LAPACK eigensolves per matrix dimension, ``counts[dim]``: calls of
-    ``eigvalsh_lo``, the gufunc behind every ``hermitian_eig``."""
+    """Count LAPACK eigensolves per matrix dimension, ``counts[dim]``: the
+    matrices (lanes) ``eigvalsh_lo``, the gufunc behind every
+    ``hermitian_eig``, solves, one per (N, N) matrix of each call, whether
+    it gets one matrix or a stack.  A call on an empty stack adds nothing."""
     counts = Counter()
     real = linalg.eigvalsh_lo
 
     def counted(a, *args, **kwargs):
-        counts[np.shape(a)[-1]] += 1
+        shape = np.shape(a)
+        lanes = math.prod(shape[:-2])
+        if lanes:
+            counts[shape[-1]] += lanes
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "eigvalsh_lo", counted)

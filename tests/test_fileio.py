@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import werner_matrix
 from puritylab.density import BlockShape, make_density, random_density
-from puritylab.errors import IoError, SpecError
+from puritylab.errors import IoError, PurityLabError, SpecError
 from puritylab.fileio import (
     CSV_HEADER,
     csv_lines,
@@ -123,6 +127,117 @@ class TestMatrixFile:
         path.write_text("\n".join(entries) + "\n")
         with pytest.raises(SpecError, match="duplicate entry"):
             read_matrix_file(str(path))
+
+
+# The matrix-file grammar, written independently of the reader: ASCII digits,
+# fields separated by spaces and tabs, reals of sign, digits, point and
+# exponent.
+_SEP, _UINT = r"[ \t]+", r"[0-9]+"
+_REAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+HEADER_LINE = re.compile(rf"[ \t]*{_UINT}{_SEP}{_UINT}[ \t]*")
+ENTRY_LINE = re.compile(rf"[ \t]*({_UINT}){_SEP}({_UINT}){_SEP}({_REAL}){_SEP}({_REAL})[ \t]*")
+BLANK_LINE = re.compile(r"[ \t]*")
+
+# The file write_matrix_file writes for the Werner state at p = 0.5.
+VALID_2X2 = "".join(["2 2\n"] + [f"{i} {j} {entry.real:.17g} {entry.imag:.17g}\n"
+                                   for (i, j), entry in np.ndenumerate(werner_matrix(0.5))])
+# Characters the mutations draw from: the grammar's own, digits and
+# separators that int(), float() or str.split() accept outside it, and any
+# other character.
+MUTATION_CHARS = st.one_of(
+    st.sampled_from("0123456789+-.eE \t\n\r_\x0b\x0c\x1c\x85\xa0\u2028\u0660\uff11\ufeffinfa"),
+    st.characters(exclude_categories=("Cs",)),
+)
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid 2x2 file with 1-3 characters inserted, deleted or replaced."""
+    text = VALID_2X2
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = "" if kind == "delete" else draw(MUTATION_CHARS)
+        text = text[:at] + char + text[at + (kind != "insert"):]
+    return text
+
+
+def grammar_entries(text: str) -> dict:
+    """The entries of a text the grammar accepts, by its lines; AssertionError otherwise."""
+    lines = [line for line in text.removeprefix("\ufeff").replace("\r\n", "\n")
+             .replace("\r", "\n").split("\n") if not BLANK_LINE.fullmatch(line)]
+    assert HEADER_LINE.fullmatch(lines[0]), lines[0]
+    entries = {}
+    for line in lines[1:]:
+        match = ENTRY_LINE.fullmatch(line)
+        assert match, line
+        i, j, real, imag = match.groups()
+        entries[int(i), int(j)] = complex(float(real), float(imag))
+    return entries
+
+
+class TestMatrixGrammar:
+    @pytest.mark.parametrize("text", [
+        "2 1\n0_0 0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "2 1\n0 0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5_0 0\n",
+        "2 1\n\u0660 0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "\u0662 1\n0 0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "2 1\n0 0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.\uff15 0\n",
+        "2 1\n0\x1c0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "2 1\n0 0 0.5\x850\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "2\u20281\n0 0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "2 1\n0 0\xa00.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "2 1\n0 0 0.5 0\x0b\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "2 1\n+0 0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+        "+2 1\n0 0 0.5 0\n0 1 0 0\n1 0 0 0\n1 1 0.5 0\n",
+    ], ids=["index-underscore", "real-underscore", "arabic-indic-index", "arabic-indic-shape",
+            "fullwidth-digit", "x1c", "x85", "u2028", "nbsp", "vertical-tab", "signed-index",
+            "signed-shape"])
+    def test_outside_the_grammar_refused(self, tmp_path, text):
+        # int(), float() and str.split() accept each of these
+        path = tmp_path / "state.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(SpecError):
+            read_matrix_file(str(path))
+
+    def test_refusal_names_line_and_character(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text(VALID_2X2.replace("1 1 0.125", "1 1 0.1_25"), encoding="utf-8")
+        with pytest.raises(SpecError, match=r"line 7: character '_' is outside the matrix format"):
+            read_matrix_file(str(path))
+
+    def test_spaces_tabs_and_real_forms_read(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("\t2 \t1 \r\n\n0 0 +.5 -0e0\n0\t1 0. 0\n1 0 0 +0E+00\n"
+                        "1 1 5E-1 0\n \n", encoding="utf-8", newline="")
+        assert read_matrix_file(str(path)).mat.tolist() == [[0.5, 0], [0, 0.5]]
+
+    @given(mutated_files())
+    @settings(max_examples=400)
+    def test_mutations_read_or_refused(self, tmp_path_factory, text):
+        # every mutation is read, as the grammar gives it, or refused with a
+        # package error
+        path = tmp_path_factory.mktemp("mutated") / "state.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            rho = read_matrix_file(str(path))
+        except PurityLabError:
+            return
+        entries = grammar_entries(text)
+        assert rho.mat.tolist() == [[entries[i, j] for j in range(4)] for i in range(4)]
+
+    @given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 3)]), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_write_then_read_keeps_the_bytes(self, tmp_path_factory, shape, seed):
+        n, m = shape
+        rho = random_density(n, m, n * m, seed=seed)
+        path = tmp_path_factory.mktemp("roundtrip") / "state.txt"
+        write_matrix_file(str(path), rho)
+        written = path.read_bytes()
+        back = read_matrix_file(str(path))
+        assert back.shape == rho.shape and back.mat.tobytes() == rho.mat.tobytes()
+        write_matrix_file(str(path), back)
+        assert path.read_bytes() == written
 
 
 class TestScanJson:

@@ -195,20 +195,26 @@ class TestDirectLapack:
     @pytest.mark.parametrize("bad", [0, STACK // 2, STACK - 1], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("dim", [1, 4])
     def test_nan_from_lapack_in_one_matrix_of_a_stack(self, monkeypatch, dim, bad):
-        # the check runs once per stack, after every matrix is solved
-        real, solved = linalg.eigvalsh_lo, []
+        # the check runs once per stack, after every matrix is solved; the
+        # bad matrix's row is found by its content, whether LAPACK gets one
+        # matrix per call or the whole stack
+        mats = np.stack([random_hermitian(dim, seed) for seed in range(STACK)])
+        target = 0.5 * (mats[bad].conj().T + mats[bad])  # its Hermitian part
+        real, solved, poisoned = linalg.eigvalsh_lo, [], []
 
         def failing(a, **kwargs):
             out = real(a, **kwargs)
-            if len(solved) == bad:
-                out[...] = np.nan
-            solved.append(a)
+            rows = out.reshape(-1, dim)  # a view of the output
+            for k, mat in enumerate(np.reshape(a, (-1, dim, dim))):
+                if np.array_equal(mat, target):
+                    rows[k] = np.nan
+                    poisoned.append(mat)
+                solved.append(mat)
             return out
         monkeypatch.setattr(linalg, "eigvalsh_lo", failing)
-        mats = np.stack([random_hermitian(dim, seed) for seed in range(STACK)])
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             spectra(mats)
-        assert len(solved) == STACK
+        assert len(solved) == STACK and len(poisoned) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("stacked", [False, True])

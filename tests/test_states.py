@@ -235,6 +235,14 @@ class TestWerner:
         with pytest.raises(DomainError):
             werner_state(-0.34)
 
+    def test_accepted_down_to_the_entry_tolerance(self):
+        # xstate_valid decides: d1*d4 >= |c14|^2 - XSTATE_PARAM_TOL admits p
+        # to about -1/3 - 4e-12, where the smallest eigenvalue is -3e-12
+        vals = hermitian_eig(werner_state(-1 / 3 - 2e-12).mat).values
+        assert vals[0] == pytest.approx(-1.5e-12, rel=1e-3)
+        with pytest.raises(DomainError, match=r"got -0\.3333333333378333$"):
+            werner_state(-0.3333333333378333)
+
     def test_matrix_matches_entrywise_oracle(self):
         assert np.array_equal(werner_state(0.8).mat, werner_matrix(0.8))
 
@@ -509,6 +517,15 @@ def test_werner_and_beta_refusals_and_states(constructor, param, error, expected
         constructor(param)
     assert type(info.value) is error
     assert str(info.value) == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("constructor, param", [
+    (werner_state, 1e200), (werner_state, -1e200), (beta_state, 1e300)])
+def test_huge_parameter_refused_without_warnings(constructor, param):
+    # the entries' squares overflow inside xstate_valid
+    with pytest.raises(DomainError, match="must lie in"):
+        constructor(param)
 
 
 class TestBeta:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -20,7 +20,16 @@ from puritylab.density import BlockShape
 from puritylab.errors import DomainError, SpecError
 from puritylab.fileio import scan_report_json
 from puritylab.inequalities import audit_reports, delta, find_delta_roots, purity_set
-from puritylab.states import _gisin_closed, gisin_state, gisin_x_max
+from puritylab.states import (
+    _gisin_closed,
+    beta_entries,
+    beta_state,
+    gisin_state,
+    gisin_x_max,
+    werner_entries,
+    werner_state,
+    xstate_valid,
+)
 from puritylab.sweep import (
     FAMILIES,
     ScanSample,
@@ -345,6 +354,39 @@ def test_array_rows_equal_one_point_rows(spec):
         return
     assert ([row_bits(row) for row in table_rows(run_sweep(spec))]
             == [row_bits(row) for row in expected])
+
+
+@st.composite
+def werner_and_beta_specs(draw):
+    """Werner and beta grids across an end of the family's states, down to
+    steps of 1e-13: Werner's reach into the 4e-12 band below -1/3 that
+    ``xstate_valid`` admits."""
+    family = draw(st.sampled_from(["werner", "beta"]))
+    end = draw(st.sampled_from([-1 / 3, 1.0] if family == "werner" else [0.0, 1.0]))
+    width = draw(st.sampled_from([1e-11, 1e-6, 0.5]))
+    start = draw(st.floats(end - width, end))
+    stop = draw(st.floats(start, end + width))
+    assume(start < stop)
+    return SweepSpec(family, start, stop, draw(st.integers(2, 30)))
+
+
+@given(werner_and_beta_specs())
+@settings(max_examples=100)
+@example(SweepSpec("werner", -1 / 3 - 6e-12, -1 / 3 + 6e-12, 13))
+def test_constructor_mask_and_sweep_agree(spec):
+    # one rule: the constructor accepts a parameter exactly where
+    # xstate_valid accepts its entries and the sweep marks its row valid
+    state, entries_of = {"werner": (werner_state, werner_entries),
+                         "beta": (beta_state, beta_entries)}[spec.family]
+    table = run_sweep(spec)
+    for param, valid in zip(table.param.tolist(), table.valid.tolist()):
+        try:
+            state(param)
+        except DomainError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == bool(xstate_valid(entries_of(param))) == valid, param
 
 
 class TestXRandomSweep:
