@@ -42,13 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_shape(text: str) -> BlockShape:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise _UsageError(f"shape must look like 2x2, got {text!r}")
-    try:
-        return BlockShape(int(parts[0]), int(parts[1]))
-    except (ValueError, PurityLabError) as err:
-        raise _UsageError(f"bad shape {text!r}: {err}") from err
+    return BlockShape.from_sizes(text.replace("X", "x").split("x"),
+                                 f"shape must look like 2x2, in ASCII digits, got {text!r}")
 
 
 @functools.cache
@@ -73,17 +68,13 @@ def build_parser() -> _Parser:
     sweep.set_defaults(func=_cmd_sweep)
 
     audit = sub.add_parser("audit", help="audit inequalities on random states")
-    audit.add_argument("--shape", default="2x2")
-    audit.add_argument("--samples", type=int, default=1000)
-    audit.add_argument("--seed", type=int, default=0)
-    audit.add_argument("--tol", type=float, default=REPORT_TOL)
     audit.set_defaults(func=_cmd_audit)
-
     scan = sub.add_parser("scan", help="scan the sign of delta vs entanglement")
-    scan.add_argument("--shape", default="2x2")
-    scan.add_argument("--samples", type=int, default=1000)
-    scan.add_argument("--seed", type=int, default=0)
-    scan.add_argument("--tol", type=float, default=REPORT_TOL)
+    for command in (audit, scan):
+        command.add_argument("--shape", default="2x2", help="NxM in ASCII digits, as 2x3 or 2X3")
+        command.add_argument("--samples", type=int, default=1000)
+        command.add_argument("--seed", type=int, default=0)
+        command.add_argument("--tol", type=float, default=REPORT_TOL)
     scan.add_argument("--out", default=None,
                       help="JSON path (default stdout); stdout then gets a summary")
     scan.set_defaults(func=_cmd_scan)
@@ -198,13 +189,10 @@ def cli_main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (IoError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except PurityLabError as err:
+    except (_UsageError, PurityLabError, MemoryError) as err:  # MemoryError: too large to allocate
         print(f"error: {err}", file=sys.stderr)
         return 1
 

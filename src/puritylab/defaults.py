@@ -10,8 +10,8 @@ repeating literals.
 # trace deviation and the allowed negative dip of the smallest eigenvalue.
 VALIDATION_TOL = 1e-10
 
-# Slack on the X-state parameter checks: unit diagonal sum and the
-# positivity conditions d2*d3 >= |c23|^2, d1*d4 >= |c14|^2.
+# Slack on the X-state parameter checks: on the unit diagonal sum, and times
+# the block trace on the positivity conditions d2*d3 >= |c23|^2, d1*d4 >= |c14|^2.
 XSTATE_PARAM_TOL = 1e-12
 
 # Slack when judging an inequality report "satisfied".

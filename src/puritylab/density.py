@@ -65,6 +65,17 @@ class BlockShape:
     def dim(self) -> int:
         return self.n * self.m
 
+    @classmethod
+    def from_sizes(cls, sizes: list[str], refusal: str) -> BlockShape:
+        """The shape of two sizes in ASCII digits (``--shape``, a matrix file
+        header); SpecError(refusal) for other text, such as "+2" or "2_0"."""
+        if len(sizes) == 2 and all(s.isascii() and s.isdigit() for s in sizes):
+            try:
+                return cls(int(sizes[0]), int(sizes[1]))
+            except ValueError:  # over int()'s 4300 digits
+                pass
+        raise SpecError(refusal)
+
 
 @dataclass(frozen=True)
 class DensityBlock:

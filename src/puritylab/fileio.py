@@ -89,13 +89,8 @@ def read_matrix_file(path: str) -> DensityBlock:
     raw = [line.strip() for line in text.split("\n") if line.strip()]
     if not raw:
         raise SpecError(f"{path}: empty matrix file")
-    head = raw[0].split()
-    if len(head) != 2 or not (head[0].isdigit() and head[1].isdigit()):
-        raise SpecError(f"{path}: first line must be 'n m', got {raw[0]!r}")
-    try:
-        shape = BlockShape(int(head[0]), int(head[1]))
-    except ValueError as err:  # beyond int()'s 4300 digits
-        raise SpecError(f"{path}: bad shape line {raw[0]!r}") from err
+    shape = BlockShape.from_sizes(raw[0].split(),
+                                  f"{path}: first line must be 'n m', got {raw[0]!r}")
     dim = shape.dim
     if len(raw) - 1 != dim * dim:
         raise SpecError(

@@ -17,15 +17,15 @@ mean of the *other* pair of populations: |c14|^2 > d2*d3 or
 Each family is defined once, as an unchecked map from its parameters to the
 six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``,
 ``gisin_entries`` and ``random_x_entries`` (of seeds).  The six entries are
-the one X-state parameter type.  ``x_state`` is the one checked constructor:
-it refuses entries by the rules that ``xstate_valid`` gives as a mask, then
-validates the matrix, a one-state ``DensityBlock``.  ``werner_state`` and
-``beta_state`` raise DomainError where ``xstate_valid`` of their entries is
-false; ``gisin_state`` checks 0 < x < 1, the normalization slack and
-``gisin_domain``.  Each then calls ``x_state``.  The maps, masks and
-verdicts are elementwise, each value with the bits of its scalar
-evaluation: moduli are ``np.hypot(re, im)`` and squares products (``x ** 2``
-raises on overflow).
+the one X-state parameter type, ``XSTATE_RULE`` the rule on them and
+``xstate_valid`` its mask.  ``x_state``, the one checked constructor, raises
+on the first clause they fail, then validates the matrix as a DensityBlock.
+``werner_state`` and ``beta_state`` raise DomainError where ``xstate_valid``
+of their entries is false; ``gisin_state`` checks 0 < x < 1, the
+normalization slack and ``gisin_domain``.  Each then calls ``x_state``.
+The maps, masks and verdicts are elementwise, each value with the bits of
+its scalar evaluation: moduli are ``np.hypot(re, im)`` and squares products
+(``x ** 2`` raises on overflow).
 
 Closed-form purities for the family:
 
@@ -39,8 +39,9 @@ Closed-form purities for the family:
 
 from __future__ import annotations
 
-import cmath
 import math
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
@@ -67,22 +68,44 @@ TWO_QUBIT_SHAPE = BlockShape(2, 2)
 XEntries = tuple[float, float, float, float, complex, complex]
 
 
-def _modulus(c):
-    return np.hypot(np.real(c), np.imag(c))
+def _abs2(c):
+    """|c|^2 as Python's abs(c) * abs(c), elementwise: np.hypot(re, im) squared."""
+    m = np.hypot(np.real(c), np.imag(c))
+    return m * m
+
+
+def _diagonal_sum(e: XEntries):
+    return ((e[0] + e[1]) + e[2]) + e[3]
+
+
+def _sums_to_one(e: XEntries):
+    return abs(_diagonal_sum(e) - 1.0) <= XSTATE_PARAM_TOL
+
+
+# The X-state rule, written once: clauses in the order ``x_state`` checks them,
+# each an elementwise test with the error class and text of a refusal.  A block
+# [[d, c], [c*, d']] gets the slack XSTATE_PARAM_TOL*T, T = d + d': where D = d*d' -
+# |c|^2 < 0, its smallest eigenvalue 2D/(T + sqrt(T^2 - 4D)) is >= D/T >= -XSTATE_PARAM_TOL.
+XSTATE_RULE = (
+    (lambda e: reduce(and_, map(np.isfinite, e)), DomainError,
+     lambda e: f"X-state parameters must be finite, got {e}"),
+    (lambda e: reduce(and_, (d >= 0.0 for d in e[:4])), NotPositive,
+     lambda e: f"diagonal entries must be nonnegative, got {e[:4]}"),
+    (_sums_to_one, TraceNotOne,
+     lambda e: f"diagonal sums to {_diagonal_sum(e)!r}, off by {abs(_diagonal_sum(e) - 1.0):.3e}"),
+    (lambda e: e[1] * e[2] >= _abs2(e[5]) - XSTATE_PARAM_TOL * (e[1] + e[2]), NotPositive,
+     lambda e: f"d2*d3 = {e[1] * e[2]:.6e} < |c23|^2 = {_abs2(e[5]):.6e}"),
+    (lambda e: e[0] * e[3] >= _abs2(e[4]) - XSTATE_PARAM_TOL * (e[0] + e[3]), NotPositive,
+     lambda e: f"d1*d4 = {e[0] * e[3]:.6e} < |c14|^2 = {_abs2(e[4]):.6e}"),
+)
 
 
 def xstate_valid(entries: XEntries):
-    """Elementwise mask of the entries ``x_state`` accepts: its rules with
-    its tolerances, the diagonal summed in its order.  Each comparison
-    is the complement of its refusal, and NaN or Inf fails one of them, so
-    numpy need not warn about overflow (a coherence of 1e200) or Inf - Inf."""
-    d1, d2, d3, d4, c14, c23 = entries
-    m14, m23 = _modulus(c14), _modulus(c23)
+    """Elementwise mask of the entries ``x_state`` accepts: the conjunction
+    of ``XSTATE_RULE``, whose first clause fails NaN and Inf, so numpy need
+    not warn about overflow (a coherence of 1e200) or Inf - Inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return ((d1 >= 0.0) & (d2 >= 0.0) & (d3 >= 0.0) & (d4 >= 0.0)
-                & (abs(((d1 + d2) + d3) + d4 - 1.0) <= XSTATE_PARAM_TOL)
-                & (d2 * d3 >= m23 * m23 - XSTATE_PARAM_TOL)
-                & (d1 * d4 >= m14 * m14 - XSTATE_PARAM_TOL))
+        return reduce(and_, (holds(entries) for holds, _, _ in XSTATE_RULE))
 
 
 def x_state_matrix(entries: XEntries) -> np.ndarray:
@@ -96,29 +119,14 @@ def x_state_matrix(entries: XEntries) -> np.ndarray:
 
 
 def x_state(entries: XEntries) -> DensityBlock:
-    """The X-state of six scalar entries, a one-state ``DensityBlock``.
-
-    The entries are checked first, in this order and within
-    ``XSTATE_PARAM_TOL``: all finite (DomainError), a nonnegative diagonal
-    (NotPositive) summing to 1 (TraceNotOne), then d2*d3 >= |c23|^2 and
-    d1*d4 >= |c14|^2 (NotPositive).  The matrix is then validated by
-    ``make_density``.
-    """
+    """The X-state of six scalar entries, a one-state ``DensityBlock``: the
+    first clause of ``XSTATE_RULE`` they fail raises its error, then
+    ``make_density`` validates the matrix."""
     entries = tuple(entries)
-    d1, d2, d3, d4, c14, c23 = entries
-    diag = (d1, d2, d3, d4)
-    if not all(map(cmath.isfinite, entries)):
-        raise DomainError(f"X-state parameters must be finite, got {entries}")
-    if min(diag) < 0.0:
-        raise NotPositive(f"diagonal entries must be nonnegative, got {diag}")
-    total = sum(diag)
-    if abs(total - 1.0) > XSTATE_PARAM_TOL:
-        raise TraceNotOne(f"diagonal sums to {total!r}, off by {abs(total-1.0):.3e}")
-    c14_2, c23_2 = abs(c14) * abs(c14), abs(c23) * abs(c23)
-    if d2 * d3 < c23_2 - XSTATE_PARAM_TOL:
-        raise NotPositive(f"d2*d3 = {d2 * d3:.6e} < |c23|^2 = {c23_2:.6e}")
-    if d1 * d4 < c14_2 - XSTATE_PARAM_TOL:
-        raise NotPositive(f"d1*d4 = {d1 * d4:.6e} < |c14|^2 = {c14_2:.6e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for holds, error, refusal in XSTATE_RULE:
+            if not holds(entries):
+                raise error(refusal(entries))
     return make_density(x_state_matrix(entries), TWO_QUBIT_SHAPE)
 
 
@@ -129,8 +137,7 @@ def x_state_purities(entries: XEntries) -> PuritySet:
     stay within rounding of 0.5 at any parameter, where the expanded form
     sum d_i^2 + 2(d1 d2 + d3 d4) cancels to 0 at p = 1e10."""
     d1, d2, d3, d4, c14, c23 = entries
-    m14, m23 = _modulus(c14), _modulus(c23)
-    k = m14 * m14 + m23 * m23
+    k = _abs2(c14) + _abs2(c23)
     sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
     mu12 = sq + 2.0 * k
     s12, s34, s13, s24 = d1 + d2, d3 + d4, d1 + d3, d2 + d4
@@ -153,7 +160,7 @@ def werner_entries(p: float) -> XEntries:
 
 def werner_state(p: float) -> DensityBlock:
     p = float(p)
-    entries = werner_entries(p)  # valid down to about p = -1/3 - 4e-12
+    entries = werner_entries(p)  # valid down to about p = -1/3 - 1.33e-12
     if not xstate_valid(entries):
         raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
     return x_state(entries)
@@ -257,8 +264,7 @@ def xstate_entangled(entries: XEntries):
     mean of the other pair of populations); boundary cases (within
     ``ENTANGLE_TOL``) count as separable."""
     d1, d2, d3, d4, c14, c23 = entries
-    m14, m23 = _modulus(c14), _modulus(c23)
-    return (m14 * m14 > d2 * d3 + ENTANGLE_TOL) | (m23 * m23 > d1 * d4 + ENTANGLE_TOL)
+    return (_abs2(c14) > d2 * d3 + ENTANGLE_TOL) | (_abs2(c23) > d1 * d4 + ENTANGLE_TOL)
 
 
 _PPT_CONCLUSIVE = {(2, 2), (2, 3), (3, 2)}

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .defaults import REPORT_TOL, SWEEP_POINTS, XSTATE_PARAM_TOL
+from .defaults import REPORT_TOL, SWEEP_POINTS
 from .density import (
     BlockShape,
     DensityBlock,
@@ -47,9 +47,11 @@ from .inequalities import delta_block, purity_block, require_tol
 from .prng import child_seed
 from .states import (
     TWO_QUBIT_SHAPE,
+    _diagonal_sum,
     _gisin_closed,
     _gisin_norm_defect,
     _require_ppt_shape,
+    _sums_to_one,
     beta_entries,
     gisin_domain,
     gisin_entries,
@@ -164,8 +166,7 @@ def _closed_forms(spec: SweepSpec, param: np.ndarray, entries: list[np.ndarray])
         ps = x_state_purities(entries)
         mu12, mu1, mu2, mt, delta = ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta
         lhs5 = mu1 + mu2 - 1.0
-        total = ((entries[0] + entries[1]) + entries[2]) + entries[3]
-        off = abs(total - 1.0) > XSTATE_PARAM_TOL
+        off = ~_sums_to_one(entries)
     # delta = mu_tilde - mu12 is finite only where both are
     not_finite = ~(np.isfinite(delta) & np.isfinite(lhs5))
     if (not_finite | off).any():
@@ -174,7 +175,8 @@ def _closed_forms(spec: SweepSpec, param: np.ndarray, entries: list[np.ndarray])
         if not_finite[i]:
             raise SpecError(f"{spec.family} closed forms are not finite at param {v!r}")
         raise SpecError(f"{spec.family} entries at param {v!r} sum to "
-                        f"{float(total[i])!r}, not 1: the closed forms would drop the 1")
+                        f"{float(_diagonal_sum(entries)[i])!r}, not 1: "
+                        "the closed forms would drop the 1")
     return mu12, mu1, mu2, mt, delta, lhs5
 
 
@@ -187,11 +189,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         entangled = xstate_entangled(entries)
         columns = np.empty((6, len(param)))  # mu12, mu1, mu2, mu_tilde, delta, lhs5
         columns[:, ~valid] = _closed_forms(spec, param[~valid], [e[~valid] for e in entries])
-    # A block failing validation would raise, but each valid row's matrix is
-    # Hermitian with unit diagonal sum and 2x2 blocks PSD in exact arithmetic,
-    # entries of modulus <= 1: diagonal, rank one (beta, Gisin inner), Werner
-    # outer for p in [-1/3, 1] (down to -1/3 - 4e-12, eigenvalue > -3e-12),
-    # or xrandom's with |c| <= sqrt(d d').
+    # Each valid row's matrix is Hermitian with unit diagonal sum, entries of modulus
+    # <= 1 and 2x2 blocks that xstate_valid keeps >= -XSTATE_PARAM_TOL: none raises.
     at = np.flatnonzero(valid)
     mats = x_state_matrix([e[valid] for e in entries])
     for chunk in in_blocks(range(len(at))):

@@ -101,6 +101,16 @@ class TestSweepCommand:
         assert "sum to" in err
         assert out == ""
 
+    def test_grid_too_large_to_allocate_is_an_input_error(self, capsys):
+        # 10^16 points ask for 80 PB, so the allocation fails at once; numpy
+        # raises a MemoryError subclass, which was a traceback
+        code, out, err = run_cli(["sweep", "--family", "werner", "--start", "0", "--stop", "1",
+                                  "--count", "10000000000000000"], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "allocate" in err
+        assert out == ""
+
     def test_huge_amplitude_input_error(self, capsys):
         # finite, but |a|^2 overflows
         code, out, err = run_cli(["sweep", "--family", "gisin", "--start", "0.1",
@@ -169,6 +179,29 @@ class TestAuditCommand:
         code, _, err = run_cli(["audit", "--shape", "two-by-two"], capsys)
         assert code == 1
         assert "shape" in err
+
+    @pytest.mark.parametrize("command", ["audit", "scan"])
+    @pytest.mark.parametrize("shape", ["2_0x2", "\uff12x\uff12", " 2 x 2 ", "+2x2", "2x2x2", "2x"],
+                             ids=["underscore", "fullwidth", "spaces", "sign", "three", "empty"])
+    def test_shape_outside_the_grammar_refused(self, command, shape, monkeypatch, capsys):
+        # int() reads each side of the first four: 2_0 as 20, fullwidth and
+        # padded digits as 2, +2 as 2
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled states for a shape outside the grammar")
+
+        monkeypatch.setattr(cli, "sample_blocks", no_sampling)
+        monkeypatch.setattr(sweep, "sample_blocks", no_sampling)
+        code, out, err = run_cli([command, "--shape", shape, "--samples", "5"], capsys)
+        assert code == 1
+        assert err == f"error: shape must look like 2x2, in ASCII digits, got {shape!r}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("shape", ["2x3", "2X3"])
+    def test_shape_separator_either_case(self, shape, capsys):
+        code, out, _ = run_cli(["audit", "--shape", shape, "--samples", "5", "--seed", "1"],
+                               capsys)
+        assert code == 0
+        assert out.startswith("audited 5 states of shape 2x3 ")
 
     @pytest.mark.parametrize("shape", ["1x1", "1x4", "3x1"])
     def test_factor_one_shape_refused_before_sampling(self, shape, monkeypatch, capsys):

@@ -17,7 +17,7 @@ from puritylab.errors import (
     TraceNotOne,
 )
 from puritylab.inequalities import audit_reports, purity_set
-from puritylab.linalg import hermitian_eig
+from puritylab.linalg import hermitian_eig, spectra
 from puritylab.prng import child_seed
 from puritylab.states import (
     beta_entries,
@@ -236,15 +236,37 @@ class TestWerner:
             werner_state(-0.34)
 
     def test_accepted_down_to_the_entry_tolerance(self):
-        # xstate_valid decides: d1*d4 >= |c14|^2 - XSTATE_PARAM_TOL admits p
-        # to about -1/3 - 4e-12, where the smallest eigenvalue is -3e-12
-        vals = hermitian_eig(werner_state(-1 / 3 - 2e-12).mat).values
-        assert vals[0] == pytest.approx(-1.5e-12, rel=1e-3)
-        with pytest.raises(DomainError, match=r"got -0\.3333333333378333$"):
-            werner_state(-0.3333333333378333)
+        # xstate_valid decides: d1*d4 >= |c14|^2 - XSTATE_PARAM_TOL*(d1 + d4)
+        # admits p to about -1/3 - 1.33e-12, where the smallest eigenvalue is -1e-12
+        vals = hermitian_eig(werner_state(-1 / 3 - 1e-12).mat).values
+        assert vals[0] == pytest.approx(-7.5e-13, rel=1e-3)
+        with pytest.raises(DomainError, match=r"got -0\.3333333333353333$"):
+            werner_state(-1 / 3 - 2e-12)
 
     def test_matrix_matches_entrywise_oracle(self):
         assert np.array_equal(werner_state(0.8).mat, werner_matrix(0.8))
+
+
+def block_edge_entries(rng, count: int) -> tuple[np.ndarray, ...]:
+    """Six entry arrays with one block [[d, c], [c*, d']] per row near its
+    positivity edge: trace T = d + d' log-uniform in [1e-6, 1], and |c|^2 =
+    d*d' + s*XSTATE_PARAM_TOL, s in [-1, 3], times T (the edge of the scaled
+    slack) in half the rows, and not (the edge of an absolute one) in the
+    other half.  The other block is well inside; which of the two blocks is
+    at its edge alternates every two rows."""
+    trace = 10.0 ** rng.uniform(-6.0, 0.0, count)
+    split = rng.uniform(0.05, 0.95, (2, count))
+    d, d_ = trace * split[0], trace * (1.0 - split[0])
+    o, o_ = (1.0 - trace) * split[1], (1.0 - trace) * (1.0 - split[1])
+    excess = XSTATE_PARAM_TOL * rng.uniform(-1.0, 3.0, count)
+    excess[::2] *= trace[::2]
+    phase = np.exp(2j * np.pi * rng.uniform(size=(2, count)))
+    c = np.sqrt(np.maximum(d * d_ + excess, 0.0)) * phase[0]
+    c_other = 0.5 * np.sqrt(o * o_) * phase[1]
+    outer = np.arange(count) % 4 < 2  # the edge in the (d1, d4) block
+    d1, d4 = np.where(outer, d, o), np.where(outer, d_, o_)
+    d2, d3 = np.where(outer, o, d), np.where(outer, o_, d_)
+    return d1, d2, d3, d4, np.where(outer, c, c_other), np.where(outer, c_other, c)
 
 
 class TestEntries:
@@ -301,16 +323,37 @@ class TestEntries:
         for k, column in enumerate(entries):
             column[3 * k:3 * k + 3] = (np.nan, np.inf, -np.inf)
         c23[18:20] = complex(0.0, np.nan), complex(np.inf, np.nan)
-        accepted = []
+        # and 4,000 entries on both sides of each block's positivity edge,
+        # with block traces from 1e-6 to 1, led by the entries an absolute
+        # slack once admitted (smallest eigenvalue -9e-10)
+        edges = block_edge_entries(rng, 4000)
+        edges[0][0], edges[4][0] = 5e-4, np.sqrt(2.5e-7 + 9e-13)
+        edges[1][0], edges[2][0], edges[3][0], edges[5][0] = 0.4995, 0.4995, 5e-4, 0.0
+        entries = tuple(np.concatenate(pair) for pair in zip(entries, edges))
+        accepted, mats = [], []
         for row in zip(*(e.tolist() for e in entries)):
             try:
-                x_state(row)
+                mats.append(x_state(row).mat)
             except (DomainError, NotPositive, TraceNotOne):
                 accepted.append(False)
             else:
                 accepted.append(True)
         assert 0.2 < np.mean(accepted) < 0.8
+        assert 0.2 < np.mean(accepted[-4000:]) < 0.8
         assert xstate_valid(entries).tolist() == accepted
+        # the slack scaled by the block trace bounds the smallest eigenvalue
+        assert spectra(np.array(mats))[:, 0].min() >= -1.01 * XSTATE_PARAM_TOL
+
+    def test_small_block_trace_refused_by_the_entry_rule(self):
+        # d1 + d4 = 1e-3: |c14|^2 - d1*d4 = 9e-13 is inside the absolute
+        # slack XSTATE_PARAM_TOL, but the block's smallest eigenvalue is
+        # -9e-10, beyond VALIDATION_TOL; the mask and the constructor
+        # refuse it by the same clause
+        entries = (5e-4, 0.4995, 0.4995, 5e-4, math.sqrt(2.5e-7 + 9e-13), 0.0)
+        assert not xstate_valid(entries)
+        with pytest.raises(NotPositive,
+                           match=r"^d1\*d4 = 2\.500000e-07 < \|c14\|\^2 = 2\.500009e-07$"):
+            x_state(entries)
 
     @pytest.mark.parametrize("p", [-3.0, -1.5, 1.5, 1e8])
     def test_out_of_domain_entries_unchecked(self, p):
