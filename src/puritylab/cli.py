@@ -192,8 +192,8 @@ def cli_main(argv=None) -> int:
     except (IoError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (_UsageError, PurityLabError, MemoryError) as err:  # MemoryError: too large to allocate
-        print(f"error: {err}", file=sys.stderr)
+    except (_UsageError, PurityLabError, MemoryError) as err:  # MemoryError: out of memory
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 
 

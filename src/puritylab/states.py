@@ -102,10 +102,11 @@ XSTATE_RULE = (
 
 def xstate_valid(entries: XEntries):
     """Elementwise mask of the entries ``x_state`` accepts: the conjunction
-    of ``XSTATE_RULE``, whose first clause fails NaN and Inf, so numpy need
-    not warn about overflow (a coherence of 1e200) or Inf - Inf."""
+    of ``XSTATE_RULE`` after its finite clause, which the others imply: NaN
+    or Inf fails one of them, so numpy need not warn about overflow (a
+    coherence of 1e200) or Inf - Inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return reduce(and_, (holds(entries) for holds, _, _ in XSTATE_RULE))
+        return reduce(and_, (holds(entries) for holds, _, _ in XSTATE_RULE[1:]))
 
 
 def x_state_matrix(entries: XEntries) -> np.ndarray:

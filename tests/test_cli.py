@@ -111,6 +111,16 @@ class TestSweepCommand:
         assert "allocate" in err
         assert out == ""
 
+    def test_out_of_memory_without_a_message_names_the_error(self, monkeypatch, capsys):
+        # a bare MemoryError() has an empty str; the line names its class
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_sweep", out_of_memory)
+        code, out, err = run_cli(["sweep", "--family", "werner", "--start", "0", "--stop", "1",
+                                  "--count", "3"], capsys)
+        assert (code, out, err) == (1, "", "error: MemoryError\n")
+
     def test_huge_amplitude_input_error(self, capsys):
         # finite, but |a|^2 overflows
         code, out, err = run_cli(["sweep", "--family", "gisin", "--start", "0.1",
