@@ -13,12 +13,11 @@ with mu_tilde = (rhs of eq8)^2 + (rhs of eq6)^2 - 1.  eq6 and eq8 are the
 (p, q) = (2, 1) and (1, 2) cases of the Minkowski-type trace inequality
 (Carlen & Lieb 2008, Lett. Math. Phys. 83:107), written in purities.  The
 traces of the matrix square roots are sums of square roots of eigenvalues,
-never of entries.  ``audit_block`` gives both sides of all five for a whole
-block of states, from one set of purities and square-root traces per state;
-``audit_reports`` turns it into reports for a one-state block.  The other
-``*_block`` functions likewise evaluate a whole block of states, and the
-one-state functions (``delta``, ``purity_set``) are the same call on a
-one-state block, read with ``.item()``, which refuses a longer block.
+never of entries.  Every function here evaluates a whole block of states
+and returns one array entry per state: ``audit_reports`` gives both sides
+of all five, from one set of purities and square-root traces per state,
+``purity_set`` the purities and ``delta`` their difference alone.  One
+state is a one-state block, its values read with ``.item()``.
 """
 
 from __future__ import annotations
@@ -42,33 +41,36 @@ from .linalg import spectra
 
 @dataclass(frozen=True)
 class PuritySet:
-    """The four purity scalars of one state and their difference.
+    """The four purities of each state and their difference, one array
+    entry per state (floats for ``x_state_purities`` of scalar entries).
 
     ``delta`` is ``mu_tilde - mu12``, the quantity whose sign the
     entanglement scans track.
     """
 
-    mu12: float
-    mu1: float
-    mu2: float
-    mu_tilde: float
-    delta: float
+    mu12: np.ndarray
+    mu1: np.ndarray
+    mu2: np.ndarray
+    mu_tilde: np.ndarray
+    delta: np.ndarray
 
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Outcome of one inequality evaluation.
+    """Outcome of one inequality on every state of a block, one array entry
+    per state.
 
     Every inequality expects lhs <= rhs, so ``margin`` is rhs - lhs and a
-    nonnegative margin means "as expected".  Reports are measurements: they
-    are returned whether or not the inequality holds.
+    nonnegative margin means "as expected"; ``satisfied`` is the verdict
+    margin >= -tol.  Reports are measurements: they are returned whether or
+    not the inequality holds.
     """
 
     name: str
-    lhs: float
-    rhs: float
-    margin: float
-    satisfied: bool
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    satisfied: np.ndarray
     tol: float
 
 
@@ -78,7 +80,7 @@ def require_tol(tol: float) -> None:
         raise SpecError(f"tol must be a finite number >= 0, got {tol}")
 
 
-def _report(name: str, lhs: float, rhs: float, tol: float) -> InequalityReport:
+def _report(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> InequalityReport:
     margin = rhs - lhs
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, margin=margin,
                             satisfied=margin >= -tol, tol=tol)
@@ -105,15 +107,10 @@ def _minkowski_terms(block: DensityBlock) -> tuple[np.ndarray, ...]:
     return s6, s8, squares, squares - 1.0
 
 
-def delta_block(block: DensityBlock) -> np.ndarray:
-    """delta = mu_tilde - mu12 of every state of a block."""
+def delta(block: DensityBlock) -> np.ndarray:
+    """delta = mu_tilde - mu12 of every state of a block, whose positivity
+    the entanglement conjecture asserts on entangled states."""
     return _minkowski_terms(block)[3] - purities(block.mats)
-
-
-def delta(rho: DensityBlock) -> float:
-    """mu_tilde - mu12 of a one-state block; positivity of this difference
-    is what the entanglement conjecture asserts on entangled states."""
-    return delta_block(rho).item()
 
 
 def _audit_terms(block: DensityBlock) -> tuple[np.ndarray, ...]:
@@ -124,37 +121,25 @@ def _audit_terms(block: DensityBlock) -> tuple[np.ndarray, ...]:
             *_minkowski_terms(block))
 
 
-def purity_block(block: DensityBlock) -> tuple[np.ndarray, ...]:
+def purity_set(block: DensityBlock) -> PuritySet:
     """mu12, mu1, mu2, mu_tilde and delta of every state of a block."""
     mu12, mu1, mu2, *_, mt = _audit_terms(block)
-    return mu12, mu1, mu2, mt, mt - mu12
+    return PuritySet(mu12, mu1, mu2, mt, mt - mu12)
 
 
-def purity_set(rho: DensityBlock) -> PuritySet:
-    """All four purity scalars of a one-state block, plus
-    delta = mu_tilde - mu12."""
-    return PuritySet(*(v.item() for v in purity_block(rho)))
-
-
-def audit_block(block: DensityBlock) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """``(name, lhs, rhs)`` of eq5, eq6, eq8, eq9 and eq10 with one entry per
-    state of a block."""
+def audit_reports(block: DensityBlock, tol: float = REPORT_TOL) -> list[InequalityReport]:
+    """Reports of eq5, eq6, eq8, eq9 and eq10, in that order, with one entry
+    per state of a block, each judged satisfied where its margin is >= -tol;
+    ``tol`` must be a finite number >= 0."""
+    require_tol(tol)
     mu12, mu1, mu2, s6, s8, squares, mt = _audit_terms(block)
     return [
-        ("eq5", mu1 + mu2 - 1.0, mu12),
-        ("eq6", np.sqrt(mu2), s6),
-        ("eq8", np.sqrt(mu1), s8),
-        ("eq9", mu1 + mu2, squares),
-        ("eq10", mu1 + mu2 - 1.0, mt),
+        _report("eq5", mu1 + mu2 - 1.0, mu12, tol),
+        _report("eq6", np.sqrt(mu2), s6, tol),
+        _report("eq8", np.sqrt(mu1), s8, tol),
+        _report("eq9", mu1 + mu2, squares, tol),
+        _report("eq10", mu1 + mu2 - 1.0, mt, tol),
     ]
-
-
-def audit_reports(rho: DensityBlock, tol: float = REPORT_TOL) -> list[InequalityReport]:
-    """Reports of eq5, eq6, eq8, eq9 and eq10, in that order, of a one-state
-    block: its :func:`audit_block`, each judged satisfied when its margin is
-    >= -tol; ``tol`` must be a finite number >= 0."""
-    require_tol(tol)
-    return [_report(name, lhs.item(), rhs.item(), tol) for name, lhs, rhs in audit_block(rho)]
 
 
 def find_delta_roots(f, lo: float, hi: float, grid: int = ROOT_GRID,

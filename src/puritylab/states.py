@@ -25,7 +25,8 @@ of their entries is false; ``gisin_state`` checks 0 < x < 1, the
 normalization slack and ``gisin_domain``.  Each then calls ``x_state``.
 The maps, masks and verdicts are elementwise, each value with the bits of
 its scalar evaluation: moduli are ``np.hypot(re, im)`` and squares products
-(``x ** 2`` raises on overflow).
+(``x ** 2`` raises on overflow).  ``ppt_entangled``, the verdict on
+matrices, evaluates a whole block of states, one entry per state.
 
 Closed-form purities for the family:
 
@@ -132,11 +133,13 @@ def x_state(entries: XEntries) -> DensityBlock:
 
 
 def x_state_purities(entries: XEntries) -> PuritySet:
-    """Closed-form purity set of six entries, valid or not; matches
-    the generic pipeline to ~1e-12 on valid states.  mu1 and mu2 are sums of
-    squared population pairs: the Werner and beta pairs sum to 1/2, so they
-    stay within rounding of 0.5 at any parameter, where the expanded form
-    sum d_i^2 + 2(d1 d2 + d3 d4) cancels to 0 at p = 1e10."""
+    """Closed-form purity set of six entries, valid or not.  On valid states
+    it matches ``purity_set`` of their matrices within 32 eps; the largest
+    difference measured, over the valid rows of the figure grids and of
+    20,000 xrandom seeds, is 8 eps (1.8e-15), on mu_tilde and delta.  mu1
+    and mu2 are sums of squared population pairs: the Werner and beta pairs
+    sum to 1/2, so they stay within rounding of 0.5 at any parameter, where
+    the expanded form sum d_i^2 + 2(d1 d2 + d3 d4) cancels to 0 at p = 1e10."""
     d1, d2, d3, d4, c14, c23 = entries
     k = _abs2(c14) + _abs2(c23)
     sq = d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
@@ -281,7 +284,7 @@ def _require_ppt_shape(shape: BlockShape) -> None:
         )
 
 
-def ppt_entangled_block(block: DensityBlock) -> np.ndarray:
+def ppt_entangled(block: DensityBlock) -> np.ndarray:
     """Peres-Horodecki test on every state of a block: a partial transpose
     with an eigenvalue below -ENTANGLE_TOL means entangled.
 
@@ -293,12 +296,6 @@ def ppt_entangled_block(block: DensityBlock) -> np.ndarray:
     _require_ppt_shape(block.shape)
     transposed = partial_transpose_inner(block.mats, block.shape)
     return spectra(transposed)[:, 0] < -ENTANGLE_TOL
-
-
-def ppt_entangled(rho: DensityBlock) -> bool:
-    """Peres-Horodecki verdict of a one-state block: its
-    :func:`ppt_entangled_block`, read with ``.item()``."""
-    return ppt_entangled_block(rho).item()
 
 
 def random_x_entries(seeds) -> XEntries:

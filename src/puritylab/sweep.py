@@ -7,14 +7,13 @@ seeds) gives the X-state entries of every grid value, and ``entangled`` is
 ``xstate_valid`` and, for Gisin, of ``gisin_domain``: the rows whose state
 its checked constructor (``werner_state``, ``x_state`` of a seed's entries,
 ...) builds.  The valid rows' matrices form one (V, 4, 4) stack, validated
-and evaluated a block at a time by the functions of one-state evaluation,
-so each row equals ``purity_set`` of its state.  The
-invalid rows keep the closed forms, in one elementwise call:
-``x_state_purities`` of the entries fills mu12, mu1, mu2, mu_tilde, delta
-and lhs5 = mu1 + mu2 - 1 for Werner and beta; for Gisin,
-``_gisin_closed`` of the raw amplitudes fills mu12, mu_tilde, delta and
-lhs5, and mu1 and mu2 are blank.  Each value has the bits of its one-point
-evaluation.
+and evaluated a block at a time by ``purity_set``, so each row equals
+``purity_set`` of its state alone.  The invalid rows keep the closed
+forms, in one elementwise call: ``x_state_purities`` of the entries fills
+mu12, mu1, mu2, mu_tilde, delta and lhs5 = mu1 + mu2 - 1 for Werner and
+beta; for Gisin, ``_gisin_closed`` of the raw amplitudes fills mu12,
+mu_tilde, delta and lhs5, and mu1 and mu2 are blank.  Each value has the
+bits of its one-point evaluation.  The grid ends at ``stop`` itself.
 
 The conjecture scan alternates Ginibre-induced states (ranks cycling
 1..N) with separable control mixtures, flags every entangled sample whose
@@ -43,7 +42,7 @@ from .density import (
     validate_block,
 )
 from .errors import SpecError
-from .inequalities import delta_block, purity_block, require_tol
+from .inequalities import delta, purity_set, require_tol
 from .prng import child_seed
 from .states import (
     TWO_QUBIT_SHAPE,
@@ -55,7 +54,7 @@ from .states import (
     beta_entries,
     gisin_domain,
     gisin_entries,
-    ppt_entangled_block,
+    ppt_entangled,
     random_x_entries,
     werner_entries,
     x_state_matrix,
@@ -114,8 +113,12 @@ class SweepSpec:
                 "use integer bounds with a step of at least 1 and a span below 2^64")
 
     def grid(self) -> np.ndarray:
+        """start + i * step, and stop itself as the last point, which
+        start + (count - 1) * step can miss by an ulp."""
         step = (self.stop - self.start) / (self.count - 1)
-        return float(self.start) + np.arange(self.count) * step
+        grid = float(self.start) + np.arange(self.count) * step
+        grid[-1] = self.stop
+        return grid
 
     @functools.cached_property
     def _seeds(self) -> tuple[int, ...]:
@@ -161,14 +164,15 @@ def _closed_forms(spec: SweepSpec, param: np.ndarray, entries: list[np.ndarray])
     if spec.family == "gisin":
         lhs5, mt, mu12 = _gisin_closed(param, abs(spec.a) ** 2, abs(spec.b) ** 2)
         mu1 = mu2 = np.full(len(param), np.nan)
-        delta, off = mt - mu12, np.zeros(len(param), dtype=bool)
+        off = np.zeros(len(param), dtype=bool)
     else:
         ps = x_state_purities(entries)
-        mu12, mu1, mu2, mt, delta = ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta
+        mu12, mu1, mu2, mt = ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde
         lhs5 = mu1 + mu2 - 1.0
         off = ~_sums_to_one(entries)
-    # delta = mu_tilde - mu12 is finite only where both are
-    not_finite = ~(np.isfinite(delta) & np.isfinite(lhs5))
+    # the delta column, mu_tilde - mu12, is finite only where both are
+    gap = mt - mu12
+    not_finite = ~(np.isfinite(gap) & np.isfinite(lhs5))
     if (not_finite | off).any():
         i = int((not_finite | off).argmax())
         v = float(param[i])  # a Python float's repr
@@ -177,7 +181,7 @@ def _closed_forms(spec: SweepSpec, param: np.ndarray, entries: list[np.ndarray])
         raise SpecError(f"{spec.family} entries at param {v!r} sum to "
                         f"{float(_diagonal_sum(entries)[i])!r}, not 1: "
                         "the closed forms would drop the 1")
-    return mu12, mu1, mu2, mt, delta, lhs5
+    return mu12, mu1, mu2, mt, gap, lhs5
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -194,8 +198,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     at = np.flatnonzero(valid)
     mats = x_state_matrix([e[valid] for e in entries])
     for chunk in in_blocks(range(len(at))):
-        mu12, mu1, mu2, mt, delta = purity_block(validate_block(mats[chunk], TWO_QUBIT_SHAPE))
-        columns[:, at[chunk]] = mu12, mu1, mu2, mt, delta, mu1 + mu2 - 1.0
+        ps = purity_set(validate_block(mats[chunk], TWO_QUBIT_SHAPE))
+        columns[:, at[chunk]] = (ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta,
+                                 ps.mu1 + ps.mu2 - 1.0)
     return SweepTable(param, valid, *columns, entangled)
 
 
@@ -275,8 +280,8 @@ def scan_conjecture(shape: BlockShape, samples: int, seed: int,
     deltas, entangled = [], []
     for block in sample_blocks(shape, (_sample_recipe(shape, index, seed)
                                        for index in range(samples))):
-        entangled.append(ppt_entangled_block(block))
-        deltas.append(delta_block(block))
+        entangled.append(ppt_entangled(block))
+        deltas.append(delta(block))
     deltas, entangled = np.concatenate(deltas), np.concatenate(entangled)
     counterexamples = []
     for index in np.flatnonzero(entangled & (deltas <= tol)).tolist():

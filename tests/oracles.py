@@ -20,6 +20,7 @@ sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -412,6 +413,15 @@ _SCALAR_FAMILIES = {
 }
 
 
+def one_state_values(result):
+    """A ``PuritySet`` or ``InequalityReport`` of a one-state block with each
+    array field read by ``.item()``: the values of its one state as Python
+    scalars; ``.item()`` refuses a longer block."""
+    values = {name: value.item() for name, value in vars(result).items()
+              if isinstance(value, np.ndarray)}
+    return dataclasses.replace(result, **values)
+
+
 def _scalar_sweep_row(spec: SweepSpec, v: float) -> tuple:
     """The nine values of grid value ``v``, alone, in CSV order: ``entangled``
     from the family's entries, ``valid`` where its checked constructor
@@ -431,7 +441,7 @@ def _scalar_sweep_row(spec: SweepSpec, v: float) -> tuple:
         except (DomainError, NotPositive, TraceNotOne):
             rho = None
     if rho is not None:
-        ps = purity_set(rho)
+        ps = one_state_values(purity_set(rho))
         return (v, True, ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta,
                 ps.mu1 + ps.mu2 - 1.0, bool(xstate_entangled(entries)))
     if spec.family == "gisin":
@@ -452,8 +462,10 @@ def _scalar_sweep_row(spec: SweepSpec, v: float) -> tuple:
 
 def scalar_sweep_rows(spec: SweepSpec) -> list[tuple]:
     """The rows of a sweep built one grid point at a time, on the grid
-    ``start + i * step``; raises the SpecError of the first row refused."""
+    ``start + i * step`` that ends at ``stop`` itself; raises the SpecError
+    of the first row refused."""
     step = (spec.stop - spec.start) / (spec.count - 1)
+    points = [spec.start + i * step for i in range(spec.count - 1)] + [float(spec.stop)]
     # far outside the domain the closed forms overflow; such rows raise
     with np.errstate(over="ignore", invalid="ignore"):
-        return [_scalar_sweep_row(spec, spec.start + i * step) for i in range(spec.count)]
+        return [_scalar_sweep_row(spec, v) for v in points]

@@ -20,6 +20,7 @@ from oracles import (
     index_block_sum,
     index_block_trace,
     jacobi_eigenvalues,
+    one_state_values,
     one_x_entries,
     random_hermitian,
 )
@@ -57,7 +58,7 @@ def test_criterion_1_werner_closed_forms():
     worst_purities = 0.0
     worst_mt = 0.0
     for p in np.linspace(-1 / 3, 1.0, 200):
-        ps = purity_set(werner_state(float(p)))
+        ps = one_state_values(purity_set(werner_state(float(p))))
         worst_purities = max(
             worst_purities,
             abs(ps.mu12 - (3 * p * p + 1) / 4),
@@ -75,12 +76,12 @@ def test_criterion_1_werner_closed_forms():
 
 
 def test_criterion_2_werner_threshold_coincidence():
-    roots = find_delta_roots(lambda ps: np.array([delta(werner_state(p)) for p in ps]),
+    roots = find_delta_roots(lambda ps: np.array([delta(werner_state(p)).item() for p in ps]),
                              1e-6, 1.0, grid=512, tol=1e-8)
     lo, hi = 0.2, 0.6
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if ppt_entangled(werner_state(mid)):
+        if ppt_entangled(werner_state(mid)).item():
             hi = mid
         else:
             lo = mid
@@ -111,7 +112,7 @@ def test_criterion_3_gisin_closed_forms():
         top = min(x_max, 0.99)
         for x in np.linspace(0.01, top, 50):
             lhs5, mt, mu12 = _gisin_closed(float(x), a * a, b * b)
-            ps = purity_set(gisin_state(float(x), a, b))
+            ps = one_state_values(purity_set(gisin_state(float(x), a, b)))
             worst = max(worst,
                         abs(ps.mu12 - mu12),
                         abs(ps.mu_tilde - mt),
@@ -165,7 +166,7 @@ def test_criterion_4b_gisin_delta_root_near_x_max():
     worst = 0.0
     for x in mids:
         rho = x_state(gisin_entries(x, a, b))
-        d = purity_set(rho).delta
+        d = purity_set(rho).delta.item()
         signs.append(1 if d > 0 else -1)
         worst = max(worst, abs(d - closed_delta(x)))
     signs_ok = signs == [1, -1, 1] and worst <= 1e-10
@@ -186,7 +187,7 @@ def test_criterion_5_beta_state():
     min_delta = float("inf")
     grid = list(np.linspace(0.0, 1.0, 200)) + [0.5]
     for beta in grid:
-        ps = purity_set(beta_state(float(beta)))
+        ps = one_state_values(purity_set(beta_state(float(beta))))
         worst = max(worst,
                     abs(ps.mu_tilde - (8 * beta * beta - 8 * beta + 3)),
                     abs(ps.mu12 - (2 * beta * beta - 2 * beta + 1)))
@@ -207,7 +208,7 @@ def test_criterion_6_inequality_audit():
         for k in range(samples):
             rho = random_density(shape.n, shape.m, k % shape.dim + 1,
                                  child_seed(base_seed, k))
-            for rep in audit_reports(rho, tol=1e-9):
+            for rep in map(one_state_values, audit_reports(rho, tol=1e-9)):
                 if rep.name not in worst or rep.margin < worst[rep.name]:
                     worst[rep.name] = rep.margin
     elapsed = time.perf_counter() - t0
@@ -225,8 +226,8 @@ def test_criterion_7_oracle_equivalence():
         params = one_x_entries(k + 1)
         closed = x_state_purities(params)
         rho = x_state(params)
-        reports = {rep.name: rep for rep in audit_reports(rho, tol=1e-9)}
-        generic = purity_set(rho)
+        reports = {rep.name: one_state_values(rep) for rep in audit_reports(rho, tol=1e-9)}
+        generic = one_state_values(purity_set(rho))
         worst_closed = max(
             worst_closed,
             abs(closed.mu12 - generic.mu12),
@@ -272,8 +273,8 @@ def test_criterion_8_conjecture_scan():
     rederived_ok = True
     for sample in first.counterexamples:
         rho = scan_state(SHAPE22, sample.kind, sample.size, sample.seed)
-        rederived_ok &= delta(rho) == sample.delta
-        rederived_ok &= ppt_entangled(rho) == sample.entangled
+        rederived_ok &= delta(rho).item() == sample.delta
+        rederived_ok &= ppt_entangled(rho).item() == sample.entangled
     ok = deterministic and labeled_ok and rederived_ok
     report(
         "criterion 8 (conjecture scan)", ok,

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from oracles import dipped_diagonal, skewed_pure_state, werner_matrix
@@ -20,19 +21,17 @@ def run_cli(args, capsys):
 
 
 def fail_every_report(monkeypatch):
-    """Make every audited inequality come out unsatisfied (margin -1), for
-    one state (check) and for whole blocks (audit)."""
-    real_reports, real_block = cli.audit_reports, cli.audit_block
+    """Make every audited inequality come out unsatisfied (margin -1) on
+    every state of a block, for one state (check) and for whole blocks
+    (audit)."""
+    real_reports = cli.audit_reports
 
-    def failing(rho, tol):
-        return [dataclasses.replace(rep, margin=-1.0, satisfied=False)
-                for rep in real_reports(rho, tol=tol)]
-
-    def failing_block(block):
-        return [(name, lhs, lhs - 1.0) for name, lhs, _ in real_block(block)]
+    def failing(block, tol):
+        return [dataclasses.replace(rep, margin=np.full_like(rep.margin, -1.0),
+                                    satisfied=np.zeros_like(rep.satisfied))
+                for rep in real_reports(block, tol=tol)]
 
     monkeypatch.setattr(cli, "audit_reports", failing)
-    monkeypatch.setattr(cli, "audit_block", failing_block)
 
 
 class TestSweepCommand:
@@ -239,6 +238,22 @@ class TestAuditCommand:
         code, out, _ = run_cli(["audit", "--samples", "5", "--seed", "1"], capsys)
         assert code == 2
         assert "VIOLATED" in out
+
+    def test_verdict_is_the_reports_satisfied(self, monkeypatch, capsys):
+        # margins as evaluated, every state judged unsatisfied: the verdict
+        # is read from the reports, not from a second margin rule
+        real_reports = cli.audit_reports
+
+        def unsatisfied(block, tol):
+            return [dataclasses.replace(rep, satisfied=np.zeros_like(rep.satisfied))
+                    for rep in real_reports(block, tol=tol)]
+
+        code, out, _ = run_cli(["audit", "--samples", "5", "--seed", "1"], capsys)
+        assert code == 0 and "VIOLATED" not in out
+        monkeypatch.setattr(cli, "audit_reports", unsatisfied)
+        code, violated, _ = run_cli(["audit", "--samples", "5", "--seed", "1"], capsys)
+        assert code == 2
+        assert violated == out.replace(" ok\n", " VIOLATED\n")
 
 
 class TestScanCommand:

@@ -37,8 +37,8 @@ class TestGinibreCounterexample:
         ref_delta, ref_min_pt = delta_and_min_pt(rho.mat, 2, 2)
         assert ref_delta == pytest.approx(-0.017036, abs=5e-7)
         assert ref_min_pt == pytest.approx(-4.31e-3, abs=5e-6)
-        assert abs(delta(rho) - ref_delta) <= 1e-12
-        assert ppt_entangled(rho)
+        assert abs(delta(rho).item() - ref_delta) <= 1e-12
+        assert ppt_entangled(rho).item()
         assert ref_min_pt < -ENTANGLE_TOL
 
     def test_scan_reports_it(self):
@@ -61,13 +61,13 @@ class TestXStateCounterexample:
         params = one_x_entries(self.SEED)
         closed = x_state_purities(params).delta
         assert closed == pytest.approx(-0.054277, abs=5e-7)
-        assert abs(delta(x_state(params)) - closed) <= 1e-12
+        assert abs(delta(x_state(params)).item() - closed) <= 1e-12
 
     def test_entangled_with_negative_delta_by_oracle(self):
         params = one_x_entries(self.SEED)
         rho = x_state(params)
         assert xstate_entangled(params)
-        assert ppt_entangled(rho)
+        assert ppt_entangled(rho).item()
         ref_delta, ref_min_pt = delta_and_min_pt(rho.mat, 2, 2)
         assert ref_delta < -REPORT_TOL
         assert ref_min_pt < -ENTANGLE_TOL
@@ -95,11 +95,11 @@ class TestBoundaryMixtureCounterexample:
         ref_delta, ref_min_pt = delta_and_min_pt(rho.mat, 2, 2)
         assert ref_delta == pytest.approx(-0.027229, abs=5e-7)
         assert ref_min_pt == pytest.approx(-1.340e-4, abs=5e-8)
-        assert abs(delta(rho) - ref_delta) <= 1e-12
-        assert ppt_entangled(rho)
+        assert abs(delta(rho).item() - ref_delta) <= 1e-12
+        assert ppt_entangled(rho).item()
         assert ref_min_pt < -ENTANGLE_TOL
 
     def test_boundary_lies_between(self):
         rho = self.mixture(0.3874)
-        assert not ppt_entangled(rho)
+        assert not ppt_entangled(rho).item()
         assert delta_and_min_pt(rho.mat, 2, 2)[1] > ENTANGLE_TOL

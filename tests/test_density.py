@@ -7,6 +7,7 @@ from oracles import (
     dipped_diagonal,
     index_block_sum,
     index_block_trace,
+    one_state_values,
     skewed_pure_state,
     werner_matrix,
 )
@@ -125,9 +126,12 @@ class TestOneStateBlock:
         block = validate_block(np.stack([werner_matrix(0.2), werner_matrix(0.8)]), SHAPE22)
         with pytest.raises(DimMismatch):
             block.mat
-        for one_state in (delta, purity_set, audit_reports, ppt_entangled):
+        # the evaluations give one entry per state, which .item() refuses
+        for values in (delta(block), purity_set(block).delta, audit_reports(block)[0].margin,
+                       ppt_entangled(block)):
+            assert values.shape == (2,)
             with pytest.raises(ValueError, match="size 1"):
-                one_state(block)
+                values.item()
 
 
 class TestValidateBlock:
@@ -228,8 +232,7 @@ class TestValidatedOnce:
             rho = make_density(mat, BlockShape(n, m))
             reduced_defects += [hermiticity_defect(block_trace_map(rho.mat, rho.shape)),
                                 hermiticity_defect(block_sum_map(rho.mat, rho.shape))]
-            ps = purity_set(rho)
-            assert ps.delta == delta(rho)
+            assert purity_set(rho).delta.item() == delta(rho).item()
             assert len(audit_reports(rho)) == 5
             if (n, m) != (3, 3):
                 ppt_entangled(rho)
@@ -249,7 +252,7 @@ class TestValidatedOnce:
         smallest = hermitian_eig(reduced).values[0]
         assert smallest == pytest.approx(-0.9 * traced * VALIDATION_TOL, rel=1e-6)
         assert smallest < -VALIDATION_TOL
-        assert purity_set(rho).delta == delta(rho)
+        assert purity_set(rho).delta.item() == delta(rho).item()
         assert len(audit_reports(rho)) == 5
 
     @pytest.mark.parametrize("outer", [False, True], ids=["dip-inner", "dip-outer"])
@@ -333,7 +336,7 @@ class TestPurity:
 
 class TestPuritySet:
     def test_werner(self):
-        ps = purity_set(make_density(werner_matrix(0.6), SHAPE22))
+        ps = one_state_values(purity_set(make_density(werner_matrix(0.6), SHAPE22)))
         assert ps.mu12 == pytest.approx((3 * 0.36 + 1) / 4, abs=1e-14)
         assert ps.mu1 == pytest.approx(0.5, abs=1e-14)
         assert ps.mu2 == pytest.approx(0.5, abs=1e-14)
@@ -341,7 +344,7 @@ class TestPuritySet:
     def test_pure_product_projector(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = 1.0
-        ps = purity_set(make_density(mat, SHAPE22))
+        ps = one_state_values(purity_set(make_density(mat, SHAPE22)))
         assert ps.mu12 == pytest.approx(1.0, abs=1e-12)
         assert ps.mu1 == pytest.approx(1.0, abs=1e-12)
         assert ps.mu2 == pytest.approx(1.0, abs=1e-12)
@@ -349,7 +352,7 @@ class TestPuritySet:
         assert ps.delta == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        ps = purity_set(mixed_state())
+        ps = one_state_values(purity_set(mixed_state()))
         assert ps.mu12 == pytest.approx(0.25, abs=1e-15)
         assert ps.mu1 == pytest.approx(0.5, abs=1e-15)
         assert ps.mu2 == pytest.approx(0.5, abs=1e-15)
@@ -360,13 +363,13 @@ class TestPuritySet:
     @settings(max_examples=60)
     def test_pure_states_have_equal_schmidt_purities(self, seed, shape):
         rho = random_state(shape, seed, rank=1)
-        ps = purity_set(rho)
+        ps = one_state_values(purity_set(rho))
         assert abs(ps.mu1 - ps.mu2) <= 1e-10
 
     @given(seeds, st.sampled_from(SHAPES))
     @settings(max_examples=80)
     def test_purity_bounds_and_deformed_inequality(self, seed, shape):
-        ps = purity_set(random_state(shape, seed))
+        ps = one_state_values(purity_set(random_state(shape, seed)))
         n, m = shape.n, shape.m
         assert 1.0 / (n * m) - 1e-10 <= ps.mu12 <= 1.0 + 1e-10
         assert 1.0 / n - 1e-10 <= ps.mu1 <= 1.0 + 1e-10
@@ -416,4 +419,4 @@ class TestRandomStates:
         from puritylab.states import ppt_entangled
 
         rho = scan_state(SHAPE22, "separable", seed % 4 + 1, seed)
-        assert not ppt_entangled(rho)
+        assert not ppt_entangled(rho).item()

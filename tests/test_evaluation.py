@@ -1,8 +1,8 @@
 """Block evaluation against one-state evaluation, and eigensolve counts.
 
-Scan and audit jobs and sweeps are evaluated one block at a time; the
-one-state entry points (delta, ppt_entangled, audit_reports, purity_set)
-are one-state blocks of the same functions.  Every comparison is exact,
+Scan and audit jobs and sweeps are evaluated one block at a time, by the
+functions (delta, ppt_entangled, audit_reports, purity_set) that also
+evaluate a one-state block.  Every comparison is exact,
 over jobs that cross the block boundary.  The counts pin how many
 Hermitian eigensolves of each dimension every command performs per state.
 """
@@ -10,24 +10,17 @@ Hermitian eigensolves of each dimension every command performs per state.
 import numpy as np
 import pytest
 
-from oracles import one_x_entries
+from oracles import one_state_values, one_x_entries
 from puritylab import density
 from puritylab.cli import cli_main
 from puritylab.density import SAMPLE_BLOCK, BlockShape, random_density, sample_blocks
 from puritylab.errors import DomainError, NotPositive, TraceNotOne
 from puritylab.fileio import write_matrix_file
-from puritylab.inequalities import (
-    audit_block,
-    audit_reports,
-    delta,
-    delta_block,
-    purity_set,
-)
+from puritylab.inequalities import audit_reports, delta, purity_set
 from puritylab.prng import child_seed
 from puritylab.states import (
     gisin_state,
     ppt_entangled,
-    ppt_entangled_block,
     werner_state,
     x_state,
 )
@@ -51,27 +44,29 @@ def test_scan_block_equals_one_state(shape, seed):
     recipes = [_sample_recipe(shape, k, seed) for k in range(JOB)]
     deltas, verdicts = [], []
     for block in sample_blocks(shape, recipes):
-        deltas += delta_block(block).tolist()
-        verdicts += ppt_entangled_block(block).tolist()
+        deltas += delta(block).tolist()
+        verdicts += ppt_entangled(block).tolist()
     assert len(deltas) == JOB
     for recipe, d, entangled in zip(recipes, deltas, verdicts):
         rho = scan_state(shape, *recipe)
-        assert d == delta(rho), recipe
-        assert entangled == ppt_entangled(rho), recipe
+        assert d == delta(rho).item(), recipe
+        assert entangled == ppt_entangled(rho).item(), recipe
 
 
 @pytest.mark.parametrize("shape", [BlockShape(2, 3), BlockShape(3, 3)], ids=str)
-def test_audit_block_equals_one_state(shape):
+def test_audited_block_equals_one_state(shape):
     recipes = [("ginibre", k % shape.dim + 1, child_seed(7, k)) for k in range(JOB)]
     states = iter(recipes)
     for block in sample_blocks(shape, recipes):
-        sides = audit_block(block)
+        sides = audit_reports(block)
         for i in range(len(block)):
             _, rank, seed = next(states)
-            reports = audit_reports(random_density(shape.n, shape.m, rank, seed))
-            assert [(r.name, r.lhs, r.rhs, r.margin) for r in reports] == [
-                (name, float(lhs[i]), float(rhs[i]), float(rhs[i] - lhs[i]))
-                for name, lhs, rhs in sides]
+            reports = map(one_state_values,
+                          audit_reports(random_density(shape.n, shape.m, rank, seed)))
+            assert [(r.name, r.lhs, r.rhs, r.margin, r.satisfied) for r in reports] == [
+                (r.name, float(r.lhs[i]), float(r.rhs[i]), float(r.rhs[i] - r.lhs[i]),
+                 bool(r.satisfied[i]))
+                for r in sides]
 
 
 def one_state(spec, param):
@@ -117,7 +112,7 @@ def test_sweep_rows_equal_one_state(spec, verdicts):
         assert valid == (rho is not None), param
         if not valid:
             continue
-        ps = purity_set(rho)
+        ps = one_state_values(purity_set(rho))
         assert (mu12, mu1, mu2, mu_tilde, delta) == (
             ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta)
 

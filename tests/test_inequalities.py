@@ -10,6 +10,7 @@ from oracles import (
     ginibre,
     mpmath_sqrt_trace,
     numpy_sqrt_psd,
+    one_state_values,
     scalar_find_delta_roots,
     werner_matrix,
 )
@@ -60,7 +61,7 @@ def random_state(seed, shape=SHAPE22):
 
 def check(name, rho, tol=REPORT_TOL):
     """The report of one inequality (eq5, eq6, eq8, eq9 or eq10) on rho."""
-    return {rep.name: rep for rep in audit_reports(rho, tol)}[name]
+    return {rep.name: one_state_values(rep) for rep in audit_reports(rho, tol)}[name]
 
 
 def sqrt_trace(mat):
@@ -75,7 +76,7 @@ def sqrt_traces(rho):
 
 
 def mu_tilde(rho):
-    return purity_set(rho).mu_tilde
+    return purity_set(rho).mu_tilde.item()
 
 
 class TestEq5:
@@ -177,7 +178,7 @@ class TestSqrtTrace:
         squared = rho.mat @ rho.mat
         for reduced in (block_trace_map(squared, shape), block_sum_map(squared, shape)):
             assert spectra(reduced[None])[0, 0] >= -1e-14
-        assert math.isfinite(purity_set(rho).delta)
+        assert math.isfinite(purity_set(rho).delta.item())
 
     @pytest.mark.parametrize("shape", [SHAPE22, BlockShape(2, 3), BlockShape(3, 3)], ids=str)
     def test_one_matrix_equals_block_value(self, shape):
@@ -244,7 +245,7 @@ class TestAuditReports:
     @settings(max_examples=80)
     def test_all_hold_on_random_states(self, seed, shape):
         for rep in audit_reports(random_state(seed, shape)):
-            assert rep.satisfied, rep
+            assert rep.satisfied.item(), rep
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_rejects_degenerate_tol(self, tol):
@@ -289,8 +290,8 @@ class TestSymmetries:
         rho = random_state(seed, shape)
         u = np.kron(random_unitary(shape.n, seed + 1),
                     random_unitary(shape.m, seed + 2))
-        before = purity_set(rho)
-        after = purity_set(make_density(u @ rho.mat @ u.conj().T, shape))
+        before = one_state_values(purity_set(rho))
+        after = one_state_values(purity_set(make_density(u @ rho.mat @ u.conj().T, shape)))
         assert abs(after.mu12 - before.mu12) <= 1e-10
         assert abs(after.mu1 - before.mu1) <= 1e-10
         assert abs(after.mu2 - before.mu2) <= 1e-10
@@ -302,7 +303,7 @@ class TestSymmetries:
         rho = random_state(seed, shape)
         swapped = swap_subsystems(rho)
         tol = sqrt_trace_tol(rho)
-        before, after = purity_set(rho), purity_set(swapped)
+        before, after = (one_state_values(purity_set(r)) for r in (rho, swapped))
         assert abs(after.mu1 - before.mu2) <= 1e-10
         assert abs(after.mu2 - before.mu1) <= 1e-10
         s6, s8 = sqrt_traces(rho)
@@ -315,18 +316,18 @@ class TestSymmetries:
 class TestDelta:
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 1 / 3, 0.7, 1.0])
     def test_werner_closed_form(self, p):
-        assert delta(werner(p)) == pytest.approx((9 * p * p - 1) / 4, abs=1e-12)
+        assert delta(werner(p)).item() == pytest.approx((9 * p * p - 1) / 4, abs=1e-12)
 
     def test_beta_state_positive(self):
         from puritylab.states import beta_state
 
         for beta in np.linspace(0, 1, 21):
             expected = 6 * beta * beta - 6 * beta + 2
-            assert delta(beta_state(float(beta))) == pytest.approx(expected, abs=1e-12)
+            assert delta(beta_state(float(beta))).item() == pytest.approx(expected, abs=1e-12)
             assert expected > 0
 
     def test_maximally_mixed(self):
-        assert delta(mixed()) == pytest.approx(-0.25, abs=1e-14)
+        assert delta(mixed()).item() == pytest.approx(-0.25, abs=1e-14)
 
     def test_swap_invariant_for_swap_symmetric_states(self):
         # Werner states are symmetric under exchanging the two maps: both
@@ -338,7 +339,7 @@ class TestDelta:
         s_bt = numpy_sqrt_psd(bt).trace().real
         s_bs = numpy_sqrt_psd(bs).trace().real
         swapped = s_bt * s_bt + s_bs * s_bs - 1.0 - purities(rho.mat)
-        assert delta(rho) == pytest.approx(swapped, abs=1e-10)
+        assert delta(rho).item() == pytest.approx(swapped, abs=1e-10)
 
 
 class TestFindDeltaRoots:

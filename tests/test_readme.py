@@ -28,7 +28,7 @@ def quick_tour() -> str:
 def test_quick_tour_runs():
     namespace = {}
     exec(compile(quick_tour(), "README quick tour", "exec"), namespace)
-    assert namespace["ps"].mu1 == pytest.approx(0.5, abs=1e-12)
+    assert namespace["ps"].mu1.item() == pytest.approx(0.5, abs=1e-12)
     assert len(namespace["reps"]) == 5
     assert namespace["report"].samples == 10_000
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import one_x_entries, scalar_random_x_params, werner_matrix
+from oracles import one_state_values, one_x_entries, scalar_random_x_params, werner_matrix
 from puritylab.defaults import XSTATE_PARAM_TOL
-from puritylab.density import purities
+from puritylab.density import purities, validate_block
 from puritylab.errors import (
     DomainError,
     NotPositive,
@@ -20,6 +20,7 @@ from puritylab.inequalities import audit_reports, purity_set
 from puritylab.linalg import hermitian_eig, spectra
 from puritylab.prng import child_seed
 from puritylab.states import (
+    TWO_QUBIT_SHAPE,
     beta_entries,
     beta_state,
     gisin_domain,
@@ -31,13 +32,16 @@ from puritylab.states import (
     werner_entries,
     werner_state,
     x_state,
+    x_state_matrix,
     x_state_purities,
     xstate_entangled,
     xstate_valid,
 )
 from puritylab.states import _gisin_closed, _gisin_norm_defect
+from puritylab.sweep import SweepSpec, _entries_and_domain
 
 seeds = st.integers(0, 10**6)
+EPS = 2.0 ** -52
 
 FIELDS = ("d1", "d2", "d3", "d4", "c14", "c23")
 BELL_PARAMS = (0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
@@ -156,12 +160,32 @@ class TestXStatePurities:
     def test_matches_generic_pipeline(self, seed):
         params = one_x_entries(seed)
         closed = x_state_purities(params)
-        generic = purity_set(x_state(params))
+        generic = one_state_values(purity_set(x_state(params)))
         assert closed.mu12 == pytest.approx(generic.mu12, abs=1e-12)
         assert closed.mu1 == pytest.approx(generic.mu1, abs=1e-12)
         assert closed.mu2 == pytest.approx(generic.mu2, abs=1e-12)
         assert closed.mu_tilde == pytest.approx(generic.mu_tilde, abs=1e-12)
         assert closed.delta == pytest.approx(generic.delta, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(family="xrandom", start=0, stop=19_999, count=20_000),
+        SweepSpec(family="werner", start=-1 / 3, stop=1.0, count=200),
+        SweepSpec(family="beta", start=0.0, stop=1.0, count=200),
+        *(SweepSpec(family="gisin", start=0.005, stop=0.995, count=200, a=a, b=b)
+          for a, b in ((1.0, 0.0), (0.2, math.sqrt(1 - 0.04)), (0.6, 0.8))),
+    ], ids=lambda spec: spec.family if spec.a is None else f"gisin-{spec.a}")
+    def test_matches_stacked_pipeline_within_32_eps(self, spec):
+        # the valid rows of a sweep grid (the figure grids and 20,000 seeds),
+        # all in one stacked call; the largest difference measured is 8 eps,
+        # on mu_tilde and delta
+        _, entries, domain = _entries_and_domain(spec)
+        valid = domain & xstate_valid(entries)
+        entries = [e[valid] for e in entries]
+        closed = x_state_purities(entries)
+        generic = purity_set(validate_block(x_state_matrix(entries), TWO_QUBIT_SHAPE))
+        for field in ("mu12", "mu1", "mu2", "mu_tilde", "delta"):
+            deviation = np.abs(getattr(closed, field) - getattr(generic, field)).max()
+            assert deviation <= 32 * EPS, field
 
 
 def eq11_lhs(params) -> float:
@@ -203,7 +227,7 @@ class TestEq11Eq12:
         closed = x_state_purities(params)
         lhs = closed.mu1 + closed.mu2 - 1.0
         assert eq11_lhs(params) == pytest.approx(lhs, abs=1e-14)
-        reports = {rep.name: rep for rep in audit_reports(x_state(params))}
+        reports = {rep.name: one_state_values(rep) for rep in audit_reports(x_state(params))}
         assert closed.mu12 - lhs == pytest.approx(reports["eq5"].margin, abs=1e-12)
         assert closed.mu_tilde - lhs == pytest.approx(reports["eq10"].margin, abs=1e-12)
 
@@ -212,7 +236,7 @@ class TestEq11Eq12:
         closed = x_state_purities(werner_entries(p))
         lhs = closed.mu1 + closed.mu2 - 1.0
         assert eq11_lhs(werner_entries(p)) == pytest.approx(lhs, abs=1e-14)
-        reports = {rep.name: rep for rep in audit_reports(werner_state(p))}
+        reports = {rep.name: one_state_values(rep) for rep in audit_reports(werner_state(p))}
         assert closed.mu12 - lhs == pytest.approx(reports["eq5"].margin, abs=1e-12)
         assert closed.mu_tilde - lhs == pytest.approx(reports["eq10"].margin, abs=1e-12)
 
@@ -459,7 +483,7 @@ class TestGisin:
         a, b = 0.6, 0.8
         for x in np.linspace(0.02, 0.5, 20):
             lhs5, mt, mu12 = _gisin_closed(float(x), abs(a) ** 2, abs(b) ** 2)
-            ps = purity_set(gisin_state(float(x), a, b))
+            ps = one_state_values(purity_set(gisin_state(float(x), a, b)))
             assert ps.mu12 == pytest.approx(mu12, abs=1e-10)
             assert ps.mu_tilde == pytest.approx(mt, abs=1e-10)
             assert ps.mu1 + ps.mu2 - 1 == pytest.approx(lhs5, abs=1e-10)
@@ -584,7 +608,7 @@ class TestBeta:
         rho = beta_state(0.5)
         vals = hermitian_eig(rho.mat).values
         assert np.allclose(vals, [0, 0, 0.5, 0.5], atol=1e-14)
-        ps = purity_set(rho)  # clamping must keep mu_tilde finite here
+        ps = one_state_values(purity_set(rho))  # clamping must keep mu_tilde finite here
         assert math.isfinite(ps.mu_tilde)
         assert ps.mu_tilde == pytest.approx(1.0, abs=1e-12)
 
@@ -612,14 +636,14 @@ class TestEntanglement:
 
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.33, 0.3334, 0.5, 1.0])
     def test_ppt_matches_werner_domain(self, p):
-        assert ppt_entangled(werner_state(p)) == (p > 1 / 3)
+        assert ppt_entangled(werner_state(p)).item() == (p > 1 / 3)
 
     def test_ppt_gisin_threshold(self):
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
         for x in (0.2, x_max - 0.01, x_max + 0.01, 0.9):
             rho = x_state(gisin_entries(x, a, b))
-            assert ppt_entangled(rho) == (x > x_max)
+            assert ppt_entangled(rho).item() == (x > x_max)
 
     def test_unsupported_shape(self):
         from puritylab.density import random_density
@@ -632,13 +656,13 @@ class TestEntanglement:
     @settings(max_examples=150)
     def test_agrees_with_ppt_on_x_states(self, seed):
         params = one_x_entries(seed)
-        assert xstate_entangled(params) == ppt_entangled(x_state(params))
+        assert xstate_entangled(params) == ppt_entangled(x_state(params)).item()
 
     def test_agrees_with_ppt_bulk(self):
         # both verdicts are exact for 4x4 X-states, so they must coincide
         # on a large ensemble, not just on shrunk examples
         disagreements = sum(
-            xstate_entangled(params) != ppt_entangled(x_state(params))
+            xstate_entangled(params) != ppt_entangled(x_state(params)).item()
             for params in map(one_x_entries, range(10_000))
         )
         assert disagreements == 0

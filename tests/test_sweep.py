@@ -118,6 +118,23 @@ class TestSweepSpec:
         assert grid[-1] == 1.0
         assert len(grid) == 5
 
+    @pytest.mark.parametrize("count", [170, 272, 290, 296, 339])
+    def test_werner_last_row_is_stop(self, count):
+        # start + (count - 1) * step reads 1.0000000000000002 at these
+        # counts, a Werner parameter past 1 and so an invalid row
+        table = run_sweep(SweepSpec(family="werner", start=-1 / 3, stop=1.0, count=count))
+        assert table.param[-1] == 1.0
+        assert table.valid.all()
+
+    @given(st.floats(-1e6, 1e6), st.floats(1e-9, 1e6), st.integers(2, 1000))
+    @settings(max_examples=200)
+    def test_grid_starts_at_start_and_ends_at_stop(self, start, span, count):
+        stop = start + span
+        assume(start < stop)
+        grid = SweepSpec(family="werner", start=start, stop=stop, count=count).grid()
+        assert len(grid) == count
+        assert grid[0] == start and grid[-1] == stop
+
 
 class TestWernerSweep:
     def test_closed_forms_and_threshold(self):
@@ -437,7 +454,7 @@ class TestSweepInvariants:
                 else:
                     rho = x_state(one_x_entries(int(param)))
                 for rep in audit_reports(rho, tol=1e-9):
-                    assert rep.satisfied, (spec.family, param, rep)
+                    assert rep.satisfied.item(), (spec.family, param, rep)
 
 
 class TestScan:
@@ -486,7 +503,7 @@ class TestScan:
         for index in range(samples):
             kind, size, sample_seed = _sample_recipe(SHAPE22, index, seed)
             rho = scan_state(SHAPE22, kind, size, sample_seed)
-            (ent if ppt_entangled(rho) else sep).append(delta(rho))
+            (ent if ppt_entangled(rho).item() else sep).append(delta(rho).item())
         assert _subset_stats(ent) == report.entangled_stats
         assert _subset_stats(sep) == report.separable_stats
 
@@ -495,8 +512,8 @@ class TestScan:
         rho = scan_state(SHAPE22, "ginibre", 1, seed=31337)
         from puritylab.states import ppt_entangled
 
-        assert ppt_entangled(rho)
-        assert delta(rho) > 0
+        assert ppt_entangled(rho).item()
+        assert delta(rho).item() > 0
 
     def test_stats_partition(self):
         report = scan_conjecture(SHAPE22, samples=50, seed=3)
@@ -524,4 +541,4 @@ class TestScan:
         sample = ScanSample(index=3, seed=12, kind="separable", size=2,
                             delta=-0.1, entangled=False)
         rebuilt = scan_state(SHAPE22, sample.kind, sample.size, sample.seed)
-        assert purity_set(rebuilt) is not None
+        assert purity_set(rebuilt).delta.shape == (1,)
