@@ -46,6 +46,14 @@ def _parse_shape(text: str) -> BlockShape:
                                  f"shape must look like 2x2, in ASCII digits, got {text!r}")
 
 
+def _parse_seed(text: str) -> int:
+    """A seed in [0, 2^64), in ASCII digits: streams read a seed modulo 2^64,
+    so any other integer would run another seed's streams under its label."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^64), got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The parser of every command, built on the first call and shared by
@@ -73,7 +81,7 @@ def build_parser() -> _Parser:
     for command in (audit, scan):
         command.add_argument("--shape", default="2x2", help="NxM in ASCII digits, as 2x3 or 2X3")
         command.add_argument("--samples", type=int, default=1000)
-        command.add_argument("--seed", type=int, default=0)
+        command.add_argument("--seed", type=_parse_seed, default=0)
         command.add_argument("--tol", type=float, default=REPORT_TOL)
     scan.add_argument("--out", default=None,
                       help="JSON path (default stdout); stdout then gets a summary")

@@ -19,10 +19,9 @@ six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``,
 ``gisin_entries`` and ``random_x_entries`` (of seeds).  The six entries are
 the one X-state parameter type, ``XSTATE_RULE`` the rule on them and
 ``xstate_valid`` its mask.  ``x_state``, the one checked constructor, raises
-on the first clause they fail, then validates the matrix as a DensityBlock.
-``werner_state`` and ``beta_state`` raise DomainError where ``xstate_valid``
-of their entries is false; ``gisin_state`` checks 0 < x < 1, the
-normalization slack and ``gisin_domain``.  Each then calls ``x_state``.
+on the first clause they fail, then validates the matrix as a DensityBlock,
+so every X-state is ``x_state`` of a family's entries.  ``gisin_domain``,
+the Gisin separability cut, is a sweep column's rule, not a validity rule.
 The maps, masks and verdicts are elementwise, each value with the bits of
 its scalar evaluation: moduli are ``np.hypot(re, im)`` and squares products
 (``x ** 2`` raises on overflow).  ``ppt_entangled``, the verdict on
@@ -162,14 +161,6 @@ def werner_entries(p: float) -> XEntries:
     return outer, inner, inner, outer, p / 2.0, 0.0
 
 
-def werner_state(p: float) -> DensityBlock:
-    p = float(p)
-    entries = werner_entries(p)  # valid down to about p = -1/3 - 1.33e-12
-    if not xstate_valid(entries):
-        raise DomainError(f"Werner parameter must lie in [-1/3, 1], got {p}")
-    return x_state(entries)
-
-
 def gisin_x_max(a: complex, b: complex) -> float:
     """Separability threshold 1/(1 + 2|ab|), from the raw amplitudes."""
     return 1.0 / (1.0 + 2.0 * abs(a * b))
@@ -197,8 +188,11 @@ def gisin_entries(x: float, a: complex, b: complex) -> XEntries:
 
 
 def gisin_domain(x, a: complex, b: complex):
-    """Elementwise mask of 0 < x < 1 and x <= x_max + VALIDATION_TOL."""
-    return (0.0 < x) & (x < 1.0) & (x <= gisin_x_max(a, b) + VALIDATION_TOL)
+    """Elementwise mask of the separability cut x <= x_max + VALIDATION_TOL.
+    ``x_state`` of the entries builds the states past it too, PSD with unit
+    trace; the entry rule calls them entangled once x - x_max exceeds about
+    2e-12 x_max / (1 - x_max), inside the cut's band."""
+    return x <= gisin_x_max(a, b) + VALIDATION_TOL
 
 
 def _gisin_norm_defect(a: complex, b: complex) -> float | None:
@@ -208,30 +202,6 @@ def _gisin_norm_defect(a: complex, b: complex) -> float | None:
     so that x_max comes out of the raw product |a b|."""
     defect = abs(abs(a) * abs(a) + abs(b) * abs(b) - 1.0)
     return None if defect <= GISIN_NORM_SLACK else defect
-
-
-def gisin_state(x: float, a: complex, b: complex) -> DensityBlock:
-    """The Gisin state for x <= x_max + VALIDATION_TOL: 0 < x < 1, the
-    normalization slack and that threshold are checked, then ``x_state`` of
-    the entries, so raw amplitudes off |a|^2 + |b|^2 = 1 raise TraceNotOne.
-
-    x_max = 1/(1+2|ab|) is the family's separability (Peres-Horodecki)
-    threshold, not a validity threshold: past x_max + VALIDATION_TOL this
-    constructor raises DomainError although the matrices are PSD with unit
-    trace; ``x_state(gisin_entries(x, a, b))`` builds them.  In the band up
-    to x_max + VALIDATION_TOL it builds states that are entangled once
-    x - x_max exceeds about 2e-12 x_max / (1 - x_max).
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"Gisin x must lie in (0, 1), got {x}")
-    defect = _gisin_norm_defect(a, b)
-    if defect is not None:
-        raise DomainError(
-            f"|a|^2+|b|^2 deviates from 1 by {defect:.4f}, beyond slack {GISIN_NORM_SLACK}")
-    if not gisin_domain(x, a, b):
-        raise DomainError(
-            f"x = {x} exceeds the separability threshold x_max = {gisin_x_max(a, b):.6f}")
-    return x_state(gisin_entries(x, a, b))
 
 
 def _gisin_closed(x: float | np.ndarray, a2: float, b2: float):
@@ -252,14 +222,6 @@ def beta_entries(beta: float) -> XEntries:
     outer = beta / 2.0
     inner = (1.0 - beta) / 2.0
     return outer, inner, inner, outer, outer, inner
-
-
-def beta_state(beta: float) -> DensityBlock:
-    beta = float(beta)
-    entries = beta_entries(beta)
-    if not xstate_valid(entries):
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    return x_state(entries)
 
 
 def xstate_entangled(entries: XEntries):

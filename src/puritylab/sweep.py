@@ -4,9 +4,9 @@ A sweep is a few array passes over its whole grid, by one rule for every
 family.  The family's entries map (for xrandom, ``random_x_entries`` of the
 seeds) gives the X-state entries of every grid value, and ``entangled`` is
 ``states.xstate_entangled`` of them, valid or not.  ``valid`` is the mask of
-``xstate_valid`` and, for Gisin, of ``gisin_domain``: the rows whose state
-its checked constructor (``werner_state``, ``x_state`` of a seed's entries,
-...) builds.  The valid rows' matrices form one (V, 4, 4) stack, validated
+``xstate_valid`` (the rows whose entries ``x_state`` accepts) and, for
+Gisin, of ``gisin_domain``, the separability cut x <= x_max +
+VALIDATION_TOL.  The valid rows' matrices form one (V, 4, 4) stack, validated
 and evaluated a block at a time by ``purity_set``, so each row equals
 ``purity_set`` of its state alone.  The invalid rows keep the closed
 forms, in one elementwise call: ``x_state_purities`` of the entries fills

@@ -43,12 +43,10 @@ from puritylab.states import (
     XEntries,
     _gisin_closed,
     beta_entries,
-    beta_state,
     gisin_entries,
-    gisin_state,
+    gisin_x_max,
     random_x_entries,
     werner_entries,
-    werner_state,
     x_state,
     x_state_purities,
     xstate_entangled,
@@ -406,11 +404,7 @@ def mpmath_purity_set(rho, n: int, m: int) -> dict[str, float]:
             "delta": float(mt - mu12), "lhs5": float(mu1 + mu2 - 1)}
 
 
-_SCALAR_FAMILIES = {
-    "werner": (werner_entries, werner_state),
-    "beta": (beta_entries, beta_state),
-    "gisin": (gisin_entries, gisin_state),
-}
+_SCALAR_FAMILIES = {"werner": werner_entries, "beta": beta_entries, "gisin": gisin_entries}
 
 
 def one_state_values(result):
@@ -424,22 +418,24 @@ def one_state_values(result):
 
 def _scalar_sweep_row(spec: SweepSpec, v: float) -> tuple:
     """The nine values of grid value ``v``, alone, in CSV order: ``entangled``
-    from the family's entries, ``valid`` where its checked constructor
-    builds the state, ``purity_set`` of that state where valid and the
-    closed forms where not (mu1 and mu2 NaN for Gisin)."""
+    from the family's entries, ``valid`` where ``x_state`` accepts them
+    and, for Gisin, x <= x_max + VALIDATION_TOL, ``purity_set`` of that
+    state where valid and the closed forms where not (mu1 and mu2 NaN for
+    Gisin)."""
     if spec.family == "xrandom":
         seed = int(round(v))
         entries = one_x_entries(seed)
         rho = x_state(entries)
         v = float(seed)
     else:
-        entries_of, checked = _SCALAR_FAMILIES[spec.family]
         args = (v, spec.a, spec.b) if spec.family == "gisin" else (v,)
-        entries = entries_of(*args)
-        try:
-            rho = checked(*args)
-        except (DomainError, NotPositive, TraceNotOne):
-            rho = None
+        entries = _SCALAR_FAMILIES[spec.family](*args)
+        rho = None
+        if spec.family != "gisin" or v <= gisin_x_max(spec.a, spec.b) + VALIDATION_TOL:
+            try:
+                rho = x_state(entries)
+            except (DomainError, NotPositive, TraceNotOne):
+                pass
     if rho is not None:
         ps = one_state_values(purity_set(rho))
         return (v, True, ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta,

@@ -34,14 +34,13 @@ from puritylab.linalg import hermitian_eig
 from puritylab.prng import child_seed
 from puritylab.states import (
     _gisin_closed,
+    beta_entries,
     gisin_entries,
-    gisin_state,
     gisin_x_max,
     ppt_entangled,
-    werner_state,
+    werner_entries,
     x_state,
     x_state_purities,
-    beta_state,
 )
 from puritylab.sweep import SweepSpec, run_sweep, scan_conjecture, scan_state
 
@@ -58,7 +57,7 @@ def test_criterion_1_werner_closed_forms():
     worst_purities = 0.0
     worst_mt = 0.0
     for p in np.linspace(-1 / 3, 1.0, 200):
-        ps = one_state_values(purity_set(werner_state(float(p))))
+        ps = one_state_values(purity_set(x_state(werner_entries(float(p)))))
         worst_purities = max(
             worst_purities,
             abs(ps.mu12 - (3 * p * p + 1) / 4),
@@ -76,12 +75,13 @@ def test_criterion_1_werner_closed_forms():
 
 
 def test_criterion_2_werner_threshold_coincidence():
-    roots = find_delta_roots(lambda ps: np.array([delta(werner_state(p)).item() for p in ps]),
-                             1e-6, 1.0, grid=512, tol=1e-8)
+    roots = find_delta_roots(
+        lambda ps: np.array([delta(x_state(werner_entries(p))).item() for p in ps]),
+        1e-6, 1.0, grid=512, tol=1e-8)
     lo, hi = 0.2, 0.6
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if ppt_entangled(werner_state(mid)).item():
+        if ppt_entangled(x_state(werner_entries(mid))).item():
             hi = mid
         else:
             lo = mid
@@ -112,7 +112,7 @@ def test_criterion_3_gisin_closed_forms():
         top = min(x_max, 0.99)
         for x in np.linspace(0.01, top, 50):
             lhs5, mt, mu12 = _gisin_closed(float(x), a * a, b * b)
-            ps = one_state_values(purity_set(gisin_state(float(x), a, b)))
+            ps = one_state_values(purity_set(x_state(gisin_entries(float(x), a, b))))
             worst = max(worst,
                         abs(ps.mu12 - mu12),
                         abs(ps.mu_tilde - mt),
@@ -158,8 +158,7 @@ def test_criterion_4b_gisin_delta_root_near_x_max():
     roots_ok = len(roots) == len(quartic) == 2 and root_dev <= 1e-8
     below_ok = all(r < x_max for r in roots)
 
-    # One midpoint per interval cut by the roots; the last lies above x_max,
-    # where gisin_state refuses, so the state is built from gisin_entries.
+    # One midpoint per interval cut by the roots; the last lies above x_max.
     ends = [0.0, *roots, 1.0]
     mids = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
     signs = []
@@ -182,12 +181,12 @@ def test_criterion_4b_gisin_delta_root_near_x_max():
     )
 
 
-def test_criterion_5_beta_state():
+def test_criterion_5_beta_family():
     worst = 0.0
     min_delta = float("inf")
     grid = list(np.linspace(0.0, 1.0, 200)) + [0.5]
     for beta in grid:
-        ps = one_state_values(purity_set(beta_state(float(beta))))
+        ps = one_state_values(purity_set(x_state(beta_entries(float(beta)))))
         worst = max(worst,
                     abs(ps.mu_tilde - (8 * beta * beta - 8 * beta + 3)),
                     abs(ps.mu12 - (2 * beta * beta - 2 * beta + 1)))

@@ -329,6 +329,26 @@ class TestTolerance:
         assert code == 0
 
 
+class TestSeed:
+    """Streams read a seed modulo 2^64, so a seed outside [0, 2^64) would
+    run another seed's streams under its own label."""
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5", "+7", "seven"])
+    def test_seed_outside_range_usage_error(self, command, seed, capsys):
+        code, out, err = run_cli([command, "--samples", "2", "--seed", seed], capsys)
+        assert code == 1
+        assert err.startswith(f"error: argument --seed: seed must be an integer in [0, 2^64), "
+                              f"got {seed!r}")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    def test_largest_seed_accepted(self, command, capsys):
+        code, out, _ = run_cli([command, "--samples", "2", "--seed", str(2**64 - 1)], capsys)
+        assert code == 0
+        assert str(2**64 - 1) in out
+
+
 class TestCheckCommand:
     def test_werner_report(self, tmp_path, capsys):
         path = tmp_path / "werner08.txt"

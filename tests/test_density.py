@@ -35,7 +35,7 @@ from puritylab.errors import (
 )
 from puritylab.inequalities import audit_reports, delta, purity_set
 from puritylab.linalg import hermitian_eig
-from puritylab.states import gisin_state, gisin_x_max, ppt_entangled
+from puritylab.states import gisin_domain, gisin_entries, gisin_x_max, ppt_entangled, x_state
 from puritylab.sweep import scan_state
 
 SHAPE22 = BlockShape(2, 2)
@@ -196,11 +196,14 @@ class TestValidationEdges:
             make_density(build(2.0 * VALIDATION_TOL), SHAPE22)
 
     def test_gisin_x_max_edge(self):
+        # the sweep's separability cut is x_max + VALIDATION_TOL; x_state
+        # builds the states on both sides of it, PSD with unit trace
         a, b = 0.6, 0.8
         x_max = gisin_x_max(a, b)
-        gisin_state(x_max + 0.5 * VALIDATION_TOL, a, b)
-        with pytest.raises(DomainError, match="separability threshold x_max"):
-            gisin_state(x_max + 2.0 * VALIDATION_TOL, a, b)
+        assert gisin_domain(x_max + 0.5 * VALIDATION_TOL, a, b)
+        assert not gisin_domain(x_max + 2.0 * VALIDATION_TOL, a, b)
+        for x in (x_max + 0.5 * VALIDATION_TOL, x_max + 2.0 * VALIDATION_TOL):
+            assert len(x_state(gisin_entries(x, a, b))) == 1
 
     def test_entry_bound_edge(self, eigh_counts):
         # a unit-trace PSD matrix has |rho_ij| <= 1: a pure state with

@@ -13,15 +13,17 @@ import pytest
 from oracles import one_state_values, one_x_entries
 from puritylab import density
 from puritylab.cli import cli_main
+from puritylab.defaults import VALIDATION_TOL
 from puritylab.density import SAMPLE_BLOCK, BlockShape, random_density, sample_blocks
 from puritylab.errors import DomainError, NotPositive, TraceNotOne
 from puritylab.fileio import write_matrix_file
 from puritylab.inequalities import audit_reports, delta, purity_set
 from puritylab.prng import child_seed
 from puritylab.states import (
-    gisin_state,
+    gisin_entries,
+    gisin_x_max,
     ppt_entangled,
-    werner_state,
+    werner_entries,
     x_state,
 )
 from puritylab.sweep import SweepSpec, _sample_recipe, run_sweep, scan_state
@@ -71,13 +73,17 @@ def test_audited_block_equals_one_state(shape):
 
 def one_state(spec, param):
     """The state of a sweep row, built and validated alone, or None where
-    its constructor refuses the parameter."""
+    ``x_state`` refuses its entries or a Gisin row is past x_max + VALIDATION_TOL."""
+    if spec.family == "xrandom":
+        entries = one_x_entries(int(param))
+    elif spec.family == "werner":
+        entries = werner_entries(param)
+    elif param > gisin_x_max(spec.a, spec.b) + VALIDATION_TOL:
+        return None
+    else:
+        entries = gisin_entries(param, spec.a, spec.b)
     try:
-        if spec.family == "xrandom":
-            return x_state(one_x_entries(int(param)))
-        if spec.family == "werner":
-            return werner_state(param)
-        return gisin_state(param, spec.a, spec.b)
+        return x_state(entries)
     except (DomainError, NotPositive, TraceNotOne):
         return None
 

@@ -56,11 +56,12 @@ GOLDEN = {
          "--a", "0.6j", "--b", "0.8"],
         "86261d0c82cf7a94af6f0c49a3b2ba0086865ea107c9e929482bb23a178e064c",
     ),
-    # x outside (0, 1) and past x_max: the raw-amplitude closed forms
+    # x outside [0, 1] and past x_max: the raw-amplitude closed forms; the
+    # row x = 0, the state diag(1/2, 0, 0, 1/2), is valid
     "sweep-gisin-wide": (
         ["sweep", "--family", "gisin", "--start=-2", "--stop", "3", "--count", "51",
          "--a", "0.6", "--b", "0.8"],
-        "fd05557c0f3ff7f61ba2df1cdaf3a4ee6e8a163e722274d87a3ce1552bc83d01",
+        "bf7eb472f26b731d31f38b88caeee4efc90dc99e7552745aaffe54e592984f1e",
     ),
     # the published pair, off normalization: every row invalid
     "sweep-gisin-raw": (

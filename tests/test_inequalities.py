@@ -94,10 +94,10 @@ class TestEq5:
         assert abs(rep.margin) <= 1e-12
 
     def test_gisin_lhs_closed_form(self):
-        from puritylab.states import gisin_state
+        from puritylab.states import gisin_entries, x_state
 
         x, a, b = 0.3, 0.6, 0.8
-        rep = check("eq5", gisin_state(x, a, b))
+        rep = check("eq5", x_state(gisin_entries(x, a, b)))
         expected = x * x * (2 * (a ** 4 + b ** 4) - 1)
         assert rep.lhs == pytest.approx(expected, abs=1e-12)
 
@@ -111,11 +111,11 @@ class TestMuTilde:
         assert mu_tilde(mixed()) == pytest.approx(0.0, abs=1e-14)
 
     def test_gisin_closed_form_grid(self):
-        from puritylab.states import gisin_state
+        from puritylab.states import gisin_entries, x_state
 
         a, b = 0.6, 0.8
         for x in np.linspace(0.02, 0.51, 25):
-            rho = gisin_state(float(x), a, b)
+            rho = x_state(gisin_entries(float(x), a, b))
             expected = x * (3 * x - 2) + math.sqrt(
                 x * x * (4 * a * a + 1) - 2 * x + 1
             ) * math.sqrt(x * x * (4 * b * b + 1) - 2 * x + 1)
@@ -156,9 +156,9 @@ class TestSqrtTrace:
     def test_clamps_small_negative_eigenvalues(self):
         # the beta state at 1/2 has the eigenvalues 0, 0, 1/2, 1/2; shifted
         # by -1e-12 its two zeros turn negative and are read as 0
-        from puritylab.states import beta_state
+        from puritylab.states import beta_entries, x_state
 
-        shifted = beta_state(0.5).mat - 1e-12 * np.eye(4)
+        shifted = x_state(beta_entries(0.5)).mat - 1e-12 * np.eye(4)
         assert hermitian_eig(shifted).values[0] < 0.0
         expected = 2.0 * math.sqrt(0.5 - 1e-12)
         assert sqrt_trace(shifted) == pytest.approx(expected, abs=1e-15)
@@ -220,11 +220,11 @@ class TestEq9Eq10:
         assert rep.lhs == pytest.approx(0.0, abs=1e-14)
         assert rep.rhs == pytest.approx(3 * p * p, abs=1e-12)
 
-    def test_beta_state_eq10(self):
-        from puritylab.states import beta_state
+    def test_beta_eq10(self):
+        from puritylab.states import beta_entries, x_state
 
         for beta in (0.0, 0.3, 0.5, 1.0):
-            rep = check("eq10", beta_state(beta))
+            rep = check("eq10", x_state(beta_entries(beta)))
             assert rep.lhs == pytest.approx(0.0, abs=1e-14)
             assert rep.rhs == pytest.approx(8 * beta * beta - 8 * beta + 3, abs=1e-12)
 
@@ -318,12 +318,13 @@ class TestDelta:
     def test_werner_closed_form(self, p):
         assert delta(werner(p)).item() == pytest.approx((9 * p * p - 1) / 4, abs=1e-12)
 
-    def test_beta_state_positive(self):
-        from puritylab.states import beta_state
+    def test_beta_delta_positive(self):
+        from puritylab.states import beta_entries, x_state
 
         for beta in np.linspace(0, 1, 21):
             expected = 6 * beta * beta - 6 * beta + 2
-            assert delta(beta_state(float(beta))).item() == pytest.approx(expected, abs=1e-12)
+            rho = x_state(beta_entries(float(beta)))
+            assert delta(rho).item() == pytest.approx(expected, abs=1e-12)
             assert expected > 0
 
     def test_maximally_mixed(self):

@@ -4,7 +4,9 @@
 other way would hand unchecked matrices to code that trusts them.  This reads
 ``src/puritylab/*.py`` with ``ast``: a call of ``DensityBlock`` (by name or as
 an attribute), or of ``cls`` inside that class, may appear only in the body of
-``validate_block``.
+``validate_block``.  And every X-state is made by ``states.x_state``: in
+``states.py`` only ``x_state`` calls ``make_density`` or ``validate_block``,
+so no family grows a checked constructor of its own again.
 """
 
 import ast
@@ -38,6 +40,18 @@ class _Constructions(ast.NodeVisitor):
         return isinstance(func, ast.Attribute) and func.attr == "DensityBlock"
 
 
+class _Calls(_Constructions):
+    """The enclosing class and function names of each call of ``names``."""
+
+    def __init__(self, names: tuple[str, ...]):
+        super().__init__()
+        self.names = names
+
+    def _constructs(self, func: ast.expr) -> bool:
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in self.names
+
+
 def constructions(source: str) -> list[str]:
     """Where one module constructs a ``DensityBlock``, one entry per call."""
     finder = _Constructions()
@@ -62,3 +76,24 @@ def test_only_validate_block_constructs_blocks():
     found = {path.name: constructions(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert found.pop("density.py") == ["validate_block"]
     assert {name: where for name, where in found.items() if where} == {}
+
+
+def validator_calls(source: str) -> list[str]:
+    """Where one module calls ``make_density`` or ``validate_block``, one entry per call."""
+    finder = _Calls(("make_density", "validate_block"))
+    finder.visit(ast.parse(source))
+    return finder.found
+
+
+def test_finds_planted_validator_calls():
+    source = ("def x_state(entries):\n"
+              "    return make_density(x_state_matrix(entries), SHAPE)\n"
+              "def checked_werner(p):\n"
+              "    return density.validate_block(werner_matrix(p)[None], SHAPE)\n")
+    assert validator_calls(source) == ["x_state", "checked_werner"]
+    clean = "def f(entries):\n    return x_state(entries), make_densities, validate_block\n"
+    assert validator_calls(clean) == []
+
+
+def test_only_x_state_validates_in_states():
+    assert validator_calls((PACKAGE / "states.py").read_text()) == ["x_state"]

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import one_state_values, one_x_entries, scalar_random_x_params, werner_matrix
-from puritylab.defaults import XSTATE_PARAM_TOL
+from oracles import (
+    beta_matrix,
+    one_state_values,
+    one_x_entries,
+    scalar_random_x_params,
+    werner_matrix,
+)
+from puritylab.defaults import VALIDATION_TOL, XSTATE_PARAM_TOL
 from puritylab.density import purities, validate_block
 from puritylab.errors import (
     DomainError,
@@ -22,15 +28,12 @@ from puritylab.prng import child_seed
 from puritylab.states import (
     TWO_QUBIT_SHAPE,
     beta_entries,
-    beta_state,
     gisin_domain,
     gisin_entries,
-    gisin_state,
     gisin_x_max,
     ppt_entangled,
     random_x_entries,
     werner_entries,
-    werner_state,
     x_state,
     x_state_matrix,
     x_state_purities,
@@ -115,11 +118,11 @@ class TestXState:
         rho = x_state(MIXED_PARAMS)
         assert np.array_equal(rho.mat, np.eye(4) / 4)
 
-    def test_werner_params_byte_identical_to_werner_state(self):
+    def test_werner_entries_byte_identical_to_werner_matrix(self):
         for p in (-1 / 3, 0.0, 0.37, 1.0):
             via_x = x_state(werner_entries(p))
-            direct = werner_state(p)
-            assert via_x.mat.tobytes() == direct.mat.tobytes()
+            direct = werner_matrix(p)
+            assert via_x.mat.tobytes() == direct.tobytes()
 
     def test_bell_projector_is_pure(self):
         rho = x_state(BELL_PARAMS)
@@ -172,20 +175,26 @@ class TestXStatePurities:
         SweepSpec(family="werner", start=-1 / 3, stop=1.0, count=200),
         SweepSpec(family="beta", start=0.0, stop=1.0, count=200),
         *(SweepSpec(family="gisin", start=0.005, stop=0.995, count=200, a=a, b=b)
-          for a, b in ((1.0, 0.0), (0.2, math.sqrt(1 - 0.04)), (0.6, 0.8))),
+          for a, b in ((1.0, 0.0), (0.2, math.sqrt(1 - 0.04)), (0.6, 0.8), (0.6j, 0.8))),
     ], ids=lambda spec: spec.family if spec.a is None else f"gisin-{spec.a}")
     def test_matches_stacked_pipeline_within_32_eps(self, spec):
-        # the valid rows of a sweep grid (the figure grids and 20,000 seeds),
-        # all in one stacked call; the largest difference measured is 8 eps,
-        # on mu_tilde and delta
+        # every row of a sweep grid (the figure grids and 20,000 seeds) whose
+        # entries x_state accepts, Gisin rows past x_max included (56 for
+        # a = 0.2, 98 for a = 0.6 and 0.6j), all in one stacked call; the
+        # largest difference measured is 8 eps, on mu_tilde and delta
         _, entries, domain = _entries_and_domain(spec)
-        valid = domain & xstate_valid(entries)
+        valid = xstate_valid(entries)
+        past = ~np.broadcast_to(domain, valid.shape)[valid]
         entries = [e[valid] for e in entries]
         closed = x_state_purities(entries)
-        generic = purity_set(validate_block(x_state_matrix(entries), TWO_QUBIT_SHAPE))
+        block = validate_block(x_state_matrix(entries), TWO_QUBIT_SHAPE)
+        generic = purity_set(block)
         for field in ("mu12", "mu1", "mu2", "mu_tilde", "delta"):
             deviation = np.abs(getattr(closed, field) - getattr(generic, field)).max()
             assert deviation <= 32 * EPS, field
+        # both verdicts are exact on X-states; past x_max delta > 0 (criterion 4a)
+        assert (ppt_entangled(block) == xstate_entangled(entries)).all()
+        assert (generic.delta[past] > 0).all()
 
 
 def eq11_lhs(params) -> float:
@@ -236,39 +245,42 @@ class TestEq11Eq12:
         closed = x_state_purities(werner_entries(p))
         lhs = closed.mu1 + closed.mu2 - 1.0
         assert eq11_lhs(werner_entries(p)) == pytest.approx(lhs, abs=1e-14)
-        reports = {rep.name: one_state_values(rep) for rep in audit_reports(werner_state(p))}
+        rho = x_state(werner_entries(p))
+        reports = {rep.name: one_state_values(rep) for rep in audit_reports(rho)}
         assert closed.mu12 - lhs == pytest.approx(reports["eq5"].margin, abs=1e-12)
         assert closed.mu_tilde - lhs == pytest.approx(reports["eq10"].margin, abs=1e-12)
 
 
 class TestWerner:
     def test_p_zero_is_maximally_mixed(self):
-        assert np.allclose(werner_state(0.0).mat, np.eye(4) / 4, atol=1e-16)
+        assert np.allclose(x_state(werner_entries(0.0)).mat, np.eye(4) / 4, atol=1e-16)
 
     def test_p_one_is_bell_projector(self):
-        rho = werner_state(1.0)
+        rho = x_state(werner_entries(1.0))
         assert purities(rho.mat) == pytest.approx(1.0, abs=1e-14)
 
     def test_boundary_has_zero_eigenvalue(self):
-        vals = hermitian_eig(werner_state(-1 / 3).mat).values
+        vals = hermitian_eig(x_state(werner_entries(-1 / 3)).mat).values
         assert abs(float(vals[0])) <= 1e-12
 
     def test_domain_enforced(self):
-        with pytest.raises(DomainError):
-            werner_state(1.01)
-        with pytest.raises(DomainError):
-            werner_state(-0.34)
+        # past p = 1 a population is negative; below -1/3 the coherence
+        # beats its populations
+        with pytest.raises(NotPositive, match="diagonal entries must be nonnegative"):
+            x_state(werner_entries(1.01))
+        with pytest.raises(NotPositive, match=r"^d1\*d4 = 2\.722500e-02 < \|c14\|\^2"):
+            x_state(werner_entries(-0.34))
 
     def test_accepted_down_to_the_entry_tolerance(self):
         # xstate_valid decides: d1*d4 >= |c14|^2 - XSTATE_PARAM_TOL*(d1 + d4)
         # admits p to about -1/3 - 1.33e-12, where the smallest eigenvalue is -1e-12
-        vals = hermitian_eig(werner_state(-1 / 3 - 1e-12).mat).values
+        vals = hermitian_eig(x_state(werner_entries(-1 / 3 - 1e-12)).mat).values
         assert vals[0] == pytest.approx(-7.5e-13, rel=1e-3)
-        with pytest.raises(DomainError, match=r"got -0\.3333333333353333$"):
-            werner_state(-1 / 3 - 2e-12)
+        with pytest.raises(NotPositive, match=r"^d1\*d4 = "):
+            x_state(werner_entries(-1 / 3 - 2e-12))
 
     def test_matrix_matches_entrywise_oracle(self):
-        assert np.array_equal(werner_state(0.8).mat, werner_matrix(0.8))
+        assert np.array_equal(x_state(werner_entries(0.8)).mat, werner_matrix(0.8))
 
 
 def block_edge_entries(rng, count: int) -> tuple[np.ndarray, ...]:
@@ -294,26 +306,25 @@ def block_edge_entries(rng, count: int) -> tuple[np.ndarray, ...]:
 
 
 class TestEntries:
-    """The ``*_state`` constructors are their domain checks followed by
-    ``x_state`` of the family's entries map: the same matrix bytes."""
+    """A family's state is ``x_state`` of its entries map: the matrix
+    written out entry by entry, in bytes."""
 
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.3, 1 / 3, 0.8, 1.0])
     def test_werner(self, p):
-        assert werner_state(p).mat.tobytes() == x_state(werner_entries(p)).mat.tobytes()
+        assert x_state(werner_entries(p)).mat.tobytes() == werner_matrix(p).tobytes()
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9, 1.0])
     def test_beta(self, beta):
-        assert beta_state(beta).mat.tobytes() == x_state(beta_entries(beta)).mat.tobytes()
+        assert x_state(beta_entries(beta)).mat.tobytes() == beta_matrix(beta).tobytes()
 
     @pytest.mark.parametrize("x, a, b", [(0.3, 0.6, 0.8), (0.9, 0.6, 0.8),
                                          (0.5, 0.6j, 0.8), (0.7, 1.0, 0.0)])
     def test_gisin(self, x, a, b):
-        if not gisin_domain(x, a, b):
-            with pytest.raises(DomainError, match="separability threshold"):
-                gisin_state(x, a, b)
-            return
-        assert (gisin_state(x, a, b).mat.tobytes()
-                == x_state(gisin_entries(x, a, b)).mat.tobytes())
+        # built on both sides of the separability cut, which only the
+        # sweep's valid column reads
+        entries = gisin_entries(x, a, b)
+        assert gisin_domain(x, a, b) == (x <= gisin_x_max(a, b) + VALIDATION_TOL)
+        assert x_state(entries).mat.tobytes() == x_state_matrix(entries).tobytes()
 
     @pytest.mark.parametrize("a, b", [(0.6, 0.8), (-0.6, -0.8), (0.6j, 0.8),
                                       (complex(0.6), complex(-0.8)), (0.3 + 0.4j, 0.5 - 0.7j)])
@@ -385,8 +396,8 @@ class TestEntries:
         # map returns them, the constructor refuses them
         entries = werner_entries(p)
         assert sum(entries[:4]) == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(DomainError):
-            werner_state(p)
+        with pytest.raises(NotPositive, match="diagonal entries must be nonnegative"):
+            x_state(entries)
         ps = x_state_purities(entries)
         assert ps.mu12 == pytest.approx((3 * p * p + 1) / 4, rel=1e-15)
         assert ps.mu_tilde == pytest.approx(3 * p * p, rel=1e-15)
@@ -395,8 +406,11 @@ class TestEntries:
 
 class TestGisin:
     def test_huge_amplitude_domain_error(self):
-        with pytest.raises(DomainError, match="deviates from 1 by inf"):
-            gisin_state(0.5, 1e200, 0)
+        # |a|^2 overflows: beyond the sweep's normalization slack, and a
+        # population that is not finite
+        assert _gisin_norm_defect(1e200, 0) == math.inf
+        with pytest.raises(DomainError, match="must be finite"):
+            x_state(gisin_entries(0.5, 1e200, 0))
 
     def test_x_max_values(self):
         assert gisin_x_max(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -405,14 +419,14 @@ class TestGisin:
         assert gisin_x_max(0.07, 0.99) == pytest.approx(0.87, abs=1e-2)
 
     def test_valid_below_x_max(self):
-        rho = gisin_state(0.5, 0.6, 0.8)
+        rho = x_state(gisin_entries(0.5, 0.6, 0.8))
         assert abs(complex(rho.mat.trace()) - 1.0) <= 1e-15
 
     def test_rejected_above_x_max(self):
-        # PSD with unit trace, but past the separability threshold
+        # past the separability threshold: the sweep's cut rejects it, and
+        # x_state builds it, PSD with unit trace
         x, a, b = 0.75, 0.2, math.sqrt(1 - 0.04)
-        with pytest.raises(DomainError, match="separability threshold"):
-            gisin_state(x, a, b)
+        assert not gisin_domain(x, a, b)
         rho = x_state(gisin_entries(x, a, b))
         assert float(hermitian_eig(rho.mat).values[0]) >= -1e-15
 
@@ -431,25 +445,29 @@ class TestGisin:
 
     def test_diagonal_family_valid_everywhere(self):
         for x in np.linspace(0.05, 0.95, 10):
-            rho = gisin_state(float(x), 1.0, 0.0)
+            rho = x_state(gisin_entries(float(x), 1.0, 0.0))
             assert float(hermitian_eig(rho.mat).values[0]) >= -1e-12
 
     def test_normalization_slack(self):
-        with pytest.raises(DomainError):
-            gisin_state(0.5, 1.5, 0.0)
+        assert _gisin_norm_defect(1.5, 0.0) == 1.25
+        with pytest.raises(TraceNotOne, match="diagonal sums to 1.625"):
+            x_state(gisin_entries(0.5, 1.5, 0.0))
         # the non-normalized reference pair is within the slack
         assert _gisin_norm_defect(0.07, 0.99) is None
         assert gisin_x_max(0.07, 0.99) == pytest.approx(0.878, abs=1e-3)
 
     def test_raw_non_normalized_matrix_fails_trace(self):
         with pytest.raises(TraceNotOne):
-            gisin_state(0.5, 0.07, 0.99)
+            x_state(gisin_entries(0.5, 0.07, 0.99))
 
     def test_x_domain(self):
-        with pytest.raises(DomainError):
-            gisin_state(0.0, 0.6, 0.8)
-        with pytest.raises(DomainError):
-            gisin_state(1.0, 0.6, 0.8)
+        # x in [0, 1]: at 0 the state diag(1/2, 0, 0, 1/2), at 1 a pure
+        # state; outside it a population is negative
+        assert np.array_equal(x_state(gisin_entries(0.0, 0.6, 0.8)).mat, np.diag([0.5, 0, 0, 0.5]))
+        assert purities(x_state(gisin_entries(1.0, 0.6, 0.8)).mat) == pytest.approx(1.0, abs=1e-15)
+        for x in (-0.1, 1.1):
+            with pytest.raises(NotPositive, match="diagonal entries must be nonnegative"):
+                x_state(gisin_entries(x, 0.6, 0.8))
 
     def test_closed_forms_diagonal_family(self):
         for x in (0.2, 0.5, 0.9):
@@ -483,7 +501,7 @@ class TestGisin:
         a, b = 0.6, 0.8
         for x in np.linspace(0.02, 0.5, 20):
             lhs5, mt, mu12 = _gisin_closed(float(x), abs(a) ** 2, abs(b) ** 2)
-            ps = one_state_values(purity_set(gisin_state(float(x), a, b)))
+            ps = one_state_values(purity_set(x_state(gisin_entries(float(x), a, b))))
             assert ps.mu12 == pytest.approx(mu12, abs=1e-10)
             assert ps.mu_tilde == pytest.approx(mt, abs=1e-10)
             assert ps.mu1 + ps.mu2 - 1 == pytest.approx(lhs5, abs=1e-10)
@@ -501,28 +519,30 @@ class TestGisin:
         assert all(closed_delta(x) > 0 for x in np.linspace(x_max + 1e-6, 0.999, 200))
 
 
-# Every Gisin refusal and acceptance: (x, a, b), then the exception class and
-# its full message, or the sha256 of the accepted state's matrix bytes.
+# x_state of Gisin entries, refused and accepted: (x, a, b), then the
+# exception class and its full message, or the sha256 of the accepted state's
+# matrix bytes.  Past x_max the states are built; only the sweep cuts there.
 X_MAX_06_08 = gisin_x_max(0.6, 0.8)
 GISIN_CASES = [
-    (0.0, 0.6, 0.8, DomainError, "Gisin x must lie in (0, 1), got 0.0"),
-    (1.0, 0.6, 0.8, DomainError, "Gisin x must lie in (0, 1), got 1.0"),
-    (1.5, 0.6, 0.8, DomainError, "Gisin x must lie in (0, 1), got 1.5"),
-    (math.nan, 0.6, 0.8, DomainError, "Gisin x must lie in (0, 1), got nan"),
-    # the x check comes before the slack check
-    (-0.2, 1e200, 0.0, DomainError, "Gisin x must lie in (0, 1), got -0.2"),
-    (0.5, 1.5, 0.0, DomainError,
-     "|a|^2+|b|^2 deviates from 1 by 1.2500, beyond slack 0.02"),
-    (0.5, 1e200, 0.0, DomainError,
-     "|a|^2+|b|^2 deviates from 1 by inf, beyond slack 0.02"),
-    (0.5, math.nan, 0.0, DomainError,
-     "|a|^2+|b|^2 deviates from 1 by nan, beyond slack 0.02"),
-    # the raw published pair: within the slack, off unit trace below x_max
+    (0.0, 0.6, 0.8, None, "a5cacbe5befa687aa34297c7dc82a8747e65e3f4a7281cd2833a5fe76c86db5c"),
+    (1.0, 0.6, 0.8, None, "10d2e67beb5ddfc545488da147b4736033b52d8fe1e3c7aa3a2d856126c5c4fb"),
+    (1.5, 0.6, 0.8, NotPositive,
+     "diagonal entries must be nonnegative, got (-0.25, 0.54, 0.9600000000000002, -0.25)"),
+    (math.nan, 0.6, 0.8, DomainError, "X-state parameters must be finite, "
+     "got (nan, nan, nan, nan, 0.0, np.complex128(nan+0j))"),
+    # the finite clause comes before the diagonal's sign
+    (-0.2, 1e200, 0.0, DomainError, "X-state parameters must be finite, "
+     "got (0.6, -inf, -0.0, 0.6, 0.0, np.complex128(-0+0j))"),
+    (0.5, 1.5, 0.0, TraceNotOne, "diagonal sums to 1.625, off by 6.250e-01"),
+    (0.5, 1e200, 0.0, DomainError, "X-state parameters must be finite, "
+     "got (0.25, inf, 0.0, 0.25, 0.0, np.complex128(0j))"),
+    (0.5, math.nan, 0.0, DomainError, "X-state parameters must be finite, "
+     "got (0.25, nan, 0.0, 0.25, 0.0, np.complex128(nan+0j))"),
+    # the raw published pair: within the sweep's slack, off unit trace at any x > 0
     (0.5, 0.07, 0.99, TraceNotOne, "diagonal sums to 0.9924999999999999, off by 7.500e-03"),
-    (0.9, 0.07, 0.99, DomainError,
-     "x = 0.9 exceeds the separability threshold x_max = 0.878272"),
-    (X_MAX_06_08 + 2e-10, 0.6, 0.8, DomainError,
-     "x = 0.5102040818326531 exceeds the separability threshold x_max = 0.510204"),
+    (0.9, 0.07, 0.99, TraceNotOne, "diagonal sums to 0.9864999999999999, off by 1.350e-02"),
+    (X_MAX_06_08 + 2e-10, 0.6, 0.8, None,
+     "ca17362fffd033fdd7aeebaca7ae99445570e485155e6e3b8be83ef27d759df1"),
     (X_MAX_06_08 + 5e-11, 0.6, 0.8, None,
      "96c2eba190c3fcf194d71daeb9a0e9dd57083bc823da1da075adbafce317a372"),
     (0.2, 0.6, 0.8, None, "e384cfb19f9847c8b291ac5423513685f78571dbb57479a3998b7a1ba7d5ac82"),
@@ -535,35 +555,43 @@ GISIN_CASES = [
 @pytest.mark.parametrize("x, a, b, error, expected", GISIN_CASES)
 def test_gisin_refusals_and_states(x, a, b, error, expected):
     if error is None:
-        rho = gisin_state(x, a, b)
+        rho = x_state(gisin_entries(x, a, b))
         assert hashlib.sha256(rho.mat.tobytes()).hexdigest() == expected
         return
     with pytest.raises(PurityLabError) as info:
-        gisin_state(x, a, b)
+        x_state(gisin_entries(x, a, b))
     assert type(info.value) is error
     assert str(info.value) == expected
 
 
-# Every Werner and beta refusal and a few acceptances, as GISIN_CASES: the
-# parameter, then the exception class and its full message, or the sha256
-# of the accepted state's matrix bytes.  The parameter is read as a float.
+# x_state of Werner and beta entries, refused and accepted, as GISIN_CASES:
+# the entries map and its parameter, then the exception class and its full
+# message, or the sha256 of the accepted state's matrix bytes.
 WERNER_CASES = [
-    (1.01, DomainError, "Werner parameter must lie in [-1/3, 1], got 1.01"),
-    (-0.34, DomainError, "Werner parameter must lie in [-1/3, 1], got -0.34"),
-    (2, DomainError, "Werner parameter must lie in [-1/3, 1], got 2.0"),
-    (math.nan, DomainError, "Werner parameter must lie in [-1/3, 1], got nan"),
-    (math.inf, DomainError, "Werner parameter must lie in [-1/3, 1], got inf"),
+    (1.01, NotPositive, "diagonal entries must be nonnegative, "
+     "got (0.5025, -0.0025000000000000022, -0.0025000000000000022, 0.5025)"),
+    (-0.34, NotPositive, "d1*d4 = 2.722500e-02 < |c14|^2 = 2.890000e-02"),
+    (2, NotPositive, "diagonal entries must be nonnegative, got (0.75, -0.25, -0.25, 0.75)"),
+    (math.nan, DomainError,
+     "X-state parameters must be finite, got (nan, nan, nan, nan, nan, 0.0)"),
+    (math.inf, DomainError,
+     "X-state parameters must be finite, got (inf, -inf, -inf, inf, inf, 0.0)"),
     (-1 / 3, None, "5463d49701759d3bc3c44139c916cfddb3357d45a68fecc2b1b1fa793fa9934f"),
     (1 / 3, None, "8cfbbe057b2f79140ae9a2c8d9e9fc2a0c226863e7a1abb6317e53cc5679bf46"),
     (0.8, None, "0887c7dc5cded26343a919aa5a44509b16c61d3f1ec7ba11f97b7e4c4fd08ab3"),
     (1.0, None, "765c6024b5d7e983de2e17ee52973a5dd074746b1811b4a75464400a70e98228"),
 ]
 BETA_CASES = [
-    (-0.01, DomainError, "beta must lie in [0, 1], got -0.01"),
-    (1.01, DomainError, "beta must lie in [0, 1], got 1.01"),
-    (np.int64(2), DomainError, "beta must lie in [0, 1], got 2.0"),
-    (math.nan, DomainError, "beta must lie in [0, 1], got nan"),
-    (-math.inf, DomainError, "beta must lie in [0, 1], got -inf"),
+    (-0.01, NotPositive,
+     "diagonal entries must be nonnegative, got (-0.005, 0.505, 0.505, -0.005)"),
+    (1.01, NotPositive, "diagonal entries must be nonnegative, "
+     "got (0.505, -0.0050000000000000044, -0.0050000000000000044, 0.505)"),
+    (np.int64(2), NotPositive, "diagonal entries must be nonnegative, "
+     "got (np.float64(1.0), np.float64(-0.5), np.float64(-0.5), np.float64(1.0))"),
+    (math.nan, DomainError,
+     "X-state parameters must be finite, got (nan, nan, nan, nan, nan, nan)"),
+    (-math.inf, DomainError,
+     "X-state parameters must be finite, got (-inf, inf, inf, -inf, -inf, inf)"),
     (0.0, None, "d8b85d389e4228b7e314901649125b979d3b354703a930dd4c27f1774410f7ba"),
     (0.5, None, "703267e22addb0e32c6a0c5d700f1e1baee7aeb026e86cce8caba8206d313665"),
     (0.9, None, "31510f30d250e9295452b4879e819b55f59216ba599151b8880e843464420d5f"),
@@ -571,33 +599,36 @@ BETA_CASES = [
 ]
 
 
-@pytest.mark.parametrize("constructor, param, error, expected", [
-    *((werner_state, *case) for case in WERNER_CASES),
-    *((beta_state, *case) for case in BETA_CASES),
+@pytest.mark.parametrize("entries_of, param, error, expected", [
+    *((werner_entries, *case) for case in WERNER_CASES),
+    *((beta_entries, *case) for case in BETA_CASES),
 ])
-def test_werner_and_beta_refusals_and_states(constructor, param, error, expected):
+def test_werner_and_beta_refusals_and_states(entries_of, param, error, expected):
     if error is None:
-        rho = constructor(param)
+        rho = x_state(entries_of(param))
         assert hashlib.sha256(rho.mat.tobytes()).hexdigest() == expected
         return
     with pytest.raises(PurityLabError) as info:
-        constructor(param)
+        x_state(entries_of(param))
     assert type(info.value) is error
     assert str(info.value) == expected
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("constructor, param", [
-    (werner_state, 1e200), (werner_state, -1e200), (beta_state, 1e300)])
-def test_huge_parameter_refused_without_warnings(constructor, param):
-    # the entries' squares overflow inside xstate_valid
-    with pytest.raises(DomainError, match="must lie in"):
-        constructor(param)
+@pytest.mark.parametrize("entries_of, param", [
+    (werner_entries, 1e200), (werner_entries, -1e200), (beta_entries, 1e300)])
+def test_huge_parameter_refused_without_warnings(entries_of, param):
+    # the entries' squares overflow inside xstate_valid, which evaluates
+    # every clause; x_state stops at the first one they fail
+    entries = entries_of(param)
+    assert not xstate_valid(entries)
+    with pytest.raises(NotPositive, match="diagonal entries must be nonnegative"):
+        x_state(entries)
 
 
 class TestBeta:
     def test_half_is_quarter_filled_x_pattern(self):
-        rho = beta_state(0.5)
+        rho = x_state(beta_entries(0.5))
         expected = np.zeros((4, 4), dtype=complex)
         for i, j in [(0, 0), (3, 3), (0, 3), (3, 0),
                      (1, 1), (2, 2), (1, 2), (2, 1)]:
@@ -605,7 +636,7 @@ class TestBeta:
         assert np.array_equal(rho.mat, expected)
 
     def test_half_is_rank_deficient_but_evaluates(self):
-        rho = beta_state(0.5)
+        rho = x_state(beta_entries(0.5))
         vals = hermitian_eig(rho.mat).values
         assert np.allclose(vals, [0, 0, 0.5, 0.5], atol=1e-14)
         ps = one_state_values(purity_set(rho))  # clamping must keep mu_tilde finite here
@@ -614,13 +645,12 @@ class TestBeta:
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_endpoints_are_pure(self, beta):
-        assert purities(beta_state(beta).mat) == pytest.approx(1.0, abs=1e-14)
+        assert purities(x_state(beta_entries(beta)).mat) == pytest.approx(1.0, abs=1e-14)
 
     def test_domain_enforced(self):
-        with pytest.raises(DomainError):
-            beta_state(-0.01)
-        with pytest.raises(DomainError):
-            beta_state(1.01)
+        for beta in (-0.01, 1.01):
+            with pytest.raises(NotPositive, match="diagonal entries must be nonnegative"):
+                x_state(beta_entries(beta))
 
 
 class TestEntanglement:
@@ -636,7 +666,7 @@ class TestEntanglement:
 
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.33, 0.3334, 0.5, 1.0])
     def test_ppt_matches_werner_domain(self, p):
-        assert ppt_entangled(werner_state(p)).item() == (p > 1 / 3)
+        assert ppt_entangled(x_state(werner_entries(p))).item() == (p > 1 / 3)
 
     def test_ppt_gisin_threshold(self):
         a, b = 0.6, 0.8

@@ -17,17 +17,17 @@ from oracles import (
 from puritylab import sweep
 from puritylab.defaults import ENTANGLE_TOL
 from puritylab.density import BlockShape
-from puritylab.errors import DomainError, SpecError
+from puritylab.errors import DomainError, NotPositive, SpecError, TraceNotOne
 from puritylab.fileio import scan_report_json
 from puritylab.inequalities import audit_reports, delta, find_delta_roots, purity_set
 from puritylab.states import (
     _gisin_closed,
     beta_entries,
-    beta_state,
-    gisin_state,
+    gisin_domain,
+    gisin_entries,
     gisin_x_max,
     werner_entries,
-    werner_state,
+    x_state,
     xstate_valid,
 )
 from puritylab.sweep import (
@@ -190,15 +190,20 @@ class TestGisinSweep:
         assert (table.valid[inside] & ~table.entangled[inside]).all()
 
     def test_out_of_domain_grid_points_marked_invalid(self):
+        # x = 0 and x = 1 (x_max = 1 here) are the states diag(1/2, 0, 0, 1/2)
+        # and diag(0, 1, 0, 0); past them a population is negative
         valid = run_sweep(SweepSpec(family="gisin", start=0.0, stop=1.0,
                                     count=11, a=1.0, b=0.0)).valid
-        assert not valid[0]   # x = 0
-        assert not valid[-1]  # x = 1
+        assert valid[0]   # x = 0
+        assert valid[-1]  # x = 1
         assert valid[1:-1].all()
+        wide = run_sweep(SweepSpec(family="gisin", start=-1.0, stop=2.0, count=4, a=1.0, b=0.0))
+        assert wide.param.tolist() == [-1.0, 0.0, 1.0, 2.0]
+        assert wide.valid.tolist() == [False, True, True, False]
 
     def test_threshold_band_is_valid_and_entangled(self):
-        # gisin_state accepts x <= x_max + VALIDATION_TOL (1e-10), and just
-        # past x_max the entry rule already calls the state entangled, so
+        # the sweep's Gisin cut is x <= x_max + VALIDATION_TOL (1e-10), and
+        # just past x_max the entry rule already calls the state entangled, so
         # rows in that band read valid and entangled; pinned so that any
         # change to the band is deliberate
         a, b = 0.6, 0.8
@@ -207,9 +212,10 @@ class TestGisinSweep:
         assert table.valid.tolist() == [True] * 5 + [False] * 2
         assert table.entangled.tolist() == [False] * 3 + [True] * 4
         param = table.param.tolist()
-        assert gisin_state(param[4], a, b) is not None
-        with pytest.raises(DomainError, match="exceeds the separability threshold"):
-            gisin_state(param[5], a, b)
+        assert gisin_domain(param[4], a, b) and not gisin_domain(param[5], a, b)
+        # past the cut the states are PSD with unit trace: x_state builds them
+        assert x_state(gisin_entries(param[4], a, b)) is not None
+        assert x_state(gisin_entries(param[5], a, b)) is not None
 
     def test_root_location_against_frozen_oracle(self):
         a2, b2 = 0.36, 0.64
@@ -391,15 +397,14 @@ def werner_and_beta_specs(draw):
 @settings(max_examples=100)
 @example(SweepSpec("werner", -1 / 3 - 6e-12, -1 / 3 + 6e-12, 13))
 def test_constructor_mask_and_sweep_agree(spec):
-    # one rule: the constructor accepts a parameter exactly where
-    # xstate_valid accepts its entries and the sweep marks its row valid
-    state, entries_of = {"werner": (werner_state, werner_entries),
-                         "beta": (beta_state, beta_entries)}[spec.family]
+    # one rule: x_state accepts a parameter's entries exactly where
+    # xstate_valid accepts them and the sweep marks its row valid
+    entries_of = {"werner": werner_entries, "beta": beta_entries}[spec.family]
     table = run_sweep(spec)
     for param, valid in zip(table.param.tolist(), table.valid.tolist()):
         try:
-            state(param)
-        except DomainError:
+            x_state(entries_of(param))
+        except (DomainError, NotPositive, TraceNotOne):
             accepted = False
         else:
             accepted = True
@@ -440,17 +445,16 @@ class TestSweepInvariants:
             SweepSpec(family="xrandom", start=0, stop=39, count=40),
         ]
         from oracles import one_x_entries
-        from puritylab.states import beta_state, gisin_state, werner_state, x_state
 
         for spec in specs:
             table = run_sweep(spec)
             for param in table.param[table.valid].tolist():
                 if spec.family == "werner":
-                    rho = werner_state(param)
+                    rho = x_state(werner_entries(param))
                 elif spec.family == "beta":
-                    rho = beta_state(param)
+                    rho = x_state(beta_entries(param))
                 elif spec.family == "gisin":
-                    rho = gisin_state(param, spec.a, spec.b)
+                    rho = x_state(gisin_entries(param, spec.a, spec.b))
                 else:
                     rho = x_state(one_x_entries(int(param)))
                 for rep in audit_reports(rho, tol=1e-9):
