@@ -21,9 +21,11 @@ from .defaults import REPORT_TOL, SWEEP_POINTS
 from .density import BlockShape, sample_blocks
 from .errors import IoError, PurityLabError
 from .fileio import (
+    ascii_int,
     csv_lines,
     emit_csv,
     read_matrix_file,
+    read_shape,
     scan_report_json,
     write_scan_report,
 )
@@ -42,16 +44,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_shape(text: str) -> BlockShape:
-    return BlockShape.from_sizes(text.replace("X", "x").split("x"),
-                                 f"shape must look like 2x2, in ASCII digits, got {text!r}")
+    return read_shape(text.replace("X", "x").split("x"),
+                      f"shape must look like 2x2, in ASCII digits, got {text!r}")
 
 
 def _parse_seed(text: str) -> int:
     """A seed in [0, 2^64), in ASCII digits: streams read a seed modulo 2^64,
     so any other integer would run another seed's streams under its label."""
-    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
+    seed = ascii_int(text)
+    if seed is None or seed >= 2**64:
         raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^64), got {text!r}")
-    return int(text)
+    return seed
+
+
+def _parse_count(text: str) -> int:
+    """A count in ASCII digits, after an optional minus sign: a negative
+    count reaches its command's range check, which names it."""
+    count = ascii_int(text.removeprefix("-"))
+    if count is None:
+        raise argparse.ArgumentTypeError(f"must be an integer in ASCII digits, got {text!r}")
+    return -count if text.startswith("-") else count
 
 
 @functools.cache
@@ -67,7 +79,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--family", required=True, choices=FAMILIES)
     sweep.add_argument("--start", required=True, type=float)
     sweep.add_argument("--stop", required=True, type=float)
-    sweep.add_argument("--count", type=int, default=SWEEP_POINTS)
+    sweep.add_argument("--count", type=_parse_count, default=SWEEP_POINTS)
     sweep.add_argument("--a", type=complex, default=None,
                        help="first Gisin amplitude (complex accepted)")
     sweep.add_argument("--b", type=complex, default=None,
@@ -80,7 +92,7 @@ def build_parser() -> _Parser:
     scan = sub.add_parser("scan", help="scan the sign of delta vs entanglement")
     for command in (audit, scan):
         command.add_argument("--shape", default="2x2", help="NxM in ASCII digits, as 2x3 or 2X3")
-        command.add_argument("--samples", type=int, default=1000)
+        command.add_argument("--samples", type=_parse_count, default=1000)
         command.add_argument("--seed", type=_parse_seed, default=0)
         command.add_argument("--tol", type=float, default=REPORT_TOL)
     scan.add_argument("--out", default=None,

@@ -19,7 +19,9 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .errors import (
     TraceNotOne,
 )
 from .linalg import spectra
-from .prng import complex_normals, stream_uniforms
+from .prng import complex_normals, scalar_logs, stream_uniforms
 
 
 def require_int(value, name: str, error: type[Exception]) -> int:
@@ -64,17 +66,6 @@ class BlockShape:
     @property
     def dim(self) -> int:
         return self.n * self.m
-
-    @classmethod
-    def from_sizes(cls, sizes: list[str], refusal: str) -> BlockShape:
-        """The shape of two sizes in ASCII digits (``--shape``, a matrix file
-        header); SpecError(refusal) for other text, such as "+2" or "2_0"."""
-        if len(sizes) == 2 and all(s.isascii() and s.isdigit() for s in sizes):
-            try:
-                return cls(int(sizes[0]), int(sizes[1]))
-            except ValueError:  # over int()'s 4300 digits
-                pass
-        raise SpecError(refusal)
 
 
 @dataclass(frozen=True)
@@ -114,20 +105,54 @@ def _require_positive(mats: np.ndarray) -> None:
             raise NotPositive(f"smallest eigenvalue {smallest:.3e} below -{VALIDATION_TOL:.3e}")
 
 
+class MatrixMeasures(NamedTuple):
+    """What the clauses of ``MATRIX_RULE`` read: a (B, N, N) stack and its
+    per-matrix measures, or one (N, N) matrix of it and its scalar ones."""
+
+    mats: np.ndarray
+    defect: np.ndarray  # hermiticity_defect, non-finite where an entry is
+    trace_dev: np.ndarray  # |Tr m - 1|
+    peak: np.ndarray  # largest entry modulus
+    shape: BlockShape
+
+    def hermitian_part_finite(self):
+        """m + m^dagger has no Inf entry, per matrix."""
+        return np.isfinite(self.mats + np.conj(self.mats.swapaxes(-1, -2))).all(axis=(-2, -1))
+
+
+# The matrix rule, written once: clauses in the order ``validate_block`` checks
+# them, each an elementwise test with the error class and text of a refusal.
+MATRIX_RULE = (
+    (lambda s: np.isfinite(s.defect), DomainError,
+     lambda s: "matrix contains NaN or Inf entries"),
+    (lambda s: s.mats.shape[-1] == s.shape.dim, ShapeMismatch,
+     lambda s: f"matrix dimension {s.mats.shape[-1]} does not match block shape "
+               f"({s.shape.n}, {s.shape.m}) with n*m = {s.shape.dim}"),
+    (lambda s: s.defect <= VALIDATION_TOL, NotHermitian,
+     lambda s: f"hermiticity defect {s.defect:.3e} exceeds tol {VALIDATION_TOL:.3e}"),
+    (lambda s: s.trace_dev <= VALIDATION_TOL, TraceNotOne,
+     lambda s: f"trace deviates from 1 by {s.trace_dev:.3e} (tol {VALIDATION_TOL:.3e})"),
+    (MatrixMeasures.hermitian_part_finite, DomainError,
+     lambda s: "Hermitian part (m + m^dagger)/2 overflows to Inf"),
+    (lambda s: s.peak <= 1.0 + VALIDATION_TOL, NotPositive,
+     lambda s: f"largest entry modulus {s.peak:.3e} exceeds 1 by {s.peak - 1.0:.3e} "
+               f"(tol {VALIDATION_TOL:.3e}); no entry of a unit-trace PSD matrix does"),
+)
+
+
 def validate_block(mats, shape: BlockShape) -> DensityBlock:
     """Validate a (B, N, N) stack as density matrices: the one check of a
     matrix, run once on each state entering the package (``states.x_state``
     checks the X-state rules on its entries first, at ``XSTATE_PARAM_TOL``).
 
-    In this order: a non-empty stack of square matrices (DimMismatch), finite
-    entries (DomainError), dimension n*m (ShapeMismatch), Hermitian
-    (NotHermitian) and unit trace (TraceNotOne) within ``VALIDATION_TOL``,
-    the entry bound |rho_ij| <= 1 of unit-trace PSD matrices (DomainError if
-    the Hermitian part overflows, else NotPositive), and no eigenvalue below
-    -``VALIDATION_TOL`` (NotPositive, from ``spectra``).  All but the last
-    run on the whole stack before any eigensolve.  A stack raises the error
-    :func:`make_density` raises for its first bad state.  It is copied and
-    stored read-only; nothing is repaired.
+    A non-empty stack of square matrices (DimMismatch), then the clauses of
+    ``MATRIX_RULE`` in order, then no eigenvalue below -``VALIDATION_TOL``
+    (NotPositive, from ``spectra``).  The clauses' conjunction runs on the
+    whole stack before any eigensolve; it skips the Hermitian-part clause,
+    which the entry bound implies.  Only the states before the first one it
+    refuses are solved, so a stack raises the error :func:`make_density`
+    raises for its first bad state.  It is copied and stored read-only;
+    nothing is repaired.
     """
     arr = np.array(mats, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or min(arr.shape) < 1:
@@ -136,45 +161,20 @@ def validate_block(mats, shape: BlockShape) -> DensityBlock:
     # NaN or Inf entries, and finite ones whose Hermitian part overflows, are
     # raised as errors below, without numpy's floating-point warnings.
     with np.errstate(all="ignore"):
-        defect = hermiticity_defect(arr)
-        trace_dev = np.abs(arr.trace(axis1=1, axis2=2) - 1.0)
-        peak = np.abs(arr).max(axis=(1, 2))
-        passing = np.maximum(defect, trace_dev) <= VALIDATION_TOL  # NaN compares False
-        passing &= peak <= 1.0 + VALIDATION_TOL
-        first_bad = int(passing.argmin())
-        if arr.shape[1] != shape.dim:
-            first_bad = 0
-        elif passing[first_bad]:
-            first_bad = len(arr)
+        stack = MatrixMeasures(arr, hermiticity_defect(arr),
+                               np.abs(arr.trace(axis1=1, axis2=2) - 1.0),
+                               np.abs(arr).max(axis=(1, 2)), shape)
+        passing = reduce(operator.and_, (holds(stack) for holds, _, _ in MATRIX_RULE
+                                         if holds is not MatrixMeasures.hermitian_part_finite))
+        first_bad = len(arr) if passing.all() else int(passing.argmin())
         _require_positive(arr[:first_bad])
         if first_bad < len(arr):
-            _raise_invalid(arr[first_bad], defect[first_bad], trace_dev[first_bad],
-                           peak[first_bad], shape)
+            state = MatrixMeasures(*(measure[first_bad] for measure in stack[:4]), shape)
+            for holds, error, refusal in MATRIX_RULE:
+                if not holds(state):
+                    raise error(refusal(state))
     arr.flags.writeable = False
     return DensityBlock(mats=arr, shape=shape)
-
-
-def _raise_invalid(mat: np.ndarray, defect: float, trace_dev: float, peak: float,
-                   shape: BlockShape) -> None:
-    """Raise the first validation error of one state that failed a stacked check."""
-    if not np.isfinite(defect):
-        raise DomainError("matrix contains NaN or Inf entries")
-    if len(mat) != shape.dim:
-        raise ShapeMismatch(
-            f"matrix dimension {len(mat)} does not match block shape "
-            f"({shape.n}, {shape.m}) with n*m = {shape.dim}"
-        )
-    if defect > VALIDATION_TOL:
-        raise NotHermitian(
-            f"hermiticity defect {defect:.3e} exceeds tol {VALIDATION_TOL:.3e}")
-    if trace_dev > VALIDATION_TOL:
-        raise TraceNotOne(
-            f"trace deviates from 1 by {trace_dev:.3e} (tol {VALIDATION_TOL:.3e})")
-    if not np.isfinite(mat + mat.conj().T).all():
-        raise DomainError("Hermitian part (m + m^dagger)/2 overflows to Inf")
-    raise NotPositive(
-        f"largest entry modulus {peak:.3e} exceeds 1 by {peak - 1.0:.3e} "
-        f"(tol {VALIDATION_TOL:.3e}); no entry of a unit-trace PSD matrix does")
 
 
 def make_density(mat, shape: BlockShape) -> DensityBlock:
@@ -273,17 +273,16 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
 
 
-def _separable_mats(shape: BlockShape, terms: int, heads: np.ndarray,
+def _separable_mats(shape: BlockShape, terms: int, weights: np.ndarray,
                     z: np.ndarray) -> np.ndarray:
-    """Weighted sums of kron(u u^dagger, v v^dagger) per row: the weights
-    are -ln of the ``terms`` head uniforms, normalized; each row of complex
-    normals ``z`` holds u then v of each term in turn.
+    """Weighted sums of kron(u u^dagger, v v^dagger) per row: the ``terms``
+    weights, normalized in place; each row of complex normals ``z`` holds u then
+    v of each term in turn.
 
     Each vector is divided by its own norm (see ``_norms``) and the terms are
     added in order, so the bytes match a term-by-term build.
     """
     n, m = shape.n, shape.m
-    weights = -np.log(heads)
     weights /= weights.sum(axis=1, keepdims=True)
     z = z.reshape(len(z), terms, n + m)
     u = z[..., :n] / _norms(z[..., :n])
@@ -300,11 +299,12 @@ def _separable_mats(shape: BlockShape, terms: int, heads: np.ndarray,
 
 def _build_inputs(kind: str, size: int, rows: np.ndarray) -> tuple:
     """What a group's build reads after its shape and size, from its rows of
-    uniforms: the complex normals of a Ginibre group; the ``terms`` weight
-    heads (copied) and the complex normals of the rest for a separable one."""
+    uniforms: the complex normals of a Ginibre group; for a separable one,
+    the weights -ln u of its ``terms`` head uniforms (``scalar_logs``, as
+    the scalar draw takes them) and the complex normals of the rest."""
     if kind == "ginibre":
         return (complex_normals(rows),)
-    return rows[:, :size].copy(), complex_normals(rows[:, size:])
+    return -scalar_logs(rows[:, :size]), complex_normals(rows[:, size:])
 
 
 def sample_block(shape: BlockShape, recipes: list) -> DensityBlock:
@@ -313,16 +313,14 @@ def sample_block(shape: BlockShape, recipes: list) -> DensityBlock:
 
     Recipes with the same kind and size form a group, and a block is sampled
     in three phases: one draw of the uniforms of the whole block, ordered by
-    group; then the complex normals of every group (for a separable group,
-    of the uniforms after its ``terms`` weight heads); only then one array
-    build per group.  No normal is drawn once a build has started.  The
-    order is for speed; the bytes are the same in any order.  Right after a
-    complex matmul such as a Ginibre build's ``G @ G^dagger``, the scalar
-    ``math.log`` pass of ``complex_normals`` ran about 3.2 times slower per
-    value (247 against 76 ns on an Intel Xeon with OpenBLAS 0.3.31), and
-    drawing and building group by group put a matmul before the logs of
-    every group but the first.  The block is then validated by
-    :func:`validate_block`.
+    group; then what every group's build reads, each logarithm included
+    (the complex normals, and a separable group's weights); only then one
+    array build per group.  The order is for speed; the bytes are the same
+    in any order.  Right after a complex matmul such as a Ginibre build's
+    ``G @ G^dagger``, the scalar ``math.log`` pass of ``scalar_logs`` ran
+    about 3.2 times slower per value (247 against 76 ns on an Intel Xeon
+    with OpenBLAS 0.3.31), so no logarithm is taken once a build has
+    started.  The block is then validated by :func:`validate_block`.
     """
     groups: dict[tuple[str, int], list[int]] = {}
     for i, (kind, size, _) in enumerate(recipes):
@@ -337,7 +335,7 @@ def sample_block(shape: BlockShape, recipes: list) -> DensityBlock:
         stop = start + counts[key] * len(members)
         inputs[key] = _build_inputs(*key, uniforms[start:stop].reshape(len(members), counts[key]))
         start = stop
-    del uniforms  # the builds read only the normals and the weight heads
+    del uniforms  # the builds read only the normals and the weights
     mats = np.empty((len(recipes), shape.dim, shape.dim), dtype=np.complex128)
     for (kind, size), members in groups.items():
         build = _ginibre_mats if kind == "ginibre" else _separable_mats

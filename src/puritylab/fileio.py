@@ -67,6 +67,25 @@ def write_matrix_file(path: str, rho: DensityBlock) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def ascii_int(text: str) -> int | None:
+    """The integer ``text`` writes in ASCII digits alone, else None: the one
+    reading of a size, index, count or seed given as text, where ``int()``
+    would also read "2_0", "+2", " 2" and non-ASCII digits."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # over int()'s 4300 digits
+        return None
+
+
+def read_shape(sizes: list[str], refusal: str) -> BlockShape:
+    """The shape of two sizes in ASCII digits (``--shape``, a matrix file
+    header); SpecError(refusal) for other text, such as "+2" or "2_0"."""
+    values = [ascii_int(size) for size in sizes]
+    if len(values) != 2 or None in values:
+        raise SpecError(refusal)
+    return BlockShape(*values)
+
+
 # The grammar's characters: ``int()``, ``float()`` and ``str.split()`` see no
 # other, so no digit-group underscore, non-ASCII digit or Unicode separator.
 _ALPHABET = b"0123456789eE+-. \t\n"
@@ -89,8 +108,7 @@ def read_matrix_file(path: str) -> DensityBlock:
     raw = [line.strip() for line in text.split("\n") if line.strip()]
     if not raw:
         raise SpecError(f"{path}: empty matrix file")
-    shape = BlockShape.from_sizes(raw[0].split(),
-                                  f"{path}: first line must be 'n m', got {raw[0]!r}")
+    shape = read_shape(raw[0].split(), f"{path}: first line must be 'n m', got {raw[0]!r}")
     dim = shape.dim
     if len(raw) - 1 != dim * dim:
         raise SpecError(
@@ -100,10 +118,11 @@ def read_matrix_file(path: str) -> DensityBlock:
     seen = np.zeros((dim, dim), dtype=bool)
     for line in raw[1:]:
         fields = line.split()
-        if len(fields) != 4 or not (fields[0].isdigit() and fields[1].isdigit()):
+        indices = [ascii_int(field) for field in fields[:2]]
+        if len(fields) != 4 or None in indices:
             raise SpecError(f"{path}: bad entry line {line!r}")
+        i, j = indices
         try:
-            i, j = int(fields[0]), int(fields[1])
             re, im = float(fields[2]), float(fields[3])
         except ValueError as err:
             raise SpecError(f"{path}: bad entry line {line!r}") from err

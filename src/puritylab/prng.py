@@ -33,13 +33,16 @@ states.  ``density.sample_block`` draws a whole block of recipes this way
 sampled inside a job has the same bytes as its one-recipe replay.
 
 ``sample_block`` works in three phases: one ``stream_uniforms`` draw, then
-``complex_normals`` on the uniforms of every recipe group, then the matrix
-builds.  ``complex_normals`` takes its logarithms by ``scalar_logs``, one
-``math.log`` call at a time, and that pass ran about 3.2 times slower per
-value right after the complex matmul of a Ginibre build (Intel Xeon,
-OpenBLAS 0.3.31), so no normal is drawn once a build has started.  Both
-functions work mostly in place: each peaks at about 2 to 2.5 times its
-output.
+``complex_normals`` on the uniforms of every recipe group (and the weights
+-ln u of every separable group's head uniforms), then the matrix builds.
+Every logarithm of a draw, Box-Muller's and the separable and random
+X-state weights', is taken by ``scalar_logs``, one ``math.log`` call at a
+time: numpy's vector log differs from it in the last bit on some values,
+and differently with and without AVX-512.  That pass ran about 3.2 times
+slower per value right after the complex matmul of a Ginibre build (Intel
+Xeon, OpenBLAS 0.3.31), so no logarithm is taken once a build has started.
+``stream_uniforms`` and ``complex_normals`` work mostly in place: each
+peaks at about 2 to 2.5 times its output.
 """
 
 from __future__ import annotations

@@ -82,17 +82,24 @@ def _sums_to_one(e: XEntries):
     return abs(_diagonal_sum(e) - 1.0) <= XSTATE_PARAM_TOL
 
 
+def _plain(values) -> tuple:
+    """Entries as Python floats and complexes, whose reprs, unlike numpy's,
+    do not depend on the numpy version or on how the entries were computed."""
+    return tuple(complex(v) if np.iscomplexobj(v) else float(v) for v in values)
+
+
 # The X-state rule, written once: clauses in the order ``x_state`` checks them,
 # each an elementwise test with the error class and text of a refusal.  A block
 # [[d, c], [c*, d']] gets the slack XSTATE_PARAM_TOL*T, T = d + d': where D = d*d' -
 # |c|^2 < 0, its smallest eigenvalue 2D/(T + sqrt(T^2 - 4D)) is >= D/T >= -XSTATE_PARAM_TOL.
 XSTATE_RULE = (
     (lambda e: reduce(and_, map(np.isfinite, e)), DomainError,
-     lambda e: f"X-state parameters must be finite, got {e}"),
+     lambda e: f"X-state parameters must be finite, got {_plain(e)}"),
     (lambda e: reduce(and_, (d >= 0.0 for d in e[:4])), NotPositive,
-     lambda e: f"diagonal entries must be nonnegative, got {e[:4]}"),
+     lambda e: f"diagonal entries must be nonnegative, got {_plain(e[:4])}"),
     (_sums_to_one, TraceNotOne,
-     lambda e: f"diagonal sums to {_diagonal_sum(e)!r}, off by {abs(_diagonal_sum(e) - 1.0):.3e}"),
+     lambda e: f"diagonal sums to {float(_diagonal_sum(e))!r}, "
+               f"off by {abs(_diagonal_sum(e) - 1.0):.3e}"),
     (lambda e: e[1] * e[2] >= _abs2(e[5]) - XSTATE_PARAM_TOL * (e[1] + e[2]), NotPositive,
      lambda e: f"d2*d3 = {e[1] * e[2]:.6e} < |c23|^2 = {_abs2(e[5]):.6e}"),
     (lambda e: e[0] * e[3] >= _abs2(e[4]) - XSTATE_PARAM_TOL * (e[0] + e[3]), NotPositive,

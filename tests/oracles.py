@@ -15,11 +15,14 @@ term, the reference for the package's block sampler, and
 ``scalar_find_delta_roots`` is the one-point-at-a-time root search, the
 reference for the package's array search, and ``scalar_sweep_rows`` builds a
 sweep one grid point at a time, the reference for the package's array
-sweep.
+sweep.  ``scalar_matrix_refusal`` checks one matrix against the documented
+validation order, one entry at a time in Python complex arithmetic, the
+reference for the package's stacked ``MATRIX_RULE``.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -33,7 +36,9 @@ from puritylab.errors import (
     BadInterval,
     BadRank,
     DomainError,
+    NotHermitian,
     NotPositive,
+    ShapeMismatch,
     SpecError,
     TraceNotOne,
 )
@@ -108,7 +113,7 @@ def scalar_random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> De
         raise BadRank(f"terms must be >= 1, got {terms}")
     shape = BlockShape(dim_n, dim_m)
     gen = SplitMix64(seed)
-    weights = np.array([-np.log(gen.uniform()) for _ in range(terms)])
+    weights = np.array([-math.log(gen.uniform()) for _ in range(terms)])
     weights /= weights.sum()
     acc = np.zeros((shape.dim, shape.dim), dtype=np.complex128)
     for w in weights:
@@ -238,6 +243,39 @@ def jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
                 a[q, :] = -s * np.conj(phase) * row_p + c * row_q
                 a[p, q] = a[q, p] = 0.0
     raise AssertionError(f"Jacobi oracle did not converge in {sweep_cap} sweeps")
+
+
+def scalar_matrix_refusal(mat: np.ndarray, shape: BlockShape):
+    """What validating one square matrix raises, by the documented order:
+    ``(error class, text)`` of the first check it fails (finite entries,
+    dimension n*m, Hermiticity and unit trace within VALIDATION_TOL, a
+    finite Hermitian part, the entry bound |rho_ij| <= 1); ``(NotPositive,
+    None)`` if it passes them but a Jacobi eigenvalue lies below
+    -VALIDATION_TOL; None if it is accepted."""
+    rows = np.asarray(mat, dtype=np.complex128).tolist()
+    dim = len(rows)
+    pairs = [(rows[i][j], rows[j][i].conjugate()) for i in range(dim) for j in range(dim)]
+    if not all(cmath.isfinite(z) for z, _ in pairs):
+        return DomainError, "matrix contains NaN or Inf entries"
+    if dim != shape.dim:
+        return ShapeMismatch, (f"matrix dimension {dim} does not match block shape "
+                               f"({shape.n}, {shape.m}) with n*m = {shape.dim}")
+    defect = max(abs(z - w) for z, w in pairs)
+    if defect > VALIDATION_TOL:
+        return NotHermitian, f"hermiticity defect {defect:.3e} exceeds tol {VALIDATION_TOL:.3e}"
+    trace_dev = abs(sum(rows[i][i] for i in range(dim)) - 1.0)
+    if trace_dev > VALIDATION_TOL:
+        return TraceNotOne, f"trace deviates from 1 by {trace_dev:.3e} (tol {VALIDATION_TOL:.3e})"
+    if not all(cmath.isfinite(z + w) for z, w in pairs):
+        return DomainError, "Hermitian part (m + m^dagger)/2 overflows to Inf"
+    peak = max(abs(z) for z, _ in pairs)
+    if peak > 1.0 + VALIDATION_TOL:
+        return NotPositive, (f"largest entry modulus {peak:.3e} exceeds 1 by {peak - 1.0:.3e} "
+                             f"(tol {VALIDATION_TOL:.3e}); no entry of a unit-trace PSD "
+                             "matrix does")
+    if jacobi_eigenvalues(mat)[0] < -VALIDATION_TOL:
+        return NotPositive, None
+    return None
 
 
 def mpmath_sqrt_trace(mat: np.ndarray) -> tuple[float, float]:

@@ -349,6 +349,32 @@ class TestSeed:
         assert str(2**64 - 1) in out
 
 
+class TestCounts:
+    """``--samples`` and ``--count`` are ASCII digits, as ``--seed`` and the
+    ``--shape`` sizes are: ``int()`` reads 1_0 as 10 and an Arabic-Indic
+    three as 3.  A leading minus reaches the command's range check."""
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--seed", "1", "--samples"],
+        ["scan", "--seed", "1", "--samples"],
+        ["sweep", "--family", "werner", "--start", "0", "--stop", "1", "--count"],
+    ], ids=["audit", "scan", "sweep"])
+    @pytest.mark.parametrize("count", ["1_0", "\u0663", "\uff13", "+3", " 3", "3.0", "-1.5", ""],
+                             ids=["underscore", "arabic-indic", "fullwidth", "plus", "space",
+                                  "float", "minus-float", "empty"])
+    def test_count_outside_ascii_digits_refused(self, argv, count, capsys):
+        code, out, err = run_cli([*argv, count], capsys)
+        assert code == 1
+        assert err.startswith(f"error: argument {argv[-1]}: must be an integer in ASCII digits, "
+                              f"got {count!r}\n")
+        assert out == ""
+
+    def test_negative_count_reaches_the_range_check(self, capsys):
+        code, out, err = run_cli(["sweep", "--family", "werner", "--start", "0", "--stop", "1",
+                                  "--count", "-3"], capsys)
+        assert (code, out, err) == (1, "", "error: count must be >= 2, got -3\n")
+
+
 class TestCheckCommand:
     def test_werner_report(self, tmp_path, capsys):
         path = tmp_path / "werner08.txt"

@@ -8,6 +8,7 @@ from oracles import (
     index_block_sum,
     index_block_trace,
     one_state_values,
+    scalar_matrix_refusal,
     skewed_pure_state,
     werner_matrix,
 )
@@ -30,6 +31,7 @@ from puritylab.errors import (
     DomainError,
     NotHermitian,
     NotPositive,
+    PurityLabError,
     ShapeMismatch,
     TraceNotOne,
 )
@@ -134,6 +136,25 @@ class TestOneStateBlock:
                 values.item()
 
 
+# Defects to plant at entry (i, j) of a valid state, each failing one clause of
+# MATRIX_RULE (or, "indefinite", only positivity) where it is the first defect;
+# i == j plants on the diagonal.
+PLANTED = ["non-finite", "asymmetry", "trace", "overflow", "entry-bound", "indefinite"]
+
+
+def plant(mat, defect, i, j):
+    if defect == "non-finite":
+        mat[i, j] = (np.nan, np.inf, complex(0.0, -np.inf))[(i + j) % 3]
+    elif defect == "asymmetry":
+        mat[i, j] += 1e-3 if i != j else 1e-3j
+    elif defect == "trace":
+        mat[i, i] += 1e-3
+    elif defect in ("overflow", "entry-bound", "indefinite"):
+        value = {"overflow": 1.7e308, "entry-bound": 1.5, "indefinite": 0.6}[defect]
+        j = j if j != i else (i + 1) % len(mat)  # a symmetric off-diagonal pair
+        mat[i, j] = mat[j, i] = value
+
+
 class TestValidateBlock:
     def test_states_equal_one_state_validation(self):
         mats = np.stack([werner_matrix(p) for p in (-0.2, 0.3, 1.0)])
@@ -162,6 +183,34 @@ class TestValidateBlock:
     def test_not_a_stack_rejected(self, shape):
         with pytest.raises(DimMismatch):
             validate_block(np.zeros(shape), SHAPE22)
+
+    @given(st.sampled_from(SHAPES), st.integers(0, 4).map(lambda k: k == 0),
+           st.lists(st.lists(st.tuples(st.sampled_from(PLANTED), st.integers(0, 63),
+                                       st.integers(0, 63)), max_size=2),
+                    min_size=1, max_size=6),
+           seeds)
+    @settings(max_examples=150)
+    def test_first_failing_clause_of_first_failing_state(self, shape, wrong_dim, plants, seed):
+        # every state a valid Ginibre state with up to two planted defects,
+        # one per clause of MATRIX_RULE, or one that only positivity refuses
+        mats = np.stack([random_state(shape, seed + k).mat for k in range(len(plants))])
+        for mat, defects in zip(mats, plants):
+            for defect, i, j in defects:
+                plant(mat, defect, i % shape.dim, j % shape.dim)
+        claimed = BlockShape(shape.n + 1, shape.m) if wrong_dim else shape
+        expected = next(filter(None, (scalar_matrix_refusal(mat, claimed) for mat in mats)),
+                        None)
+        if expected is None:
+            assert validate_block(mats, claimed).mats.tobytes() == mats.tobytes()
+            return
+        with pytest.raises(PurityLabError) as info:
+            validate_block(mats, claimed)
+        error, text = expected
+        assert type(info.value) is error
+        if text is None:  # positivity: the text names the eigenvalue LAPACK found
+            assert str(info.value).startswith("smallest eigenvalue ")
+        else:
+            assert str(info.value) == text
 
 
 def smallest_eigenvalue_off(dev):

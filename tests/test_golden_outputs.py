@@ -5,12 +5,14 @@ The digests are tied to one numpy/BLAS build (numpy 2.4.6 with its bundled
 OpenBLAS, one thread): another LAPACK may round eigenvalues differently in
 the last bits, and the printed 17-digit values with them.  On such a build,
 re-record the digests from the parent commit before judging a change by them.
+A mismatch names the build it ran on (``build_info.build_fingerprint``).
 """
 
 import hashlib
 
 import pytest
 
+from build_info import build_fingerprint
 from puritylab.cli import cli_main
 from puritylab.density import random_density
 from puritylab.fileio import write_matrix_file
@@ -92,11 +94,11 @@ def test_cli_output_is_golden(name, tmp_path, capsys):
     else:
         assert cli_main(argv) == 0
         text = capsys.readouterr().out
-    assert digest(text) == expected
+    assert digest(text) == expected, build_fingerprint()
 
 
 def test_check_output_is_golden(tmp_path, capsys):
     path = tmp_path / "state.txt"
     write_matrix_file(str(path), random_density(2, 3, 4, 2024))
     assert cli_main(["check", str(path)]) == 0
-    assert digest(capsys.readouterr().out) == CHECK_DIGEST
+    assert digest(capsys.readouterr().out) == CHECK_DIGEST, build_fingerprint()

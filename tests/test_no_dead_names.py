@@ -3,9 +3,12 @@
 A class of ``errors.py`` that nothing raises, or a constant of
 ``defaults.py`` that nothing reads, documents a check the package no longer
 makes.  This reads ``src/puritylab/*.py`` with ``ast``: outside its defining
-module, each error class must appear in a ``raise`` (a base class of other
-error classes, in an ``except`` clause instead), and each constant must be
-read as a name or an attribute.  Imports alone do not count.
+module, each error class must appear in a ``raise`` or as the error of a
+clause of a rule table (a base class of other error classes, in an
+``except`` clause instead), and each constant must be read as a name or an
+attribute.  Imports alone do not count.  A rule table is a top-level
+``*_RULE`` tuple of ``(test, error, refusal)`` clauses, such as
+``density.MATRIX_RULE``: the code that checks it raises each clause's error.
 """
 
 import ast
@@ -23,10 +26,23 @@ def last_name(node: ast.expr | None) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
+def rule_errors(tree: ast.Module) -> set[str]:
+    """The error of each ``(test, error, refusal)`` clause of a module's
+    top-level ``*_RULE`` tuples."""
+    return {last_name(clause.elts[1]) for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_RULE")
+            and isinstance(node.value, ast.Tuple)
+            for clause in node.value.elts
+            if isinstance(clause, ast.Tuple) and len(clause.elts) == 3}
+
+
 def uses(source: str) -> tuple[set[str], set[str], set[str]]:
-    """The names one module raises, catches and reads."""
-    raised, caught, read = set(), set(), set()
-    for node in ast.walk(ast.parse(source)):
+    """The names one module raises (rule-table errors included), catches
+    and reads."""
+    tree = ast.parse(source)
+    raised, caught, read = rule_errors(tree), set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Raise):
             raised.add(last_name(node.exc))
         elif isinstance(node, ast.ExceptHandler) and node.type is not None:
@@ -78,6 +94,27 @@ def test_finds_planted_dead_names():
     }
     assert dead_names(modules) == ["DEAD_TOL", "Dead"]
     modules["b.py"] = "import errors\nraise errors.Dead\nprint(defaults.DEAD_TOL)\n"
+    assert dead_names(modules) == []
+
+
+def test_rule_clause_errors_count_as_raised():
+    modules = {
+        "errors.py": "class Base(Exception): pass\n"
+                     "class Ruled(Base): pass\nclass Dead(Base): pass\n",
+        "defaults.py": "",
+        "a.py": "from .errors import Base, Dead, Ruled\n"
+                "try:\n    pass\nexcept Base:\n    pass\n"
+                "CHECK_RULE = ((bool, Ruled, str),)\n",
+    }
+    assert dead_names(modules) == ["Dead"]
+    # named, but not as the error of a rule clause: still dead
+    for source in ("TABLE = ((bool, Dead, str),)\n",
+                   "CHECK_RULE = ((bool, str, Dead), (Dead, bool, str))\n",
+                   "SHORT_RULE = ((bool, Dead),)\n",
+                   "def f():\n    LOCAL_RULE = ((bool, Dead, str),)\n"):
+        modules["b.py"] = source
+        assert dead_names(modules) == ["Dead"], source
+    modules["b.py"] = "OTHER_RULE = ((bool, errors.Dead, str),)\n"
     assert dead_names(modules) == []
 
 

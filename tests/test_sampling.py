@@ -4,6 +4,7 @@ Every comparison is byte for byte: a state sampled inside a job must equal
 the state the scalar oracle builds from the same recipe, and its replay.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,20 @@ class TestJobSampler:
 
     def test_empty_job(self):
         assert list(sample_blocks(BlockShape(2, 2), [])) == []
+
+    @pytest.mark.parametrize("index", [379, 435, 487])
+    def test_separable_weights_are_math_logs(self, index):
+        """The weights of these separable samples of a seed-2024 2x2 scan are
+        -ln of head uniforms on which numpy's AVX-512 log differs from
+        ``math.log`` in the last bit; the sampler takes ``math.log``, as the
+        scalar draw does, so the states do not depend on the CPU."""
+        shape = BlockShape(2, 2)
+        kind, terms, seed = _sample_recipe(shape, index, 2024)
+        rows = stream_uniforms([seed], [_draw_count(shape, kind, terms)]).reshape(1, -1)
+        weights = density._build_inputs(kind, terms, rows)[0]
+        assert weights.tolist() == [[-math.log(u) for u in rows[0, :terms].tolist()]]
+        recipe = (kind, terms, seed)
+        assert job_mats(shape, [recipe])[0].tobytes() == oracle_state(shape, *recipe).mat.tobytes()
 
 
 class TestRecipes:

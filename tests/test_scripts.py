@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+from build_info import build_fingerprint
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -15,7 +17,7 @@ def run_script(name, *args):
 
 
 # sha256 of each figure CSV; tied to one numpy/BLAS build, like the digests
-# of tests/test_golden_outputs.py
+# of tests/test_golden_outputs.py, and a mismatch names the build
 FIGURE_DIGESTS = {
     "beta.csv": "42920a5de44280e5e5fae5a058172f4fabb8f49a9a851aee114277661668b6af",
     "gisin_a0.07_b0.99.csv": "4b1839e2c093b16a32519aac38705003086814c141669bc3d415c79785d82519",
@@ -34,7 +36,7 @@ def test_reproduce_figures(tmp_path):
     for path in csvs:
         assert len(path.read_text().splitlines()) == 201, path.name
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in csvs} == FIGURE_DIGESTS
+            for path in csvs} == FIGURE_DIGESTS, build_fingerprint()
     roots = [line for line in proc.stdout.splitlines() if "delta roots" in line]
     assert len(roots) == 4
     line = next(line for line in roots if line.strip().startswith("a=0.6, b=0.8:"))
