@@ -18,10 +18,11 @@ import functools
 import sys
 
 from .defaults import REPORT_TOL, SWEEP_POINTS
-from .density import BlockShape, sample_blocks
+from .density import BlockShape, require_seed, sample_blocks
 from .errors import IoError, PurityLabError
 from .fileio import (
     ascii_int,
+    ascii_number,
     csv_lines,
     emit_csv,
     read_matrix_file,
@@ -49,12 +50,21 @@ def _parse_shape(text: str) -> BlockShape:
 
 
 def _parse_seed(text: str) -> int:
-    """A seed in [0, 2^64), in ASCII digits: streams read a seed modulo 2^64,
-    so any other integer would run another seed's streams under its label."""
-    seed = ascii_int(text)
-    if seed is None or seed >= 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^64), got {text!r}")
-    return seed
+    """A seed in ASCII digits, by the seed rule of ``density.require_seed``."""
+    return require_seed(ascii_int(text), argparse.ArgumentTypeError, written=text)
+
+
+def _parse_number(kind: type):
+    """The argparse type of a float or complex option: ``fileio.ascii_number``."""
+    chars = "digits, sign, point, exponent and j" if kind is complex else \
+        "digits, sign, point and exponent"
+
+    def parse(text: str):
+        value = ascii_number(text, kind)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"must be a number in ASCII {chars}, got {text!r}")
+        return value
+    return parse
 
 
 def _parse_count(text: str) -> int:
@@ -75,14 +85,15 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    real, amplitude = _parse_number(float), _parse_number(complex)
     sweep = sub.add_parser("sweep", help="sweep a state family over a grid")
     sweep.add_argument("--family", required=True, choices=FAMILIES)
-    sweep.add_argument("--start", required=True, type=float)
-    sweep.add_argument("--stop", required=True, type=float)
+    sweep.add_argument("--start", required=True, type=real)
+    sweep.add_argument("--stop", required=True, type=real)
     sweep.add_argument("--count", type=_parse_count, default=SWEEP_POINTS)
-    sweep.add_argument("--a", type=complex, default=None,
+    sweep.add_argument("--a", type=amplitude, default=None,
                        help="first Gisin amplitude (complex accepted)")
-    sweep.add_argument("--b", type=complex, default=None,
+    sweep.add_argument("--b", type=amplitude, default=None,
                        help="second Gisin amplitude")
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)
@@ -94,14 +105,14 @@ def build_parser() -> _Parser:
         command.add_argument("--shape", default="2x2", help="NxM in ASCII digits, as 2x3 or 2X3")
         command.add_argument("--samples", type=_parse_count, default=1000)
         command.add_argument("--seed", type=_parse_seed, default=0)
-        command.add_argument("--tol", type=float, default=REPORT_TOL)
+        command.add_argument("--tol", type=real, default=REPORT_TOL)
     scan.add_argument("--out", default=None,
                       help="JSON path (default stdout); stdout then gets a summary")
     scan.set_defaults(func=_cmd_scan)
 
     check = sub.add_parser("check", help="evaluate one state from a matrix file")
     check.add_argument("path")
-    check.add_argument("--tol", type=float, default=REPORT_TOL)
+    check.add_argument("--tol", type=real, default=REPORT_TOL)
     check.set_defaults(func=_cmd_check)
 
     return parser

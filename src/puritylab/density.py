@@ -50,6 +50,20 @@ def require_int(value, name: str, error: type[Exception]) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+def require_seed(value, error: type[Exception] = SpecError, written: str | None = None) -> int:
+    """``value`` as a Python int in [0, 2^64), else ``error`` naming it, or
+    the text it was ``written`` as: streams read a seed modulo 2^64, so any
+    other integer would run another seed's streams under its own label."""
+    try:
+        seed = operator.index(value)
+    except TypeError:
+        seed = -1
+    if not 0 <= seed < 2**64:
+        shown = value if written is None else written
+        raise error(f"seed must be an integer in [0, 2^64), got {shown!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class BlockShape:
     """n blocks per side, each block m x m; the full dimension is n*m."""

@@ -77,6 +77,25 @@ def ascii_int(text: str) -> int | None:
         return None
 
 
+# A real in ASCII: sign, digits, point and exponent.
+_REAL = "+-.0123456789eE"
+
+
+def ascii_number(text: str, kind: type = float):
+    """``kind(text)``, a float or a complex, where ``text`` has only the
+    characters of a real ("j" too for a complex), or is a signed "inf" or
+    "nan", which a finiteness check then names; None otherwise, also where
+    ``kind()`` refuses it.  ``float()`` and ``complex()`` alone would also
+    read "1_0", non-ASCII digits, surrounding spaces and "(0.6+0j)"."""
+    if text.strip(_REAL + "j" * (kind is complex)) and \
+            text.lstrip("+-").lower() not in ("inf", "infinity", "nan"):
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
 def read_shape(sizes: list[str], refusal: str) -> BlockShape:
     """The shape of two sizes in ASCII digits (``--shape``, a matrix file
     header); SpecError(refusal) for other text, such as "+2" or "2_0"."""
@@ -88,7 +107,7 @@ def read_shape(sizes: list[str], refusal: str) -> BlockShape:
 
 # The grammar's characters: ``int()``, ``float()`` and ``str.split()`` see no
 # other, so no digit-group underscore, non-ASCII digit or Unicode separator.
-_ALPHABET = b"0123456789eE+-. \t\n"
+_ALPHABET = (_REAL + " \t\n").encode()
 
 
 def read_matrix_file(path: str) -> DensityBlock:

@@ -18,13 +18,14 @@ Each family is defined once, as an unchecked map from its parameters to the
 six entries (d1, d2, d3, d4, c14, c23): ``werner_entries``, ``beta_entries``,
 ``gisin_entries`` and ``random_x_entries`` (of seeds).  The six entries are
 the one X-state parameter type, ``XSTATE_RULE`` the rule on them and
-``xstate_valid`` its mask.  ``x_state``, the one checked constructor, raises
-on the first clause they fail, then validates the matrix as a DensityBlock,
-so every X-state is ``x_state`` of a family's entries.  ``gisin_domain``,
-the Gisin separability cut, is a sweep column's rule, not a validity rule.
-The maps, masks and verdicts are elementwise, each value with the bits of
-its scalar evaluation: moduli are ``np.hypot(re, im)`` and squares products
-(``x ** 2`` raises on overflow).  ``ppt_entangled``, the verdict on
+``xstate_valid`` its mask.  ``x_state``, the one checked constructor, takes
+scalar entries or the arrays of a whole grid; the first state they refuse
+raises on the first clause it fails, then the matrices are validated as a
+DensityBlock, so every X-state is ``x_state`` of a family's entries.
+``gisin_domain``, the Gisin separability cut, is a sweep column's rule, not
+a validity rule.  The maps, masks, verdicts and ``x_state`` are elementwise,
+each value with the bits of its scalar evaluation: moduli are
+``np.hypot(re, im)`` and squares products (``x ** 2`` raises on overflow).  ``ppt_entangled``, the verdict on
 matrices, evaluates a whole block of states, one entry per state.
 
 Closed-form purities for the family:
@@ -54,8 +55,8 @@ from .defaults import (
 from .density import (
     BlockShape,
     DensityBlock,
-    make_density,
     partial_transpose_inner,
+    validate_block,
 )
 from .errors import DomainError, NotPositive, ShapeUnsupported, TraceNotOne
 from .inequalities import PuritySet
@@ -69,7 +70,9 @@ XEntries = tuple[float, float, float, float, complex, complex]
 
 
 def _abs2(c):
-    """|c|^2 as Python's abs(c) * abs(c), elementwise: np.hypot(re, im) squared."""
+    """|c|^2 as Python's abs(c) * abs(c), elementwise: np.hypot(re, im) squared.
+    numpy's complex ``abs`` changes bits without its AVX2 loops, so an entry
+    would depend on the CPU."""
     m = np.hypot(np.real(c), np.imag(c))
     return m * m
 
@@ -127,15 +130,19 @@ def x_state_matrix(entries: XEntries) -> np.ndarray:
 
 
 def x_state(entries: XEntries) -> DensityBlock:
-    """The X-state of six scalar entries, a one-state ``DensityBlock``: the
-    first clause of ``XSTATE_RULE`` they fail raises its error, then
-    ``make_density`` validates the matrix."""
-    entries = tuple(entries)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for holds, error, refusal in XSTATE_RULE:
-            if not holds(entries):
-                raise error(refusal(entries))
-    return make_density(x_state_matrix(entries), TWO_QUBIT_SHAPE)
+    """The X-states of six entries, scalars or arrays broadcast against each
+    other, one state per element (a one-state block for scalars): the first
+    state ``xstate_valid`` refuses raises the error of its first failing
+    ``XSTATE_RULE`` clause, as ``validate_block`` refuses a stack; then
+    ``validate_block`` validates the matrices."""
+    entries = np.broadcast_arrays(*entries)
+    valid = np.reshape(xstate_valid(entries), -1)
+    if not valid.all():
+        row = tuple(e.reshape(-1)[valid.argmin()] for e in entries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, error, refusal = next(clause for clause in XSTATE_RULE if not clause[0](row))
+            raise error(refusal(row))
+    return validate_block(x_state_matrix(entries).reshape(-1, 4, 4), TWO_QUBIT_SHAPE)
 
 
 def x_state_purities(entries: XEntries) -> PuritySet:
@@ -176,7 +183,8 @@ def gisin_x_max(a: complex, b: complex) -> float:
 def _product(u, v):
     """u * v elementwise with the bits of Python's scalar product: a real
     factor reads as (r, +0.0), and each real product and sum rounds once,
-    where numpy's complex loops may fuse them."""
+    where numpy's complex multiply may fuse them and changes bits without
+    its AVX2 loops, so an entry would depend on the CPU."""
     if not (np.iscomplexobj(u) or np.iscomplexobj(v)):
         return u * v
     ur, ui, vr, vi = np.real(u), np.imag(u), np.real(v), np.imag(v)

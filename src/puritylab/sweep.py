@@ -6,8 +6,8 @@ seeds) gives the X-state entries of every grid value, and ``entangled`` is
 ``states.xstate_entangled`` of them, valid or not.  ``valid`` is the mask of
 ``xstate_valid`` (the rows whose entries ``x_state`` accepts) and, for
 Gisin, of ``gisin_domain``, the separability cut x <= x_max +
-VALIDATION_TOL.  The valid rows' matrices form one (V, 4, 4) stack, validated
-and evaluated a block at a time by ``purity_set``, so each row equals
+VALIDATION_TOL.  The valid rows are built a block at a time, as ``x_state``
+of their entries, and evaluated by ``purity_set``, so each row equals
 ``purity_set`` of its state alone.  The invalid rows keep the closed
 forms, in one elementwise call: ``x_state_purities`` of the entries fills
 mu12, mu1, mu2, mu_tilde, delta and lhs5 = mu1 + mu2 - 1 for Werner and
@@ -37,15 +37,14 @@ from .density import (
     DensityBlock,
     in_blocks,
     require_int,
+    require_seed,
     sample_block,
     sample_blocks,
-    validate_block,
 )
 from .errors import SpecError
 from .inequalities import delta, purity_set, require_tol
 from .prng import child_seed
 from .states import (
-    TWO_QUBIT_SHAPE,
     _diagonal_sum,
     _gisin_closed,
     _gisin_norm_defect,
@@ -57,7 +56,7 @@ from .states import (
     ppt_entangled,
     random_x_entries,
     werner_entries,
-    x_state_matrix,
+    x_state,
     x_state_purities,
     xstate_entangled,
     xstate_valid,
@@ -193,14 +192,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         entangled = xstate_entangled(entries)
         columns = np.empty((6, len(param)))  # mu12, mu1, mu2, mu_tilde, delta, lhs5
         columns[:, ~valid] = _closed_forms(spec, param[~valid], [e[~valid] for e in entries])
-    # Each valid row's matrix is Hermitian with unit diagonal sum, entries of modulus
-    # <= 1 and 2x2 blocks that xstate_valid keeps >= -XSTATE_PARAM_TOL: none raises.
     at = np.flatnonzero(valid)
-    mats = x_state_matrix([e[valid] for e in entries])
     for chunk in in_blocks(range(len(at))):
-        ps = purity_set(validate_block(mats[chunk], TWO_QUBIT_SHAPE))
-        columns[:, at[chunk]] = (ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta,
-                                 ps.mu1 + ps.mu2 - 1.0)
+        rows = at[chunk]
+        ps = purity_set(x_state([e[rows] for e in entries]))
+        columns[:, rows] = (ps.mu12, ps.mu1, ps.mu2, ps.mu_tilde, ps.delta, ps.mu1 + ps.mu2 - 1.0)
     return SweepTable(param, valid, *columns, entangled)
 
 
@@ -269,12 +265,14 @@ def scan_conjecture(shape: BlockShape, samples: int, seed: int,
     separable samples can never be counterexamples by definition (delta < 0
     on separable states is allowed and expected).  The report is a pure
     function of (shape, samples, seed, tol).  ``samples`` must be an
-    integer >= 1, ``tol`` a finite number >= 0 and the shape one with a
-    conclusive PPT verdict; all are checked before any draw.
+    integer >= 1, ``seed`` an integer in [0, 2^64), ``tol`` a finite number
+    >= 0 and the shape one with a conclusive PPT verdict; all are checked
+    before any draw.
     """
     samples = require_int(samples, "samples", SpecError)
     if samples < 1:
         raise SpecError(f"samples must be >= 1, got {samples}")
+    seed = require_seed(seed)
     require_tol(tol)
     _require_ppt_shape(shape)
     deltas, entangled = [], []

@@ -349,6 +349,53 @@ class TestSeed:
         assert str(2**64 - 1) in out
 
 
+class TestNumbers:
+    """Real and complex options are read by the matrix file's ASCII number
+    grammar: ``float()`` and ``complex()`` read 1_0 as 10, an Arabic-Indic
+    one as 1 and surrounding spaces; ``complex()`` reads "(0.6+0j)" too."""
+
+    # each option after the arguments its command needs
+    OPTIONS = {
+        "--start": ["sweep", "--family", "werner", "--stop", "1"],
+        "--stop": ["sweep", "--family", "werner", "--start", "0"],
+        "--a": ["sweep", "--family", "gisin", "--start", "0", "--stop", "1", "--b", "0.8"],
+        "--b": ["sweep", "--family", "gisin", "--start", "0", "--stop", "1", "--a", "0.6"],
+        "scan --tol": ["scan"],
+        "audit --tol": ["audit"],
+        "check --tol": ["check", "state.txt"],
+    }
+    AMPLITUDES = ("--a", "--b")
+
+    @pytest.mark.parametrize("option", OPTIONS)
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", " 0.5 ", "(0.6+0j)"],
+                             ids=["underscore", "arabic-indic", "spaces", "parenthesized"])
+    def test_outside_the_grammar_refused(self, option, value, capsys):
+        name = option.split()[-1]
+        code, out, err = run_cli([*self.OPTIONS[option], f"{name}={value}"], capsys)
+        assert code == 1
+        assert err.startswith(f"error: argument {name}: must be a number in ASCII digits, ")
+        assert err.split("\n")[0].endswith(f", got {value!r}")
+        assert out == ""
+
+    @pytest.mark.parametrize("option, value", [
+        *((option, value) for option in OPTIONS
+          for value in ("-0.3333333333333333", "-3", "1e-9", ".5")),
+        *((option, value) for option in AMPLITUDES for value in ("0.6j", "0.6+0.8j")),
+    ])
+    def test_ascii_numbers_read(self, option, value):
+        name = option.split()[-1]
+        args = cli.build_parser().parse_args([*self.OPTIONS[option], f"{name}={value}"])
+        kind = complex if option in self.AMPLITUDES else float
+        assert getattr(args, name.lstrip("-")) == kind(value)
+
+    def test_complex_refused_by_a_real_option(self, capsys):
+        code, _, err = run_cli(["sweep", "--family", "werner", "--start", "0", "--stop=0.6j"],
+                               capsys)
+        assert code == 1
+        assert err.startswith("error: argument --stop: must be a number in ASCII digits, sign, "
+                              "point and exponent, got '0.6j'\n")
+
+
 class TestCounts:
     """``--samples`` and ``--count`` are ASCII digits, as ``--seed`` and the
     ``--shape`` sizes are: ``int()`` reads 1_0 as 10 and an Arabic-Indic

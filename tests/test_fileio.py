@@ -10,6 +10,7 @@ from puritylab.density import BlockShape, make_density, random_density
 from puritylab.errors import IoError, PurityLabError, SpecError
 from puritylab.fileio import (
     CSV_HEADER,
+    ascii_number,
     csv_lines,
     emit_csv,
     read_matrix_file,
@@ -211,6 +212,22 @@ class TestMatrixGrammar:
         path.write_text("\t2 \t1 \r\n\n0 0 +.5 -0e0\n0\t1 0. 0\n1 0 0 +0E+00\n"
                         "1 1 5E-1 0\n \n", encoding="utf-8", newline="")
         assert read_matrix_file(str(path)).mat.tolist() == [[0.5, 0], [0, 0.5]]
+
+    @pytest.mark.parametrize("text, kind, value", [
+        ("-0.3333333333333333", float, -0.3333333333333333), (".5", float, 0.5),
+        ("1e-9", float, 1e-9), ("+5E-1", float, 0.5), ("0.6j", complex, 0.6j),
+        ("0.6+0.8j", complex, 0.6 + 0.8j), ("-3", complex, -3 + 0j),
+        ("-inf", float, -np.inf), ("Infinity", complex, complex(np.inf)),
+        ("1_0", float, None), ("\u0661", float, None), (" 0.5 ", float, None),
+        ("(0.6+0j)", complex, None), ("0.6j", float, None), ("", float, None),
+        ("1e5e5", float, None), ("\uff11", complex, None), ("infj", complex, None),
+    ])
+    def test_ascii_number(self, text, kind, value):
+        assert ascii_number(text, kind) == value
+
+    def test_ascii_number_reads_nan(self):
+        # as inf is read, so that a finiteness check names it
+        assert np.isnan(ascii_number("-nan", complex)) and np.isnan(ascii_number("NaN"))
 
     @given(mutated_files())
     @settings(max_examples=400)

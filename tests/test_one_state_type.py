@@ -4,9 +4,11 @@
 other way would hand unchecked matrices to code that trusts them.  This reads
 ``src/puritylab/*.py`` with ``ast``: a call of ``DensityBlock`` (by name or as
 an attribute), or of ``cls`` inside that class, may appear only in the body of
-``validate_block``.  And every X-state is made by ``states.x_state``: in
-``states.py`` only ``x_state`` calls ``make_density`` or ``validate_block``,
-so no family grows a checked constructor of its own again.
+``validate_block``.  And every X-state is made by ``states.x_state``:
+outside ``density.py`` (the validators and the sampler) and ``fileio.py``
+(the matrix file reader), only ``x_state`` calls ``make_density`` or
+``validate_block``, so no family or sweep grows a checked constructor of its
+own again.
 """
 
 import ast
@@ -95,5 +97,7 @@ def test_finds_planted_validator_calls():
     assert validator_calls(clean) == []
 
 
-def test_only_x_state_validates_in_states():
-    assert validator_calls((PACKAGE / "states.py").read_text()) == ["x_state"]
+def test_only_x_state_validates_outside_density_and_fileio():
+    found = {path.name: validator_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("density.py", "fileio.py")}
+    assert {name: where for name, where in found.items() if where} == {"states.py": ["x_state"]}

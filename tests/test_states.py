@@ -13,8 +13,9 @@ from oracles import (
     scalar_random_x_params,
     werner_matrix,
 )
+from puritylab import states
 from puritylab.defaults import VALIDATION_TOL, XSTATE_PARAM_TOL
-from puritylab.density import purities, validate_block
+from puritylab.density import purities
 from puritylab.errors import (
     DomainError,
     NotPositive,
@@ -26,7 +27,6 @@ from puritylab.inequalities import audit_reports, purity_set
 from puritylab.linalg import hermitian_eig, spectra
 from puritylab.prng import child_seed
 from puritylab.states import (
-    TWO_QUBIT_SHAPE,
     beta_entries,
     gisin_domain,
     gisin_entries,
@@ -137,6 +137,54 @@ class TestXState:
         assert rho.mat[2, 1] == np.conj(rho.mat[1, 2])
 
 
+def _planted(row, kind: str) -> tuple:
+    """A row of entries with one refusal planted, named by the clause it fails."""
+    d1, d2, d3, d4, c14, c23 = row
+    return {
+        "not-finite": (d1, d2, math.nan, d4, c14, c23),
+        "negative": (-d1, d2, d3, d4, c14, c23),
+        "trace": (d1 + 0.01, d2, d3, d4, c14, c23),
+        "c23": (d1, d2, d3, d4, c14, complex(0.0, 2.0 * math.sqrt(d2 * d3) + 1e-3)),
+        "c14": (d1, d2, d3, d4, complex(2.0 * math.sqrt(d1 * d4) + 1e-3), c23),
+        "huge": (d1, d2, d3, d4, complex(1e200), c23),
+    }[kind]
+
+
+class TestXStateBlocks:
+    """``x_state`` of entry arrays is the stack of ``x_state`` of each row,
+    and a block is refused as its first refused row alone."""
+
+    @pytest.mark.parametrize("entries", [
+        werner_entries(np.linspace(-1 / 3, 1.0, 60)),  # c23 = 0.0 beside arrays
+        beta_entries(np.linspace(0.0, 1.0, 60)),
+        gisin_entries(np.linspace(0.0, 1.0, 60), 0.6j, 0.8),
+        gisin_entries(np.linspace(0.0, 1.0, 60), 0.36 + 0.48j, -0.8),
+        random_x_entries(list(range(300))),
+    ], ids=["werner", "beta", "gisin-0.6j", "gisin-complex", "xrandom"])
+    def test_block_is_the_stack_of_its_rows(self, entries):
+        block = x_state(entries)
+        rows = zip(*(e.tolist() for e in np.broadcast_arrays(*entries)))
+        assert block.mats.tobytes() == np.array([x_state(row).mat for row in rows]).tobytes()
+        assert block.mats.shape == (len(entries[0]), 4, 4)
+
+    @pytest.mark.parametrize("kind", ["not-finite", "negative", "trace", "c23", "c14", "huge"])
+    def test_refused_as_its_first_refused_row(self, kind, monkeypatch):
+        # a later row fails an earlier clause, which must not win
+        rows = list(zip(*(e.tolist() for e in random_x_entries(list(range(40))))))
+        rows[7] = _planted(rows[7], kind)
+        rows[20] = _planted(rows[20], "trace" if kind == "not-finite" else "not-finite")
+        with pytest.raises(PurityLabError) as alone:
+            x_state(rows[7])
+
+        def no_validation(*args, **kwargs):
+            raise AssertionError("validated the matrices of refused entries")
+
+        monkeypatch.setattr(states, "validate_block", no_validation)
+        with pytest.raises(PurityLabError) as block:
+            x_state([np.array(column) for column in zip(*rows)])
+        assert (type(block.value), str(block.value)) == (type(alone.value), str(alone.value))
+
+
 class TestXStatePurities:
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.5, 1.0])
     def test_werner_closed_forms(self, p):
@@ -187,7 +235,7 @@ class TestXStatePurities:
         past = ~np.broadcast_to(domain, valid.shape)[valid]
         entries = [e[valid] for e in entries]
         closed = x_state_purities(entries)
-        block = validate_block(x_state_matrix(entries), TWO_QUBIT_SHAPE)
+        block = x_state(entries)
         generic = purity_set(block)
         for field in ("mu12", "mu1", "mu2", "mu_tilde", "delta"):
             deviation = np.abs(getattr(closed, field) - getattr(generic, field)).max()

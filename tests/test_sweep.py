@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -540,6 +541,20 @@ class TestScan:
         monkeypatch.setattr(sweep, "sample_blocks", no_sampling)
         with pytest.raises(SpecError, match="tol must be a finite number >= 0"):
             scan_conjecture(SHAPE22, samples=40, seed=1, tol=tol)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, 1.5])
+    def test_rejects_seed_outside_range_before_sampling(self, seed, monkeypatch):
+        # streams read a seed modulo 2^64: -1 ran seed 2^64 - 1 under its own label
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("scan sampled states for a seed it refuses")
+
+        monkeypatch.setattr(sweep, "sample_blocks", no_sampling)
+        with pytest.raises(SpecError,
+                           match=re.escape(f"seed must be an integer in [0, 2^64), got {seed!r}")):
+            scan_conjecture(SHAPE22, samples=4, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert scan_conjecture(SHAPE22, samples=4, seed=2**64 - 1).seed == 2**64 - 1
 
     def test_scan_sample_record_roundtrip(self):
         sample = ScanSample(index=3, seed=12, kind="separable", size=2,
