@@ -1,8 +1,8 @@
 """Density matrices with block structure, partial-trace maps and purities.
 
 Validated states have one type, :class:`DensityBlock`, made only by
-:func:`validate_block`; a single state is a block of one.  The reductions
-and partial transposes below are plain arrays, not states.
+:func:`validate_block` of one matrix or a stack; a single state is a block of
+one.  The reductions and partial transposes below are plain arrays, not states.
 
 An N x N state with N = n*m is viewed as an n x n grid of m x m blocks
 a_ij.  Two reduction maps act on it:
@@ -86,8 +86,8 @@ class BlockShape:
 class DensityBlock:
     """Validated states of one block shape, stacked as a read-only
     (B, N, N) array: Hermitian, unit trace and PSD within ``VALIDATION_TOL``.
-    Only :func:`validate_block` makes them, and a single state is a block of
-    one."""
+    Only :func:`validate_block` makes them, and a single state, given as one
+    (N, N) matrix, is a block of one."""
 
     mats: np.ndarray
     shape: BlockShape
@@ -155,20 +155,26 @@ MATRIX_RULE = (
 
 
 def validate_block(mats, shape: BlockShape) -> DensityBlock:
-    """Validate a (B, N, N) stack as density matrices: the one check of a
-    matrix, run once on each state entering the package (``states.x_state``
-    checks the X-state rules on its entries first, at ``XSTATE_PARAM_TOL``).
+    """Validate one (N, N) matrix, as a one-state stack, or a (B, N, N) stack
+    as density matrices: the one check of a matrix, run once on each state
+    entering the package (``states.x_state`` checks the X-state rules on its
+    entries first, at ``XSTATE_PARAM_TOL``).
 
-    A non-empty stack of square matrices (DimMismatch), then the clauses of
+    Numbers numpy reads as a non-empty stack of square matrices
+    (DimMismatch, also for ragged or non-numeric input), then the clauses of
     ``MATRIX_RULE`` in order, then no eigenvalue below -``VALIDATION_TOL``
     (NotPositive, from ``spectra``).  The clauses' conjunction runs on the
     whole stack before any eigensolve; it skips the Hermitian-part clause,
     which the entry bound implies.  Only the states before the first one it
-    refuses are solved, so a stack raises the error :func:`make_density`
-    raises for its first bad state.  It is copied and stored read-only;
-    nothing is repaired.
+    refuses are solved, so a stack raises the error its first bad state
+    raises alone, and a matrix the error of its one-state stack.  It is
+    copied and stored read-only; nothing is renormalized or repaired.
     """
-    arr = np.array(mats, dtype=np.complex128)
+    try:
+        arr = np.array(mats, dtype=np.complex128)
+    except (TypeError, ValueError) as err:
+        raise DimMismatch(f"expected a stack of square matrices of numbers: {err}") from None
+    arr = arr[None] if arr.ndim == 2 else arr  # one matrix: a one-state stack
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or min(arr.shape) < 1:
         raise DimMismatch(
             f"expected a non-empty stack of square matrices, got shape {arr.shape}")
@@ -189,15 +195,6 @@ def validate_block(mats, shape: BlockShape) -> DensityBlock:
                     raise error(refusal(state))
     arr.flags.writeable = False
     return DensityBlock(mats=arr, shape=shape)
-
-
-def make_density(mat, shape: BlockShape) -> DensityBlock:
-    """Validate a matrix as a density matrix: :func:`validate_block` of the
-    one-matrix stack ``[mat]``, so a non-square, empty or non-2-D matrix
-    raises DimMismatch.  The input is stored as given; nothing is
-    renormalized or repaired.
-    """
-    return validate_block([mat], shape)
 
 
 def _blocks(mat: np.ndarray, shape: BlockShape) -> np.ndarray:
@@ -260,10 +257,12 @@ SAMPLE_BLOCK = 256
 def _draw_count(shape: BlockShape, kind: str, size: int) -> int:
     """Uniforms one recipe consumes; checks the recipe before any draw."""
     if kind == "ginibre":
+        size = require_int(size, "rank", BadRank)
         if not 1 <= size <= shape.dim:
             raise BadRank(f"rank must lie in [1, {shape.dim}], got {size}")
         return 2 * shape.dim * size
     if kind == "separable":
+        size = require_int(size, "terms", BadRank)
         if size < 1:
             raise BadRank(f"terms must be >= 1, got {size}")
         return size + 2 * size * (shape.n + shape.m)
@@ -383,7 +382,8 @@ def random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> DensityBlock
     """Ginibre-induced random state rho = G G^dagger / Tr(G G^dagger), one-state.
 
     At full rank this samples the Hilbert-Schmidt measure.  Identical seeds
-    produce bit-identical matrices, also inside a :func:`sample_blocks` job.
+    produce bit-identical matrices, also inside a :func:`sample_blocks` job;
+    ``seed`` is an integer in [0, 2^64) (``require_seed``).
     """
-    return sample_block(BlockShape(dim_n, dim_m), [("ginibre", rank, seed)])
+    return sample_block(BlockShape(dim_n, dim_m), [("ginibre", rank, require_seed(seed))])
 

@@ -13,7 +13,8 @@ The matrix format is line oriented for diffability: a header line "n m"
 with the block shape, then one line "row col re im" per entry (0-based
 indices, row-major order, all n*m x n*m entries present).  Its grammar is
 strict ASCII: fields are separated by spaces and tabs, sizes and indices
-are unsigned digits, and reals are sign, digits, point and exponent.
+are unsigned digits, and reals are sign, digits, point and exponent.  A
+file is read in one pass and its matrix checked by ``validate_block``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .density import BlockShape, DensityBlock, make_density
+from .density import BlockShape, DensityBlock, validate_block
 from .errors import IoError, SpecError
 from .sweep import ScanReport, SweepTable
 
@@ -133,8 +134,7 @@ def read_matrix_file(path: str) -> DensityBlock:
         raise SpecError(
             f"{path}: expected {dim * dim} entry lines, got {len(raw) - 1}"
         )
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    seen = np.zeros((dim, dim), dtype=bool)
+    entries: dict[tuple[int, int], complex] = {}
     for line in raw[1:]:
         fields = line.split()
         indices = [ascii_int(field) for field in fields[:2]]
@@ -147,12 +147,11 @@ def read_matrix_file(path: str) -> DensityBlock:
             raise SpecError(f"{path}: bad entry line {line!r}") from err
         if not (i < dim and j < dim):
             raise SpecError(f"{path}: index ({i}, {j}) out of range for dim {dim}")
-        if seen[i, j]:
+        if (i, j) in entries:
             raise SpecError(f"{path}: duplicate entry for ({i}, {j})")
-        seen[i, j] = True
-        mat[i, j] = complex(re, im)
+        entries[i, j] = complex(re, im)
     # dim * dim unique in-range indices: every entry is present
-    return make_density(mat, shape)
+    return validate_block([[entries[i, j] for j in range(dim)] for i in range(dim)], shape)
 
 
 def scan_report_json(report: ScanReport) -> str:

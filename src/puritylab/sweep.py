@@ -234,8 +234,8 @@ class ScanReport:
 def scan_state(shape: BlockShape, kind: str, size: int, seed: int) -> DensityBlock:
     """Rebuild a scanned state from its record as a one-state block, for
     independent re-derivation; the bytes equal those of the same sample drawn
-    inside its scan."""
-    return sample_block(shape, [(kind, size, seed)])
+    inside its scan; ``seed`` is an integer in [0, 2^64) (``require_seed``)."""
+    return sample_block(shape, [(kind, size, require_seed(seed))])
 
 
 def _sample_recipe(shape: BlockShape, index: int, seed: int) -> tuple[str, int, int]:

@@ -31,7 +31,7 @@ from mpmath import mp
 from numpy.polynomial import Polynomial
 
 from puritylab.defaults import VALIDATION_TOL, XSTATE_PARAM_TOL
-from puritylab.density import BlockShape, DensityBlock, make_density
+from puritylab.density import BlockShape, DensityBlock, validate_block
 from puritylab.errors import (
     BadInterval,
     BadRank,
@@ -103,7 +103,7 @@ def scalar_random_density(dim_n: int, dim_m: int, rank: int, seed: int) -> Densi
     gen = SplitMix64(seed)
     g = ginibre(shape.dim, rank, gen)
     raw = g @ g.conj().T
-    return make_density(raw / raw.trace().real, shape)
+    return validate_block(raw / raw.trace().real, shape)
 
 
 def scalar_random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> DensityBlock:
@@ -122,7 +122,7 @@ def scalar_random_separable(dim_n: int, dim_m: int, terms: int, seed: int) -> De
         v = np.array([gen.complex_normal() for _ in range(dim_m)])
         v /= np.linalg.norm(v)
         acc += w * np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
-    return make_density(acc, shape)
+    return validate_block(acc, shape)
 
 
 def scalar_random_x_params(seed: int) -> XEntries:

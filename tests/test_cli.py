@@ -10,7 +10,7 @@ import pytest
 from oracles import dipped_diagonal, skewed_pure_state, werner_matrix
 from puritylab import cli, sweep
 from puritylab.cli import cli_main
-from puritylab.density import BlockShape, make_density
+from puritylab.density import BlockShape, validate_block
 from puritylab.fileio import scan_report_json, write_matrix_file
 
 
@@ -313,7 +313,7 @@ class TestTolerance:
     def test_degenerate_tol_usage_error(self, command, tol, tmp_path, capsys):
         if command == "check":
             path = tmp_path / "state.txt"
-            write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(2, 2)))
+            write_matrix_file(str(path), validate_block(werner_matrix(0.5), BlockShape(2, 2)))
             args = ["check", str(path)]
         else:
             args = [command, "--samples", "20", "--seed", "1"]
@@ -425,7 +425,7 @@ class TestCounts:
 class TestCheckCommand:
     def test_werner_report(self, tmp_path, capsys):
         path = tmp_path / "werner08.txt"
-        write_matrix_file(str(path), make_density(werner_matrix(0.8), BlockShape(2, 2)))
+        write_matrix_file(str(path), validate_block(werner_matrix(0.8), BlockShape(2, 2)))
         code, out, _ = run_cli(["check", str(path)], capsys)
         assert code == 0
         mu12_line = next(line for line in out.splitlines() if line.startswith("mu12"))
@@ -436,7 +436,7 @@ class TestCheckCommand:
         # the purities, then one line per audited inequality, each expecting
         # lhs <= rhs
         path = tmp_path / "state.txt"
-        write_matrix_file(str(path), make_density(werner_matrix(0.8), BlockShape(2, 2)))
+        write_matrix_file(str(path), validate_block(werner_matrix(0.8), BlockShape(2, 2)))
         code, out, _ = run_cli(["check", str(path)], capsys)
         assert code == 0
         lines = out.splitlines()
@@ -453,7 +453,7 @@ class TestCheckCommand:
         # read, so evaluated without a second refusal of its reductions
         path = tmp_path / "skewed.txt"
         for seed in range(5):
-            write_matrix_file(str(path), make_density(skewed_pure_state(2, 3, seed),
+            write_matrix_file(str(path), validate_block(skewed_pure_state(2, 3, seed),
                                                       BlockShape(2, 3)))
             code, out, err = run_cli(["check", str(path)], capsys)
             assert code in (0, 2) and err == "", err
@@ -464,7 +464,7 @@ class TestCheckCommand:
         # over the outer index has the eigenvalue -1.8e-10, within the bound
         # 2 VALIDATION_TOL of a validated state
         path = tmp_path / "dipped.txt"
-        write_matrix_file(str(path), make_density(dipped_diagonal(2, 2, False),
+        write_matrix_file(str(path), validate_block(dipped_diagonal(2, 2, False),
                                                   BlockShape(2, 2)))
         code, out, err = run_cli(["check", str(path)], capsys)
         assert (code, err) == (0, "")
@@ -486,7 +486,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("n, m", [(1, 4), (4, 1)])
     def test_factor_one_shape_refused(self, n, m, tmp_path, capsys):
         path = tmp_path / "state.txt"
-        write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(n, m)))
+        write_matrix_file(str(path), validate_block(werner_matrix(0.5), BlockShape(n, m)))
         code, out, err = run_cli(["check", str(path)], capsys)
         assert code == 1
         assert len(err.splitlines()) == 1 and f"shape {n}x{m} has a factor of 1" in err
@@ -537,7 +537,7 @@ class TestCheckCommand:
 
     def test_unsatisfied_check_exits_two(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "state.txt"
-        write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(2, 2)))
+        write_matrix_file(str(path), validate_block(werner_matrix(0.5), BlockShape(2, 2)))
         fail_every_report(monkeypatch)
         code, out, _ = run_cli(["check", str(path)], capsys)
         assert code == 2
@@ -557,7 +557,7 @@ class TestSharedParser:
         # the parser is built once per process; each call must behave as
         # through a parser built for it alone
         path = tmp_path / "state.txt"
-        write_matrix_file(str(path), make_density(werner_matrix(0.5), BlockShape(2, 2)))
+        write_matrix_file(str(path), validate_block(werner_matrix(0.5), BlockShape(2, 2)))
         sequence = [
             ["scan", "--samples", "10", "--seed", "3"],
             ["audit", "--shape", "2y2"],

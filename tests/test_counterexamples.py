@@ -9,7 +9,7 @@ import pytest
 
 from oracles import delta_and_min_pt, one_x_entries
 from puritylab.defaults import ENTANGLE_TOL, REPORT_TOL
-from puritylab.density import BlockShape, make_density
+from puritylab.density import BlockShape, validate_block
 from puritylab.inequalities import delta
 from puritylab.prng import child_seed
 from puritylab.states import (
@@ -84,7 +84,7 @@ class TestBoundaryMixtureCounterexample:
     def mixture(self, t):
         sep = scan_state(SHAPE22, *self.SEPARABLE).mat
         ent = scan_state(SHAPE22, *self.ENTANGLED).mat
-        return make_density((1.0 - t) * sep + t * ent, SHAPE22)
+        return validate_block((1.0 - t) * sep + t * ent, SHAPE22)
 
     def test_recipes_are_scan_samples_63_and_50(self):
         assert child_seed(99, 63) == self.SEPARABLE[2]

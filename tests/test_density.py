@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from oracles import (
     skewed_pure_state,
     werner_matrix,
 )
+from puritylab import density
 from puritylab.defaults import VALIDATION_TOL
 from puritylab.density import (
     BlockShape,
@@ -19,7 +22,6 @@ from puritylab.density import (
     block_sum_map,
     block_trace_map,
     hermiticity_defect,
-    make_density,
     purities,
     random_density,
     reduced_blocks,
@@ -33,6 +35,7 @@ from puritylab.errors import (
     NotPositive,
     PurityLabError,
     ShapeMismatch,
+    SpecError,
     TraceNotOne,
 )
 from puritylab.inequalities import audit_reports, delta, purity_set
@@ -47,7 +50,7 @@ seeds = st.integers(0, 10**6)
 
 
 def mixed_state():
-    return make_density(np.eye(4) / 4, SHAPE22)
+    return validate_block(np.eye(4) / 4, SHAPE22)
 
 
 def reduced_states(rho):
@@ -63,38 +66,40 @@ def random_state(shape: BlockShape, seed: int, rank: int | None = None):
 
 
 class TestMakeDensity:
+    """One bare (N, N) matrix through ``validate_block``: a one-state block."""
+
     def test_maximally_mixed_is_valid(self):
         rho = mixed_state()
         assert rho.shape == SHAPE22
 
     def test_input_stored_unmodified(self):
         mat = werner_matrix(0.4)
-        rho = make_density(mat, SHAPE22)
+        rho = validate_block(mat, SHAPE22)
         assert np.array_equal(rho.mat, mat)
 
     def test_werner_outside_domain_not_positive(self):
         with pytest.raises(NotPositive):
-            make_density(werner_matrix(1.5), SHAPE22)
+            validate_block(werner_matrix(1.5), SHAPE22)
 
     def test_xstate_coherence_too_large_not_positive(self):
         mat = np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex)
         mat[1, 2] = mat[2, 1] = 0.2  # rho22*rho33 = 0.01 < |rho23|^2 = 0.04
         with pytest.raises(NotPositive):
-            make_density(mat, SHAPE22)
+            validate_block(mat, SHAPE22)
 
     def test_non_hermitian_rejected(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 0.1
         with pytest.raises(NotHermitian):
-            make_density(mat, SHAPE22)
+            validate_block(mat, SHAPE22)
 
     def test_wrong_trace_rejected(self):
         with pytest.raises(TraceNotOne):
-            make_density(np.eye(4) / 2, SHAPE22)
+            validate_block(np.eye(4) / 2, SHAPE22)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
-            make_density(np.eye(4) / 4, BlockShape(2, 3))
+            validate_block(np.eye(4) / 4, BlockShape(2, 3))
 
     @pytest.mark.parametrize("n, m", [(2.5, 2), (2, 2.0), (np.float64(2), 2)])
     def test_non_integer_block_shape_rejected(self, n, m):
@@ -105,13 +110,13 @@ class TestMakeDensity:
 
     def test_numpy_integer_block_shape_accepted(self):
         shape = BlockShape(np.int64(2), np.int32(2))
-        assert make_density(np.eye(4) / 4, shape).shape == SHAPE22
+        assert validate_block(np.eye(4) / 4, shape).shape == SHAPE22
 
     def test_no_silent_renormalization(self):
         with pytest.raises(TraceNotOne):
-            make_density(np.eye(4), SHAPE22)
+            validate_block(np.eye(4), SHAPE22)
         mat = np.eye(4) / 4
-        assert make_density(mat, SHAPE22).mat.tobytes() == mat.astype(complex).tobytes()
+        assert validate_block(mat, SHAPE22).mat.tobytes() == mat.astype(complex).tobytes()
 
 
 class TestOneStateBlock:
@@ -120,7 +125,7 @@ class TestOneStateBlock:
 
     def test_mat_has_the_bytes_of_the_input(self):
         mat = np.array(random_density(2, 3, 4, seed=5).mat)  # complex entries
-        rho = make_density(mat, BlockShape(2, 3))
+        rho = validate_block(mat, BlockShape(2, 3))
         assert len(rho) == 1 and rho.mat.tobytes() == mat.tobytes()
         assert not rho.mat.flags.writeable
 
@@ -161,7 +166,7 @@ class TestValidateBlock:
         block = validate_block(mats, SHAPE22)
         assert len(block) == 3 and not block.mats.flags.writeable
         for i, mat in enumerate(mats):
-            assert block.mats[i].tobytes() == make_density(mat, SHAPE22).mat.tobytes()
+            assert block.mats[i].tobytes() == validate_block(mat, SHAPE22).mat.tobytes()
 
     @pytest.mark.parametrize("bad, error", [
         ((werner_matrix(1.5), np.eye(4) / 2), NotPositive),
@@ -170,7 +175,7 @@ class TestValidateBlock:
         ((np.full((4, 4), np.nan), np.eye(4) / 2), DomainError),
     ])
     def test_first_bad_state_decides_the_error(self, bad, error):
-        # the error make_density raises for the first state that fails
+        # the error the first state that fails raises alone
         mats = np.stack([werner_matrix(0.2), *bad, werner_matrix(0.4)])
         with pytest.raises(error):
             validate_block(mats, SHAPE22)
@@ -179,10 +184,19 @@ class TestValidateBlock:
         with pytest.raises(ShapeMismatch):
             validate_block(np.stack([np.eye(4) / 4] * 2), BlockShape(2, 3))
 
-    @pytest.mark.parametrize("shape", [(0, 4, 4), (4, 4), (2, 4, 3)])
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (4,), (4, 3), (2, 4, 3), (), (0, 0),
+                                       (1, 1, 4, 4)])
     def test_not_a_stack_rejected(self, shape):
         with pytest.raises(DimMismatch):
             validate_block(np.zeros(shape), SHAPE22)
+
+    @pytest.mark.parametrize("bad", [[[0.5, 0], [0]], [[object()]]], ids=["ragged", "object"])
+    def test_input_that_is_not_numbers_rejected(self, bad):
+        # numpy's own ValueError or TypeError escaped; its reason stays in the text
+        with pytest.raises((TypeError, ValueError)) as numpy_error:
+            np.array(bad, dtype=np.complex128)
+        with pytest.raises(DimMismatch, match=re.escape(str(numpy_error.value))):
+            validate_block(bad, SHAPE22)
 
     @given(st.sampled_from(SHAPES), st.integers(0, 4).map(lambda k: k == 0),
            st.lists(st.lists(st.tuples(st.sampled_from(PLANTED), st.integers(0, 63),
@@ -192,7 +206,8 @@ class TestValidateBlock:
     @settings(max_examples=150)
     def test_first_failing_clause_of_first_failing_state(self, shape, wrong_dim, plants, seed):
         # every state a valid Ginibre state with up to two planted defects,
-        # one per clause of MATRIX_RULE, or one that only positivity refuses
+        # one per clause of MATRIX_RULE, or one that only positivity refuses;
+        # a one-state stack also goes in as its bare matrix, to the same outcome
         mats = np.stack([random_state(shape, seed + k).mat for k in range(len(plants))])
         for mat, defects in zip(mats, plants):
             for defect, i, j in defects:
@@ -200,17 +215,27 @@ class TestValidateBlock:
         claimed = BlockShape(shape.n + 1, shape.m) if wrong_dim else shape
         expected = next(filter(None, (scalar_matrix_refusal(mat, claimed) for mat in mats)),
                         None)
+        got = outcome(mats, claimed)
+        if len(mats) == 1:
+            assert outcome(mats[0], claimed) == got
         if expected is None:
-            assert validate_block(mats, claimed).mats.tobytes() == mats.tobytes()
+            assert got == mats.tobytes()
             return
-        with pytest.raises(PurityLabError) as info:
-            validate_block(mats, claimed)
         error, text = expected
-        assert type(info.value) is error
+        assert got[0] is error
         if text is None:  # positivity: the text names the eigenvalue LAPACK found
-            assert str(info.value).startswith("smallest eigenvalue ")
+            assert got[1].startswith("smallest eigenvalue ")
         else:
-            assert str(info.value) == text
+            assert got[1] == text
+
+
+def outcome(mats, shape):
+    """The bytes of the block ``validate_block`` makes, or the class and text
+    of its refusal."""
+    try:
+        return validate_block(mats, shape).mats.tobytes()
+    except PurityLabError as err:
+        return type(err), str(err)
 
 
 def smallest_eigenvalue_off(dev):
@@ -240,9 +265,9 @@ class TestValidationEdges:
         (trace_off, TraceNotOne),
     ], ids=["smallest-eigenvalue", "hermiticity", "trace"])
     def test_tolerance_edge(self, build, error):
-        assert make_density(build(0.5 * VALIDATION_TOL), SHAPE22) is not None
+        assert validate_block(build(0.5 * VALIDATION_TOL), SHAPE22) is not None
         with pytest.raises(error):
-            make_density(build(2.0 * VALIDATION_TOL), SHAPE22)
+            validate_block(build(2.0 * VALIDATION_TOL), SHAPE22)
 
     def test_gisin_x_max_edge(self):
         # the sweep's separability cut is x_max + VALIDATION_TOL; x_state
@@ -260,12 +285,12 @@ class TestValidationEdges:
         # eigensolve
         pure = np.zeros((4, 4), dtype=complex)
         pure[0, 0] = 1.0
-        assert make_density(pure, SHAPE22) is not None
+        assert validate_block(pure, SHAPE22) is not None
         eigh_counts.clear()
         bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         bad[0, 1] = bad[1, 0] = 1.0 + 2.0 * VALIDATION_TOL
         with pytest.raises(NotPositive, match="entry modulus .* exceeds 1 by 2.000e-10"):
-            make_density(bad, SHAPE22)
+            validate_block(bad, SHAPE22)
         assert not eigh_counts
 
 
@@ -281,7 +306,7 @@ class TestValidatedOnce:
         for seed in range(8):
             mat = skewed_pure_state(n, m, seed)
             assert 0.85 * VALIDATION_TOL <= hermiticity_defect(mat) <= 0.95 * VALIDATION_TOL
-            rho = make_density(mat, BlockShape(n, m))
+            rho = validate_block(mat, BlockShape(n, m))
             reduced_defects += [hermiticity_defect(block_trace_map(rho.mat, rho.shape)),
                                 hermiticity_defect(block_sum_map(rho.mat, rho.shape))]
             assert purity_set(rho).delta.item() == delta(rho).item()
@@ -298,7 +323,7 @@ class TestValidatedOnce:
         # Tr_A rho >= d_A lambda_min(rho) I: tracing out the dipped index
         # multiplies the dip by the traced dimension d_A, to -0.9 d_A
         # VALIDATION_TOL, and the reduction is still accepted
-        rho = make_density(dipped_diagonal(n, m, outer), BlockShape(n, m))
+        rho = validate_block(dipped_diagonal(n, m, outer), BlockShape(n, m))
         traced = m if outer else n
         reduced = (block_trace_map if outer else block_sum_map)(rho.mat, rho.shape)
         smallest = hermitian_eig(reduced).values[0]
@@ -325,7 +350,7 @@ class TestPartialTraces:
 
     @pytest.mark.parametrize("p", [-1 / 3, -0.1, 0.0, 0.25, 1 / 3, 0.9, 1.0])
     def test_werner_reduces_to_mixed(self, p):
-        over_2, over_1 = reduced_states(make_density(werner_matrix(p), SHAPE22))
+        over_2, over_1 = reduced_states(validate_block(werner_matrix(p), SHAPE22))
         assert np.abs(over_2 - np.eye(2) / 2).max() <= 1e-15
         assert np.abs(over_1 - np.eye(2) / 2).max() <= 1e-15
 
@@ -336,7 +361,7 @@ class TestPartialTraces:
         mat[3, 0] = np.conj(mat[0, 3])
         mat[1, 2] = 0.05 - 0.1j
         mat[2, 1] = np.conj(mat[1, 2])
-        over_2, over_1 = reduced_states(make_density(mat, SHAPE22))
+        over_2, over_1 = reduced_states(validate_block(mat, SHAPE22))
         assert np.allclose(over_2, np.diag([d[0] + d[1], d[2] + d[3]]), atol=1e-15)
         assert np.allclose(over_1, np.diag([d[0] + d[2], d[1] + d[3]]), atol=1e-15)
 
@@ -346,7 +371,7 @@ class TestPartialTraces:
         mat[0, 0] = mat[3, 3] = (1 - x) / 2
         mat[1, 1], mat[2, 2] = x * a * a, x * b * b
         mat[1, 2] = mat[2, 1] = x * a * b
-        _, over_1 = reduced_states(make_density(mat, SHAPE22))
+        _, over_1 = reduced_states(validate_block(mat, SHAPE22))
         expected = np.diag([(1 - x) / 2 + x * b * b, x * a * a + (1 - x) / 2])
         assert np.allclose(over_1, expected, atol=1e-15)
 
@@ -375,7 +400,7 @@ class TestPurity:
 
     @pytest.mark.parametrize("p", [-1 / 3, 0.0, 0.3, 0.8, 1.0])
     def test_werner_closed_form(self, p):
-        rho = make_density(werner_matrix(p), SHAPE22)
+        rho = validate_block(werner_matrix(p), SHAPE22)
         assert purities(rho.mat) == pytest.approx((3 * p * p + 1) / 4, abs=1e-14)
 
     @given(seeds)
@@ -388,7 +413,7 @@ class TestPurity:
 
 class TestPuritySet:
     def test_werner(self):
-        ps = one_state_values(purity_set(make_density(werner_matrix(0.6), SHAPE22)))
+        ps = one_state_values(purity_set(validate_block(werner_matrix(0.6), SHAPE22)))
         assert ps.mu12 == pytest.approx((3 * 0.36 + 1) / 4, abs=1e-14)
         assert ps.mu1 == pytest.approx(0.5, abs=1e-14)
         assert ps.mu2 == pytest.approx(0.5, abs=1e-14)
@@ -396,7 +421,7 @@ class TestPuritySet:
     def test_pure_product_projector(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = 1.0
-        ps = one_state_values(purity_set(make_density(mat, SHAPE22)))
+        ps = one_state_values(purity_set(validate_block(mat, SHAPE22)))
         assert ps.mu12 == pytest.approx(1.0, abs=1e-12)
         assert ps.mu1 == pytest.approx(1.0, abs=1e-12)
         assert ps.mu2 == pytest.approx(1.0, abs=1e-12)
@@ -430,6 +455,10 @@ class TestPuritySet:
         assert ps.mu1 + ps.mu2 - 1.0 <= ps.mu_tilde + 1e-10
 
 
+def no_draws(*args, **kwargs):
+    raise AssertionError("drew uniforms for a recipe it refuses")
+
+
 class TestRandomStates:
     def test_construction_properties(self):
         rho = random_density(2, 2, 4, seed=1)
@@ -450,6 +479,31 @@ class TestRandomStates:
             random_density(2, 2, 5, seed=0)
         with pytest.raises(BadRank):
             random_density(2, 2, 0, seed=0)
+
+    @pytest.mark.parametrize("make, name, size", [
+        (lambda size: random_density(2, 2, size, 5), "rank", 2.0),
+        (lambda size: scan_state(SHAPE22, "separable", size, 3), "terms", 1.5),
+    ], ids=["rank", "terms"])
+    def test_non_integer_size_rejected_before_any_draw(self, make, name, size, monkeypatch):
+        # a float size escaped as a bare TypeError from a slice in sample_block
+        monkeypatch.setattr(density, "stream_uniforms", no_draws)
+        with pytest.raises(BadRank, match=re.escape(f"{name} must be an integer, got {size!r}")):
+            make(size)
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5])
+    def test_seed_outside_range_rejected_before_any_draw(self, seed, monkeypatch):
+        # streams read a seed modulo 2^64: 2^64 gave seed 0's state bit for
+        # bit, -1 that of seed 2^64 - 1, and 1.5 escaped as a bare TypeError
+        monkeypatch.setattr(density, "stream_uniforms", no_draws)
+        text = re.escape(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        with pytest.raises(SpecError, match=text):
+            random_density(2, 2, 2, seed)
+        with pytest.raises(SpecError, match=text):
+            scan_state(SHAPE22, "ginibre", 2, seed)
+
+    def test_largest_seed_accepted(self):
+        assert len(random_density(2, 2, 2, 2**64 - 1)) == 1
+        assert len(scan_state(SHAPE22, "separable", 2, 2**64 - 1)) == 1
 
     def test_separable_single_term_is_product(self):
         rho = scan_state(SHAPE22, "separable", 1, 4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import werner_matrix
-from puritylab.density import BlockShape, make_density, random_density
+from puritylab.density import BlockShape, random_density, validate_block
 from puritylab.errors import IoError, PurityLabError, SpecError
 from puritylab.fileio import (
     CSV_HEADER,
@@ -85,7 +85,7 @@ class TestMatrixFile:
 
     def test_werner_file_layout(self, tmp_path):
         path = tmp_path / "werner.txt"
-        rho = make_density(werner_matrix(0.8), BlockShape(2, 2))
+        rho = validate_block(werner_matrix(0.8), BlockShape(2, 2))
         write_matrix_file(str(path), rho)
         lines = path.read_text().splitlines()
         assert lines[0] == "2 2"

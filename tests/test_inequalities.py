@@ -19,10 +19,10 @@ from puritylab.density import (
     block_sum_map,
     block_trace_map,
     hermiticity_defect,
-    make_density,
     purities,
     random_density,
     sample_blocks,
+    validate_block,
 )
 from puritylab.defaults import REPORT_TOL, VALIDATION_TOL
 from puritylab.errors import BadInterval, DomainError, SpecError
@@ -42,17 +42,17 @@ seeds = st.integers(0, 10**6)
 
 
 def werner(p):
-    return make_density(werner_matrix(p), SHAPE22)
+    return validate_block(werner_matrix(p), SHAPE22)
 
 
 def mixed():
-    return make_density(np.eye(4) / 4, SHAPE22)
+    return validate_block(np.eye(4) / 4, SHAPE22)
 
 
 def pure_product():
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 0] = 1.0
-    return make_density(mat, SHAPE22)
+    return validate_block(mat, SHAPE22)
 
 
 def random_state(seed, shape=SHAPE22):
@@ -172,7 +172,7 @@ class TestSqrtTrace:
         # the eigenvalue dip and the Hermiticity defect edges, the Hermitian
         # part of rho^2 is H^2 + S^2 >= -|S|^2, about -1e-19, so its
         # reductions are PSD up to rounding.
-        rho = make_density(edge_state(shape.n, shape.m, seed), shape)
+        rho = validate_block(edge_state(shape.n, shape.m, seed), shape)
         assert hermiticity_defect(rho.mat) > 0.98 * VALIDATION_TOL
         assert spectra(rho.mat[None])[0, 0] < -0.98 * VALIDATION_TOL
         squared = rho.mat @ rho.mat
@@ -189,7 +189,7 @@ class TestSqrtTrace:
         for i in range(len(block)):
             assert sqrt_trace(block_trace_map(squared[i], shape)) == s6[i]
             assert sqrt_trace(block_sum_map(squared[i], shape)) == s8[i]
-            assert sqrt_traces(make_density(block.mats[i], shape)) == (s6[i], s8[i])
+            assert sqrt_traces(validate_block(block.mats[i], shape)) == (s6[i], s8[i])
 
 
 class TestEq6Eq8:
@@ -267,7 +267,7 @@ def swap_subsystems(rho):
     """The same state with the block and in-block indices exchanged."""
     n, m = rho.shape.n, rho.shape.m
     swapped = rho.mat.reshape(n, m, n, m).transpose(1, 0, 3, 2).reshape(n * m, n * m)
-    return make_density(swapped, BlockShape(m, n))
+    return validate_block(swapped, BlockShape(m, n))
 
 
 def sqrt_trace_tol(rho) -> float:
@@ -291,7 +291,7 @@ class TestSymmetries:
         u = np.kron(random_unitary(shape.n, seed + 1),
                     random_unitary(shape.m, seed + 2))
         before = one_state_values(purity_set(rho))
-        after = one_state_values(purity_set(make_density(u @ rho.mat @ u.conj().T, shape)))
+        after = one_state_values(purity_set(validate_block(u @ rho.mat @ u.conj().T, shape)))
         assert abs(after.mu12 - before.mu12) <= 1e-10
         assert abs(after.mu1 - before.mu1) <= 1e-10
         assert abs(after.mu2 - before.mu2) <= 1e-10

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import jacobi_eigenvalues, random_hermitian
 from puritylab import linalg
 from puritylab.defaults import VALIDATION_TOL
-from puritylab.density import BlockShape, make_density, validate_block
+from puritylab.density import BlockShape, validate_block
 from puritylab.errors import DimMismatch, DomainError, NotHermitian
 from puritylab.linalg import hermitian_eig, spectra
 
@@ -58,13 +58,13 @@ class TestHermitianEig:
         assert hermitian_eig(np.tril(h)).values.tobytes() == expected
 
     # hermitian_eig checks no tolerance: a matrix is refused where it enters
-    # the package (make_density, validate_block), before any eigensolve.  The
+    # the package (validate_block), before any eigensolve.  The
     # input-check cases below hold that boundary to them.
 
     def test_rejects_non_hermitian(self):
         mat = [[0.5, 1.0], [0.0, 0.5]]
         with pytest.raises(NotHermitian):
-            make_density(mat, BlockShape(2, 1))
+            validate_block(mat, BlockShape(2, 1))
         # behind the boundary, spectra gives the eigenvalues of the Hermitian
         # part, alone or inside a stack
         expected = np.linalg.eigvalsh(np.array([[0.5, 0.5], [0.5, 0.5]])).tobytes()
@@ -80,7 +80,7 @@ class TestHermitianEig:
         mat = np.eye(3, dtype=complex) / 3
         mat[entry[0]] = entry[1]
         with pytest.raises(DomainError, match="NaN or Inf"):
-            make_density(mat, BlockShape(3, 1))
+            validate_block(mat, BlockShape(3, 1))
 
     def test_symmetric_inf_pair_is_domain_error(self):
         # inf - conj(inf) is nan, so the pair reads as non-finite, not as
@@ -88,19 +88,19 @@ class TestHermitianEig:
         mat = np.eye(3, dtype=complex) / 3
         mat[0, 1] = mat[1, 0] = complex(np.inf, 0.0)
         with pytest.raises(DomainError, match="NaN or Inf"):
-            make_density(mat, BlockShape(3, 1))
+            validate_block(mat, BlockShape(3, 1))
 
     def test_error_order(self):
         shape = BlockShape(2, 1)
         with pytest.raises(DimMismatch):
-            make_density(np.full((2, 3), np.nan), shape)
+            validate_block(np.full((2, 3), np.nan), shape)
         # a NaN entry outranks the asymmetry beside it
         with pytest.raises(DomainError, match="NaN or Inf"):
-            make_density([[np.nan, 5.0], [0.0, 0.0]], shape)
+            validate_block([[np.nan, 5.0], [0.0, 0.0]], shape)
         with pytest.raises(DomainError, match="NaN or Inf"):
-            make_density([[0.0, np.inf], [np.inf, 0.0]], shape)
+            validate_block([[0.0, np.inf], [np.inf, 0.0]], shape)
         with pytest.raises(NotHermitian, match="hermiticity defect 1.000e-01 exceeds tol"):
-            make_density([[0.0, 0.1], [0.0, 0.0]], shape)
+            validate_block([[0.0, 0.1], [0.0, 0.0]], shape)
 
     def test_deterministic(self):
         h = random_hermitian(5, 123)
@@ -236,6 +236,6 @@ class TestDirectLapack:
             if stacked:
                 validate_block(np.stack([np.eye(dim) / dim, mat]), BlockShape(dim, 1))
             else:
-                make_density(mat, BlockShape(dim, 1))
+                validate_block(mat, BlockShape(dim, 1))
         assert dict(eigh_counts) == ({dim: 1} if stacked else {})
 

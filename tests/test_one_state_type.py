@@ -6,9 +6,9 @@ other way would hand unchecked matrices to code that trusts them.  This reads
 an attribute), or of ``cls`` inside that class, may appear only in the body of
 ``validate_block``.  And every X-state is made by ``states.x_state``:
 outside ``density.py`` (the validators and the sampler) and ``fileio.py``
-(the matrix file reader), only ``x_state`` calls ``make_density`` or
-``validate_block``, so no family or sweep grows a checked constructor of its
-own again.
+(the matrix file reader), only ``x_state`` calls ``validate_block``, the one
+checked constructor of a matrix or a stack, so no family or sweep grows a
+checked constructor of its own again.
 """
 
 import ast
@@ -81,19 +81,19 @@ def test_only_validate_block_constructs_blocks():
 
 
 def validator_calls(source: str) -> list[str]:
-    """Where one module calls ``make_density`` or ``validate_block``, one entry per call."""
-    finder = _Calls(("make_density", "validate_block"))
+    """Where one module calls ``validate_block``, one entry per call."""
+    finder = _Calls(("validate_block",))
     finder.visit(ast.parse(source))
     return finder.found
 
 
 def test_finds_planted_validator_calls():
     source = ("def x_state(entries):\n"
-              "    return make_density(x_state_matrix(entries), SHAPE)\n"
+              "    return validate_block(x_state_matrix(entries), SHAPE)\n"
               "def checked_werner(p):\n"
-              "    return density.validate_block(werner_matrix(p)[None], SHAPE)\n")
+              "    return density.validate_block(werner_matrix(p), SHAPE)\n")
     assert validator_calls(source) == ["x_state", "checked_werner"]
-    clean = "def f(entries):\n    return x_state(entries), make_densities, validate_block\n"
+    clean = "def f(entries):\n    return x_state(entries), validate_blocks, validate_block\n"
     assert validator_calls(clean) == []
 
 
